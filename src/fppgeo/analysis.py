@@ -4,6 +4,10 @@ Every estimator here works on finite boxes and reports finite-size
 surrogates: padded windows guard against truncation bias, censored
 observations are labeled rather than dropped silently, and Monte Carlo
 gates are parameters owned by the caller.
+
+The torus graph of the mass-transport check is built by the same successor
+rule as the box graph (``geodesics.successor_forest`` on the periodic edges
+of ``Box.axis_edges``), so both break ties identically.
 """
 
 from __future__ import annotations
@@ -11,29 +15,25 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .environment import TorusEnvironment
-from .geodesic_graph import UnionFind, backward_stats, components, forward_path
-from .geodesics import PointTarget, solve
+from .geodesic_graph import backward_stats, components, forward_path
+from .geodesics import PointTarget, axis_weights, solve, successor_forest
 from .lattice import Box
 
 
 def required_pad(box):
-    """Minimum gap an analysis window must keep from the solve-box faces."""
+    """Minimum gap an analysis window must keep from the solve-box faces.
+
+    The same rule, applied to a window, pads it into its solve box.
+    """
     extent = max(u - l for l, u in zip(box.lower, box.upper))
-    return max(extent // 4, 16)
-
-
-def window_pad(window):
-    extent = max(u - l for l, u in zip(window.lower, window.upper))
     return max(extent // 4, 16)
 
 
 def padded_solve_box(window):
     """Solve box for a window, per the padding rule."""
-    return window.expand(window_pad(window))
+    return window.expand(required_pad(window))
 
 
 def check_window(window, box):
@@ -127,25 +127,12 @@ def _boundary_samples(field, t):
     inside = field.T <= t
     rim = inside & ~field.boundary_touched
     # rim vertex: inside, with some lattice neighbor outside
-    coords = field.box.coords()
     outside_nbr = np.zeros_like(inside)
-    shape = field.box.shape
-    n = field.box.n_vertices
-    arange = np.arange(n)
-    stride = 1
-    strides = []
-    for s in reversed(shape):
-        strides.append(stride)
-        stride *= s
-    strides = list(reversed(strides))
-    for axis in range(field.box.dim):
-        fwd = coords[:, axis] < field.box.upper[axis]
-        i = arange[fwd]
-        j = i + strides[axis]
+    for i, j in field.box.axis_edges():
         outside_nbr[i] |= ~inside[j]
         outside_nbr[j] |= ~inside[i]
     rim &= outside_nbr
-    return coords[rim] / float(t)
+    return field.box.coords()[rim] / float(t)
 
 
 @dataclass
@@ -379,9 +366,12 @@ class TorusGraph:
         return int(np.prod(self.dims))
 
     def coords(self):
-        grids = np.meshgrid(*(np.arange(L, dtype=np.int64) for L in self.dims),
-                            indexing="ij")
-        return np.stack([x.ravel() for x in grids], axis=1)
+        return _torus_box(self.dims).coords()
+
+
+def _torus_box(dims):
+    """The box [0, L1 - 1] x ... x [0, Ld - 1] whose periodic edges form the torus."""
+    return Box((0,) * len(dims), tuple(L - 1 for L in dims))
 
 
 def build_torus_graph(tenv, direction, level=0):
@@ -389,44 +379,13 @@ def build_torus_graph(tenv, direction, level=0):
     if not isinstance(tenv, TorusEnvironment):
         raise ValueError("build_torus_graph requires a TorusEnvironment")
     dims = tenv.dims
-    d = len(dims)
-    n = int(np.prod(dims))
-    grids = np.meshgrid(*(np.arange(L, dtype=np.int64) for L in dims), indexing="ij")
-    coords = np.stack([x.ravel() for x in grids], axis=1)
+    box = _torus_box(dims)
     theta = np.asarray(direction, dtype=np.int64)
-    tmask = (coords @ theta) == int(level)
+    tmask = (box.coords() @ theta) == int(level)
     if not tmask.any():
         raise ValueError("no target vertex on torus")
-
-    rows, cols, data = [], [], []
-    nbr_plus = []
-    weights_plus = []
-    for axis in range(d):
-        nxt = coords.copy()
-        nxt[:, axis] = (nxt[:, axis] + 1) % dims[axis]
-        j = np.ravel_multi_index(tuple(nxt.T), dims)
-        w = tenv.edge_weights(coords, np.full(n, axis, dtype=np.int64))
-        rows.append(np.arange(n))
-        cols.append(j)
-        data.append(w)
-        nbr_plus.append(j)
-        weights_plus.append(w)
-    graph = csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n))
-    T = dijkstra(graph, directed=False, indices=np.flatnonzero(tmask), min_only=True)
-
-    cand = np.full((2 * d, n), np.inf)
-    nbr = np.zeros((2 * d, n), dtype=np.int64)
-    for axis in range(d):
-        j = nbr_plus[axis]
-        w = weights_plus[axis]
-        cand[2 * axis] = w + T[j]
-        nbr[2 * axis] = j
-        cand[2 * axis + 1, j] = w + T
-        nbr[2 * axis + 1, j] = np.arange(n)
-    choice = np.argmin(cand, axis=0)
-    succ = nbr[choice, np.arange(n)]
-    succ[tmask] = -1
+    edges = box.axis_edges(periodic=True)
+    T, succ = successor_forest(edges, axis_weights(tenv, box, edges), tmask)
     return TorusGraph(dims=dims, direction=tuple(int(t) for t in theta),
                       level=int(level), succ=succ, target_mask=tmask, T=T)
 
@@ -448,16 +407,6 @@ class MassTransportReport:
                 ("difference", "", "", self.difference)]
 
 
-def torus_components(g):
-    uf = UnionFind(g.n_vertices)
-    for i in np.flatnonzero(g.succ >= 0):
-        uf.union(int(i), int(g.succ[i]))
-    roots = np.fromiter((uf.find(i) for i in range(g.n_vertices)),
-                        dtype=np.int64, count=g.n_vertices)
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
-
-
 def mass_transport_balance(g, theta):
     """Exact double-count check: unit mass from every vertex to its component progenitor.
 
@@ -469,7 +418,7 @@ def mass_transport_balance(g, theta):
         raise ValueError("mass transport balance requires a torus-built graph")
     theta = np.asarray(theta, dtype=np.int64)
     coords = g.coords()
-    labels = torus_components(g)
+    labels = components(g).labels
     dots = coords @ theta
     # rank vertices by (level, lexicographic coords); progenitor = min rank per label
     order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))

@@ -31,8 +31,19 @@ from .manifest import export_csv, export_json, write_manifest
 
 class ConfigError(Exception):
     def __init__(self, key, message):
-        super().__init__(f"config error: {key}: {message}")
+        # (key, message) as args, so the error pickles back from a --jobs worker
+        super().__init__(key, message)
         self.key = key
+
+    def __str__(self):
+        return f"config error: {self.args[0]}: {self.args[1]}"
+
+
+def _require(cfg, key):
+    """The value of a setting that has no default."""
+    if cfg.get(key) is None:
+        raise ConfigError(key, "missing required setting")
+    return cfg[key]
 
 
 def _utcnow():
@@ -61,24 +72,24 @@ def _merge_config(args, keys):
 
 def _env_from(cfg):
     try:
-        spec = parse_dist(cfg["dist"])
+        spec = parse_dist(_require(cfg, "dist"))
     except ValueError as exc:
         raise ConfigError("dist", str(exc))
     try:
-        return WeightEnvironment(int(cfg["dim"]), spec, int(cfg.get("seed", 0)))
+        return WeightEnvironment(int(_require(cfg, "dim")), spec, int(cfg.get("seed", 0)))
     except ValueError as exc:
         raise ConfigError("dim", str(exc))
 
 
 def _theta_from(cfg):
     try:
-        return normalize_direction(_parse_ints(cfg["theta"]))
+        return normalize_direction(_parse_ints(_require(cfg, "theta")))
     except (ValueError, TypeError) as exc:
         raise ConfigError("theta", str(exc))
 
 
 def _box_from(cfg, dim):
-    extent = int(cfg["box"])
+    extent = int(_require(cfg, "box"))
     if extent < 3:
         raise ConfigError("box", "box extent must be >= 3")
     return Box.cube((extent - 1) // 2, dim)
@@ -118,7 +129,7 @@ def _shape_task(arg):
     if cfg.get("axis"):
         directions = np.zeros((1, env.dim))
         directions[0, 0] = 1.0
-    est = analysis.estimate_shape(env, [int(cfg["radius"])], n_seeds=1,
+    est = analysis.estimate_shape(env, [int(_require(cfg, "radius"))], n_seeds=1,
                                   directions=directions,
                                   n_directions=int(cfg.get("directions", 16)))
     return est.T_samples[0], est.eval_points
@@ -128,7 +139,7 @@ def _graph_pieces(cfg):
     env = _env_from(cfg)
     theta = _theta_from(cfg)
     box = _box_from(cfg, env.dim)
-    alpha = int(cfg["alpha"])
+    alpha = int(_require(cfg, "alpha"))
     field = solve(env, box, HyperplaneTarget(theta, alpha))
     return env, theta, box, field
 
@@ -138,7 +149,7 @@ def _backward_task(arg):
     cfg = dict(cfg, seed=seed)
     env, theta, box, field = _graph_pieces(cfg)
     g = build_graph(field)
-    w = int(cfg["window"])
+    w = int(_require(cfg, "window"))
     window = Box.cube((w - 1) // 2, env.dim)
     rep = analysis.backward_tail(g, window)
     return [(m, seed, p, v) for (m, _, p, v) in rep.rows()]
@@ -148,7 +159,7 @@ def _busemann_task(arg):
     cfg, seed = arg
     cfg = dict(cfg, seed=seed)
     env, theta, box, field = _graph_pieces(cfg)
-    w = int(cfg["window"])
+    w = int(_require(cfg, "window"))
     est = analysis.estimate_busemann_vector(field, Box.cube((w - 1) // 2, env.dim))
     return [(m, seed, p, v) for (m, _, p, v) in est.rows()]
 
@@ -185,7 +196,7 @@ def _radii_task(arg):
 def _masstransport_task(arg):
     cfg, seed = arg
     env = replace(_env_from(cfg), seed=seed)
-    dims = _parse_ints(cfg["dims"])
+    dims = _parse_ints(_require(cfg, "dims"))
     theta = _theta_from(cfg)
     tenv = TorusEnvironment(env, dims)
     g = analysis.build_torus_graph(tenv, theta, int(cfg.get("level", 0)))
@@ -264,7 +275,7 @@ def cmd_shape(args):
     t0 = time.perf_counter()
     results = _pmap(_shape_task, [(cfg, s) for s in seeds], _jobs(cfg))
     samples = np.vstack([r[0] for r in results])
-    radius = int(cfg["radius"])
+    radius = int(_require(cfg, "radius"))
     rows = []
     for i, s in enumerate(seeds):
         for j in range(samples.shape[1]):

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
 
 from .lattice import Box, edge_axis, undirected_edge
 
@@ -186,10 +185,6 @@ class WeightEnvironment:
             np.asarray([e[0]], dtype=np.int64), np.asarray([edge_axis(e)]))[0])
 
 
-def weight_of(env, e):
-    return env.weight_of(e)
-
-
 def with_overrides(env, edges, lam):
     """New environment with t_e replaced by max(t_e, lam) on the given finite edge set."""
     if lam < 0:
@@ -206,13 +201,10 @@ def override_box(env, box, value):
     if value < 0:
         raise ValueError("invalid parameter: weight must be nonnegative")
     new = dict(env.overrides)
-    coords = box.coords()
-    for axis in range(box.dim):
-        keep = coords[:, axis] < box.upper[axis]
-        for u in coords[keep]:
-            v = list(u)
-            v[axis] += 1
-            new[(tuple(int(c) for c in u), tuple(int(c) for c in v))] = float(value)
+    points = box.coords().tolist()
+    for tails, heads in box.axis_edges():
+        for u, v in zip(tails.tolist(), heads.tolist()):
+            new[(tuple(points[u]), tuple(points[v]))] = float(value)
     return replace(env, overrides=new)
 
 
@@ -253,6 +245,8 @@ class GoodnessOfFit:
 
 def empirical_distribution_check(env, n_samples, significance=0.01):
     """Kolmogorov-Smirnov check of hashed weights against the configured CDF."""
+    from scipy import stats
+
     if n_samples < 1000:
         raise ValueError("need n_samples >= 1000")
     k = np.arange(n_samples, dtype=np.int64)

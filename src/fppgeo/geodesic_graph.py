@@ -9,7 +9,6 @@ arrays.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -354,9 +353,3 @@ def graph_to_csv(g, path):
             else:
                 row.extend("" for _ in range(d))
             fh.write(",".join(row) + "\n")
-
-
-def summary_to_json(g, path):
-    with open(path, "w") as fh:
-        json.dump(graph_summary(g), fh, sort_keys=True, indent=2)
-        fh.write("\n")

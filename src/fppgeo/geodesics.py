@@ -1,11 +1,14 @@
-"""Passage times and unique geodesics on a box.
+"""Passage times and unique geodesics on a box or a torus.
 
 ``solve`` runs one multi-source Dijkstra with distance zero on every target
 vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
-weights).  Successors follow the deterministic rule: argmin over in-box
-neighbors y of weight(x, y) + T(y), ties broken by lexicographically
-smallest y.
+weights).  ``successor_forest`` is the one lattice-graph core behind it and
+behind ``analysis.build_torus_graph``: it takes the per-axis edge arrays of
+``Box.axis_edges`` (plain or periodic) and their weights, and picks each
+successor as the argmin over neighbors y of weight(x, y) + T(y), ties
+broken by direction in the order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
+On a box that is the lexicographically smallest tied neighbor.
 """
 
 from __future__ import annotations
@@ -88,35 +91,6 @@ def target_mask(target, box):
     return (dots >= target.level) & (dots - step < target.level)
 
 
-def _axis_edges(box):
-    """Per-axis edge index pairs (u, v = u + e_axis) for all in-box edges."""
-    shape = box.shape
-    n = box.n_vertices
-    coords = box.coords()
-    out = []
-    stride = 1
-    strides = []
-    for s in reversed(shape):
-        strides.append(stride)
-        stride *= s
-    strides = list(reversed(strides))
-    for axis in range(box.dim):
-        keep = np.flatnonzero(coords[:, axis] < box.upper[axis])
-        out.append((keep, keep + strides[axis]))
-    return out
-
-
-# Lexicographic order of the 2d neighbors of any vertex:
-# -e1 < -e2 < ... < -ed < +ed < ... < +e1
-
-def _neighbor_rows(dim):
-    rows = {}
-    for axis in range(dim):
-        rows[(-1, axis)] = axis
-        rows[(1, axis)] = 2 * dim - 1 - axis
-    return rows
-
-
 @dataclass
 class DistanceField:
     """Exact within-box passage times to a target, plus successor forest."""
@@ -156,6 +130,53 @@ def _propagate_touch(succ, seed_mask):
         anc[valid] = anc[parents]
 
 
+def axis_weights(env, box, edges):
+    """Weights under ``env`` of the per-axis edges ``edges`` of ``box``."""
+    coords = box.coords()
+    return [env.edge_weights(coords[u], np.full(len(u), axis, dtype=np.int64))
+            for axis, (u, _) in enumerate(edges)]
+
+
+def _candidates(edges, weights, T):
+    """Per-direction tables of weight(x, y) + T(y) and of the neighbor y.
+
+    Rows follow the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1;
+    a missing neighbor reads inf and -1.
+    """
+    dim = len(edges)
+    n = len(T)
+    cand = np.full((2 * dim, n), np.inf)
+    nbr = np.full((2 * dim, n), -1, dtype=np.int64)
+    for axis, ((u, v), w) in enumerate(zip(edges, weights)):
+        plus = 2 * dim - 1 - axis
+        cand[plus, u] = w + T[v]
+        nbr[plus, u] = v
+        cand[axis, v] = w + T[u]
+        nbr[axis, v] = u
+    return cand, nbr
+
+
+def successor_forest(edges, weights, tmask):
+    """Passage times to the target mask and the successor of every vertex.
+
+    ``edges`` holds per-axis (tails, heads = tails + e_axis) index arrays as
+    returned by ``Box.axis_edges`` and ``weights`` the matching weights.
+    Returns ``(T, succ)`` with succ = -1 on target vertices.
+    """
+    if any(np.any(w <= 0.0) for w in weights):
+        raise ValueError("nonpositive edge weight encountered; weights must be > 0")
+    n = len(tmask)
+    graph = csr_matrix(
+        (np.concatenate(weights),
+         (np.concatenate([u for u, _ in edges]), np.concatenate([v for _, v in edges]))),
+        shape=(n, n))
+    T = dijkstra(graph, directed=False, indices=np.flatnonzero(tmask), min_only=True)
+    cand, nbr = _candidates(edges, weights, T)
+    succ = nbr[np.argmin(cand, axis=0), np.arange(n)]
+    succ[tmask] = -1
+    return T, succ
+
+
 def solve(env, box, target):
     """Shortest-path distances from every box vertex to the target set.
 
@@ -163,50 +184,11 @@ def solve(env, box, target):
     intersect the box, or if any edge weight is not strictly positive
     (zero-weight regimes are unsupported).
     """
-    n = box.n_vertices
     tmask = target_mask(target, box)
-    targets = np.flatnonzero(tmask)
-    if targets.size == 0:
+    if not tmask.any():
         raise ValueError("no target vertex inside box")
-
-    coords = box.coords()
-    dim = box.dim
-    axis_edges = _axis_edges(box)
-    axis_weights = []
-    rows = []
-    cols = []
-    data = []
-    for axis in range(dim):
-        u, v = axis_edges[axis]
-        w = env.edge_weights(coords[u], np.full(len(u), axis, dtype=np.int64))
-        if np.any(w <= 0.0):
-            raise ValueError("nonpositive edge weight encountered; weights must be > 0")
-        axis_weights.append(w)
-        rows.append(u)
-        cols.append(v)
-        data.append(w)
-    graph = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n))
-    T = dijkstra(graph, directed=False, indices=targets, min_only=True)
-
-    # successor rule: argmin_y weight(x,y) + T(y), ties to lex-smallest y
-    nbr_rows = _neighbor_rows(dim)
-    cand = np.full((2 * dim, n), np.inf)
-    nbr_idx = np.full((2 * dim, n), -1, dtype=np.int64)
-    for axis in range(dim):
-        u, v = axis_edges[axis]
-        w = axis_weights[axis]
-        r_plus = nbr_rows[(1, axis)]
-        cand[r_plus, u] = w + T[v]
-        nbr_idx[r_plus, u] = v
-        r_minus = nbr_rows[(-1, axis)]
-        cand[r_minus, v] = w + T[u]
-        nbr_idx[r_minus, v] = u
-    choice = np.argmin(cand, axis=0)
-    succ = nbr_idx[choice, np.arange(n)].astype(np.int64)
-    succ[tmask] = -1
-
+    edges = box.axis_edges()
+    T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
     touched = _propagate_touch(succ, box.boundary_mask())
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ,
                          boundary_touched=touched, target_mask=tmask)
@@ -241,17 +223,8 @@ def successor_margin(field):
     Near-zero gaps indicate distribution atoms or hash defects; under
     continuous weights the successor is a.s. unique.
     """
-    n = field.box.n_vertices
-    dim = field.box.dim
-    coords = field.box.coords()
-    axis_edges = _axis_edges(field.box)
-    nbr_rows = _neighbor_rows(dim)
-    cand = np.full((2 * dim, n), np.inf)
-    for axis in range(dim):
-        u, v = axis_edges[axis]
-        w = field.env.edge_weights(coords[u], np.full(len(u), axis, dtype=np.int64))
-        cand[nbr_rows[(1, axis)], u] = w + field.T[v]
-        cand[nbr_rows[(-1, axis)], v] = w + field.T[u]
+    edges = field.box.axis_edges()
+    cand, _ = _candidates(edges, axis_weights(field.env, field.box, edges), field.T)
     part = np.partition(cand, 1, axis=0)
     gap = part[1] - part[0]
     return gap[~field.target_mask]

@@ -105,6 +105,31 @@ class Box:
         """(n, d) int64 array of all vertices in lexicographic order (read-only, cached)."""
         return _box_coords(self)
 
+    def axis_edges(self, periodic=False):
+        """Per-axis ``(tails, heads)`` flat-index arrays of the box's edges.
+
+        Entry ``axis`` pairs each tail u with its head u + e_axis, tails in
+        increasing order.  With ``periodic`` every axis wraps around, giving
+        the edges of the torus with the box's side lengths.
+        """
+        if periodic and min(self.shape) < 3:
+            raise ValueError("periodic axes need side >= 3")
+        coords = self.coords()
+        n = self.n_vertices
+        out = []
+        stride = n
+        for axis, side in enumerate(self.shape):
+            stride //= side
+            inner = coords[:, axis] < self.upper[axis]
+            if periodic:
+                tails = np.arange(n)
+                heads = tails + np.where(inner, stride, -(side - 1) * stride)
+            else:
+                tails = np.flatnonzero(inner)
+                heads = tails + stride
+            out.append((tails, heads))
+        return out
+
     def indices_of(self, coords):
         """Vectorized index_of for an (m, d) int array."""
         coords = np.asarray(coords, dtype=np.int64)

@@ -140,26 +140,16 @@ def protected_vertices(box, spec, xi_N):
     xi = tuple(int(c) for c in xi_N)
     wide = box.expand(1)
     coords = wide.coords()
-    out = set()
-    for axis in range(box.dim):
-        for u in coords[coords[:, axis] < wide.upper[axis]]:
-            u = tuple(int(c) for c in u)
-            v = list(u)
-            v[axis] += 1
-            v = tuple(v)
-            if not (box.contains(u) or box.contains(v)):
-                continue
-            ha, hb, hc = _segment_conditions(u, axis, spec, xi)
-            if ha or hb or hc:
-                for z in (u, v):
-                    if box.contains(z):
-                        out.add(z)
-    return tuple(sorted(out))
-
-
-def _path_edge_mask(g, orbit_mask):
-    """Mask over (vertex, out-edge) pairs whose edge lies on a marked path."""
-    return orbit_mask & (g.succ >= 0)
+    inside = ((coords >= box.lower) & (coords <= box.upper)).all(axis=1)
+    points = coords.tolist()
+    hit = np.zeros(wide.n_vertices, dtype=bool)
+    for axis, (tails, heads) in enumerate(wide.axis_edges()):
+        near = inside[tails] | inside[heads]
+        for u, v in zip(tails[near].tolist(), heads[near].tolist()):
+            if any(_segment_conditions(points[u], axis, spec, xi)):
+                hit[u] = hit[v] = True
+    # wide.coords() is in lexicographic order, so the result is sorted
+    return tuple(tuple(z) for z in coords[hit & inside].tolist())
 
 
 def eligible_edges(g, spec, y, protected):
@@ -175,28 +165,16 @@ def eligible_edges(g, spec, y, protected):
     keep = forward_orbit(g, protected_idx) if protected_idx else np.zeros(g.n_vertices, bool)
     if box.contains(y):
         keep |= forward_orbit(g, [box.index_of(y)])
-    kept_edge_tail = _path_edge_mask(g, keep)
+    kept_edge_tail = keep & (g.succ >= 0)
 
     edges = []
-    shape = box.shape
-    strides = []
-    stride = 1
-    for s in reversed(shape):
-        strides.append(stride)
-        stride *= s
-    strides = list(reversed(strides))
-    for axis in range(box.dim):
-        tails = np.flatnonzero((coords[:, axis] < box.upper[axis]) & strip_mask)
-        heads = tails + strides[axis]
-        ok = strip_mask[heads]
+    for tails, heads in box.axis_edges():
+        ok = strip_mask[tails] & strip_mask[heads]
         tails, heads = tails[ok], heads[ok]
         on_path = (kept_edge_tail[tails] & (g.succ[tails] == heads)) | \
                   (kept_edge_tail[heads] & (g.succ[heads] == tails))
-        for t_idx in tails[~on_path]:
-            u = box.vertex_at(int(t_idx))
-            v = list(u)
-            v[axis] += 1
-            edges.append((u, tuple(v)))
+        edges.extend(zip(map(tuple, coords[tails[~on_path]].tolist()),
+                         map(tuple, coords[heads[~on_path]].tolist())))
     edges.sort()
     return edges
 
@@ -460,48 +438,3 @@ def progenitor(vertices, theta):
     if not vertices:
         raise ValueError("progenitor of an empty vertex set")
     return min(vertices, key=order_key(theta))
-
-
-def detour_passage_times(env, box, spec):
-    """Max passage time between strip-adjacent boundary vertices avoiding strip edges.
-
-    Supports picking the constant for the unbounded-mode detour condition:
-    paths may not use edges with both endpoints in the strip.
-    """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra as _dijkstra
-
-    coords = box.coords()
-    strip = in_strip(spec, coords)
-    n = box.n_vertices
-    rows, cols, data = [], [], []
-    shape = box.shape
-    strides = []
-    stride = 1
-    for s in reversed(shape):
-        strides.append(stride)
-        stride *= s
-    strides = list(reversed(strides))
-    boundary_adjacent = np.zeros(n, dtype=bool)
-    for axis in range(box.dim):
-        tails = np.flatnonzero(coords[:, axis] < box.upper[axis])
-        heads = tails + strides[axis]
-        w = env.edge_weights(coords[tails], np.full(len(tails), axis, dtype=np.int64))
-        keep = ~(strip[tails] & strip[heads])
-        rows.append(tails[keep])
-        cols.append(heads[keep])
-        data.append(w[keep])
-        mixed = strip[tails] ^ strip[heads]
-        boundary_adjacent[tails[mixed]] |= ~strip[tails[mixed]]
-        boundary_adjacent[heads[mixed]] |= ~strip[heads[mixed]]
-    graph = csr_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                       shape=(n, n))
-    pts = np.flatnonzero(boundary_adjacent)
-    worst = 0.0
-    for p in pts:
-        dist = _dijkstra(graph, directed=False, indices=p, min_only=True)
-        reach = dist[pts]
-        finite = reach[np.isfinite(reach)]
-        if finite.size:
-            worst = max(worst, float(finite.max()))
-    return worst

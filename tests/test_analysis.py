@@ -276,3 +276,14 @@ def test_build_torus_graph_structure():
     assert np.all(g.T[g.target_mask] == 0.0)
     with pytest.raises(ValueError):
         build_torus_graph(env, (1, 0), 99)
+
+
+def test_torus_successor_tie_breaks_like_solve():
+    # unit weights: (4, y) is 4 steps from level 0 both via -e1 and via +e1 around the wrap
+    env = override_box(WeightEnvironment(2, uniform(0, 1), 0), Box((0, 0), (8, 8)), 1.0)
+    g = build_torus_graph(TorusEnvironment(env, (8, 8)), (1, 0), 0)
+    coords = g.coords()
+    for y in range(8):
+        i = 4 * 8 + y
+        assert g.T[i] == 4.0
+        assert tuple(coords[g.succ[i]]) == (3, y)

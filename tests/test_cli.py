@@ -46,6 +46,25 @@ def test_bad_distribution_is_config_error(tmp_path, capsys):
     assert "dist" in err
 
 
+@pytest.mark.parametrize("command, key, args", [
+    ("shape", "radius", ["--dim", "2", "--dist", "uniform:0,1"]),
+    ("graph", "alpha", ["--dim", "2", "--dist", "uniform:0,1", "--box", "15",
+                        "--theta", "1,0"]),
+    ("masstransport", "dims", ["--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0"]),
+])
+def test_missing_required_key_is_config_error(tmp_path, capsys, command, key, args):
+    rc = run_cli([command, *args, "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.strip() == f"config error: {key}: missing required setting"
+
+
+def test_config_error_in_worker_names_key(tmp_path, capsys):
+    rc = run_cli(["shape", "--dim", "2", "--dist", "uniform:1,0", "--radius", "3",
+                  "--seeds", "2", "--jobs", "2", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: dist:")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({
