@@ -410,7 +410,7 @@ class MassTransportReport:
 def mass_transport_balance(g, theta):
     """Exact double-count check: unit mass from every vertex to its component progenitor.
 
-    Sent mass is accumulated vertex by vertex, received mass progenitor by
+    Sent mass is counted over all vertices, received mass progenitor by
     progenitor; on a torus the two totals agree as integers in every
     realization.
     """
@@ -429,10 +429,7 @@ def mass_transport_balance(g, theta):
     np.minimum.at(best, labels, rank)
     prog_index = order[best]            # vertex index of each component's progenitor
 
-    sent = 0
-    for x in range(g.n_vertices):
-        if prog_index[labels[x]] >= 0:
-            sent += 1
+    sent = int((prog_index[labels] >= 0).sum())
     received = np.zeros(g.n_vertices, dtype=np.int64)
     np.add.at(received, prog_index[labels], 1)
     total_received = int(received.sum())

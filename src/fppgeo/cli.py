@@ -50,8 +50,13 @@ def _utcnow():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _parse_ints(text):
-    return tuple(int(p) for p in str(text).split(","))
+def _int_list(cfg, key, default=None):
+    """A comma-separated integer list setting; required when there is no default."""
+    text = _require(cfg, key) if default is None else cfg.get(key, default)
+    try:
+        return tuple(int(p) for p in str(text).split(","))
+    except ValueError:
+        raise ConfigError(key, f"expected comma-separated integers, got {text!r}")
 
 
 def _merge_config(args, keys):
@@ -83,7 +88,7 @@ def _env_from(cfg):
 
 def _theta_from(cfg):
     try:
-        return normalize_direction(_parse_ints(_require(cfg, "theta")))
+        return normalize_direction(_int_list(cfg, "theta"))
     except (ValueError, TypeError) as exc:
         raise ConfigError("theta", str(exc))
 
@@ -169,7 +174,7 @@ def _crossings_task(arg):
     cfg = dict(cfg, seed=seed)
     env, theta, box, field = _graph_pieces(cfg)
     g = build_graph(field)
-    levels = _parse_ints(cfg.get("levels", "0"))
+    levels = _int_list(cfg, "levels", "0")
     pad = analysis.required_pad(box)
     inner = box.shrink(pad)
     rng = np.random.default_rng(seed)
@@ -186,7 +191,7 @@ def _radii_task(arg):
     cfg = dict(cfg, seed=seed)
     env, theta, box, field = _graph_pieces(cfg)
     g = build_graph(field)
-    levels = _parse_ints(cfg.get("levels", "0"))
+    levels = _int_list(cfg, "levels", "0")
     w = cfg.get("window")
     window = Box.cube((int(w) - 1) // 2, env.dim) if w else None
     rep = analysis.intersection_radii(g, theta, levels, window=window)
@@ -196,7 +201,7 @@ def _radii_task(arg):
 def _masstransport_task(arg):
     cfg, seed = arg
     env = replace(_env_from(cfg), seed=seed)
-    dims = _parse_ints(_require(cfg, "dims"))
+    dims = _int_list(cfg, "dims")
     theta = _theta_from(cfg)
     tenv = TorusEnvironment(env, dims)
     g = analysis.build_torus_graph(tenv, theta, int(cfg.get("level", 0)))
@@ -221,8 +226,8 @@ def _modify_task(arg):
     spec = modification.StripSpec(theta, N, M, int(cfg.get("M_prime", 3)),
                                   float(cfg.get("epsilon", 0.1)),
                                   float(cfg.get("delta", 0.1)))
-    y = _parse_ints(cfg["y"]) if cfg.get("y") else _default_y(theta, env.dim)
-    xi = _parse_ints(cfg["xi"]) if cfg.get("xi") else lattice_point_on_level(theta, N)
+    y = _int_list(cfg, "y") if cfg.get("y") else _default_y(theta, env.dim)
+    xi = _int_list(cfg, "xi") if cfg.get("xi") else lattice_point_on_level(theta, N)
     mode = cfg.get("mode", "bounded")
     lam = float(cfg["lam"]) if cfg.get("lam") is not None else None
     out = modification.run_modification(env, spec, y, xi, mode=mode, lam=lam)
@@ -339,7 +344,7 @@ def cmd_modify(args):
             "epsilon", "delta", "mode", "lam", "y", "xi", "out", "jobs")
     cfg = _merge_config(args, keys)
     seeds = _seed_list(cfg)
-    n_list = _parse_ints(cfg.get("N_list", "24"))
+    n_list = _int_list(cfg, "N_list", "24")
     out = cfg.get("out") or "modify.csv"
     started = _utcnow()
     t0 = time.perf_counter()

@@ -1,10 +1,11 @@
 """Finite-volume geodesic graphs: successor forests toward a hyperplane.
 
 The graph holds one optional out-edge per box vertex (the successor chosen
-by the distance field), a reverse-adjacency index for backward traversals,
-and the passage times of the generating solve.  All structure queries
-(forward paths, backward clusters, components, truncation) run on flat
-arrays.
+by the distance field) and the passage times of the generating solve.  The
+traversals rest on ``geodesics.fold_chains``, which reduces a seed along
+every forward chain (backward clusters, hop counts), and on the cached
+``GeodesicGraph.generations``, the vertices grouped by hop count, which the
+statistics sweep leaves first or roots first.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geodesics import HyperplaneTarget, solve
+from .geodesics import HyperplaneTarget, fold_chains, solve, successor_chain
 from .lattice import Box
+from .manifest import csv_cells
 
 
 class UnionFind:
@@ -70,7 +72,7 @@ class GeodesicGraph:
     T: np.ndarray
 
     def __post_init__(self):
-        self._rev = None
+        self._gens = None
 
     @property
     def n_vertices(self):
@@ -89,26 +91,35 @@ class GeodesicGraph:
         return (tuple(x), self.box.vertex_at(int(s)))
 
     def reverse_index(self):
-        """CSR-style (indptr, indices) of in-neighbors, built once per graph."""
-        if self._rev is None:
-            n = self.n_vertices
-            has = self.succ >= 0
-            heads = self.succ[has]
-            tails = np.flatnonzero(has)
-            order = np.argsort(heads, kind="stable")
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            np.add.at(indptr, heads + 1, 1)
-            np.cumsum(indptr, out=indptr)
-            self._rev = (indptr, tails[order])
-        return self._rev
+        """CSR-style (indptr, indices) of in-neighbors."""
+        n = self.n_vertices
+        has = self.succ >= 0
+        heads = self.succ[has]
+        tails = np.flatnonzero(has)
+        order = np.argsort(heads, kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.add.at(indptr, heads + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        return indptr, tails[order]
 
     def in_degrees(self):
         indptr, _ = self.reverse_index()
         return np.diff(indptr)
 
-    def descending_order(self):
-        """Vertex indices by decreasing T: every in-neighbor precedes its successor."""
-        return np.argsort(-self.T, kind="stable")
+    def hops(self):
+        """Number of out-edges from each vertex to its root."""
+        return fold_chains(self.succ, (self.succ >= 0).astype(np.int64), np.add)
+
+    def generations(self):
+        """Vertex index arrays by hop count, built once per graph.
+
+        Generation 0 holds the roots, and succ maps generation k + 1 into k.
+        """
+        if self._gens is None:
+            hops = self.hops()
+            order = np.argsort(hops, kind="stable")
+            self._gens = np.split(order, np.cumsum(np.bincount(hops))[:-1])
+        return self._gens
 
 
 @dataclass
@@ -162,83 +173,52 @@ def busemann(field, x, y):
 
 def forward_path(g, x):
     """Out-edge chain from x until a target vertex or a missing out-edge."""
-    idx = g.box.index_of(x)
-    seq = [idx]
-    limit = g.n_vertices
-    while True:
-        s = g.succ[seq[-1]]
-        if s < 0 or len(seq) > limit:
-            break
-        seq.append(int(s))
-    indices = np.asarray(seq, dtype=np.int64)
+    chain = successor_chain(g.succ, g.box.index_of(x))
     return Path(
-        vertices=[g.box.vertex_at(i) for i in seq],
-        indices=indices,
-        reached_target=bool(g.target_mask[seq[-1]]),
+        vertices=[g.box.vertex_at(i) for i in chain],
+        indices=np.asarray(chain, dtype=np.int64),
+        reached_target=bool(g.target_mask[chain[-1]]),
     )
 
 
 def forward_orbit(g, source_indices):
     """Mask of vertices lying on the forward path of any source."""
     mark = np.zeros(g.n_vertices, dtype=bool)
-    cur = np.unique(np.asarray(source_indices, dtype=np.int64))
-    mark[cur] = True
-    while cur.size:
-        nxt = g.succ[cur]
-        nxt = np.unique(nxt[nxt >= 0])
-        nxt = nxt[~mark[nxt]]
-        mark[nxt] = True
-        cur = nxt
+    mark[np.asarray(source_indices, dtype=np.int64)] = True
+    for gen in g.generations()[:0:-1]:
+        mark[g.succ[gen[mark[gen]]]] = True
     return mark
 
 
 def backward_cluster(g, x):
-    """The set C^b_x of vertices with a directed path to x (BFS on in-edges)."""
-    indptr, indices = g.reverse_index()
+    """The set C^b_x of vertices with a directed path to x: their forward chains meet x."""
     start = g.box.index_of(x)
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                j = int(j)
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        if nxt:
-            depth += 1
-        frontier = nxt
-    boundary = g.box.boundary_mask()
-    members = sorted(seen)
+    at_x = np.arange(g.n_vertices) == start
+    members = np.flatnonzero(fold_chains(g.succ, at_x, np.logical_or))
+    hops = g.hops()
     return BackwardCluster(
         vertices=[g.box.vertex_at(i) for i in members],
         size=len(members),
-        depth=depth,
-        touches_boundary=bool(boundary[members].any()),
+        depth=int(hops[members].max() - hops[start]),
+        touches_boundary=bool(g.box.boundary_mask()[members].any()),
     )
 
 
 def backward_stats(g):
-    """Vectorized per-vertex backward-cluster size, depth, and boundary contact.
+    """Per-vertex backward-cluster size, depth, and boundary contact.
 
-    One pass in decreasing-T order accumulates each vertex into its
-    successor; agrees with per-vertex BFS.
+    Sweeps the generations leaves first, accumulating each generation into
+    its successors; agrees with per-vertex ``backward_cluster``.
     """
     n = g.n_vertices
     sizes = np.ones(n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
     touch = g.box.boundary_mask().copy()
-    succ = g.succ
-    for i in g.descending_order():
-        s = succ[i]
-        if s >= 0:
-            sizes[s] += sizes[i]
-            if depth[i] + 1 > depth[s]:
-                depth[s] = depth[i] + 1
-            if touch[i]:
-                touch[s] = True
+    for gen in g.generations()[:0:-1]:
+        s = g.succ[gen]
+        np.add.at(sizes, s, sizes[gen])
+        np.maximum.at(depth, s, depth[gen] + 1)
+        np.logical_or.at(touch, s, touch[gen])
     return sizes, depth, touch
 
 
@@ -294,35 +274,27 @@ def encounter_points(g, threshold=None):
         radius = min(u - l for l, u in zip(g.box.lower, g.box.upper)) // 2
         threshold = max(2, radius // 2)
     n = g.n_vertices
-    succ = g.succ
-    indptr, indices = g.reverse_index()
-    desc = g.descending_order()
-
-    down = np.zeros(n, dtype=np.int64)   # height of the backward subtree
-    for i in desc:
-        s = succ[i]
-        if s >= 0 and down[i] + 1 > down[s]:
-            down[s] = down[i] + 1
+    _, down, _ = backward_stats(g)       # height of the backward subtree
+    child = np.flatnonzero(g.succ >= 0)
+    par = g.succ[child]
+    # highest sibling subtree of each child: the highest child subtree of its
+    # parent, or the second highest for a child that alone holds the highest
+    top = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(top, par, down[child])
+    is_top = down[child] == top[par]
+    second = np.full(n, -1, dtype=np.int64)
+    np.maximum.at(second, par[~is_top], down[child[~is_top]])
+    alone = is_top & (np.bincount(par[is_top], minlength=n)[par] == 1)
+    sibling = np.full(n, -1, dtype=np.int64)
+    sibling[child] = np.where(alone, second[par], top[par])
 
     up = np.full(n, -1, dtype=np.int64)  # farthest distance through the out-edge
-    for i in desc[::-1]:
-        s = succ[i]
-        if s < 0:
-            continue
-        best = 1 if up[s] < 0 else up[s] + 1
-        for j in indices[indptr[s]:indptr[s + 1]]:
-            if j != i and down[j] + 2 > best:
-                best = down[j] + 2
-        up[i] = best
+    for gen in g.generations()[1:]:
+        up[gen] = np.maximum(up[g.succ[gen]] + 1, sibling[gen] + 2)
 
-    out = []
-    for i in range(n):
-        arms = [1 + down[j] for j in indices[indptr[i]:indptr[i + 1]]]
-        if up[i] >= 0:
-            arms.append(up[i])
-        if sum(1 for a in arms if a >= threshold) >= 3:
-            out.append(g.box.vertex_at(i))
-    return out
+    long_arms = (up >= threshold).astype(np.int64)
+    np.add.at(long_arms, par, down[child] + 1 >= threshold)
+    return [g.box.vertex_at(i) for i in np.flatnonzero(long_arms >= 3)]
 
 
 def graph_summary(g):
@@ -339,17 +311,10 @@ def graph_summary(g):
 
 def graph_to_csv(g, path):
     """CSV dump: x1..xd, dx1..dxd (out-edge displacement, empty for roots)."""
-    box = g.box
-    d = box.dim
-    coords = box.coords()
+    d = g.box.dim
+    head = [f"x{i+1}" for i in range(d)] + [f"dx{i+1}" for i in range(d)]
+    coords = g.box.coords()
+    steps = np.ma.masked_array(coords[g.succ] - coords)
+    steps[g.succ < 0] = np.ma.masked
     with open(path, "w", newline="") as fh:
-        head = [f"x{i+1}" for i in range(d)] + [f"dx{i+1}" for i in range(d)]
-        fh.write(",".join(head) + "\n")
-        for i in range(box.n_vertices):
-            row = [str(int(c)) for c in coords[i]]
-            s = g.succ[i]
-            if s >= 0:
-                row.extend(str(int(c)) for c in (coords[s] - coords[i]))
-            else:
-                row.extend("" for _ in range(d))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(csv_cells(head, [*coords.T, *steps.T]))

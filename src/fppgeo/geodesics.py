@@ -9,6 +9,10 @@ behind ``analysis.build_torus_graph``: it takes the per-axis edge arrays of
 successor as the argmin over neighbors y of weight(x, y) + T(y), ties
 broken by direction in the order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
 On a box that is the lexicographically smallest tied neighbor.
+
+``fold_chains`` (a reduction along every successor chain by pointer
+doubling) is, with ``GeodesicGraph.generations``, the traversal core of the
+forest; ``successor_chain`` walks a single chain.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .lattice import Box, is_integer_direction
+from .manifest import csv_cells
 
 __version_tag__ = b"FPGD1"
 
@@ -117,17 +122,32 @@ class DistanceField:
         return bool(self.target_mask[self.box.index_of(x)])
 
 
-def _propagate_touch(succ, seed_mask):
-    """OR-accumulate seed_mask along successor chains by pointer doubling."""
-    out = seed_mask.copy()
+def fold_chains(succ, seed, op):
+    """Reduce ``seed`` with the ufunc ``op`` over each forward chain, by pointer doubling.
+
+    Entry i of the result is op over seed at i, succ[i], succ[succ[i]], ...
+    up to the root of i (the first vertex with succ = -1).
+    """
+    out = seed.copy()
     anc = succ.copy()
     while True:
         valid = np.flatnonzero(anc >= 0)
         if valid.size == 0:
             return out
         parents = anc[valid]
-        out[valid] |= out[parents]
+        out[valid] = op(out[valid], out[parents])
         anc[valid] = anc[parents]
+
+
+def successor_chain(succ, start):
+    """Indices start, succ[start], ... up to the first vertex without a successor.
+
+    Stops after len(succ) + 1 entries, so a cyclic successor array cannot hang.
+    """
+    chain = [start]
+    while succ[chain[-1]] >= 0 and len(chain) <= len(succ):
+        chain.append(int(succ[chain[-1]]))
+    return chain
 
 
 def axis_weights(env, box, edges):
@@ -189,7 +209,7 @@ def solve(env, box, target):
         raise ValueError("no target vertex inside box")
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
-    touched = _propagate_touch(succ, box.boundary_mask())
+    touched = fold_chains(succ, box.boundary_mask(), np.logical_or)
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ,
                          boundary_touched=touched, target_mask=tmask)
 
@@ -201,15 +221,11 @@ def passage_time(field, x):
 
 def extract_geodesic(field, x):
     """The unique geodesic from x to the target, as a vertex sequence."""
-    idx = field.box.index_of(x)
-    path = [idx]
-    limit = field.box.n_vertices
-    while not field.target_mask[path[-1]]:
-        s = field.succ[path[-1]]
-        if s < 0 or len(path) > limit:
-            raise TruncatedPathError([field.box.vertex_at(i) for i in path])
-        path.append(int(s))
-    return [field.box.vertex_at(i) for i in path]
+    chain = successor_chain(field.succ, field.box.index_of(x))
+    path = [field.box.vertex_at(i) for i in chain]
+    if not field.target_mask[chain[-1]]:
+        raise TruncatedPathError(path)
+    return path
 
 
 def path_weight(env, path):
@@ -239,23 +255,14 @@ def _target_config(target):
 
 def field_to_csv(field, path):
     """CSV dump: x1..xd, T, succ_dx1..succ_dxd, boundary_touched."""
-    box = field.box
-    d = box.dim
-    coords = box.coords()
+    d = field.box.dim
+    head = [f"x{i+1}" for i in range(d)] + ["T"] + \
+           [f"succ_dx{i+1}" for i in range(d)] + ["boundary_touched"]
+    coords = field.box.coords()
+    steps = np.ma.masked_array(coords[field.succ] - coords)
+    steps[field.succ < 0] = np.ma.masked
     with open(path, "w", newline="") as fh:
-        head = [f"x{i+1}" for i in range(d)] + ["T"] + \
-               [f"succ_dx{i+1}" for i in range(d)] + ["boundary_touched"]
-        fh.write(",".join(head) + "\n")
-        for i in range(box.n_vertices):
-            row = [str(int(c)) for c in coords[i]]
-            row.append(format(field.T[i], ".17g"))
-            s = field.succ[i]
-            if s >= 0:
-                row.extend(str(int(c)) for c in (coords[s] - coords[i]))
-            else:
-                row.extend("" for _ in range(d))
-            row.append(str(int(field.boundary_touched[i])))
-            fh.write(",".join(row) + "\n")
+        fh.writelines(csv_cells(head, [*coords.T, field.T, *steps.T, field.boundary_touched]))
 
 
 def field_dump(field, path):

@@ -16,6 +16,9 @@ import jsonschema
 
 TOOL_VERSION = "0.1.0"
 
+# rows per block of rendered CSV text: bounds the strings a writer holds at once
+CSV_CHUNK_ROWS = 1 << 14
+
 MANIFEST_SCHEMA = {
     "type": "object",
     "required": ["tool_version", "command", "config", "config_digest",
@@ -62,6 +65,19 @@ def fmt_value(v):
     if isinstance(v, bool):
         return str(int(v))
     return "" if v is None else str(v)
+
+
+def csv_cells(header, columns):
+    """CSV text of ``header`` and the rows of the row-aligned 1-d ``columns``.
+
+    Yields the header line, then one text block per CSV_CHUNK_ROWS rows.
+    Cells format as in ``fmt_value``; masked entries of a masked array print
+    empty.
+    """
+    yield ",".join(header) + "\n"
+    for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
+        cells = [map(fmt_value, col[start:start + CSV_CHUNK_ROWS].tolist()) for col in columns]
+        yield "".join(",".join(row) + "\n" for row in zip(*cells))
 
 
 def export_csv(path, header, rows):

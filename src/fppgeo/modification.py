@@ -22,7 +22,7 @@ import numpy as np
 
 from .environment import with_overrides
 from .geodesic_graph import build_graph, forward_orbit, forward_path, graph_summary
-from .geodesics import HyperplaneTarget, solve
+from .geodesics import HyperplaneTarget, fold_chains, solve
 from .lattice import Box, is_integer_direction, order_key
 
 
@@ -161,10 +161,7 @@ def eligible_edges(g, spec, y, protected):
     box = g.box
     coords = box.coords()
     strip_mask = in_strip(spec, coords)
-    protected_idx = [box.index_of(z) for z in protected if box.contains(z)]
-    keep = forward_orbit(g, protected_idx) if protected_idx else np.zeros(g.n_vertices, bool)
-    if box.contains(y):
-        keep |= forward_orbit(g, [box.index_of(y)])
+    keep = forward_orbit(g, [box.index_of(z) for z in (*protected, y) if box.contains(z)])
     kept_edge_tail = keep & (g.succ >= 0)
 
     edges = []
@@ -213,7 +210,6 @@ def check_event_A2prime(g, field, spec, y, xi_N):
     wit = {}
 
     xi_path = forward_path(g, xi)
-    xi_set = set(map(int, xi_path.indices))
     dots_xi = coords[xi_path.indices] @ theta
     bad = np.flatnonzero(dots_xi[1:] <= spec.N)
     exit_and_stay = bad.size == 0
@@ -223,10 +219,10 @@ def check_event_A2prime(g, field, spec, y, xi_N):
     y_path = forward_path(g, y)
     y_dist_to_xi = np.abs(coords[y_path.indices] - np.asarray(xi)).sum(axis=1)
     near = y_dist_to_xi <= spec.epsilon * sum(abs(c) for c in xi)
-    meets = [int(i) for i in y_path.indices if int(i) in xi_set]
-    approach_but_disjoint = bool(near.any()) and not meets
-    if meets:
-        wit["y_meets_xi_path"] = box.vertex_at(meets[0])
+    meets = y_path.indices[np.isin(y_path.indices, xi_path.indices)]
+    approach_but_disjoint = bool(near.any()) and meets.size == 0
+    if meets.size:
+        wit["y_meets_xi_path"] = box.vertex_at(int(meets[0]))
     if not near.any():
         wit["y_never_near"] = True
 
@@ -250,11 +246,10 @@ def check_event_A2prime(g, field, spec, y, xi_N):
         speed_bound_global = not (global_rel & (Ty > l1_from_y * bound)).any()
 
     protected = protected_vertices(box, spec, xi)
-    prot_idx = [box.index_of(z) for z in protected]
-    orbit = forward_orbit(g, prot_idx) if prot_idx else np.zeros(g.n_vertices, bool)
-    inter = [i for i in xi_path.indices if orbit[int(i)]]
-    protected_disjoint = not inter
-    if inter:
+    orbit = forward_orbit(g, [box.index_of(z) for z in protected])
+    inter = xi_path.indices[orbit[xi_path.indices]]
+    protected_disjoint = inter.size == 0
+    if inter.size:
         wit["protected_meets_xi_path"] = box.vertex_at(int(inter[0]))
 
     return EventReport(exit_and_stay=exit_and_stay,
@@ -312,17 +307,7 @@ def violating_sources(g_mod, spec, xi_N, reference=None):
     else:
         for v in reference:
             mark[box.index_of(v)] = True
-    indptr, indices = g_mod.reverse_index()
-    frontier = [int(i) for i in np.flatnonzero(mark)]
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                j = int(j)
-                if not mark[j]:
-                    mark[j] = True
-                    nxt.append(j)
-        frontier = nxt
+    mark = fold_chains(g_mod.succ, mark, np.logical_or)
     dots = coords @ theta
     return [box.vertex_at(int(i)) for i in np.flatnonzero(mark & (dots <= 0))]
 

@@ -131,3 +131,63 @@ def strip_scan(theta, N, M, box_coords):
 def sort_by_order(vertices, theta):
     """Progenitor oracle: full sort under (level, lexicographic)."""
     return sorted(vertices, key=lambda v: (sum(c * t for c, t in zip(v, theta)), v))
+
+
+def encounter_indices(succ, threshold):
+    """Vertices whose removal leaves >= 3 parts reaching distance >= threshold.
+
+    Removes each vertex in turn and breadth-first searches every arm of the
+    undirected forest from the neighbor it starts at.
+    """
+    adj = {i: [] for i in range(len(succ))}
+    for i, s in enumerate(succ):
+        if s >= 0:
+            adj[i].append(int(s))
+            adj[int(s)].append(i)
+    out = []
+    for v in adj:
+        long_arms = 0
+        for start in adj[v]:
+            dist = {v: 0, start: 1}
+            queue = [start]
+            for u in queue:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        queue.append(w)
+            long_arms += max(dist.values()) >= threshold
+        if long_arms >= 3:
+            out.append(v)
+    return out
+
+
+def _step_cells(coords, succ, i):
+    if succ[i] >= 0:
+        return [str(int(c)) for c in (coords[succ[i]] - coords[i])]
+    return ["" for _ in range(coords.shape[1])]
+
+
+def field_csv_text(field):
+    """Row-by-row rendering of ``geodesics.field_to_csv``."""
+    d = field.box.dim
+    coords = field.box.coords()
+    head = [f"x{i+1}" for i in range(d)] + ["T"] + \
+           [f"succ_dx{i+1}" for i in range(d)] + ["boundary_touched"]
+    lines = [",".join(head)]
+    for i in range(field.box.n_vertices):
+        row = [str(int(c)) for c in coords[i]] + [format(field.T[i], ".17g")]
+        row += _step_cells(coords, field.succ, i)
+        row.append(str(int(field.boundary_touched[i])))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def graph_csv_text(g):
+    """Row-by-row rendering of ``geodesic_graph.graph_to_csv``."""
+    d = g.box.dim
+    coords = g.box.coords()
+    lines = [",".join([f"x{i+1}" for i in range(d)] + [f"dx{i+1}" for i in range(d)])]
+    for i in range(g.box.n_vertices):
+        row = [str(int(c)) for c in coords[i]] + _step_cells(coords, g.succ, i)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

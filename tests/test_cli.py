@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fppgeo
 from fppgeo.cli import main
 from fppgeo.manifest import (MANIFEST_SCHEMA, canonical_json, export_csv,
                              export_json, export_report, validate_manifest)
@@ -58,6 +61,18 @@ def test_missing_required_key_is_config_error(tmp_path, capsys, command, key, ar
     assert capsys.readouterr().err.strip() == f"config error: {key}: missing required setting"
 
 
+@pytest.mark.parametrize("command, key, args", [
+    ("masstransport", "dims", ["--theta", "1,0", "--dims", "64,x"]),
+    ("radii", "levels", ["--theta", "1,0", "--box", "15", "--alpha", "4", "--levels", "0,z"]),
+    ("modify", "N_list", ["--theta", "1,0", "--N-list", "24,q"]),
+])
+def test_bad_integer_list_names_key(tmp_path, capsys, command, key, args):
+    rc = run_cli([command, "--dim", "2", "--dist", "uniform:0,1", *args,
+                  "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}:")
+
+
 def test_config_error_in_worker_names_key(tmp_path, capsys):
     rc = run_cli(["shape", "--dim", "2", "--dist", "uniform:1,0", "--radius", "3",
                   "--seeds", "2", "--jobs", "2", "--out", str(tmp_path / "x.csv")])
@@ -79,8 +94,11 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_module_entrypoint_runs():
+    # the package may reach the tests through pytest's pythonpath setting only
+    src = str(Path(fppgeo.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "fppgeo", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "fppgeo" in proc.stdout
 

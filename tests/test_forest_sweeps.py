@@ -1,0 +1,126 @@
+"""Property tests of the successor-forest traversals against independent oracles.
+
+Backward statistics and forward orbits are checked against networkx
+ancestors, descendants and path lengths on the successor DiGraph; the
+severing closure against ``oracles.reverse_reachable``; encounter points
+against removing each vertex and searching every arm of the forest.
+Branching-process forests add the bushy trees with tied subtree heights
+that small geodesic graphs rarely have.
+"""
+
+import networkx as nx
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.geodesic_graph import (GeodesicGraph, backward_stats, build_graph,
+                                   encounter_points, forward_orbit, truncate)
+from fppgeo.geodesics import HyperplaneTarget, solve
+from fppgeo.lattice import Box, is_integer_direction
+from fppgeo.modification import StripSpec, violating_sources
+
+from oracles import encounter_indices, reverse_reachable
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def forests(draw):
+    """A geodesic graph on a random small 2-d or 3-d box, optionally truncated."""
+    dim = draw(st.integers(2, 3))
+    sides = st.integers(2, 8) if dim == 2 else st.integers(2, 4)
+    lower = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    box = Box(lower, tuple(l + draw(sides) - 1 for l in lower))
+    theta = tuple(draw(st.integers(-2, 2)) for _ in range(dim))
+    if not is_integer_direction(theta):
+        theta = (1,) + (0,) * (dim - 1)
+    anchor = box.vertex_at(draw(st.integers(0, box.n_vertices - 1)))
+    level = sum(c * t for c, t in zip(anchor, theta))
+    mode = draw(st.sampled_from(["exact_lattice", "halfspace_frontier"]))
+    env = WeightEnvironment(dim, uniform(0.1, 1.0), draw(st.integers(0, 2 ** 32)))
+    g = build_graph(solve(env, box, HyperplaneTarget(theta, level, mode)))
+    if draw(st.booleans()) and min(box.shape) >= 3:
+        g = truncate(g, box.shrink(1))
+    return g, theta
+
+
+@st.composite
+def branching_forests(draw):
+    """A Galton-Watson forest on a small box, numbered breadth first.
+
+    Vertex k takes the next 0-3 unnumbered vertices as children; a vertex
+    that no earlier vertex took is a root.
+    """
+    dim = draw(st.integers(2, 3))
+    box = Box.cube(draw(st.integers(1, 4 if dim == 2 else 2)), dim)
+    n = box.n_vertices
+    kids = np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(0, 4, size=n)
+    succ = np.full(n, -1)
+    taken = 1
+    for k in range(n):
+        start = max(taken, k + 1)
+        taken = min(start + kids[k], n)
+        succ[start:taken] = k
+    g = GeodesicGraph(box=box, direction=(1,) + (0,) * (dim - 1), alpha=0.0, succ=succ,
+                      target_mask=succ < 0, boundary_touched=np.zeros(n, bool), T=np.zeros(n))
+    return g, g.direction
+
+
+FORESTS = st.one_of(forests(), branching_forests())
+
+
+def _digraph(g):
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(g.n_vertices))
+    graph.add_edges_from((i, int(s)) for i, s in enumerate(g.succ) if s >= 0)
+    return graph
+
+
+@SETTINGS
+@given(FORESTS)
+def test_backward_stats_match_networkx_ancestors(forest):
+    g, _ = forest
+    graph = _digraph(g)
+    boundary = g.box.boundary_mask()
+    sizes, depth, touch = backward_stats(g)
+    for i in range(g.n_vertices):
+        anc = nx.ancestors(graph, i)
+        assert sizes[i] == len(anc) + 1
+        assert depth[i] == max((nx.shortest_path_length(graph, a, i) for a in anc), default=0)
+        assert touch[i] == (boundary[i] or any(boundary[a] for a in anc))
+
+
+@SETTINGS
+@given(FORESTS, st.data())
+def test_forward_orbit_is_union_of_descendants(forest, data):
+    g, _ = forest
+    graph = _digraph(g)
+    sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=4))
+    expect = set(sources).union(*(nx.descendants(graph, s) for s in sources))
+    assert set(np.flatnonzero(forward_orbit(g, sources)).tolist()) == expect
+
+
+@SETTINGS
+@given(FORESTS, st.data())
+def test_violating_sources_match_reverse_reachable(forest, data):
+    g, theta = forest
+    xi = g.box.vertex_at(data.draw(st.integers(0, g.n_vertices - 1)))
+    spec = StripSpec(theta, N=3, M=2.0, M_prime=1, epsilon=0.1, delta=0.1)
+    vertex = g.box.vertex_at
+    succ_map = {vertex(i): (vertex(int(s)) if s >= 0 else None) for i, s in enumerate(g.succ)}
+    path = [xi]
+    while succ_map[path[-1]] is not None:
+        path.append(succ_map[path[-1]])
+    closure = set().union(*(reverse_reachable(succ_map, z) for z in path))
+    expect = sorted(z for z in closure if sum(c * t for c, t in zip(z, theta)) <= 0)
+    assert violating_sources(g, spec, xi) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(FORESTS)
+def test_encounter_points_match_arm_search(forest):
+    g, _ = forest
+    for threshold in range(7):
+        expect = [g.box.vertex_at(i) for i in encounter_indices(g.succ, threshold)]
+        assert encounter_points(g, threshold) == expect
