@@ -51,12 +51,16 @@ def _utcnow():
 
 
 def _int_list(cfg, key, default=None):
-    """A comma-separated integer list setting; required when there is no default."""
-    text = _require(cfg, key) if default is None else cfg.get(key, default)
+    """An integer list setting, as comma-separated text or a JSON list; required
+    when there is no default."""
+    value = _require(cfg, key) if default is None else cfg.get(key, default)
+    parts = value if isinstance(value, list) else str(value).split(",")
     try:
-        return tuple(int(p) for p in str(text).split(","))
+        if parts and all(type(p) in (int, str) for p in parts):
+            return tuple(int(p) for p in parts)
     except ValueError:
-        raise ConfigError(key, f"expected comma-separated integers, got {text!r}")
+        pass
+    raise ConfigError(key, f"expected integers, comma-separated or a JSON list, got {value!r}")
 
 
 def _merge_config(args, keys):

@@ -147,19 +147,22 @@ class WeightEnvironment:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("d >= 2 required")
-        object.__setattr__(self, "overrides",
-                           {undirected_edge(*e): float(v) for e, v in self.overrides.items()})
-        if any(v < 0 for v in self.overrides.values()):
+        overrides = {(u, v) if u <= v else (v, u): float(w)
+                     for (u, v), w in self.overrides.items()}
+        object.__setattr__(self, "overrides", overrides)
+        ends = np.array(list(overrides), dtype=np.int64).reshape(-1, 2, self.dim)
+        steps = np.abs(ends[:, 1] - ends[:, 0])
+        bad = np.flatnonzero(steps.sum(axis=1) != 1)
+        if bad.size:
+            raise ValueError("{} and {} are not nearest neighbors".format(
+                *list(overrides)[bad[0]]))
+        values = np.fromiter(overrides.values(), dtype=np.float64, count=len(overrides))
+        if (values < 0).any():
             raise ValueError("override weights must be nonnegative")
-        ids = edge_ids(
-            np.array([e[0] for e in self.overrides], dtype=np.int64).reshape(-1, self.dim),
-            np.array([edge_axis(e) for e in self.overrides], dtype=np.int64),
-        ) if self.overrides else np.empty(0, dtype=np.uint64)
+        ids = edge_ids(ends[:, 0], steps.argmax(axis=1))
         order = np.argsort(ids, kind="stable")
         object.__setattr__(self, "_ov_ids", ids[order])
-        object.__setattr__(self, "_ov_values",
-                           np.array(list(self.overrides.values()), dtype=np.float64)[order]
-                           if self.overrides else np.empty(0, dtype=np.float64))
+        object.__setattr__(self, "_ov_values", values[order])
 
     def _seed_word(self):
         return _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) ^ _PHI)
@@ -189,10 +192,13 @@ def with_overrides(env, edges, lam):
     """New environment with t_e replaced by max(t_e, lam) on the given finite edge set."""
     if lam < 0:
         raise ValueError("invalid parameter: lambda must be nonnegative")
+    ends = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2, env.dim)
+    axes = np.abs(ends[:, 1] - ends[:, 0]).argmax(axis=1)
+    raised = np.maximum(env.edge_weights(ends.min(axis=1), axes), float(lam))
     new = dict(env.overrides)
-    for e in edges:
-        e = undirected_edge(*e)
-        new[e] = max(env.weight_of(e), float(lam))
+    new.update(zip(((tuple(u), tuple(v)) for u, v in edges), raised.tolist()))
+    # the new environment puts every pair in canonical order and rejects
+    # pairs that are not nearest neighbours
     return replace(env, overrides=new)
 
 

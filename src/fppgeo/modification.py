@@ -6,9 +6,10 @@ the remaining strip edges, and verifies that no geodesic started at or
 behind the zero-level hyperplane reaches the forward path of the marked
 vertex on the far side of the strip.
 
-Real-point conditions on embedded edges are decided with exact rational
-arithmetic: crossings of unit segments with integer-normal hyperplanes are
-rational events, so no floating tolerance is involved.
+Real-point conditions on embedded edges are decided with exact integer
+arithmetic: a unit segment crosses an integer-normal hyperplane at a
+rational parameter k / |step|, so scaling by |step| turns every test into an
+int64 comparison and no floating tolerance is involved.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .environment import with_overrides
-from .geodesic_graph import build_graph, forward_orbit, forward_path, graph_summary
+from .geodesic_graph import (GeodesicGraph, build_graph, forward_orbit, forward_path,
+                             graph_summary)
 from .geodesics import HyperplaneTarget, fold_chains, solve
 from .lattice import Box, is_integer_direction, order_key
 
@@ -69,85 +71,67 @@ def strip_vertices(spec, box):
     return predicate, [tuple(int(c) for c in row) for row in coords[mask]]
 
 
-def _frac_point_l1(u, axis, t, shift=None):
-    """l1 norm of (u + t e_axis - shift) for rational t, exactly."""
-    total = Fraction(0)
-    for j, c in enumerate(u):
-        base = Fraction(int(c) - (int(shift[j]) if shift is not None else 0))
-        if j == axis:
-            base += t
-        total += abs(base)
-    return total
-
-
-def _segment_conditions(u, axis, spec, xi):
-    """Which of the three protected-region conditions the edge (u, u+e_axis) meets."""
-    theta = spec.theta
-    a_u = sum(int(c) * t for c, t in zip(u, theta))
-    step = theta[axis]
-    a_v = a_u + step
-    N, M, Mp = spec.N, spec.M, spec.M_prime
-    hit_a = hit_b = hit_c = False
-
-    for level, shift, out in (("a", None, 0), ("b", xi, N)):
-        if step == 0:
-            if a_u == out:
-                far = max(_frac_point_l1(u, axis, Fraction(0), shift),
-                          _frac_point_l1(u, axis, Fraction(1), shift))
-                if far >= Mp:
-                    if level == "a":
-                        hit_a = True
-                    else:
-                        hit_b = True
-        else:
-            t = Fraction(out - a_u, step)
-            if 0 <= t <= 1 and _frac_point_l1(u, axis, t, shift) >= Mp:
-                if level == "a":
-                    hit_a = True
-                else:
-                    hit_b = True
-
-    # condition (c): some point of the segment lies in the slab with
-    # distance >= M from the axis line; dist^2 is convex in t, so the max
-    # over the admissible t-interval sits at an endpoint.
+def _level_interval(a_u, step, s, low, high):
+    """Ends k_lo, k_hi (t = k / s) of the part of each edge (u, u + e_axis) with
+    level in [low, high], where a_u = u . theta, and where that part is nonempty."""
     if step == 0:
-        interval = [(Fraction(0), Fraction(1))] if 0 <= a_u <= N else []
-    else:
-        t0 = Fraction(0 - a_u, step)
-        t1 = Fraction(N - a_u, step)
-        lo, hi = min(t0, t1), max(t0, t1)
-        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-        interval = [(lo, hi)] if lo <= hi else []
-    if interval:
-        nsq = sum(t * t for t in theta)
-        for t in interval[0]:
-            w_dot = Fraction(a_u) + t * step
-            norm_sq = sum(Fraction(int(c)) ** 2 for j, c in enumerate(u) if j != axis)
-            norm_sq += (Fraction(int(u[axis])) + t) ** 2
-            if norm_sq * nsq - w_dot ** 2 >= Fraction(M) ** 2 * nsq:
-                hit_c = True
-                break
-    return hit_a, hit_b, hit_c
+        return 0, 1, (a_u >= low) & (a_u <= high)
+    k0, k1 = (np.sign(step) * (level - a_u) for level in (low, high))
+    kmin, kmax = np.minimum(k0, k1), np.maximum(k0, k1)
+    return np.clip(kmin, 0, s), np.clip(kmax, 0, s), (kmin <= s) & (kmax >= 0)
 
 
 @lru_cache(maxsize=16)
 def protected_vertices(box, spec, xi_N):
     """In-box vertices incident to an edge meeting any protected-region condition.
 
+    An edge is protected when a point of it (a) on level 0 lies at l1
+    distance >= M' from the origin, (b) on level N lies at l1 distance >= M'
+    from xi_N, or (c) in the slab 0 <= level <= N lies at distance >= M from
+    the axis line.  Both distances are convex along the edge, so only the
+    ends of each level range are tested; scaled by s = max(|theta[axis]|, 1)
+    those ends are integer points, and each test is an int64 comparison
+    with an exact integer threshold.
+
     Pure geometry (independent of weights), so results are cached per
     (box, spec, xi_N).
     """
-    xi = tuple(int(c) for c in xi_N)
+    xi = np.asarray(xi_N, dtype=np.int64)
+    theta = np.asarray(spec.theta, dtype=np.int64)
+    N = spec.N
     wide = box.expand(1)
+    # points w of edges of `wide` have |w_j| <= reach, so the scaled points
+    # p = s w (s <= max |theta_j|) give |p|^2 |theta|^2 <= bound and
+    # (p . theta)^2 <= bound; the l1 sums and level offsets are smaller still
+    reach = int(max(*map(abs, wide.lower + wide.upper), *map(abs, xi_N), N))
+    bound = (len(theta) * int(np.abs(theta).max()) ** 2 * reach) ** 2
+    if bound >= 2 ** 63:
+        raise ValueError(f"protected-region geometry exceeds int64: box "
+                         f"{box.lower}..{box.upper}, theta {spec.theta}, N {N}")
+    nsq = int(theta @ theta)
     coords = wide.coords()
+    dots = coords @ theta
     inside = ((coords >= box.lower) & (coords <= box.upper)).all(axis=1)
-    points = coords.tolist()
     hit = np.zeros(wide.n_vertices, dtype=bool)
     for axis, (tails, heads) in enumerate(wide.axis_edges()):
         near = inside[tails] | inside[heads]
-        for u, v in zip(tails[near].tolist(), heads[near].tolist()):
-            if any(_segment_conditions(points[u], axis, spec, xi)):
-                hit[u] = hit[v] = True
+        tails, heads = tails[near], heads[near]
+        step = int(theta[axis])
+        s = max(abs(step), 1)
+        l1_min = math.ceil(Fraction(spec.M_prime) * s)
+        dist_min = math.ceil(Fraction(spec.M) ** 2 * nsq * s * s)
+        conditions = (   # level range, and the test on scaled points p
+            (0, 0, lambda p: np.abs(p).sum(axis=1) >= l1_min),
+            (N, N, lambda p: np.abs(p - s * xi).sum(axis=1) >= l1_min),
+            (0, N, lambda p: (p * p).sum(axis=1) * nsq - (p @ theta) ** 2 >= dist_min))
+        meets = np.zeros(len(tails), dtype=bool)
+        for low, high, far in conditions:
+            lo, hi, ok = _level_interval(dots[tails], step, s, low, high)
+            for k in (lo, hi):
+                p = coords[tails] * s
+                p[:, axis] += k
+                meets |= ok & far(p)
+        hit[tails[meets]] = hit[heads[meets]] = True
     # wide.coords() is in lexicographic order, so the result is sorted
     return tuple(tuple(z) for z in coords[hit & inside].tolist())
 
@@ -361,12 +345,20 @@ class ModificationOutcome:
     lam: float
     event: EventReport
     verdict: SeveringVerdict
-    summary_original: dict
-    summary_modified: dict
+    g: GeodesicGraph               # geodesic graph before the modification
+    g_mod: GeodesicGraph           # and after it
 
     @property
     def severed(self):
         return self.verdict.severed
+
+    @cached_property
+    def summary_original(self):
+        return graph_summary(self.g)
+
+    @cached_property
+    def summary_modified(self):
+        return graph_summary(self.g_mod)
 
 
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alpha=None):
@@ -398,7 +390,8 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alp
         axis = int(np.argmax(np.abs(spec.theta)))
         lo[axis] = -max(8, spec.N // 3)
         hi[axis] = int(alpha)
-        box = Box(tuple(lo), tuple(hi))
+        # off-axis theta can put y or xi_N outside the slab around the main axis
+        box = Box(tuple(map(min, lo, y, xi_N)), tuple(map(max, hi, y, xi_N)))
 
     target = HyperplaneTarget(spec.theta, alpha)
     field = solve(env, box, target)
@@ -412,9 +405,8 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alp
     g_mod = build_graph(field_mod)
     verdict = verify_severing(g_mod, spec, xi_N, field_mod=field_mod)
 
-    return ModificationOutcome(
-        edge_set=xi_edges, lam=float(lam), event=event, verdict=verdict,
-        summary_original=graph_summary(g), summary_modified=graph_summary(g_mod))
+    return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
+                               verdict=verdict, g=g, g_mod=g_mod)
 
 
 def progenitor(vertices, theta):

@@ -128,6 +128,84 @@ def strip_scan(theta, N, M, box_coords):
     return out
 
 
+def _frac_point_l1(u, axis, t, shift=None):
+    """l1 norm of (u + t e_axis - shift) for rational t, exactly."""
+    total = Fraction(0)
+    for j, c in enumerate(u):
+        base = Fraction(int(c) - (int(shift[j]) if shift is not None else 0))
+        if j == axis:
+            base += t
+        total += abs(base)
+    return total
+
+
+def _segment_conditions(u, axis, spec, xi):
+    """Which of the three protected-region conditions the edge (u, u+e_axis) meets."""
+    theta = spec.theta
+    a_u = sum(int(c) * t for c, t in zip(u, theta))
+    step = theta[axis]
+    N, M, Mp = spec.N, spec.M, spec.M_prime
+    hit_a = hit_b = hit_c = False
+
+    for level, shift, out in (("a", None, 0), ("b", xi, N)):
+        if step == 0:
+            if a_u == out:
+                far = max(_frac_point_l1(u, axis, Fraction(0), shift),
+                          _frac_point_l1(u, axis, Fraction(1), shift))
+                if far >= Mp:
+                    if level == "a":
+                        hit_a = True
+                    else:
+                        hit_b = True
+        else:
+            t = Fraction(out - a_u, step)
+            if 0 <= t <= 1 and _frac_point_l1(u, axis, t, shift) >= Mp:
+                if level == "a":
+                    hit_a = True
+                else:
+                    hit_b = True
+
+    # condition (c): some point of the segment lies in the slab with
+    # distance >= M from the axis line; dist^2 is convex in t, so the max
+    # over the admissible t-interval sits at an endpoint.
+    if step == 0:
+        interval = [(Fraction(0), Fraction(1))] if 0 <= a_u <= N else []
+    else:
+        t0 = Fraction(0 - a_u, step)
+        t1 = Fraction(N - a_u, step)
+        lo, hi = min(t0, t1), max(t0, t1)
+        lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
+        interval = [(lo, hi)] if lo <= hi else []
+    if interval:
+        nsq = sum(t * t for t in theta)
+        for t in interval[0]:
+            w_dot = Fraction(a_u) + t * step
+            norm_sq = sum(Fraction(int(c)) ** 2 for j, c in enumerate(u) if j != axis)
+            norm_sq += (Fraction(int(u[axis])) + t) ** 2
+            if norm_sq * nsq - w_dot ** 2 >= Fraction(M) ** 2 * nsq:
+                hit_c = True
+                break
+    return hit_a, hit_b, hit_c
+
+
+def protected_vertices_exact(box, spec, xi_N):
+    """Protected vertices by exact rational arithmetic, one edge at a time.
+
+    Scans every edge u -> u + e_axis with an endpoint in the box and marks
+    both endpoints when the edge meets any protected-region condition.
+    """
+    xi = tuple(int(c) for c in xi_N)
+    hit = set()
+    ranges = [range(l - 1, h + 2) for l, h in zip(box.lower, box.upper)]
+    for u in itertools.product(*ranges):
+        for axis in range(len(u)):
+            v = u[:axis] + (u[axis] + 1,) + u[axis + 1:]
+            if (box.contains(u) or box.contains(v)) and any(
+                    _segment_conditions(u, axis, spec, xi)):
+                hit.update((u, v))
+    return tuple(sorted(z for z in hit if box.contains(z)))
+
+
 def sort_by_order(vertices, theta):
     """Progenitor oracle: full sort under (level, lexicographic)."""
     return sorted(vertices, key=lambda v: (sum(c * t for c, t in zip(v, theta)), v))

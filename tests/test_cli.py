@@ -73,6 +73,22 @@ def test_bad_integer_list_names_key(tmp_path, capsys, command, key, args):
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
+def test_config_file_integer_lists(tmp_path, capsys):
+    cfgfile = tmp_path / "cfg.json"
+    cfg = {"dim": 2, "dist": "uniform:0,1", "theta": [1, 0], "dims": [8, 8]}
+    cfgfile.write_text(json.dumps(cfg))
+    args = ["masstransport", "--config", str(cfgfile), "--out", str(tmp_path / "j.csv")]
+    assert run_cli(args) == 0
+    assert run_cli(["masstransport", "--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0",
+                    "--dims", "8,8", "--out", str(tmp_path / "f.csv")]) == 0
+    assert (tmp_path / "j.csv").read_bytes() == (tmp_path / "f.csv").read_bytes()
+    for bad in ([8, "x"], [8, 1.5], [8, True], []):
+        cfgfile.write_text(json.dumps(dict(cfg, dims=bad)))
+        capsys.readouterr()
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("config error: dims:")
+
+
 def test_config_error_in_worker_names_key(tmp_path, capsys):
     rc = run_cli(["shape", "--dim", "2", "--dist", "uniform:1,0", "--radius", "3",
                   "--seeds", "2", "--jobs", "2", "--out", str(tmp_path / "x.csv")])

@@ -36,6 +36,15 @@ def test_override_precedence():
     assert w[0] == 7.5
 
 
+def test_override_validation():
+    env = WeightEnvironment(2, uniform(0, 1), 0, {((1, 0), (0, 0)): 2.0})
+    assert env.overrides == {((0, 0), (1, 0)): 2.0}
+    with pytest.raises(ValueError, match="nonnegative"):
+        WeightEnvironment(2, uniform(0, 1), 0, {((0, 0), (1, 0)): -1.0})
+    with pytest.raises(ValueError, match="are not nearest neighbors"):
+        WeightEnvironment(2, uniform(0, 1), 0, {((0, 0), (0, 1)): 1.0, ((1, 1), (0, 0)): 1.0})
+
+
 def test_distribution_validation():
     with pytest.raises(ValueError):
         uniform(1.0, 0.0)
@@ -81,6 +90,28 @@ def test_with_overrides_raises_weights():
         assert env2.weight_of(e) == max(env.weight_of(e), 0.95)
     with pytest.raises(ValueError):
         with_overrides(env, edges, -1.0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 0.95])
+def test_with_overrides_matches_per_edge_rule(lam):
+    before = {((0, 0), (1, 0)): 0.25, ((2, 2), (2, 3)): 0.75}
+    env = WeightEnvironment(2, uniform(0, 1), 4, before)
+    rng = np.random.default_rng(11)
+    edges = []
+    for _ in range(200):
+        u = tuple(int(c) for c in rng.integers(-6, 7, size=2))
+        v = list(u)
+        v[int(rng.integers(2))] += int(rng.choice([-1, 1]))
+        edges.append((u, tuple(v)))          # either endpoint order
+    edges += edges[:20] + [(v, u) for u, v in edges[20:30]]   # duplicates
+    edges += [((1, 0), (0, 0)), ((2, 2), (2, 3))]            # already overridden
+    env2 = with_overrides(env, edges, lam)
+    for e in edges:
+        assert env2.weight_of(e) == max(env.weight_of(e), lam)
+    assert env2.weight_of(((9, 9), (9, 10))) == env.weight_of(((9, 9), (9, 10)))
+    assert all(u < v for u, v in env2.overrides)
+    with pytest.raises(ValueError, match="nearest neighbors"):
+        with_overrides(env, edges + [((0, 0), (1, 1))], lam)
 
 
 def test_override_box_unit_weights():

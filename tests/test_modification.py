@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fixtures_mod as fx
 from fppgeo.environment import (WeightEnvironment, exponential, uniform,
                                 unit_environment, with_overrides)
 from fppgeo.geodesic_graph import build_graph, forward_path
 from fppgeo.geodesics import HyperplaneTarget, solve
-from fppgeo.lattice import Box
+from fppgeo.lattice import Box, is_integer_direction
 from fppgeo.modification import (StripSpec, check_event_A2prime, eligible_edges,
                                  progenitor, protected_vertices, run_modification,
                                  strip_vertices, verify_severing,
                                  violating_sources)
 
-from oracles import sort_by_order, strip_scan
+from oracles import protected_vertices_exact, sort_by_order, strip_scan
 
 
 def test_strip_spec_validation():
@@ -57,6 +59,55 @@ def test_protected_vertices_geometry():
     # cylinder boundary inside the slab
     assert (10, 13) in prot
     assert (10, 0) not in prot
+
+
+@st.composite
+def protected_cases(draw):
+    """Small boxes and strips: coprime theta with zero and negative entries,
+    non-dyadic M, and xi_N inside or outside the box."""
+    dim = draw(st.integers(2, 3))
+    theta = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(is_integer_direction))
+    N = draw(st.integers(1, 12))
+    M = draw(st.sampled_from([0.1 * N, 1 / 3, 0.5, 2.0, 0.25 * N + 1]))
+    spec = StripSpec(theta, N, M, draw(st.integers(1, 5)), 0.1, 0.1)
+    side = 9 if dim == 2 else 4
+    lower = tuple(draw(st.integers(-6, 3)) for _ in range(dim))
+    box = Box(lower, tuple(l + draw(st.integers(0, side)) for l in lower))
+    if draw(st.booleans()):
+        xi = box.vertex_at(draw(st.integers(0, box.n_vertices - 1)))
+    else:
+        xi = tuple(draw(st.integers(-20, 20)) for _ in range(dim))
+    return box, spec, xi
+
+
+@settings(max_examples=60, deadline=None)
+@given(protected_cases())
+# the slab part of an edge is its head alone, or it starts at the head
+@example((Box((-2, -2), (-2, -2)), StripSpec((2, -1), 1, 0.1, 5, 0.1, 0.1), (-3, 5)))
+@example((Box((-1, 0), (-1, 5)), StripSpec((2, 1), 2, 0.2, 3, 0.1, 0.1), (-1, 4)))
+# an edge lying in level N whose head is outside the box
+@example((Box((1, 0), (3, 1)), StripSpec((1, 0), 2, 2.0, 4, 0.1, 0.1), (3, -2)))
+# level 0 met at l1 distance exactly M'
+@example((Box((0, -1), (0, 0)), StripSpec((-1, -1), 3, 1.75, 2, 0.1, 0.1), (0, 3)))
+# level N crossed at t = 1/2, far from xi_N
+@example((Box((0, -3), (2, -3)), StripSpec((1, -2), 6, 2.0, 5, 0.1, 0.1), (-4, -3)))
+def test_protected_vertices_match_exact_rational_oracle(case):
+    box, spec, xi = case
+    assert protected_vertices(box, spec, xi) == protected_vertices_exact(box, spec, xi)
+
+
+def test_protected_vertices_far_from_origin_and_overflow_guard():
+    # corners near 1e9 still fit int64 for theta = e1, and level N crosses the box
+    box = Box((10 ** 9, -2), (10 ** 9 + 2, 2))
+    N = 10 ** 9 + 1
+    spec = StripSpec((1, 0), N, 1.5, 2, 0.1, 0.1)
+    prot = protected_vertices(box, spec, (N, 0))
+    assert prot and prot == protected_vertices_exact(box, spec, (N, 0))
+    # for theta = (1, 1) at corners near 1.6e9, |p|^2 |theta|^2 reaches
+    # 4 * 1.6e9^2 > 2^63: an error, not a wrapped value
+    far = Box((16 * 10 ** 8, -16 * 10 ** 8 - 2), (16 * 10 ** 8 + 2, -16 * 10 ** 8))
+    with pytest.raises(ValueError, match="int64"):
+        protected_vertices(far, StripSpec((1, 1), 2, 1.5, 2, 0.1, 0.1), far.upper)
 
 
 def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
@@ -146,6 +197,18 @@ def test_run_modification_low_lambda_identity():
     out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="unbounded", lam=0.0,
                            box=fx.BOX, alpha=fx.ALPHA)
     assert out.summary_original == out.summary_modified
+
+
+def test_run_modification_default_box_contains_y_and_xi():
+    env = WeightEnvironment(2, uniform(0, 1), 0)
+    # theta = e1: y and xi_N already lie in the slab box, which stays as it was
+    out = run_modification(env, StripSpec((1, 0), 48, 12.0, 3, 0.1, 0.1), (0, -1), (48, 0))
+    assert out.g.box == Box((-16, -16), (72, 16))
+    # theta = (1, 1): y = (-20, 20) and xi_N = (0, 48) sit outside the slab box,
+    # which grows just enough to hold them
+    out = run_modification(env, StripSpec((1, 1), 48, 12.0, 40, 0.1, 0.1), (-20, 20), (0, 48))
+    assert out.g.box == Box((-20, -16), (72, 48))
+    assert out.g_mod.box == out.g.box
 
 
 def test_run_modification_mode_errors():
