@@ -1,23 +1,35 @@
 """Command-line front end.
 
-Every subcommand reads flags (optionally merged over a JSON config file,
-flags winning), runs the corresponding analysis, writes a primary CSV plus
-a manifest, and exits nonzero with a diagnostic naming the offending key on
-bad config.  Identical configs produce byte-identical primary CSVs; timing
-lives in the manifest only.
+Two tables drive every subcommand.  ``SETTINGS`` declares each setting once:
+its type, default, help and (when it is not ``--<name>``) its flag.
+``COMMANDS`` declares each subcommand once: the settings it takes, its
+per-seed task and its CSV header or writer.  The parser is built from the
+two tables, and one runner serves all subcommands: merge the settings, list
+the seeds, map the task over them (in processes when ``--jobs`` > 1), write
+the primary outputs, then the manifest.
+
+A setting takes its value from its flag, else from the ``--config`` JSON
+file, else from its default.  A flag that is not given leaves the file's
+value in place; file keys that a command does not take pass through to the
+manifest untouched.  Each setting a command takes is converted once, and a
+value that does not convert, or a required setting that is missing, exits 2
+with ``config error: <key>: ...``.  Identical configs produce byte-identical
+primary outputs; timing lives in the manifest only.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -39,81 +51,130 @@ class ConfigError(Exception):
         return f"config error: {self.args[0]}: {self.args[1]}"
 
 
-def _require(cfg, key):
-    """The value of a setting that has no default."""
-    if cfg.get(key) is None:
-        raise ConfigError(key, "missing required setting")
-    return cfg[key]
+# setting types: each converts a flag string or a config-file value, or raises ValueError
 
-
-def _utcnow():
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _int_list(cfg, key, default=None):
-    """An integer list setting, as comma-separated text or a JSON list; required
-    when there is no default."""
-    value = _require(cfg, key) if default is None else cfg.get(key, default)
+def _int_list(value):
+    """Integers, comma-separated or as a JSON list."""
     parts = value if isinstance(value, list) else str(value).split(",")
     try:
         if parts and all(type(p) in (int, str) for p in parts):
             return tuple(int(p) for p in parts)
     except ValueError:
         pass
-    raise ConfigError(key, f"expected integers, comma-separated or a JSON list, got {value!r}")
+    raise ValueError(f"expected integers, comma-separated or a JSON list, got {value!r}")
 
 
-def _merge_config(args, keys):
-    """flags > config file > defaults; returns a plain dict of active settings."""
+def _direction(value):
+    return normalize_direction(_int_list(value))
+
+
+def _dist(value):
+    return parse_dist(str(value))
+
+
+def _m_rule(value):
+    """``const:V`` (M = V) or ``linear:C`` (M = C*N), as (kind, number)."""
+    kind, _, number = str(value).partition(":")
+    if kind not in ("const", "linear"):
+        raise ValueError(f"unknown rule {value!r} (use const:V or linear:C)")
+    return kind, float(number)
+
+
+def _bool(value):
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+REQUIRED = object()     # default of a setting that must be given
+
+
+@dataclass(frozen=True)
+class Setting:
+    type: Callable
+    default: object = REQUIRED      # a callable default is called when the setting is read
+    help: str | None = None
+    flag: str | None = None         # when not --<name with - for _>
+    choices: tuple | None = None
+    minimum: int | None = None
+
+
+SETTINGS = {
+    "dim": Setting(int, minimum=2),
+    "dist": Setting(_dist, help="e.g. uniform:0,1  exponential:1  uniform-shifted:0.5,1"),
+    "seed": Setting(int, 0),
+    "seeds": Setting(int, 1, "number of consecutive seeds", minimum=1),
+    "box": Setting(int, help="box side length (cube around origin)", minimum=3),
+    "theta": Setting(_direction, help="integer direction, e.g. 1,0"),
+    "alpha": Setting(int, help="target hyperplane level"),
+    "window": Setting(int, help="analysis window side length (cube around origin); "
+                                "radii defaults to the box less its analysis pad"),
+    "levels": Setting(_int_list, "0", "hyperplane levels, e.g. 0,-50"),
+    "samples": Setting(int, 20, "number of sampled start vertices"),
+    "radius": Setting(int),
+    "directions": Setting(int, 16),
+    "axis": Setting(_bool, False, "estimate along +e1 only"),
+    "dims": Setting(_int_list, help="torus dimensions, e.g. 64,64"),
+    "level": Setting(int, 0),
+    "N_list": Setting(_int_list, "24"),
+    "M_rule": Setting(_m_rule, "const:12", "const:V or linear:C (M = C*N)"),
+    "M_prime": Setting(int, 3),
+    "epsilon": Setting(float, 0.1),
+    "delta": Setting(float, 0.1),
+    "mode": Setting(str, "bounded", choices=("bounded", "unbounded")),
+    "lam": Setting(float, None, flag="--lambda"),
+    "y": Setting(_int_list, None, "default: the first smallest nonzero vertex on level 0"),
+    "xi": Setting(_int_list, None, "default: a lattice point on level N"),
+    "out": Setting(str, None, "primary output path (default: <command>.csv)"),
+    "jobs": Setting(int, lambda: os.environ.get("FPPGEO_JOBS") or 1),
+}
+COMMON = ("out", "jobs")
+
+
+def _convert(key, setting, value):
+    try:
+        value = setting.type(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(key, str(exc)) from None
+    if setting.choices and value not in setting.choices:
+        raise ConfigError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
+    if setting.minimum is not None and value < setting.minimum:
+        raise ConfigError(key, f"must be at least {setting.minimum}, got {value}")
+    return value
+
+
+def _merge_config(args, command):
+    """flag > config file > default.
+
+    Returns the merged raw values, which the manifest records (file keys the
+    command does not take included), and the converted value of every setting
+    the command takes.
+    """
+    keys = command.settings + COMMON
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
-                merged.update(json.load(fh))
+                merged = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError("config", str(exc))
+        if not isinstance(merged, dict):
+            raise ConfigError("config", "expected a JSON object")
+    merged.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
+    cfg = {}
     for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
-    return merged
+        setting = SETTINGS[key]
+        value = merged.get(key)
+        if value is None and key not in command.optional:
+            value = setting.default() if callable(setting.default) else setting.default
+            if value is REQUIRED:
+                raise ConfigError(key, "missing required setting")
+        cfg[key] = None if value is None else _convert(key, setting, value)
+    return merged, cfg
 
 
-def _env_from(cfg):
-    try:
-        spec = parse_dist(_require(cfg, "dist"))
-    except ValueError as exc:
-        raise ConfigError("dist", str(exc))
-    try:
-        return WeightEnvironment(int(_require(cfg, "dim")), spec, int(cfg.get("seed", 0)))
-    except ValueError as exc:
-        raise ConfigError("dim", str(exc))
-
-
-def _theta_from(cfg):
-    try:
-        return normalize_direction(_int_list(cfg, "theta"))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("theta", str(exc))
-
-
-def _box_from(cfg, dim):
-    extent = int(_require(cfg, "box"))
-    if extent < 3:
-        raise ConfigError("box", "box extent must be >= 3")
-    return Box.cube((extent - 1) // 2, dim)
-
-
-def _seed_list(cfg):
-    base = int(cfg.get("seed", 0))
-    count = int(cfg.get("seeds", 1))
-    if count < 1:
-        raise ConfigError("seeds", "need at least one seed")
-    return list(range(base, base + count))
-
-
-def _jobs(cfg):
-    return int(cfg.get("jobs") or os.environ.get("FPPGEO_JOBS") or 1)
+def _utcnow():
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _pmap(task, arglist, jobs):
@@ -124,126 +185,116 @@ def _pmap(task, arglist, jobs):
         return list(pool.map(task, arglist))
 
 
-def _finish(out, command, cfg, seeds, started, outputs, t0):
-    write_manifest(out, command, cfg, seeds, started, _utcnow(), outputs,
-                   runtime_ms=1000.0 * (time.perf_counter() - t0))
+# per-seed tasks (top level so they pickle for --jobs); ``cfg`` holds converted settings
+
+def _env(cfg, seed):
+    return WeightEnvironment(cfg["dim"], cfg["dist"], seed)
 
 
-# per-seed workers (top level so they pickle for --jobs)
+def _cube(cfg, key):
+    return Box.cube((cfg[key] - 1) // 2, cfg["dim"])
+
+
+def _solve(cfg, seed):
+    """The passage-time field toward level alpha in the solve box."""
+    return solve(_env(cfg, seed), _cube(cfg, "box"),
+                 HyperplaneTarget(cfg["theta"], cfg["alpha"]))
+
+
+def _padded_region(cfg):
+    """The solve box less the analysis pad on every face, which must leave a vertex."""
+    box = _cube(cfg, "box")
+    pad = analysis.required_pad(box)
+    if 2 * pad >= box.shape[0]:
+        # every small box gets the floor of the pad rule: the pad of a one-vertex box
+        smallest = 2 * analysis.required_pad(Box.cube(0, cfg["dim"])) + 1
+        raise ConfigError("box", f"side {cfg['box']} leaves no vertex inside the analysis "
+                                 f"pad of {pad}; the smallest side accepted is {smallest}")
+    return box.shrink(pad)
+
+
+def _window(cfg):
+    """The analysis window; its solve box must have room for the pad."""
+    _padded_region(cfg)
+    return _cube(cfg, "window")
+
+
+def _long_rows(report, seed):
+    return [(m, seed, p, v) for (m, _, p, v) in report.rows()]
+
 
 def _shape_task(arg):
     cfg, seed = arg
-    env = replace(_env_from(cfg), seed=seed)
     directions = None
-    if cfg.get("axis"):
-        directions = np.zeros((1, env.dim))
+    if cfg["axis"]:
+        directions = np.zeros((1, cfg["dim"]))
         directions[0, 0] = 1.0
-    est = analysis.estimate_shape(env, [int(_require(cfg, "radius"))], n_seeds=1,
-                                  directions=directions,
-                                  n_directions=int(cfg.get("directions", 16)))
-    return est.T_samples[0], est.eval_points
+    est = analysis.estimate_shape(_env(cfg, seed), [cfg["radius"]], n_seeds=1,
+                                  directions=directions, n_directions=cfg["directions"])
+    return est.T_samples[0]
 
 
-def _graph_pieces(cfg):
-    env = _env_from(cfg)
-    theta = _theta_from(cfg)
-    box = _box_from(cfg, env.dim)
-    alpha = int(_require(cfg, "alpha"))
-    field = solve(env, box, HyperplaneTarget(theta, alpha))
-    return env, theta, box, field
+def _graph_task(arg):
+    cfg, seed = arg
+    return build_graph(_solve(cfg, seed))
 
 
 def _backward_task(arg):
     cfg, seed = arg
-    cfg = dict(cfg, seed=seed)
-    env, theta, box, field = _graph_pieces(cfg)
-    g = build_graph(field)
-    w = int(_require(cfg, "window"))
-    window = Box.cube((w - 1) // 2, env.dim)
-    rep = analysis.backward_tail(g, window)
-    return [(m, seed, p, v) for (m, _, p, v) in rep.rows()]
+    window = _window(cfg)
+    return _long_rows(analysis.backward_tail(build_graph(_solve(cfg, seed)), window), seed)
 
 
 def _busemann_task(arg):
     cfg, seed = arg
-    cfg = dict(cfg, seed=seed)
-    env, theta, box, field = _graph_pieces(cfg)
-    w = int(_require(cfg, "window"))
-    est = analysis.estimate_busemann_vector(field, Box.cube((w - 1) // 2, env.dim))
-    return [(m, seed, p, v) for (m, _, p, v) in est.rows()]
+    window = _window(cfg)
+    return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), window), seed)
 
 
 def _crossings_task(arg):
     cfg, seed = arg
-    cfg = dict(cfg, seed=seed)
-    env, theta, box, field = _graph_pieces(cfg)
-    g = build_graph(field)
-    levels = _int_list(cfg, "levels", "0")
-    pad = analysis.required_pad(box)
-    inner = box.shrink(pad)
+    coords = _padded_region(cfg).coords()
+    g = build_graph(_solve(cfg, seed))
     rng = np.random.default_rng(seed)
-    n_samples = int(cfg.get("samples", 20))
-    coords = inner.coords()
-    pick = rng.choice(len(coords), size=min(n_samples, len(coords)), replace=False)
+    pick = rng.choice(len(coords), size=min(cfg["samples"], len(coords)), replace=False)
     samples = [tuple(int(c) for c in coords[i]) for i in sorted(pick)]
-    rep = analysis.crossing_counts(g, theta, levels, samples)
-    return [(m, seed, p, v) for (m, _, p, v) in rep.rows()]
+    return _long_rows(analysis.crossing_counts(g, cfg["theta"], cfg["levels"], samples), seed)
 
 
 def _radii_task(arg):
     cfg, seed = arg
-    cfg = dict(cfg, seed=seed)
-    env, theta, box, field = _graph_pieces(cfg)
-    g = build_graph(field)
-    levels = _int_list(cfg, "levels", "0")
-    w = cfg.get("window")
-    window = Box.cube((int(w) - 1) // 2, env.dim) if w else None
-    rep = analysis.intersection_radii(g, theta, levels, window=window)
-    return [(m, seed, p, v) for (m, _, p, v) in rep.rows()]
+    w = cfg["window"]
+    window = _cube(cfg, "window") if w else _padded_region(cfg)
+    g = build_graph(_solve(cfg, seed))
+    return _long_rows(analysis.intersection_radii(g, cfg["theta"], cfg["levels"],
+                                                  window=window), seed)
 
 
 def _masstransport_task(arg):
     cfg, seed = arg
-    env = replace(_env_from(cfg), seed=seed)
-    dims = _int_list(cfg, "dims")
-    theta = _theta_from(cfg)
-    tenv = TorusEnvironment(env, dims)
-    g = analysis.build_torus_graph(tenv, theta, int(cfg.get("level", 0)))
-    rep = analysis.mass_transport_balance(g, theta)
-    return [(m, seed, p, v) for (m, _, p, v) in rep.rows()]
-
-
-def _parse_m_rule(text):
-    kind, _, val = str(text).partition(":")
-    if kind == "const":
-        return lambda n: float(val)
-    if kind == "linear":
-        return lambda n: float(val) * n
-    raise ConfigError("M_rule", f"unknown rule {text!r} (use const:V or linear:C)")
+    tenv = TorusEnvironment(_env(cfg, seed), cfg["dims"])
+    g = analysis.build_torus_graph(tenv, cfg["theta"], cfg["level"])
+    return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
 
 
 def _modify_task(arg):
     cfg, seed, N = arg
-    env = replace(_env_from(cfg), seed=seed)
-    theta = _theta_from(cfg)
-    M = _parse_m_rule(cfg.get("M_rule", "const:12"))(N)
-    spec = modification.StripSpec(theta, N, M, int(cfg.get("M_prime", 3)),
-                                  float(cfg.get("epsilon", 0.1)),
-                                  float(cfg.get("delta", 0.1)))
-    y = _int_list(cfg, "y") if cfg.get("y") else _default_y(theta, env.dim)
-    xi = _int_list(cfg, "xi") if cfg.get("xi") else lattice_point_on_level(theta, N)
-    mode = cfg.get("mode", "bounded")
-    lam = float(cfg["lam"]) if cfg.get("lam") is not None else None
-    out = modification.run_modification(env, spec, y, xi, mode=mode, lam=lam)
+    theta = cfg["theta"]
+    kind, number = cfg["M_rule"]
+    M = number * N if kind == "linear" else number
+    spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
+    y = cfg["y"] or _default_y(theta, cfg["dim"])
+    xi = cfg["xi"] or lattice_point_on_level(theta, N)
+    out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
+                                        lam=cfg["lam"])
     witness_level = ""
     if out.verdict.witness is not None:
         witness_level = sum(c * t for c, t in zip(out.verdict.witness, theta))
-    return (seed, N, M, int(out.event.passed), int(out.severed), witness_level)
+    return [(seed, N, M, int(out.event.passed), int(out.severed), witness_level)]
 
 
 def _default_y(theta, dim):
     """Smallest nonzero lattice point on the zero level, lexicographic first."""
-    import itertools
     for radius in range(1, 8):
         cands = sorted(p for p in itertools.product(range(-radius, radius + 1), repeat=dim)
                        if sum(map(abs, p)) == radius)
@@ -256,35 +307,11 @@ def _default_y(theta, dim):
 LONG_HEADER = ("metric", "seed", "param", "value")
 
 
-def _run_long_format(task, name, args, keys):
-    cfg = _merge_config(args, keys)
-    seeds = _seed_list(cfg)
-    out = cfg.get("out") or f"{name}.csv"
-    started = _utcnow()
-    t0 = time.perf_counter()
-    rows = []
-    for chunk in _pmap(task, [(cfg, s) for s in seeds], _jobs(cfg)):
-        rows.extend(chunk)
-    export_csv(out, LONG_HEADER, rows)
-    _finish(out, [name] + _argv_tail(args), cfg, seeds, started, [out], t0)
-    return 0
+# writers of commands whose results are not CSV rows: (out, cfg, seeds, results) -> paths
 
-
-def _argv_tail(args):
-    return [f"{k}={v}" for k, v in sorted(vars(args).items())
-            if v is not None and k != "func"]
-
-
-def cmd_shape(args):
-    keys = ("dim", "dist", "seed", "seeds", "radius", "directions", "axis", "out", "jobs")
-    cfg = _merge_config(args, keys)
-    seeds = _seed_list(cfg)
-    out = cfg.get("out") or "shape.csv"
-    started = _utcnow()
-    t0 = time.perf_counter()
-    results = _pmap(_shape_task, [(cfg, s) for s in seeds], _jobs(cfg))
-    samples = np.vstack([r[0] for r in results])
-    radius = int(_require(cfg, "radius"))
+def _write_shape(out, cfg, seeds, results):
+    samples = np.vstack(results)
+    radius = cfg["radius"]
     rows = []
     for i, s in enumerate(seeds):
         for j in range(samples.shape[1]):
@@ -296,153 +323,102 @@ def cmd_shape(args):
         rows.append(("g_hat", "", j, float(g_hat[j])))
         rows.append(("g_stderr", "", j, float(stderr[j])))
     export_csv(out, LONG_HEADER, rows)
-    _finish(out, ["shape"] + _argv_tail(args), cfg, seeds, started, [out], t0)
-    return 0
+    return [out]
 
 
-def cmd_graph(args):
-    keys = ("dim", "dist", "seed", "box", "theta", "alpha", "out")
-    cfg = _merge_config(args, keys)
-    out = cfg.get("out") or "graph.csv"
-    started = _utcnow()
-    t0 = time.perf_counter()
-    env, theta, box, field = _graph_pieces(cfg)
-    g = build_graph(field)
+def _write_graph(out, cfg, seeds, results):
+    (g,) = results
     graph_to_csv(g, out)
     summary_path = str(Path(out).with_suffix("")) + ".summary.json"
     export_json(summary_path, graph_summary(g))
-    _finish(out, ["graph"] + _argv_tail(args), cfg, [env.seed], started,
-            [out, summary_path], t0)
-    return 0
+    return [out, summary_path]
 
 
-def cmd_busemann(args):
-    keys = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha", "window", "out", "jobs")
-    return _run_long_format(_busemann_task, "busemann", args, keys)
+@dataclass(frozen=True)
+class Command:
+    help: str
+    task: Callable              # (cfg, seed[, item]) -> list of CSV rows, or the writer's input
+    settings: tuple             # keys of SETTINGS; every command also takes COMMON
+    header: tuple = LONG_HEADER
+    write: Callable | None = None
+    fan_out: str | None = None  # a list setting: one task per seed and item
+    optional: tuple = ()        # settings without a default that this command may go without
 
 
-def cmd_backward(args):
-    keys = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha", "window", "out", "jobs")
-    return _run_long_format(_backward_task, "backward", args, keys)
+# settings of the commands that study one hyperplane-target field per seed
+_FIELD = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha")
+
+COMMANDS = {
+    "shape": Command("directional norm estimates", _shape_task, write=_write_shape,
+                     settings=("dim", "dist", "seed", "seeds", "radius", "directions", "axis")),
+    "graph": Command("geodesic graph CSV dump", _graph_task, write=_write_graph,
+                     settings=("dim", "dist", "seed", "box", "theta", "alpha")),
+    "busemann": Command("fit the Busemann direction vector", _busemann_task,
+                        settings=_FIELD + ("window",)),
+    "backward": Command("backward-cluster tail statistics", _backward_task,
+                        settings=_FIELD + ("window",)),
+    "crossings": Command("halfspace crossing counts of forward paths", _crossings_task,
+                         settings=_FIELD + ("levels", "samples")),
+    "radii": Command("component intersection radii on hyperplanes", _radii_task,
+                     settings=_FIELD + ("levels", "window"), optional=("window",)),
+    "masstransport": Command("progenitor mass-transport balance on a torus",
+                             _masstransport_task,
+                             settings=("dim", "dist", "seed", "seeds", "dims", "theta", "level")),
+    "modify": Command("strip modification experiment sweep", _modify_task,
+                      header=("seed", "N", "M", "event_pass", "severed", "witness_level"),
+                      fan_out="N_list",
+                      settings=("dim", "dist", "seed", "seeds", "theta", "N_list", "M_rule",
+                                "M_prime", "epsilon", "delta", "mode", "lam", "y", "xi")),
+}
 
 
-def cmd_crossings(args):
-    keys = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha", "levels",
-            "samples", "out", "jobs")
-    return _run_long_format(_crossings_task, "crossings", args, keys)
+def _argv_tail(args):
+    return [f"{k}={v}" for k, v in sorted(vars(args).items()) if v is not None]
 
 
-def cmd_radii(args):
-    keys = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha", "levels",
-            "window", "out", "jobs")
-    return _run_long_format(_radii_task, "radii", args, keys)
-
-
-def cmd_masstransport(args):
-    keys = ("dim", "dist", "seed", "seeds", "dims", "theta", "level", "out", "jobs")
-    return _run_long_format(_masstransport_task, "masstransport", args, keys)
-
-
-def cmd_modify(args):
-    keys = ("dim", "dist", "seed", "seeds", "theta", "N_list", "M_rule", "M_prime",
-            "epsilon", "delta", "mode", "lam", "y", "xi", "out", "jobs")
-    cfg = _merge_config(args, keys)
-    seeds = _seed_list(cfg)
-    n_list = _int_list(cfg, "N_list", "24")
-    out = cfg.get("out") or "modify.csv"
+def _run(args):
+    command = COMMANDS[args.cmd]
+    merged, cfg = _merge_config(args, command)
+    # a command without a seeds setting runs one seed
+    seeds = list(range(cfg["seed"], cfg["seed"] + cfg.get("seeds", 1)))
+    out = cfg["out"] or f"{args.cmd}.csv"
     started = _utcnow()
     t0 = time.perf_counter()
-    tasks = [(cfg, s, n) for s in seeds for n in n_list]
-    rows = _pmap(_modify_task, tasks, _jobs(cfg))
-    export_csv(out, ("seed", "N", "M", "event_pass", "severed", "witness_level"), rows)
-    _finish(out, ["modify"] + _argv_tail(args), cfg, seeds, started, [out], t0)
+    items = [(x,) for x in cfg[command.fan_out]] if command.fan_out else [()]
+    results = _pmap(command.task, [(cfg, s, *i) for s in seeds for i in items], cfg["jobs"])
+    if command.write:
+        outputs = command.write(out, cfg, seeds, results)
+    else:
+        export_csv(out, command.header, [row for rows in results for row in rows])
+        outputs = [out]
+    write_manifest(out, [args.cmd] + _argv_tail(args), merged, seeds, started, _utcnow(),
+                   outputs, runtime_ms=1000.0 * (time.perf_counter() - t0))
     return 0
-
-
-def _add_common(p, *names):
-    if "dim" in names:
-        p.add_argument("--dim", type=int)
-    if "dist" in names:
-        p.add_argument("--dist", help="e.g. uniform:0,1  exponential:1  uniform-shifted:0.5,1")
-    if "seed" in names:
-        p.add_argument("--seed", type=int)
-    if "seeds" in names:
-        p.add_argument("--seeds", type=int, help="number of consecutive seeds")
-    if "box" in names:
-        p.add_argument("--box", type=int, help="box side length (cube around origin)")
-    if "theta" in names:
-        p.add_argument("--theta", help="integer direction, e.g. 1,0")
-    if "alpha" in names:
-        p.add_argument("--alpha", type=int, help="target hyperplane level")
-    p.add_argument("--config", help="JSON config file (flags override)")
-    p.add_argument("--out")
-    p.add_argument("--jobs", type=int)
 
 
 def build_parser():
     root = argparse.ArgumentParser(prog="fppgeo",
                                    description="first-passage percolation geodesic toolkit")
     sub = root.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("shape", help="directional norm estimates")
-    _add_common(p, "dim", "dist", "seed", "seeds")
-    p.add_argument("--radius", type=int, required=False)
-    p.add_argument("--directions", type=int)
-    p.add_argument("--axis", action="store_true", help="estimate along +e1 only")
-    p.set_defaults(func=cmd_shape)
-
-    p = sub.add_parser("graph", help="geodesic graph CSV dump")
-    _add_common(p, "dim", "dist", "seed", "box", "theta", "alpha")
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("busemann", help="fit the Busemann direction vector")
-    _add_common(p, "dim", "dist", "seed", "seeds", "box", "theta", "alpha")
-    p.add_argument("--window", type=int)
-    p.set_defaults(func=cmd_busemann)
-
-    p = sub.add_parser("backward", help="backward-cluster tail statistics")
-    _add_common(p, "dim", "dist", "seed", "seeds", "box", "theta", "alpha")
-    p.add_argument("--window", type=int)
-    p.set_defaults(func=cmd_backward)
-
-    p = sub.add_parser("crossings", help="halfspace crossing counts of forward paths")
-    _add_common(p, "dim", "dist", "seed", "seeds", "box", "theta", "alpha")
-    p.add_argument("--levels")
-    p.add_argument("--samples", type=int)
-    p.set_defaults(func=cmd_crossings)
-
-    p = sub.add_parser("radii", help="component intersection radii on hyperplanes")
-    _add_common(p, "dim", "dist", "seed", "seeds", "box", "theta", "alpha")
-    p.add_argument("--levels")
-    p.add_argument("--window", type=int)
-    p.set_defaults(func=cmd_radii)
-
-    p = sub.add_parser("masstransport", help="progenitor mass-transport balance on a torus")
-    _add_common(p, "dim", "dist", "seed", "seeds", "theta")
-    p.add_argument("--dims", help="torus dimensions, e.g. 64,64")
-    p.add_argument("--level", type=int)
-    p.set_defaults(func=cmd_masstransport)
-
-    p = sub.add_parser("modify", help="strip modification experiment sweep")
-    _add_common(p, "dim", "dist", "seed", "seeds", "theta")
-    p.add_argument("--N-list", dest="N_list")
-    p.add_argument("--M-rule", dest="M_rule", help="const:V or linear:C (M = C*N)")
-    p.add_argument("--M-prime", dest="M_prime", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--mode", choices=["bounded", "unbounded"])
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--y")
-    p.add_argument("--xi")
-    p.set_defaults(func=cmd_modify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON config file (flags override)")
+        for key in command.settings + COMMON:
+            s = SETTINGS[key]
+            if s.type is _bool:
+                kind = dict(action="store_true", default=None)
+            else:
+                # numbers are checked by argparse; other types by _merge_config,
+                # so that the error names the key
+                kind = dict(type=s.type if s.type in (int, float) else None, choices=s.choices)
+            p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key, help=s.help, **kind)
     return root
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -145,7 +145,9 @@ def eligible_edges(g, spec, y, protected):
     box = g.box
     coords = box.coords()
     strip_mask = in_strip(spec, coords)
-    keep = forward_orbit(g, [box.index_of(z) for z in (*protected, y) if box.contains(z)])
+    sources = np.array([*protected, y], dtype=np.int64)
+    sources = sources[((sources >= box.lower) & (sources <= box.upper)).all(axis=1)]
+    keep = forward_orbit(g, box.indices_of(sources))
     kept_edge_tail = keep & (g.succ >= 0)
 
     edges = []
@@ -229,8 +231,8 @@ def check_event_A2prime(g, field, spec, y, xi_N):
     if not math.isinf(S) and global_rel.any():
         speed_bound_global = not (global_rel & (Ty > l1_from_y * bound)).any()
 
-    protected = protected_vertices(box, spec, xi)
-    orbit = forward_orbit(g, [box.index_of(z) for z in protected])
+    protected = np.array(protected_vertices(box, spec, xi), dtype=np.int64).reshape(-1, box.dim)
+    orbit = forward_orbit(g, box.indices_of(protected))
     inter = xi_path.indices[orbit[xi_path.indices]]
     protected_disjoint = inter.size == 0
     if inter.size:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -214,3 +215,92 @@ def test_export_json_writes_sorted(tmp_path):
     p = tmp_path / "o.json"
     export_json(p, {"z": 1, "a": 2})
     assert p.read_text() == '{"a":2,"z":1}\n'
+
+
+_D2 = ["--dim", "2", "--dist", "uniform:0,1"]
+
+
+# SHA-256 of each primary output of small runs of every subcommand
+@pytest.mark.parametrize("command, args, digests", [
+    ("shape", ["--dim", "3", "--dist", "exponential:1", "--radius", "4", "--directions", "5",
+               "--seed", "3", "--seeds", "2"],
+     {"shape.csv": "83bfffae6f258b7ee6a5506c331f0bc16275dd92f5e698651d5695ac5fb434e5"}),
+    ("graph", [*_D2, "--box", "15", "--theta", "1,1", "--alpha", "3", "--seed", "7"],
+     {"graph.csv": "35dee591f66fab97abd394c10d37c654567155b686752cb79724e55d203d1239",
+      "graph.summary.json": "d3dbc5e7f6555599efd4083681ad96cd99e844d3210cc4604a1a036779f18267"}),
+    ("busemann", [*_D2, "--box", "41", "--theta", "1,0", "--alpha", "12", "--window", "9",
+                  "--seed", "1", "--seeds", "2"],
+     {"busemann.csv": "ebe092f8df73b6646450bc4c50f012d7e5002623100c78af8464e9d95131d3cd"}),
+    ("backward", [*_D2, "--box", "41", "--theta", "1,0", "--alpha", "10", "--window", "9",
+                  "--seed", "2", "--seeds", "2"],
+     {"backward.csv": "b084b3ee31f28e00e9491f051c6ef9034689ee5c8c7a28ff25ee0b3684c3397e"}),
+    ("crossings", [*_D2, "--box", "41", "--theta", "1,0", "--alpha", "10", "--levels=-3,0,3",
+                   "--samples", "5", "--seed", "4", "--seeds", "2"],
+     {"crossings.csv": "3650de942731a7c0c35fa48e1c1f27bba91bb93bc16230d8c3dc38683c94b319"}),
+    ("radii", [*_D2, "--box", "41", "--theta", "1,1", "--alpha", "10", "--levels", "0,2",
+               "--seed", "5", "--seeds", "2"],
+     {"radii.csv": "56203ec025a6f93741a234f31817b27e5e0750dd539d31280fcd6549ebcbfa81"}),
+    ("masstransport", [*_D2, "--theta", "1,0", "--dims", "8,8", "--level", "1",
+                       "--seed", "6", "--seeds", "2"],
+     {"masstransport.csv": "b4da6e21f45c3a98fab35fedaaae3edd0e2994ed76ca4651497c39ec7e995251"}),
+    ("modify", [*_D2, "--theta", "1,0", "--N-list", "4,8,12", "--M-rule", "const:3",
+                "--M-prime", "2", "--epsilon", "0.2", "--y", "0,1", "--seed", "0",
+                "--seeds", "2", "--jobs", "2"],
+     {"modify.csv": "db4a6b54afa18c071866dfa708173361d9a793e509057c4214fb22ae56eae391"}),
+])
+def test_primary_output_bytes_pinned(tmp_path, command, args, digests):
+    first = next(iter(digests))
+    assert run_cli([command, *args, "--out", str(tmp_path / first)]) == 0
+    actual = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in digests}
+    assert actual == digests
+
+
+def test_config_file_axis_is_honoured(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"dim": 2, "dist": "uniform:0,1", "radius": 4, "axis": True}))
+    out = tmp_path / "s.csv"
+    assert run_cli(["shape", "--config", str(cfgfile), "--out", str(out)]) == 0
+    assert {row.split(",")[2] for row in out.read_text().splitlines()[1:]} == {"0"}
+    manifest = json.loads((tmp_path / "s.manifest.json").read_text())
+    assert manifest["config"]["axis"] is True
+
+
+_FIELD_CFG = {"dim": 2, "dist": "uniform:0,1", "box": 41, "theta": "1,0", "alpha": 10}
+
+
+@pytest.mark.parametrize("command, key, config", [
+    ("shape", "radius", {"dim": 2, "dist": "uniform:0,1", "radius": "abc"}),
+    ("crossings", "samples", dict(_FIELD_CFG, samples="many")),
+    ("radii", "seeds", dict(_FIELD_CFG, seeds="x")),
+    ("shape", "axis", {"dim": 2, "dist": "uniform:0,1", "radius": 4, "axis": "yes"}),
+    ("graph", "box", dict(_FIELD_CFG, box=2)),
+    ("masstransport", "dist", {"dim": 2, "dist": 5, "theta": "1,0", "dims": "8,8"}),
+    ("modify", "M_rule", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "M_rule": "const:x"}),
+    ("modify", "mode", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "mode": "sideways"}),
+    ("modify", "epsilon", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "epsilon": [1]}),
+])
+def test_wrong_typed_config_value_names_key(tmp_path, capsys, command, key, config):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(config))
+    rc = run_cli([command, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+@pytest.mark.parametrize("command, args", [
+    ("backward", ["--window", "1"]),
+    ("busemann", ["--window", "1"]),
+    ("crossings", ["--levels", "0,2"]),
+    ("radii", ["--levels", "0,2"]),
+])
+def test_box_too_small_for_analysis_pad_names_key(tmp_path, capsys, command, args):
+    # the pad is at least 16 per face, so a cube needs side 33 to keep one vertex
+    argv = [command, *_D2, "--theta", "1,0", "--alpha", "4", *args, "--seeds", "2",
+            "--jobs", "2", "--out", str(tmp_path / "x.csv")]
+    assert run_cli(argv + ["--box", "31"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: box: side 31 leaves no vertex inside the analysis pad of 16; "
+        "the smallest side accepted is 33")
+    if command != "busemann":       # a one-vertex window fits no Busemann vector
+        assert run_cli(argv + ["--box", "33"]) == 0
