@@ -18,7 +18,7 @@ import numpy as np
 
 from .environment import TorusEnvironment
 from .geodesic_graph import backward_stats, components, forward_path
-from .geodesics import PointTarget, axis_weights, solve, successor_forest
+from .geodesics import NoTargetError, PointTarget, axis_weights, solve, successor_forest
 from .lattice import Box
 
 
@@ -275,6 +275,15 @@ class BackwardTailReport:
         return out
 
 
+def _fraction_ge(values, ks):
+    """P(values >= k) for each k of the increasing range ``ks`` of non-negative ints.
+
+    The exact count of each k over the count of values, as ``(values >= k).mean()``.
+    """
+    at_least = np.cumsum(np.bincount(values, minlength=ks[-1] + 1)[::-1])[::-1]
+    return at_least[ks] / len(values)
+
+
 def backward_tail(g, window):
     """Empirical tails of backward-cluster size and depth over a window.
 
@@ -292,11 +301,10 @@ def backward_tail(g, window):
     if keep_sizes.size == 0:
         raise ValueError("all clusters censored; enlarge the box")
     k_size = np.arange(1, keep_sizes.max() + 1)
-    p_size = np.array([(keep_sizes >= k).mean() for k in k_size])
     k_depth = np.arange(0, keep_depth.max() + 2)
-    p_depth = np.array([(keep_depth >= k).mean() for k in k_depth])
     return BackwardTailReport(
-        k_size=k_size, p_size_ge=p_size, k_depth=k_depth, p_depth_ge=p_depth,
+        k_size=k_size, p_size_ge=_fraction_ge(keep_sizes, k_size),
+        k_depth=k_depth, p_depth_ge=_fraction_ge(keep_depth, k_depth),
         censored_fraction=float(censored.mean()),
         n_window=n_window, n_censored=int(censored.sum()),
         mean_depth=float(keep_depth.mean()))
@@ -383,7 +391,7 @@ def build_torus_graph(tenv, direction, level=0):
     theta = np.asarray(direction, dtype=np.int64)
     tmask = (box.coords() @ theta) == int(level)
     if not tmask.any():
-        raise ValueError("no target vertex on torus")
+        raise NoTargetError(f"no target vertex on torus {dims}")
     edges = box.axis_edges(periodic=True)
     T, succ = successor_forest(edges, axis_weights(tenv, box, edges), tmask)
     return TorusGraph(dims=dims, direction=tuple(int(t) for t in theta),

@@ -12,8 +12,8 @@ A setting takes its value from its flag, else from the ``--config`` JSON
 file, else from its default.  A flag that is not given leaves the file's
 value in place; file keys that a command does not take pass through to the
 manifest untouched.  Each setting a command takes is converted once, and a
-value that does not convert, or a required setting that is missing, exits 2
-with ``config error: <key>: ...``.  Identical configs produce byte-identical
+value that does not convert, a per-axis list whose length is not ``dim``, or
+a required setting that is missing, exits 2 with ``config error: <key>: ...``.  Identical configs produce byte-identical
 primary outputs; timing lives in the manifest only.
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 from . import analysis, modification
 from .environment import TorusEnvironment, WeightEnvironment, parse_dist
 from .geodesic_graph import build_graph, graph_summary, graph_to_csv
-from .geodesics import HyperplaneTarget, solve
+from .geodesics import HyperplaneTarget, NoTargetError, solve
 from .lattice import Box, lattice_point_on_level, normalize_direction
 from .manifest import export_csv, export_json, write_manifest
 
@@ -52,6 +52,20 @@ class ConfigError(Exception):
 
 
 # setting types: each converts a flag string or a config-file value, or raises ValueError
+
+def _int(value):
+    """An integer, or a string or integral number that is one; never a bool."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    elif isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
 
 def _int_list(value):
     """Integers, comma-separated or as a JSON list."""
@@ -97,36 +111,38 @@ class Setting:
     flag: str | None = None         # when not --<name with - for _>
     choices: tuple | None = None
     minimum: int | None = None
+    per_axis: bool = False          # a list with one entry per axis (``dim`` of them)
 
 
 SETTINGS = {
-    "dim": Setting(int, minimum=2),
+    "dim": Setting(_int, minimum=2),
     "dist": Setting(_dist, help="e.g. uniform:0,1  exponential:1  uniform-shifted:0.5,1"),
-    "seed": Setting(int, 0),
-    "seeds": Setting(int, 1, "number of consecutive seeds", minimum=1),
-    "box": Setting(int, help="box side length (cube around origin)", minimum=3),
-    "theta": Setting(_direction, help="integer direction, e.g. 1,0"),
-    "alpha": Setting(int, help="target hyperplane level"),
-    "window": Setting(int, help="analysis window side length (cube around origin); "
-                                "radii defaults to the box less its analysis pad"),
+    "seed": Setting(_int, 0),
+    "seeds": Setting(_int, 1, "number of consecutive seeds", minimum=1),
+    "box": Setting(_int, help="box side length (cube around origin)", minimum=3),
+    "theta": Setting(_direction, help="integer direction, e.g. 1,0", per_axis=True),
+    "alpha": Setting(_int, help="target hyperplane level"),
+    "window": Setting(_int, help="analysis window side length (cube around origin); "
+                                 "radii defaults to the box less its analysis pad", minimum=1),
     "levels": Setting(_int_list, "0", "hyperplane levels, e.g. 0,-50"),
-    "samples": Setting(int, 20, "number of sampled start vertices"),
-    "radius": Setting(int),
-    "directions": Setting(int, 16),
+    "samples": Setting(_int, 20, "number of sampled start vertices"),
+    "radius": Setting(_int, minimum=1),
+    "directions": Setting(_int, 16),
     "axis": Setting(_bool, False, "estimate along +e1 only"),
-    "dims": Setting(_int_list, help="torus dimensions, e.g. 64,64"),
-    "level": Setting(int, 0),
+    "dims": Setting(_int_list, help="torus dimensions, e.g. 64,64", per_axis=True),
+    "level": Setting(_int, 0),
     "N_list": Setting(_int_list, "24"),
     "M_rule": Setting(_m_rule, "const:12", "const:V or linear:C (M = C*N)"),
-    "M_prime": Setting(int, 3),
+    "M_prime": Setting(_int, 3),
     "epsilon": Setting(float, 0.1),
     "delta": Setting(float, 0.1),
     "mode": Setting(str, "bounded", choices=("bounded", "unbounded")),
     "lam": Setting(float, None, flag="--lambda"),
-    "y": Setting(_int_list, None, "default: the first smallest nonzero vertex on level 0"),
-    "xi": Setting(_int_list, None, "default: a lattice point on level N"),
+    "y": Setting(_int_list, None, "default: the first smallest nonzero vertex on level 0",
+                 per_axis=True),
+    "xi": Setting(_int_list, None, "default: a lattice point on level N", per_axis=True),
     "out": Setting(str, None, "primary output path (default: <command>.csv)"),
-    "jobs": Setting(int, lambda: os.environ.get("FPPGEO_JOBS") or 1),
+    "jobs": Setting(_int, lambda: os.environ.get("FPPGEO_JOBS") or 1),
 }
 COMMON = ("out", "jobs")
 
@@ -170,6 +186,9 @@ def _merge_config(args, command):
             if value is REQUIRED:
                 raise ConfigError(key, "missing required setting")
         cfg[key] = None if value is None else _convert(key, setting, value)
+    for key in keys:
+        if SETTINGS[key].per_axis and cfg[key] is not None and len(cfg[key]) != cfg["dim"]:
+            raise ConfigError(key, f"expected {cfg['dim']} integers, got {len(cfg[key])}")
     return merged, cfg
 
 
@@ -197,8 +216,11 @@ def _cube(cfg, key):
 
 def _solve(cfg, seed):
     """The passage-time field toward level alpha in the solve box."""
-    return solve(_env(cfg, seed), _cube(cfg, "box"),
-                 HyperplaneTarget(cfg["theta"], cfg["alpha"]))
+    try:
+        return solve(_env(cfg, seed), _cube(cfg, "box"),
+                     HyperplaneTarget(cfg["theta"], cfg["alpha"]))
+    except NoTargetError as exc:
+        raise ConfigError("alpha", str(exc)) from None
 
 
 def _padded_region(cfg):
@@ -213,10 +235,18 @@ def _padded_region(cfg):
     return box.shrink(pad)
 
 
-def _window(cfg):
-    """The analysis window; its solve box must have room for the pad."""
-    _padded_region(cfg)
-    return _cube(cfg, "window")
+def _window(cfg, region, name):
+    """The analysis window, which must lie inside ``region`` (called ``name``)."""
+    window = _cube(cfg, "window")
+    if not region.contains_box(window):
+        raise ConfigError("window", f"side {cfg['window']} does not fit inside {name} "
+                                    f"(side {region.shape[0]})")
+    return window
+
+
+def _padded_window(cfg):
+    """The analysis window, inside the solve box less its analysis pad."""
+    return _window(cfg, _padded_region(cfg), "the box less its analysis pad")
 
 
 def _long_rows(report, seed):
@@ -241,13 +271,13 @@ def _graph_task(arg):
 
 def _backward_task(arg):
     cfg, seed = arg
-    window = _window(cfg)
+    window = _padded_window(cfg)
     return _long_rows(analysis.backward_tail(build_graph(_solve(cfg, seed)), window), seed)
 
 
 def _busemann_task(arg):
     cfg, seed = arg
-    window = _window(cfg)
+    window = _padded_window(cfg)
     return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), window), seed)
 
 
@@ -263,8 +293,7 @@ def _crossings_task(arg):
 
 def _radii_task(arg):
     cfg, seed = arg
-    w = cfg["window"]
-    window = _cube(cfg, "window") if w else _padded_region(cfg)
+    window = _window(cfg, _cube(cfg, "box"), "the box") if cfg["window"] else _padded_region(cfg)
     g = build_graph(_solve(cfg, seed))
     return _long_rows(analysis.intersection_radii(g, cfg["theta"], cfg["levels"],
                                                   window=window), seed)
@@ -273,7 +302,10 @@ def _radii_task(arg):
 def _masstransport_task(arg):
     cfg, seed = arg
     tenv = TorusEnvironment(_env(cfg, seed), cfg["dims"])
-    g = analysis.build_torus_graph(tenv, cfg["theta"], cfg["level"])
+    try:
+        g = analysis.build_torus_graph(tenv, cfg["theta"], cfg["level"])
+    except NoTargetError as exc:
+        raise ConfigError("level", str(exc)) from None
     return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
 
 
@@ -408,9 +440,9 @@ def build_parser():
             if s.type is _bool:
                 kind = dict(action="store_true", default=None)
             else:
-                # numbers are checked by argparse; other types by _merge_config,
-                # so that the error names the key
-                kind = dict(type=s.type if s.type in (int, float) else None, choices=s.choices)
+                # numbers are checked by argparse, with its own messages; other
+                # types by _merge_config, so that the error names the key
+                kind = dict(type={_int: int, float: float}.get(s.type), choices=s.choices)
             p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key, help=s.help, **kind)
     return root
 

@@ -19,35 +19,6 @@ from .lattice import Box
 from .manifest import csv_cells
 
 
-class UnionFind:
-    """Array union-find with path halving and union by rank."""
-
-    def __init__(self, n):
-        self.parent = np.arange(n, dtype=np.int64)
-        self.rank = np.zeros(n, dtype=np.int8)
-        self.cycle_edges = 0
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return int(x)
-
-    def union(self, x, y):
-        """Merge the classes of x and y; returns False when already joined."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            self.cycle_edges += 1
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-        return True
-
-
 @dataclass
 class ComponentDecomposition:
     labels: np.ndarray
@@ -251,16 +222,41 @@ def truncate(g, inner):
 
 
 def components(g):
-    """Weak components of the forest via union-find over undirected out-edges."""
+    """Weak components of the forest via union-find over undirected out-edges.
+
+    Union by rank with path halving, over Python lists; the final roots come
+    from vectorised pointer jumping.  Labels number the union-by-rank
+    representatives in increasing index order.  That numbering is kept
+    because ``radii.csv`` prints the labels.
+    """
     n = g.n_vertices
-    uf = UnionFind(n)
-    for i in np.flatnonzero(g.succ >= 0):
-        uf.union(int(i), int(g.succ[i]))
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
+    parent = list(range(n))
+    rank = [0] * n
+    cycle_edges = 0
+    for x, y in enumerate(g.succ.tolist()):
+        if y < 0:
+            continue
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        if x == y:
+            cycle_edges += 1
+            continue
+        if rank[x] < rank[y]:
+            x, y = y, x
+        parent[y] = x
+        if rank[x] == rank[y]:
+            rank[x] += 1
+    roots = np.array(parent, dtype=np.int64)
+    while not np.array_equal(up := roots[roots], roots):
+        roots = up
     uniq, labels = np.unique(roots, return_inverse=True)
     sizes = np.bincount(labels, minlength=len(uniq))
     return ComponentDecomposition(labels=labels, sizes=sizes,
-                                  n_components=len(uniq), cycle_edges=uf.cycle_edges)
+                                  n_components=len(uniq), cycle_edges=cycle_edges)
 
 
 def encounter_points(g, threshold=None):

@@ -71,6 +71,10 @@ class HyperplaneTarget:
                 raise ValueError("direction must be nonzero")
 
 
+class NoTargetError(ValueError):
+    """The target has no vertex in the solve region."""
+
+
 class TruncatedPathError(RuntimeError):
     """Successor chain left the box before reaching a target vertex."""
 
@@ -206,7 +210,7 @@ def solve(env, box, target):
     """
     tmask = target_mask(target, box)
     if not tmask.any():
-        raise ValueError("no target vertex inside box")
+        raise NoTargetError(f"no target vertex inside box {box.lower}..{box.upper}")
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
     touched = fold_chains(succ, box.boundary_mask(), np.logical_or)

@@ -13,6 +13,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 TOOL_VERSION = "0.1.0"
 
@@ -67,6 +68,19 @@ def fmt_value(v):
     return "" if v is None else str(v)
 
 
+def _cells(col):
+    """The cells of a 1-d column block, formatted as in ``fmt_value``.
+
+    An integer column is formatted by lookup: one string per distinct value,
+    and an empty one for masked entries.
+    """
+    if col.dtype.kind not in "iu":
+        return map(fmt_value, col.tolist())
+    values, inverse = np.unique(np.ma.getdata(col), return_inverse=True)
+    inverse[np.ma.getmaskarray(col)] = len(values)
+    return np.array([*map(str, values.tolist()), ""], dtype=object)[inverse].tolist()
+
+
 def csv_cells(header, columns):
     """CSV text of ``header`` and the rows of the row-aligned 1-d ``columns``.
 
@@ -76,7 +90,7 @@ def csv_cells(header, columns):
     """
     yield ",".join(header) + "\n"
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = [map(fmt_value, col[start:start + CSV_CHUNK_ROWS].tolist()) for col in columns]
+        cells = [_cells(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
         yield "".join(",".join(row) + "\n" for row in zip(*cells))
 
 

@@ -8,6 +8,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, inf
 
+import numpy as np
+
 from fppgeo.lattice import neighbors, undirected_edge
 
 
@@ -89,6 +91,38 @@ def connected_components_bfs(vertices, edges):
                     queue.append(w)
         current += 1
     return label
+
+
+def components_union_find(succ):
+    """Weak components of an out-degree <= 1 graph: (labels, sizes, cycle_edges).
+
+    Union by rank with path halving on numpy arrays, one edge and one find
+    at a time; labels number the final roots in increasing index order.
+    """
+    n = len(succ)
+    parent = np.arange(n, dtype=np.int64)
+    rank = np.zeros(n, dtype=np.int8)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return int(x)
+
+    cycle_edges = 0
+    for i in np.flatnonzero(succ >= 0):
+        rx, ry = find(int(i)), find(int(succ[i]))
+        if rx == ry:
+            cycle_edges += 1
+            continue
+        if rank[rx] < rank[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        if rank[rx] == rank[ry]:
+            rank[rx] += 1
+    roots = np.array([find(i) for i in range(n)], dtype=np.int64)
+    uniq, labels = np.unique(roots, return_inverse=True)
+    return labels, np.bincount(labels, minlength=len(uniq)), cycle_edges
 
 
 def normalize_by_search(fracs):
@@ -267,5 +301,23 @@ def graph_csv_text(g):
     lines = [",".join([f"x{i+1}" for i in range(d)] + [f"dx{i+1}" for i in range(d)])]
     for i in range(g.box.n_vertices):
         row = [str(int(c)) for c in coords[i]] + _step_cells(coords, g.succ, i)
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+def columns_csv_text(header, columns):
+    """Row-by-row rendering of ``manifest.csv_cells``: ints and bools as digits,
+    floats at 17 significant digits, masked entries empty."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        row = []
+        for col in columns:
+            v = col[i]
+            if v is np.ma.masked:
+                row.append("")
+            elif col.dtype.kind == "f":
+                row.append(format(float(v), ".17g"))
+            else:
+                row.append(str(int(v)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,7 @@ from fppgeo.analysis import (TorusGraph, backward_tail, build_torus_graph,
                              required_pad, shape_residual)
 from fppgeo.environment import (TorusEnvironment, WeightEnvironment, override_box,
                                 uniform, unit_environment)
-from fppgeo.geodesic_graph import build_graph
+from fppgeo.geodesic_graph import backward_stats, build_graph
 from fppgeo.geodesics import HyperplaneTarget, solve
 from fppgeo.lattice import Box
 
@@ -176,6 +176,23 @@ def test_backward_tail_identities():
     # tail-sum identity, exact on the empirical law
     assert rep.p_depth_ge[1:].sum() == pytest.approx(rep.mean_depth, rel=1e-12)
     assert 0.0 <= rep.censored_fraction < 1.0
+
+
+def test_backward_tail_matches_per_k_mean():
+    box = Box.cube(40, 2)
+    g = build_graph(solve(WeightEnvironment(2, uniform(0, 1), 3), box,
+                          HyperplaneTarget((1, 1), 15)))
+    window = Box.cube(14, 2)
+    rep = backward_tail(g, window)
+    assert rep.n_censored > 0
+    sizes, depth, touch = backward_stats(g)
+    idx = box.indices_of(window.coords())
+    keep = ~touch[idx]
+    p_size = np.array([(sizes[idx][keep] >= k).mean() for k in rep.k_size])
+    p_depth = np.array([(depth[idx][keep] >= k).mean() for k in rep.k_depth])
+    assert rep.p_size_ge.tobytes() == p_size.tobytes()
+    assert rep.p_depth_ge.tobytes() == p_depth.tobytes()
+    assert rep.p_depth_ge[-1] == 0.0
 
 
 def test_backward_tail_window_precondition():

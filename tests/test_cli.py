@@ -279,6 +279,10 @@ _FIELD_CFG = {"dim": 2, "dist": "uniform:0,1", "box": 41, "theta": "1,0", "alpha
     ("modify", "M_rule", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "M_rule": "const:x"}),
     ("modify", "mode", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "mode": "sideways"}),
     ("modify", "epsilon", {"dim": 2, "dist": "uniform:0,1", "theta": "1,0", "epsilon": [1]}),
+    ("shape", "radius", {"dim": 2, "dist": "uniform:0,1", "radius": 4.7}),
+    ("shape", "radius", {"dim": 2, "dist": "uniform:0,1", "radius": True}),
+    ("shape", "radius", {"dim": 2, "dist": "uniform:0,1", "radius": 0}),
+    ("backward", "window", dict(_FIELD_CFG, window=0)),
 ])
 def test_wrong_typed_config_value_names_key(tmp_path, capsys, command, key, config):
     cfgfile = tmp_path / "cfg.json"
@@ -304,3 +308,38 @@ def test_box_too_small_for_analysis_pad_names_key(tmp_path, capsys, command, arg
         "the smallest side accepted is 33")
     if command != "busemann":       # a one-vertex window fits no Busemann vector
         assert run_cli(argv + ["--box", "33"]) == 0
+
+
+def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
+    cfgfile = tmp_path / "cfg.json"
+    out = ["--out", str(tmp_path / "s.csv")]
+    for value, shown in ((4.7, "4.7"), (True, "True"), ("4x", "'4x'")):
+        cfgfile.write_text(json.dumps({"dim": 2, "dist": "uniform:0,1", "radius": value}))
+        assert run_cli(["shape", "--config", str(cfgfile), *out]) == 2
+        assert capsys.readouterr().err == f"config error: radius: expected an integer, got {shown}\n"
+    # integral numbers and digit strings convert; a flag keeps argparse's message
+    cfgfile.write_text(json.dumps({"dim": 2.0, "dist": "uniform:0,1", "radius": "4"}))
+    monkeypatch.setenv("FPPGEO_JOBS", "2")
+    assert run_cli(["shape", "--config", str(cfgfile), "--seeds", "2", *out]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["shape", *_D2, "--radius", "4.7", *out])
+    assert exc.value.code == 2
+    assert "argument --radius: invalid int value: '4.7'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "100"],
+     "alpha: no target vertex inside box (-7, -7)..(7, 7)"),
+    ("radii", ["--box", "41", "--theta", "1,0", "--alpha", "4", "--window", "99"],
+     "window: side 99 does not fit inside the box (side 41)"),
+    ("backward", ["--box", "41", "--theta", "1,0", "--alpha", "4", "--window", "11"],
+     "window: side 11 does not fit inside the box less its analysis pad (side 9)"),
+    ("graph", ["--box", "15", "--theta", "1,0,0", "--alpha", "4"],
+     "theta: expected 2 integers, got 3"),
+    ("masstransport", ["--dims", "8,8,8", "--theta", "1,0"], "dims: expected 2 integers, got 3"),
+    ("masstransport", ["--dims", "8,8", "--theta", "1,0", "--level", "8"],
+     "level: no target vertex on torus (8, 8)"),
+], ids=["alpha", "radii-window", "backward-window", "theta", "dims", "level"])
+def test_target_errors_name_key(tmp_path, capsys, command, args, message):
+    assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

@@ -1,14 +1,15 @@
 """The chunked CSV writers against the row-by-row renderings in ``oracles``."""
 
+import numpy as np
 import pytest
 
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import build_graph, graph_to_csv, truncate
 from fppgeo.geodesics import HyperplaneTarget, PointTarget, field_to_csv, solve
 from fppgeo.lattice import Box
-from fppgeo.manifest import CSV_CHUNK_ROWS
+from fppgeo.manifest import CSV_CHUNK_ROWS, csv_cells
 
-from oracles import field_csv_text, graph_csv_text
+from oracles import columns_csv_text, field_csv_text, graph_csv_text
 
 
 def hyperplane_field():
@@ -35,3 +36,18 @@ def test_graph_csv_matches_row_oracle_on_truncated_graph(tmp_path):
     for graph in (g, truncate(g, Box.cube(40, 2))):
         graph_to_csv(graph, tmp_path / "graph.csv")
         assert (tmp_path / "graph.csv").read_bytes() == graph_csv_text(graph).encode()
+
+
+@pytest.mark.parametrize("n", [3, CSV_CHUNK_ROWS + 100])
+def test_csv_cells_match_row_oracle(n):
+    rng = np.random.default_rng(n)
+    wide = rng.integers(-10 ** 7, 10 ** 7, size=n)
+    some_masked = np.ma.masked_array(rng.integers(-12, 12, size=n), mask=rng.random(n) < 0.3)
+    all_masked = np.ma.masked_array(rng.integers(-5, 5, size=n), mask=np.ones(n, bool))
+    none_masked = np.ma.masked_array(rng.integers(-999, 999, size=n).astype(np.int32))
+    unsigned = rng.integers(0, 300, size=n).astype(np.uint16)
+    flags = rng.random(n) < 0.5
+    floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    columns = [wide, some_masked, all_masked, none_masked, unsigned, flags, floats]
+    header = [f"c{j}" for j in range(len(columns))]
+    assert "".join(csv_cells(header, columns)) == columns_csv_text(header, columns)

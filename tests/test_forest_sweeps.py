@@ -3,9 +3,10 @@
 Backward statistics and forward orbits are checked against networkx
 ancestors, descendants and path lengths on the successor DiGraph; the
 severing closure against ``oracles.reverse_reachable``; encounter points
-against removing each vertex and searching every arm of the forest.
-Branching-process forests add the bushy trees with tied subtree heights
-that small geodesic graphs rarely have.
+against removing each vertex and searching every arm of the forest;
+component labels against ``oracles.components_union_find`` and networkx
+weak components.  Branching-process forests add the bushy trees with tied
+subtree heights that small geodesic graphs rarely have.
 """
 
 import networkx as nx
@@ -13,14 +14,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fppgeo.environment import WeightEnvironment, uniform
-from fppgeo.geodesic_graph import (GeodesicGraph, backward_stats, build_graph,
+from fppgeo.analysis import build_torus_graph
+from fppgeo.environment import TorusEnvironment, WeightEnvironment, uniform
+from fppgeo.geodesic_graph import (GeodesicGraph, backward_stats, build_graph, components,
                                    encounter_points, forward_orbit, truncate)
 from fppgeo.geodesics import HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
 from fppgeo.modification import StripSpec, violating_sources
 
-from oracles import encounter_indices, reverse_reachable
+from oracles import components_union_find, encounter_indices, reverse_reachable
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -62,12 +64,36 @@ def branching_forests(draw):
         start = max(taken, k + 1)
         taken = min(start + kids[k], n)
         succ[start:taken] = k
-    g = GeodesicGraph(box=box, direction=(1,) + (0,) * (dim - 1), alpha=0.0, succ=succ,
-                      target_mask=succ < 0, boundary_touched=np.zeros(n, bool), T=np.zeros(n))
+    g = _graph_on(box, succ)
     return g, g.direction
 
 
+def _graph_on(box, succ):
+    n = box.n_vertices
+    return GeodesicGraph(box=box, direction=(1,) + (0,) * (box.dim - 1), alpha=0.0, succ=succ,
+                         target_mask=succ < 0, boundary_touched=np.zeros(n, bool), T=np.zeros(n))
+
+
 FORESTS = st.one_of(forests(), branching_forests())
+
+
+@st.composite
+def torus_forests(draw):
+    """A geodesic forest on a random small 2-d or 3-d torus."""
+    dim = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(3, 8 if dim == 2 else 4)) for _ in range(dim))
+    theta = (1,) + (0,) * (dim - 1)
+    env = WeightEnvironment(dim, uniform(0.1, 1.0), draw(st.integers(0, 2 ** 32)))
+    return build_torus_graph(TorusEnvironment(env, dims), theta, draw(st.integers(0, dims[0] - 1)))
+
+
+@st.composite
+def successor_arrays(draw):
+    """Any out-degree <= 1 graph on a small box: self-loops and cycles allowed."""
+    box = Box.cube(draw(st.integers(0, 4)), 2)
+    n = box.n_vertices
+    succ = np.random.default_rng(draw(st.integers(0, 2 ** 32))).integers(-1, n, size=n)
+    return _graph_on(box, succ)
 
 
 def _digraph(g):
@@ -124,3 +150,17 @@ def test_encounter_points_match_arm_search(forest):
     for threshold in range(7):
         expect = [g.box.vertex_at(i) for i in encounter_indices(g.succ, threshold)]
         assert encounter_points(g, threshold) == expect
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(FORESTS.map(lambda forest: forest[0]), torus_forests(), successor_arrays()))
+def test_components_match_union_find_oracle_and_networkx(g):
+    comp = components(g)
+    labels, sizes, cycle_edges = components_union_find(g.succ)
+    assert comp.labels.tolist() == labels.tolist()
+    assert comp.sizes.tolist() == sizes.tolist()
+    assert comp.cycle_edges == cycle_edges
+    assert comp.n_components == len(sizes)
+    blocks = {frozenset(np.flatnonzero(comp.labels == k).tolist())
+              for k in range(comp.n_components)}
+    assert blocks == set(map(frozenset, nx.weakly_connected_components(_digraph(g))))
