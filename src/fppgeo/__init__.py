@@ -11,7 +11,7 @@ from .environment import (DistributionSpec, WeightEnvironment, TorusEnvironment,
 from .geodesics import (PointTarget, HyperplaneTarget, DistanceField, solve,
                         passage_time, extract_geodesic, path_weight,
                         TruncatedPathError)
-from .geodesic_graph import (GeodesicGraph, BusemannField, build_graph, busemann,
+from .geodesic_graph import (BusemannField, build_graph, busemann,
                              forward_path, backward_cluster, backward_stats,
                              sample_averaged_graph, truncate, components,
                              encounter_points, graph_summary)

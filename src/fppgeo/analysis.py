@@ -5,9 +5,9 @@ surrogates: padded windows guard against truncation bias, censored
 observations are labeled rather than dropped silently, and Monte Carlo
 gates are parameters owned by the caller.
 
-The torus graph of the mass-transport check is built by the same successor
-rule as the box graph (``geodesics.successor_forest`` on the periodic edges
-of ``Box.axis_edges``), so both break ties identically.
+The torus forest of the mass-transport check is the ``solve`` of a
+periodic ``Box``, so box and torus forests are one record, built by one
+successor rule with one tie-break, and every forest traversal serves both.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .environment import TorusEnvironment
 from .geodesic_graph import backward_stats, components, forward_path
-from .geodesics import NoTargetError, PointTarget, axis_weights, solve, successor_forest
+from .geodesics import HyperplaneTarget, PointTarget, solve
 from .lattice import Box
 
 
@@ -358,44 +358,16 @@ def intersection_radii(g, theta, levels, window=None):
     return IntersectionRadiusReport(records=records)
 
 
-@dataclass
-class TorusGraph:
-    """Successor forest toward a wrapped hyperplane on a torus."""
-
-    dims: tuple
-    direction: tuple
-    level: int
-    succ: np.ndarray
-    target_mask: np.ndarray
-    T: np.ndarray
-
-    @property
-    def n_vertices(self):
-        return int(np.prod(self.dims))
-
-    def coords(self):
-        return _torus_box(self.dims).coords()
-
-
-def _torus_box(dims):
-    """The box [0, L1 - 1] x ... x [0, Ld - 1] whose periodic edges form the torus."""
-    return Box((0,) * len(dims), tuple(L - 1 for L in dims))
-
-
 def build_torus_graph(tenv, direction, level=0):
-    """Geodesic forest on a torus environment toward {z . theta = level}."""
+    """Geodesic forest on a torus environment toward {z . theta = level}.
+
+    The forest is the distance field of the periodic box [0, L1 - 1] x ...
+    x [0, Ld - 1] whose side lengths are the torus dimensions.
+    """
     if not isinstance(tenv, TorusEnvironment):
         raise ValueError("build_torus_graph requires a TorusEnvironment")
-    dims = tenv.dims
-    box = _torus_box(dims)
-    theta = np.asarray(direction, dtype=np.int64)
-    tmask = (box.coords() @ theta) == int(level)
-    if not tmask.any():
-        raise NoTargetError(f"no target vertex on torus {dims}")
-    edges = box.axis_edges(periodic=True)
-    T, succ = successor_forest(edges, axis_weights(tenv, box, edges), tmask)
-    return TorusGraph(dims=dims, direction=tuple(int(t) for t in theta),
-                      level=int(level), succ=succ, target_mask=tmask, T=T)
+    box = Box((0,) * len(tenv.dims), tuple(L - 1 for L in tenv.dims), periodic=True)
+    return solve(tenv, box, HyperplaneTarget(direction, level))
 
 
 @dataclass
@@ -422,10 +394,10 @@ def mass_transport_balance(g, theta):
     progenitor; on a torus the two totals agree as integers in every
     realization.
     """
-    if not isinstance(g, TorusGraph):
-        raise ValueError("mass transport balance requires a torus-built graph")
+    if not g.box.periodic:
+        raise ValueError("mass transport balance requires a forest on a periodic box")
     theta = np.asarray(theta, dtype=np.int64)
-    coords = g.coords()
+    coords = g.box.coords()
     labels = components(g).labels
     dots = coords @ theta
     # rank vertices by (level, lexicographic coords); progenitor = min rank per label
@@ -443,7 +415,7 @@ def mass_transport_balance(g, theta):
     total_received = int(received.sum())
     n = g.n_vertices
     return MassTransportReport(
-        dims=g.dims, n_vertices=n, n_components=int(n_comp),
+        dims=g.box.shape, n_vertices=n, n_components=int(n_comp),
         total_sent=int(sent), total_received=total_received,
         mean_sent=sent / n, mean_received=total_received / n,
         difference=int(sent - total_received))

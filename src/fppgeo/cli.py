@@ -12,9 +12,10 @@ A setting takes its value from its flag, else from the ``--config`` JSON
 file, else from its default.  A flag that is not given leaves the file's
 value in place; file keys that a command does not take pass through to the
 manifest untouched.  Each setting a command takes is converted once, and a
-value that does not convert, a per-axis list whose length is not ``dim``, or
-a required setting that is missing, exits 2 with ``config error: <key>: ...``.  Identical configs produce byte-identical
-primary outputs; timing lives in the manifest only.
+value that does not convert, a number or list entry below its minimum, a
+per-axis list whose length is not ``dim``, or a required setting that is
+missing, exits 2 with ``config error: <key>: ...``.  Identical configs
+produce byte-identical primary outputs; timing lives in the manifest only.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ class Setting:
     help: str | None = None
     flag: str | None = None         # when not --<name with - for _>
     choices: tuple | None = None
-    minimum: int | None = None
+    minimum: int | None = None      # of the value, or of each entry of a list
     per_axis: bool = False          # a list with one entry per axis (``dim`` of them)
 
 
@@ -125,13 +126,13 @@ SETTINGS = {
     "window": Setting(_int, help="analysis window side length (cube around origin); "
                                  "radii defaults to the box less its analysis pad", minimum=1),
     "levels": Setting(_int_list, "0", "hyperplane levels, e.g. 0,-50"),
-    "samples": Setting(_int, 20, "number of sampled start vertices"),
+    "samples": Setting(_int, 20, "number of sampled start vertices", minimum=1),
     "radius": Setting(_int, minimum=1),
-    "directions": Setting(_int, 16),
+    "directions": Setting(_int, 16, minimum=1),
     "axis": Setting(_bool, False, "estimate along +e1 only"),
-    "dims": Setting(_int_list, help="torus dimensions, e.g. 64,64", per_axis=True),
+    "dims": Setting(_int_list, help="torus dimensions, e.g. 64,64", minimum=3, per_axis=True),
     "level": Setting(_int, 0),
-    "N_list": Setting(_int_list, "24"),
+    "N_list": Setting(_int_list, "24", minimum=1),
     "M_rule": Setting(_m_rule, "const:12", "const:V or linear:C (M = C*N)"),
     "M_prime": Setting(_int, 3),
     "epsilon": Setting(float, 0.1),
@@ -154,8 +155,10 @@ def _convert(key, setting, value):
         raise ConfigError(key, str(exc)) from None
     if setting.choices and value not in setting.choices:
         raise ConfigError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
-    if setting.minimum is not None and value < setting.minimum:
-        raise ConfigError(key, f"must be at least {setting.minimum}, got {value}")
+    if setting.minimum is not None:
+        for entry in value if isinstance(value, tuple) else (value,):
+            if entry < setting.minimum:
+                raise ConfigError(key, f"must be at least {setting.minimum}, got {entry}")
     return value
 
 
@@ -317,6 +320,9 @@ def _modify_task(arg):
     spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
     y = cfg["y"] or _default_y(theta, cfg["dim"])
     xi = cfg["xi"] or lattice_point_on_level(theta, N)
+    for key, point, level in (("y", y, 0), ("xi", xi, N)):
+        if np.dot(point, theta) != level:
+            raise ConfigError(key, f"{point} is not on level {level} of theta {theta}")
     out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
                                         lam=cfg["lam"])
     witness_level = ""

@@ -1,11 +1,12 @@
 """Finite-volume geodesic graphs: successor forests toward a hyperplane.
 
-The graph holds one optional out-edge per box vertex (the successor chosen
-by the distance field) and the passage times of the generating solve.  The
-traversals rest on ``geodesics.fold_chains``, which reduces a seed along
-every forward chain (backward clusters, hop counts), and on the cached
-``GeodesicGraph.generations``, the vertices grouped by hop count, which the
-statistics sweep leaves first or roots first.
+A geodesic graph is the ``geodesics.DistanceField`` of a hyperplane target:
+one optional out-edge per vertex (its successor) and the passage times of
+the solve.  The functions here take any distance field, on a plain or a
+periodic box.  The traversals rest on ``geodesics.fold_chains``, which
+reduces a seed along every forward chain (backward clusters, hop counts),
+and on the cached ``DistanceField.generations``, the vertices grouped by
+hop count, which the statistics sweep leaves first or roots first.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geodesics import HyperplaneTarget, fold_chains, solve, successor_chain
-from .lattice import Box
 from .manifest import csv_cells
 
 
@@ -28,69 +28,6 @@ class ComponentDecomposition:
 
     def label_of(self, box, v):
         return int(self.labels[box.index_of(v)])
-
-
-@dataclass
-class GeodesicGraph:
-    """Out-degree <= 1 successor forest over a box, directed toward a hyperplane."""
-
-    box: Box
-    direction: tuple
-    alpha: float
-    succ: np.ndarray
-    target_mask: np.ndarray
-    boundary_touched: np.ndarray
-    T: np.ndarray
-
-    def __post_init__(self):
-        self._gens = None
-
-    @property
-    def n_vertices(self):
-        return self.box.n_vertices
-
-    @property
-    def n_edges(self):
-        return int((self.succ >= 0).sum())
-
-    def out_edge(self, x):
-        """Directed out-edge of x as (x, succ(x)), or None."""
-        i = self.box.index_of(x)
-        s = self.succ[i]
-        if s < 0:
-            return None
-        return (tuple(x), self.box.vertex_at(int(s)))
-
-    def reverse_index(self):
-        """CSR-style (indptr, indices) of in-neighbors."""
-        n = self.n_vertices
-        has = self.succ >= 0
-        heads = self.succ[has]
-        tails = np.flatnonzero(has)
-        order = np.argsort(heads, kind="stable")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, tails[order]
-
-    def in_degrees(self):
-        indptr, _ = self.reverse_index()
-        return np.diff(indptr)
-
-    def hops(self):
-        """Number of out-edges from each vertex to its root."""
-        return fold_chains(self.succ, (self.succ >= 0).astype(np.int64), np.add)
-
-    def generations(self):
-        """Vertex index arrays by hop count, built once per graph.
-
-        Generation 0 holds the roots, and succ maps generation k + 1 into k.
-        """
-        if self._gens is None:
-            hops = self.hops()
-            order = np.argsort(hops, kind="stable")
-            self._gens = np.split(order, np.cumsum(np.bincount(hops))[:-1])
-        return self._gens
 
 
 @dataclass
@@ -109,18 +46,10 @@ class BackwardCluster:
 
 
 def build_graph(field):
-    """Geodesic graph of a hyperplane-target distance field."""
+    """Geodesic graph of a hyperplane-target distance field: the field itself."""
     if not isinstance(field.target, HyperplaneTarget):
         raise ValueError("wrong target: geodesic graphs require a hyperplane target")
-    return GeodesicGraph(
-        box=field.box,
-        direction=field.target.direction,
-        alpha=field.target.level,
-        succ=field.succ.copy(),
-        target_mask=field.target_mask.copy(),
-        boundary_touched=field.boundary_touched.copy(),
-        T=field.T.copy(),
-    )
+    return field
 
 
 class BusemannField:
@@ -297,7 +226,7 @@ def graph_summary(g):
     comp = components(g)
     _, depth, _ = backward_stats(g)
     return {
-        "alpha": g.alpha,
+        "alpha": g.target.level,
         "n_vertices": int(g.n_vertices),
         "n_edges": int(g.n_edges),
         "n_components": int(comp.n_components),

@@ -3,22 +3,22 @@
 ``solve`` runs one multi-source Dijkstra with distance zero on every target
 vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
-weights).  ``successor_forest`` is the one lattice-graph core behind it and
-behind ``analysis.build_torus_graph``: it takes the per-axis edge arrays of
-``Box.axis_edges`` (plain or periodic) and their weights, and picks each
+weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
+``successor_forest`` is the one lattice-graph core behind it: it takes the
+per-axis edge arrays of ``Box.axis_edges`` and their weights, and picks each
 successor as the argmin over neighbors y of weight(x, y) + T(y), ties
 broken by direction in the order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
-On a box that is the lexicographically smallest tied neighbor.
+On a plain box that is the lexicographically smallest tied neighbor.
 
-``fold_chains`` (a reduction along every successor chain by pointer
-doubling) is, with ``GeodesicGraph.generations``, the traversal core of the
-forest; ``successor_chain`` walks a single chain.
+``DistanceField`` is the only record of a successor forest: the geodesic
+graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
+distance fields.  ``fold_chains`` (a reduction along every successor chain
+by pointer doubling) is, with ``DistanceField.generations``, the traversal
+core of the forest; ``successor_chain`` walks a single chain.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +27,6 @@ from scipy.sparse.csgraph import dijkstra
 
 from .lattice import Box, is_integer_direction
 from .manifest import csv_cells
-
-__version_tag__ = b"FPGD1"
 
 
 @dataclass(frozen=True)
@@ -102,7 +100,12 @@ def target_mask(target, box):
 
 @dataclass
 class DistanceField:
-    """Exact within-box passage times to a target, plus successor forest."""
+    """Exact within-box passage times to a target, plus successor forest.
+
+    The forest has one optional out-edge per vertex, to ``succ`` (-1 on
+    target vertices and wherever a chain was cut).  ``boundary_touched``
+    marks the vertices whose forward chain meets a face of the box.
+    """
 
     box: Box
     target: object
@@ -112,18 +115,54 @@ class DistanceField:
     boundary_touched: np.ndarray
     target_mask: np.ndarray
 
-    @property
-    def dim(self):
-        return self.box.dim
+    def __post_init__(self):
+        self._gens = None
 
-    def index_of(self, v):
-        return self.box.index_of(v)
+    @property
+    def n_vertices(self):
+        return self.box.n_vertices
+
+    @property
+    def n_edges(self):
+        return int((self.succ >= 0).sum())
 
     def passage_time(self, x):
         return float(self.T[self.box.index_of(x)])
 
-    def is_target(self, x):
-        return bool(self.target_mask[self.box.index_of(x)])
+    def out_edge(self, x):
+        """Directed out-edge of x as (x, succ(x)), or None."""
+        s = self.succ[self.box.index_of(x)]
+        if s < 0:
+            return None
+        return (tuple(x), self.box.vertex_at(int(s)))
+
+    def reverse_index(self):
+        """CSR-style (indptr, indices) of in-neighbors."""
+        has = self.succ >= 0
+        heads = self.succ[has]
+        order = np.argsort(heads, kind="stable")
+        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
+        np.add.at(indptr, heads + 1, 1)
+        np.cumsum(indptr, out=indptr)
+        return indptr, np.flatnonzero(has)[order]
+
+    def in_degrees(self):
+        return np.diff(self.reverse_index()[0])
+
+    def hops(self):
+        """Number of out-edges from each vertex to its root."""
+        return fold_chains(self.succ, (self.succ >= 0).astype(np.int64), np.add)
+
+    def generations(self):
+        """Vertex index arrays by hop count, built once per field.
+
+        Generation 0 holds the roots, and succ maps generation k + 1 into k.
+        """
+        if self._gens is None:
+            hops = self.hops()
+            order = np.argsort(hops, kind="stable")
+            self._gens = np.split(order, np.cumsum(np.bincount(hops))[:-1])
+        return self._gens
 
 
 def fold_chains(succ, seed, op):
@@ -162,22 +201,17 @@ def axis_weights(env, box, edges):
 
 
 def _candidates(edges, weights, T):
-    """Per-direction tables of weight(x, y) + T(y) and of the neighbor y.
+    """Per-direction table of weight(x, y) + T(y) over the neighbors y of x.
 
     Rows follow the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1;
-    a missing neighbor reads inf and -1.
+    a missing neighbor reads inf.
     """
     dim = len(edges)
-    n = len(T)
-    cand = np.full((2 * dim, n), np.inf)
-    nbr = np.full((2 * dim, n), -1, dtype=np.int64)
+    cand = np.full((2 * dim, len(T)), np.inf)
     for axis, ((u, v), w) in enumerate(zip(edges, weights)):
-        plus = 2 * dim - 1 - axis
-        cand[plus, u] = w + T[v]
-        nbr[plus, u] = v
+        cand[2 * dim - 1 - axis, u] = w + T[v]
         cand[axis, v] = w + T[u]
-        nbr[axis, v] = u
-    return cand, nbr
+    return cand
 
 
 def successor_forest(edges, weights, tmask):
@@ -195,8 +229,14 @@ def successor_forest(edges, weights, tmask):
          (np.concatenate([u for u, _ in edges]), np.concatenate([v for _, v in edges]))),
         shape=(n, n))
     T = dijkstra(graph, directed=False, indices=np.flatnonzero(tmask), min_only=True)
-    cand, nbr = _candidates(edges, weights, T)
-    succ = nbr[np.argmin(cand, axis=0), np.arange(n)]
+    best = np.argmin(_candidates(edges, weights, T), axis=0)
+    # the neighbor in direction row best[x], read back through the edge arrays
+    succ = np.full(n, -1, dtype=np.int64)
+    for axis, (u, v) in enumerate(edges):
+        up = best[u] == 2 * len(edges) - 1 - axis
+        succ[u[up]] = v[up]
+        down = best[v] == axis
+        succ[v[down]] = u[down]
     succ[tmask] = -1
     return T, succ
 
@@ -210,7 +250,8 @@ def solve(env, box, target):
     """
     tmask = target_mask(target, box)
     if not tmask.any():
-        raise NoTargetError(f"no target vertex inside box {box.lower}..{box.upper}")
+        where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
+        raise NoTargetError(f"no target vertex {where}")
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
     touched = fold_chains(succ, box.boundary_mask(), np.logical_or)
@@ -244,17 +285,10 @@ def successor_margin(field):
     continuous weights the successor is a.s. unique.
     """
     edges = field.box.axis_edges()
-    cand, _ = _candidates(edges, axis_weights(field.env, field.box, edges), field.T)
+    cand = _candidates(edges, axis_weights(field.env, field.box, edges), field.T)
     part = np.partition(cand, 1, axis=0)
     gap = part[1] - part[0]
     return gap[~field.target_mask]
-
-
-def _target_config(target):
-    if isinstance(target, PointTarget):
-        return {"kind": "point", "vertex": list(target.vertex)}
-    return {"kind": "hyperplane", "direction": list(target.direction),
-            "level": target.level, "mode": target.mode}
 
 
 def field_to_csv(field, path):
@@ -268,43 +302,3 @@ def field_to_csv(field, path):
     with open(path, "w", newline="") as fh:
         fh.writelines(csv_cells(head, [*coords.T, field.T, *steps.T, field.boundary_touched]))
 
-
-def field_dump(field, path):
-    """Binary dump: tagged header JSON, then T, succ, boundary arrays."""
-    header = {
-        "dim": field.box.dim,
-        "lower": list(field.box.lower),
-        "upper": list(field.box.upper),
-        "target": _target_config(field.target),
-        "seed": int(getattr(field.env, "seed", -1)),
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(__version_tag__)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(field.T.astype("<f8").tobytes())
-        fh.write(field.succ.astype("<i8").tobytes())
-        fh.write(field.boundary_touched.astype("u1").tobytes())
-
-
-def field_load(path):
-    """Load a binary field dump (without the generating environment)."""
-    with open(path, "rb") as fh:
-        tag = fh.read(5)
-        if tag != __version_tag__:
-            raise ValueError("not a field dump")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode())
-        box = Box(tuple(header["lower"]), tuple(header["upper"]))
-        n = box.n_vertices
-        T = np.frombuffer(fh.read(8 * n), dtype="<f8").copy()
-        succ = np.frombuffer(fh.read(8 * n), dtype="<i8").copy()
-        touched = np.frombuffer(fh.read(n), dtype="u1").astype(bool)
-    tc = header["target"]
-    if tc["kind"] == "point":
-        target = PointTarget(tuple(tc["vertex"]))
-    else:
-        target = HyperplaneTarget(tuple(tc["direction"]), tc["level"], tc["mode"])
-    return DistanceField(box=box, target=target, env=None, T=T, succ=succ,
-                         boundary_touched=touched, target_mask=target_mask(target, box))

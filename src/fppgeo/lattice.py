@@ -47,10 +47,16 @@ def edge_axis(e):
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned box of lattice vertices, corners inclusive."""
+    """Axis-aligned box of lattice vertices, corners inclusive.
+
+    A ``periodic`` box is a torus: every axis wraps around, so its edges
+    join each upper face to the opposite lower face and it has no boundary.
+    Its sides must be at least 3, so that no two vertices share two edges.
+    """
 
     lower: tuple
     upper: tuple
+    periodic: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "lower", tuple(int(c) for c in self.lower))
@@ -61,6 +67,8 @@ class Box:
             raise ValueError("d >= 2 required")
         if any(l > u for l, u in zip(self.lower, self.upper)):
             raise ValueError("lower corner must be <= upper corner componentwise")
+        if self.periodic and min(self.shape) < 3:
+            raise ValueError("periodic axes need side >= 3")
 
     @classmethod
     def cube(cls, radius, dim):
@@ -105,15 +113,13 @@ class Box:
         """(n, d) int64 array of all vertices in lexicographic order (read-only, cached)."""
         return _box_coords(self)
 
-    def axis_edges(self, periodic=False):
+    def axis_edges(self):
         """Per-axis ``(tails, heads)`` flat-index arrays of the box's edges.
 
         Entry ``axis`` pairs each tail u with its head u + e_axis, tails in
-        increasing order.  With ``periodic`` every axis wraps around, giving
-        the edges of the torus with the box's side lengths.
+        increasing order.  On a periodic box the head of a tail on the upper
+        face is the vertex of the lower face across the wrap.
         """
-        if periodic and min(self.shape) < 3:
-            raise ValueError("periodic axes need side >= 3")
         coords = self.coords()
         n = self.n_vertices
         out = []
@@ -121,7 +127,7 @@ class Box:
         for axis, side in enumerate(self.shape):
             stride //= side
             inner = coords[:, axis] < self.upper[axis]
-            if periodic:
+            if self.periodic:
                 tails = np.arange(n)
                 heads = tails + np.where(inner, stride, -(side - 1) * stride)
             else:
@@ -139,7 +145,9 @@ class Box:
         return np.ravel_multi_index(tuple(offs.T), self.shape)
 
     def boundary_mask(self):
-        """Boolean mask of vertices lying on a face of the box."""
+        """Boolean mask of vertices lying on a face of the box (none if periodic)."""
+        if self.periodic:
+            return np.zeros(self.n_vertices, dtype=bool)
         coords = self.coords()
         lo = np.asarray(self.lower)
         hi = np.asarray(self.upper)

@@ -22,9 +22,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .environment import with_overrides
-from .geodesic_graph import (GeodesicGraph, build_graph, forward_orbit, forward_path,
-                             graph_summary)
-from .geodesics import HyperplaneTarget, fold_chains, solve
+from .geodesic_graph import build_graph, forward_orbit, forward_path, graph_summary
+from .geodesics import DistanceField, HyperplaneTarget, fold_chains, solve
 from .lattice import Box, is_integer_direction, order_key
 
 
@@ -179,7 +178,7 @@ class EventReport:
                 and self.speed_bound and self.protected_disjoint)
 
 
-def check_event_A2prime(g, field, spec, y, xi_N):
+def check_event_A2prime(g, spec, y, xi_N):
     """Evaluate the event conditions on the finite graph."""
     theta = np.asarray(spec.theta, dtype=np.int64)
     y = tuple(int(c) for c in y)
@@ -212,10 +211,10 @@ def check_event_A2prime(g, field, spec, y, xi_N):
     if not near.any():
         wit["y_never_near"] = True
 
-    S = field.env.spec.sup_support()
+    S = g.env.spec.sup_support()
     bound = S - spec.delta
     iy = box.index_of(y)
-    Ty = field.T[iy] - field.T[y_path.indices]      # passage time from y along its path
+    Ty = g.T[iy] - g.T[y_path.indices]      # passage time from y along its path
     l1_from_y = np.abs(coords[y_path.indices] - np.asarray(y)).sum(axis=1)
     relevant = near & (l1_from_y >= spec.M_prime)
     speed_bound = True
@@ -298,7 +297,7 @@ def violating_sources(g_mod, spec, xi_N, reference=None):
     return [box.vertex_at(int(i)) for i in np.flatnonzero(mark & (dots <= 0))]
 
 
-def verify_severing(g_mod, spec, xi_N, field_mod=None):
+def verify_severing(g_mod, spec, xi_N):
     """True iff no z at level <= 0 has a forward path meeting the path of xi_N.
 
     On failure, reports the lexicographically smallest witness z together
@@ -310,10 +309,8 @@ def verify_severing(g_mod, spec, xi_N, field_mod=None):
     coords = box.coords()
     xi = tuple(int(c) for c in xi_N)
 
-    bound_value = None
-    if field_mod is not None and not math.isinf(field_mod.env.spec.sup_support()):
-        S = field_mod.env.spec.sup_support()
-        bound_value = (S - 0.75 * spec.delta) * sum(abs(c) for c in xi)
+    S = g_mod.env.spec.sup_support()
+    bound_value = None if math.isinf(S) else (S - 0.75 * spec.delta) * sum(abs(c) for c in xi)
 
     violators = violating_sources(g_mod, spec, xi_N)
     if not violators:
@@ -332,12 +329,9 @@ def verify_severing(g_mod, spec, xi_N, field_mod=None):
     v2_k = w2[0] if w2 is not None else len(pd) - 1
     v1 = int(path.indices[v1_k])
     v2 = int(path.indices[v2_k])
-    crossing_time = None
-    if field_mod is not None:
-        crossing_time = float(field_mod.T[v1] - field_mod.T[v2])
     return SeveringVerdict(severed=False, witness=src,
                            crossing=(box.vertex_at(v1), box.vertex_at(v2)),
-                           crossing_time=crossing_time,
+                           crossing_time=float(g_mod.T[v1] - g_mod.T[v2]),
                            bound_value=bound_value)
 
 
@@ -347,8 +341,8 @@ class ModificationOutcome:
     lam: float
     event: EventReport
     verdict: SeveringVerdict
-    g: GeodesicGraph               # geodesic graph before the modification
-    g_mod: GeodesicGraph           # and after it
+    g: DistanceField               # geodesic graph before the modification
+    g_mod: DistanceField           # and after it
 
     @property
     def severed(self):
@@ -396,16 +390,13 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alp
         box = Box(tuple(map(min, lo, y, xi_N)), tuple(map(max, hi, y, xi_N)))
 
     target = HyperplaneTarget(spec.theta, alpha)
-    field = solve(env, box, target)
-    g = build_graph(field)
+    g = build_graph(solve(env, box, target))
     protected = protected_vertices(box, spec, tuple(int(c) for c in xi_N))
     xi_edges = eligible_edges(g, spec, y, protected)
-    event = check_event_A2prime(g, field, spec, y, xi_N)
+    event = check_event_A2prime(g, spec, y, xi_N)
 
-    env_mod = with_overrides(env, xi_edges, lam)
-    field_mod = solve(env_mod, box, target)
-    g_mod = build_graph(field_mod)
-    verdict = verify_severing(g_mod, spec, xi_N, field_mod=field_mod)
+    g_mod = build_graph(solve(with_overrides(env, xi_edges, lam), box, target))
+    verdict = verify_severing(g_mod, spec, xi_N)
 
     return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
                                verdict=verdict, g=g, g_mod=g_mod)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fppgeo.analysis import (TorusGraph, backward_tail, build_torus_graph,
+from fppgeo.analysis import (backward_tail, build_torus_graph,
                              crossing_counts, direction_grid,
                              estimate_busemann_vector, estimate_shape,
                              intersection_radii, mass_transport_balance,
@@ -9,7 +9,7 @@ from fppgeo.analysis import (TorusGraph, backward_tail, build_torus_graph,
 from fppgeo.environment import (TorusEnvironment, WeightEnvironment, override_box,
                                 uniform, unit_environment)
 from fppgeo.geodesic_graph import backward_stats, build_graph
-from fppgeo.geodesics import HyperplaneTarget, solve
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box
 
 
@@ -246,8 +246,9 @@ def _manual_torus(dims, succ_pairs, targets):
         succ[idx(u)] = idx(v)
     for t in targets:
         tmask[idx(t)] = True
-    return TorusGraph(dims=dims, direction=(1, 0), level=0, succ=succ,
-                      target_mask=tmask, T=T)
+    box = Box((0, 0), tuple(L - 1 for L in dims), periodic=True)
+    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
+                         succ=succ, boundary_touched=np.zeros(n, bool), target_mask=tmask)
 
 
 def test_mass_transport_every_component_singleton():
@@ -299,7 +300,7 @@ def test_torus_successor_tie_breaks_like_solve():
     # unit weights: (4, y) is 4 steps from level 0 both via -e1 and via +e1 around the wrap
     env = override_box(WeightEnvironment(2, uniform(0, 1), 0), Box((0, 0), (8, 8)), 1.0)
     g = build_torus_graph(TorusEnvironment(env, (8, 8)), (1, 0), 0)
-    coords = g.coords()
+    coords = g.box.coords()
     for y in range(8):
         i = 4 * 8 + y
         assert g.T[i] == 4.0

@@ -343,3 +343,18 @@ def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
 def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("command, args, message", [
+    ("crossings", ["--box", "41", "--theta", "1,0", "--alpha", "4", "--samples", "-2"],
+     "samples: must be at least 1, got -2"),
+    ("shape", ["--radius", "4", "--directions", "0"], "directions: must be at least 1, got 0"),
+    ("masstransport", ["--dims", "8,2", "--theta", "1,0"], "dims: must be at least 3, got 2"),
+    ("modify", ["--theta", "1,0", "--N-list", "4,0"], "N_list: must be at least 1, got 0"),
+    ("modify", ["--theta", "1,0", "--y", "99,99"], "y: (99, 99) is not on level 0 of theta (1, 0)"),
+    ("modify", ["--theta", "1,0", "--N-list", "8", "--xi", "5,0"],
+     "xi: (5, 0) is not on level 8 of theta (1, 0)"),
+], ids=["samples", "directions", "dims", "N_list", "y", "xi"])
+def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
+    assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"

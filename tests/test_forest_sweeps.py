@@ -6,7 +6,9 @@ severing closure against ``oracles.reverse_reachable``; encounter points
 against removing each vertex and searching every arm of the forest;
 component labels against ``oracles.components_union_find`` and networkx
 weak components.  Branching-process forests add the bushy trees with tied
-subtree heights that small geodesic graphs rarely have.
+subtree heights that small geodesic graphs rarely have.  On tori the two
+sweeps must balance: each vertex lies in the backward cluster of every
+vertex of its forward chain, so the cluster sizes sum to the chain lengths.
 """
 
 import networkx as nx
@@ -16,9 +18,9 @@ from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
 from fppgeo.environment import TorusEnvironment, WeightEnvironment, uniform
-from fppgeo.geodesic_graph import (GeodesicGraph, backward_stats, build_graph, components,
-                                   encounter_points, forward_orbit, truncate)
-from fppgeo.geodesics import HyperplaneTarget, solve
+from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
+                                   forward_orbit, truncate)
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
 from fppgeo.modification import StripSpec, violating_sources
 
@@ -65,13 +67,14 @@ def branching_forests(draw):
         taken = min(start + kids[k], n)
         succ[start:taken] = k
     g = _graph_on(box, succ)
-    return g, g.direction
+    return g, g.target.direction
 
 
 def _graph_on(box, succ):
     n = box.n_vertices
-    return GeodesicGraph(box=box, direction=(1,) + (0,) * (box.dim - 1), alpha=0.0, succ=succ,
-                         target_mask=succ < 0, boundary_touched=np.zeros(n, bool), T=np.zeros(n))
+    return DistanceField(box=box, target=HyperplaneTarget((1,) + (0,) * (box.dim - 1), 0),
+                         env=None, T=np.zeros(n), succ=succ,
+                         boundary_touched=np.zeros(n, bool), target_mask=succ < 0)
 
 
 FORESTS = st.one_of(forests(), branching_forests())
@@ -164,3 +167,12 @@ def test_components_match_union_find_oracle_and_networkx(g):
     blocks = {frozenset(np.flatnonzero(comp.labels == k).tolist())
               for k in range(comp.n_components)}
     assert blocks == set(map(frozenset, nx.weakly_connected_components(_digraph(g))))
+
+
+@SETTINGS
+@given(torus_forests())
+def test_torus_sweeps_balance_and_touch_no_boundary(g):
+    sizes, _, touch = backward_stats(g)
+    assert sizes.sum() == (g.hops() + 1).sum()
+    assert not g.boundary_touched.any()
+    assert not touch.any()

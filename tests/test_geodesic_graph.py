@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from fppgeo.environment import WeightEnvironment, uniform, unit_environment
-from fppgeo.geodesic_graph import (BusemannField, GeodesicGraph, backward_cluster,
+from fppgeo.geodesic_graph import (BusemannField, backward_cluster,
                                    backward_stats, build_graph, busemann,
                                    components, encounter_points, forward_path,
                                    graph_summary, sample_averaged_graph,
                                    sample_level, truncate)
-from fppgeo.geodesics import HyperplaneTarget, PointTarget, path_weight, solve
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, path_weight, solve
 from fppgeo.lattice import Box
 
 from oracles import bellman_ford, connected_components_bfs, reverse_reachable
@@ -235,8 +235,8 @@ def _manual_graph(box, succ_pairs, target):
                 changed = True
     tmask = np.zeros(n, dtype=bool)
     tmask[box.index_of(target)] = True
-    return GeodesicGraph(box=box, direction=(1, 0), alpha=0, succ=succ,
-                         target_mask=tmask, boundary_touched=np.zeros(n, bool), T=T)
+    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
+                         succ=succ, boundary_touched=np.zeros(n, bool), target_mask=tmask)
 
 
 def test_encounter_points_empty_without_branching():

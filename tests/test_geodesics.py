@@ -3,8 +3,7 @@ import pytest
 
 from fppgeo.environment import WeightEnvironment, uniform, unit_environment, with_overrides
 from fppgeo.geodesics import (HyperplaneTarget, PointTarget, TruncatedPathError,
-                              extract_geodesic, field_dump, field_load,
-                              field_to_csv, passage_time, path_weight, solve,
+                              extract_geodesic, field_to_csv, passage_time, path_weight, solve,
                               successor_margin)
 from fppgeo.lattice import Box
 
@@ -190,7 +189,7 @@ def test_truncated_path_error_carries_partial():
     assert err.value.partial == [(2, 2)]
 
 
-def test_field_csv_and_binary_roundtrip(tmp_path):
+def test_field_csv_roundtrip(tmp_path):
     box = Box.cube(2, 2)
     env = WeightEnvironment(2, uniform(0, 1), 12)
     f = solve(env, box, HyperplaneTarget((1, 0), 0))
@@ -199,11 +198,3 @@ def test_field_csv_and_binary_roundtrip(tmp_path):
     lines = csv_path.read_text().strip().split("\n")
     assert lines[0] == "x1,x2,T,succ_dx1,succ_dx2,boundary_touched"
     assert len(lines) == 1 + box.n_vertices
-
-    bin_path = tmp_path / "field.bin"
-    field_dump(f, bin_path)
-    g = field_load(bin_path)
-    assert np.array_equal(g.T, f.T)
-    assert np.array_equal(g.succ, f.succ)
-    assert np.array_equal(g.boundary_touched, f.boundary_touched)
-    assert g.box == f.box

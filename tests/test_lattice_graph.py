@@ -2,18 +2,22 @@
 
 Edge enumeration is checked against ``lattice.neighbors``; passage times on
 boxes and tori against a networkx multi-source Dijkstra over a graph built
-edge by edge from ``weight_of``.
+edge by edge from ``weight_of``; the successor of every vertex against a
+scan of its neighbors in the documented tie order, under weights 1 and 2 so
+that ties are common; and the ``halfspace_frontier`` target against its
+definition, on directions and levels exact in binary.
 """
 
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
-from fppgeo.environment import TorusEnvironment, WeightEnvironment, uniform
-from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve
+from fppgeo.environment import (TorusEnvironment, WeightEnvironment, override_box, uniform,
+                                with_overrides)
+from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, target_mask
 from fppgeo.lattice import Box, neighbors
 
 SETTINGS = settings(max_examples=30, deadline=None)
@@ -54,12 +58,13 @@ def test_axis_edges_match_neighbor_enumeration(box):
 @SETTINGS
 @given(boxes(sides=st.integers(3, 5)))
 def test_periodic_axis_edges_match_wrapped_neighbors(box):
-    assert _pairs(box.axis_edges(periodic=True)) == _brute_axis_edges(box, periodic=True)
+    torus = Box(box.lower, box.upper, periodic=True)
+    assert _pairs(torus.axis_edges()) == _brute_axis_edges(box, periodic=True)
 
 
 def test_periodic_axis_edges_reject_short_sides():
     with pytest.raises(ValueError):
-        Box((0, 0), (1, 5)).axis_edges(periodic=True)
+        Box((0, 0), (1, 5), periodic=True)
 
 
 def _nx_passage_times(env, vertices, head, targets):
@@ -108,3 +113,72 @@ def test_torus_graph_matches_networkx(dims, seed, level):
     expect = _nx_passage_times(tenv.env, vertices,
                                lambda w: tuple(c % L for c, L in zip(w, dims)), targets)
     np.testing.assert_allclose(g.T, expect, rtol=1e-12)
+
+
+def _one_or_two_weights(box, seed):
+    """Weights 1 or 2, at random, on every edge whose tail lies in ``box``."""
+    reach = Box(box.lower, tuple(u + 1 for u in box.upper))
+    env = override_box(WeightEnvironment(box.dim, uniform(0.1, 1.0), seed), reach, 1.0)
+    points = reach.coords().tolist()
+    edges = [(tuple(points[u]), tuple(points[v]))
+             for tails, heads in reach.axis_edges() for u, v in zip(tails, heads)]
+    heavy = np.random.default_rng(seed).random(len(edges)) < 0.5
+    return with_overrides(env, [e for e, h in zip(edges, heavy) if h], 2.0)
+
+
+def _first_argmin_neighbor(env, box, T, x):
+    """min of w(x, y) + T(y) over the neighbors y of x, and the first y attaining it.
+
+    Neighbors are scanned in the order -e1, -e2, ..., -ed, +ed, ..., +e1; on
+    a periodic box they wrap around.  The weight of the edge {tail, tail + e}
+    is read edge by edge from ``edge_weights`` at the tail.
+    """
+    lower, shape = np.asarray(box.lower), np.asarray(box.shape)
+    best, arg = np.inf, None
+    order = [(a, -1) for a in range(box.dim)] + [(a, 1) for a in reversed(range(box.dim))]
+    for axis, sign in order:
+        e = np.eye(box.dim, dtype=np.int64)[axis]
+        tail, y = (x - e, x - e) if sign < 0 else (x, x + e)
+        if box.periodic:
+            tail, y = (lower + (p - lower) % shape for p in (tail, y))
+        if not box.contains(y):
+            continue
+        cost = env.edge_weights(tail[None], np.array([axis]))[0] + T[box.index_of(y)]
+        if cost < best:
+            best, arg = cost, box.index_of(y)
+    return best, arg
+
+
+@SETTINGS
+@given(boxes(sides=st.integers(3, 5)), st.booleans(), st.integers(0, 2 ** 32), st.data())
+def test_successor_is_first_argmin_in_direction_order(box, periodic, seed, data):
+    box = Box(box.lower, box.upper, periodic=periodic)
+    env = _one_or_two_weights(box, seed)
+    anchor = box.vertex_at(data.draw(st.integers(0, box.n_vertices - 1)))
+    target = data.draw(st.sampled_from([PointTarget(anchor),
+                                        HyperplaneTarget((1,) + (0,) * (box.dim - 1), anchor[0])]))
+    field = solve(env, box, target)
+    for i in range(box.n_vertices):
+        if field.target_mask[i]:
+            assert field.succ[i] == -1
+        else:
+            best, arg = _first_argmin_neighbor(env, box, field.T, np.array(box.vertex_at(i)))
+            assert (field.succ[i], field.T[i]) == (arg, best)
+
+
+@SETTINGS
+@given(boxes(sides=st.integers(1, 5)), st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+       st.integers(-8, 8), st.data())
+def test_halfspace_frontier_is_inner_layer_of_upper_halfspace(box, quarters, offset, data):
+    """The target is every vertex of {z . direction >= level} with a lattice neighbor outside it."""
+    direction = tuple(q / 4 for q in quarters[:box.dim])
+    assume(any(direction))
+    vertices = [box.vertex_at(i) for i in range(box.n_vertices)]
+
+    def dot(z):
+        return sum(c * t for c, t in zip(z, direction))
+
+    level = dot(data.draw(st.sampled_from(vertices))) + offset / 4
+    mask = target_mask(HyperplaneTarget(direction, level, mode="halfspace_frontier"), box)
+    expect = [dot(z) >= level and any(dot(w) < level for w in neighbors(z)) for z in vertices]
+    assert mask.tolist() == expect

@@ -145,7 +145,7 @@ def test_event_passes_on_engineered_fixture():
         env = fx.fixture_env(seed)
         field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
         g = build_graph(field)
-        rep = check_event_A2prime(g, field, fx.SPEC, fx.Y, fx.XI)
+        rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
         assert rep.exit_and_stay
         assert rep.approach_but_disjoint
         assert rep.speed_bound
@@ -158,7 +158,7 @@ def test_event_speed_bound_fails_on_unit_weights():
     env = unit_environment(2, fx.BOX, seed=0)
     field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g = build_graph(field)
-    rep = check_event_A2prime(g, field, fx.SPEC, fx.Y, fx.XI)
+    rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
     assert not rep.speed_bound
     assert "speed_violation" in rep.witnesses
 
@@ -167,7 +167,7 @@ def test_event_detects_path_intersection():
     env = fx.fixture_env(0, bridge=True)
     field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g = build_graph(field)
-    rep = check_event_A2prime(g, field, fx.SPEC, fx.Y, fx.XI)
+    rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
     assert not rep.approach_but_disjoint
     assert rep.witnesses["y_meets_xi_path"] == (30, 0)
 
@@ -177,9 +177,9 @@ def test_event_parameter_validation():
     field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g = build_graph(field)
     with pytest.raises(ValueError):
-        check_event_A2prime(g, field, fx.SPEC, fx.Y, (23, 0))   # off-level xi
+        check_event_A2prime(g, fx.SPEC, fx.Y, (23, 0))   # off-level xi
     with pytest.raises(ValueError):
-        check_event_A2prime(g, field, fx.SPEC, (0, 9), fx.XI)   # |y| > M_prime
+        check_event_A2prime(g, fx.SPEC, (0, 9), fx.XI)   # |y| > M_prime
 
 
 def test_run_modification_lambda_and_weights():
