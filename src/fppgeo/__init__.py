@@ -1,13 +1,11 @@
 """First-passage percolation on Z^d: geodesic forests, Busemann fields,
 backward-cluster statistics, and strip edge-modification experiments."""
 
-from .lattice import (Box, Hyperplane, neighbors, normalize_direction,
-                      hyperplane_vertices, precedes, undirected_edge,
-                      lattice_point_on_level)
-from .environment import (DistributionSpec, WeightEnvironment, TorusEnvironment,
-                          uniform, uniform_shifted, exponential, with_overrides,
-                          override_box, unit_environment,
-                          empirical_distribution_check, env_to_config, env_from_config)
+from .lattice import (Box, neighbors, normalize_direction, hyperplane_vertices,
+                      precedes, lattice_point_on_level)
+from .environment import (DistributionSpec, WeightEnvironment, uniform, uniform_shifted,
+                          exponential, edge_arrays, override_edges, with_overrides,
+                          override_box, unit_environment)
 from .geodesics import (PointTarget, HyperplaneTarget, DistanceField, solve,
                         passage_time, extract_geodesic, path_weight,
                         TruncatedPathError)

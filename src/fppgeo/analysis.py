@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .environment import TorusEnvironment
 from .geodesic_graph import backward_stats, components, forward_path
 from .geodesics import HyperplaneTarget, PointTarget, solve
 from .lattice import Box
@@ -358,16 +357,15 @@ def intersection_radii(g, theta, levels, window=None):
     return IntersectionRadiusReport(records=records)
 
 
-def build_torus_graph(tenv, direction, level=0):
-    """Geodesic forest on a torus environment toward {z . theta = level}.
+def build_torus_graph(env, dims, direction, level=0):
+    """Geodesic forest on the torus with side lengths ``dims`` toward {z . theta = level}.
 
-    The forest is the distance field of the periodic box [0, L1 - 1] x ...
-    x [0, Ld - 1] whose side lengths are the torus dimensions.
+    The torus is the periodic box [0, L1 - 1] x ... x [0, Ld - 1].  Every
+    edge of it has its tail in that box, and the edge takes the weight that
+    ``env`` gives the lattice edge from that tail.
     """
-    if not isinstance(tenv, TorusEnvironment):
-        raise ValueError("build_torus_graph requires a TorusEnvironment")
-    box = Box((0,) * len(tenv.dims), tuple(L - 1 for L in tenv.dims), periodic=True)
-    return solve(tenv, box, HyperplaneTarget(direction, level))
+    box = Box((0,) * len(dims), tuple(L - 1 for L in dims), periodic=True)
+    return solve(env, box, HyperplaneTarget(direction, level))
 
 
 @dataclass

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, modification
-from .environment import TorusEnvironment, WeightEnvironment, parse_dist
+from .environment import WeightEnvironment, parse_dist
 from .geodesic_graph import build_graph, graph_summary, graph_to_csv
 from .geodesics import HyperplaneTarget, NoTargetError, solve
 from .lattice import Box, lattice_point_on_level, normalize_direction
@@ -134,11 +134,11 @@ SETTINGS = {
     "level": Setting(_int, 0),
     "N_list": Setting(_int_list, "24", minimum=1),
     "M_rule": Setting(_m_rule, "const:12", "const:V or linear:C (M = C*N)"),
-    "M_prime": Setting(_int, 3),
+    "M_prime": Setting(_int, 3, minimum=1),
     "epsilon": Setting(float, 0.1),
     "delta": Setting(float, 0.1),
     "mode": Setting(str, "bounded", choices=("bounded", "unbounded")),
-    "lam": Setting(float, None, flag="--lambda"),
+    "lam": Setting(float, None, flag="--lambda", minimum=0),
     "y": Setting(_int_list, None, "default: the first smallest nonzero vertex on level 0",
                  per_axis=True),
     "xi": Setting(_int_list, None, "default: a lattice point on level N", per_axis=True),
@@ -157,7 +157,7 @@ def _convert(key, setting, value):
         raise ConfigError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
     if setting.minimum is not None:
         for entry in value if isinstance(value, tuple) else (value,):
-            if entry < setting.minimum:
+            if not entry >= setting.minimum:        # NaN fails too
                 raise ConfigError(key, f"must be at least {setting.minimum}, got {entry}")
     return value
 
@@ -304,9 +304,8 @@ def _radii_task(arg):
 
 def _masstransport_task(arg):
     cfg, seed = arg
-    tenv = TorusEnvironment(_env(cfg, seed), cfg["dims"])
     try:
-        g = analysis.build_torus_graph(tenv, cfg["theta"], cfg["level"])
+        g = analysis.build_torus_graph(_env(cfg, seed), cfg["dims"], cfg["theta"], cfg["level"])
     except NoTargetError as exc:
         raise ConfigError("level", str(exc)) from None
     return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
@@ -317,12 +316,29 @@ def _modify_task(arg):
     theta = cfg["theta"]
     kind, number = cfg["M_rule"]
     M = number * N if kind == "linear" else number
+    if not M > 0:
+        raise ConfigError("M_rule", f"M = {M:g} at N = {N} must be positive")
+    for key in ("epsilon", "delta"):
+        if not cfg[key] > 0:
+            raise ConfigError(key, f"must be positive, got {cfg[key]}")
     spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
     y = cfg["y"] or _default_y(theta, cfg["dim"])
     xi = cfg["xi"] or lattice_point_on_level(theta, N)
     for key, point, level in (("y", y, 0), ("xi", xi, N)):
         if np.dot(point, theta) != level:
             raise ConfigError(key, f"{point} is not on level {level} of theta {theta}")
+    if sum(map(abs, y)) > cfg["M_prime"]:
+        raise ConfigError("y", f"{y} has l1 norm above M_prime = {cfg['M_prime']}")
+    dist, delta = cfg["dist"], cfg["delta"]
+    S = dist.sup_support()
+    if cfg["mode"] == "unbounded":
+        if cfg["lam"] is None:
+            raise ConfigError("lam", "unbounded mode needs --lambda")
+    elif np.isinf(S):
+        raise ConfigError("dist", f"bounded mode needs a finite support, got {dist.label()}")
+    elif dist.mean() > S - 2 * delta:
+        raise ConfigError("delta", f"{delta:g} is too large for bounded mode: the mean "
+                                   f"{dist.mean():g} exceeds S - 2 delta = {S - 2 * delta:g}")
     out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
                                         lam=cfg["lam"])
     witness_level = ""

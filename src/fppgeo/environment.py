@@ -4,18 +4,18 @@ Weights are a pure function of (seed, canonical edge id): the canonical id
 of an undirected edge (min endpoint in lexicographic order, axis index) is
 hashed with a SplitMix64-style finalizer, folded to 64 bits, and mapped
 through the inverse CDF of the configured distribution.  Any edge of the
-infinite lattice is addressable in O(1), and a finite override map takes
-precedence over the hash.
+infinite lattice is addressable in O(1).  A finite override table, the
+sorted ids of the overridden edges and their exact weights, takes precedence
+over the hash; ``override_edges`` is its one writer, and ``edge_arrays``
+turns the endpoint pairs of callers into the (min endpoint, axis) form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .lattice import Box, edge_axis, undirected_edge
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -130,39 +130,27 @@ def parse_dist(text):
         raise ValueError(f"bad dist {text!r}: {exc}") from exc
 
 
-@dataclass(frozen=True)
+_NO_OVERRIDES = (np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.float64))
+
+
+@dataclass(frozen=True, eq=False)
 class WeightEnvironment:
     """Immutable weight assignment on the edges of Z^d.
 
-    ``overrides`` maps canonical undirected edges to exact weights and wins
-    over the hashed value.  Construct upward modifications with
-    :func:`with_overrides`.
+    ``overrides`` is the override table ``(ids, values)``: sorted, unique
+    edge ids (see :func:`edge_ids`) and the exact weights that win over the
+    hashed weights of those edges.  Build it with :func:`override_edges`,
+    or with :func:`with_overrides` for upward modifications.
     """
 
     dim: int
     spec: DistributionSpec
     seed: int
-    overrides: dict = field(default_factory=dict)
+    overrides: tuple = _NO_OVERRIDES
 
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("d >= 2 required")
-        overrides = {(u, v) if u <= v else (v, u): float(w)
-                     for (u, v), w in self.overrides.items()}
-        object.__setattr__(self, "overrides", overrides)
-        ends = np.array(list(overrides), dtype=np.int64).reshape(-1, 2, self.dim)
-        steps = np.abs(ends[:, 1] - ends[:, 0])
-        bad = np.flatnonzero(steps.sum(axis=1) != 1)
-        if bad.size:
-            raise ValueError("{} and {} are not nearest neighbors".format(
-                *list(overrides)[bad[0]]))
-        values = np.fromiter(overrides.values(), dtype=np.float64, count=len(overrides))
-        if (values < 0).any():
-            raise ValueError("override weights must be nonnegative")
-        ids = edge_ids(ends[:, 0], steps.argmax(axis=1))
-        order = np.argsort(ids, kind="stable")
-        object.__setattr__(self, "_ov_ids", ids[order])
-        object.__setattr__(self, "_ov_values", values[order])
 
     def _seed_word(self):
         return _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) ^ _PHI)
@@ -172,117 +160,65 @@ class WeightEnvironment:
         ids = edge_ids(min_coords, axes)
         u = (_mix(ids ^ self._seed_word()) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
         w = self.spec.inverse_cdf(u)
-        if len(self._ov_ids):
-            pos = np.searchsorted(self._ov_ids, ids)
-            pos = np.minimum(pos, len(self._ov_ids) - 1)
-            hit = self._ov_ids[pos] == ids
-            w[hit] = self._ov_values[pos[hit]]
+        table, values = self.overrides
+        if len(table):
+            pos = np.minimum(np.searchsorted(table, ids), len(table) - 1)
+            hit = table[pos] == ids
+            w[hit] = values[pos[hit]]
         return w
 
     def weight_of(self, e):
         """Weight of a single undirected edge (endpoint order irrelevant)."""
-        e = undirected_edge(*e)
-        if e in self.overrides:
-            return float(self.overrides[e])
-        return float(self.edge_weights(
-            np.asarray([e[0]], dtype=np.int64), np.asarray([edge_axis(e)]))[0])
+        return float(self.edge_weights(*edge_arrays([e], self.dim))[0])
+
+
+def edge_arrays(edges, dim):
+    """``(low endpoints, axes)`` of undirected edges given as endpoint pairs.
+
+    ``edges`` is a sequence of (u, v) pairs, in either endpoint order, or an
+    (m, 2, dim) array of them; a pair that is not a lattice edge raises.
+    """
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2, dim)
+    steps = np.abs(ends[:, 1] - ends[:, 0])
+    bad = np.flatnonzero(steps.sum(axis=1) != 1)
+    if bad.size:
+        u, v = (tuple(p) for p in ends[bad[0]].tolist())
+        raise ValueError(f"{u} and {v} are not nearest neighbors")
+    return ends.min(axis=1), steps.argmax(axis=1)
+
+
+def override_edges(env, edges, values):
+    """New environment whose weights on ``edges`` are exactly ``values``.
+
+    ``values`` is one number or one per edge.  Of an edge given twice the
+    later entry wins, and every new entry wins over an override of ``env``.
+    """
+    lows, axes = edge_arrays(edges, env.dim)
+    values = np.broadcast_to(np.asarray(values, dtype=np.float64), axes.shape)
+    if not (values >= 0).all():
+        raise ValueError("override weights must be nonnegative")
+    old_ids, old_values = env.overrides
+    # np.unique keeps the first occurrence of each id: newest entries first
+    ids, first = np.unique(np.concatenate([edge_ids(lows, axes)[::-1], old_ids]),
+                           return_index=True)
+    return replace(env, overrides=(ids, np.concatenate([values[::-1], old_values])[first]))
 
 
 def with_overrides(env, edges, lam):
     """New environment with t_e replaced by max(t_e, lam) on the given finite edge set."""
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("invalid parameter: lambda must be nonnegative")
-    ends = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2, env.dim)
-    axes = np.abs(ends[:, 1] - ends[:, 0]).argmax(axis=1)
-    raised = np.maximum(env.edge_weights(ends.min(axis=1), axes), float(lam))
-    new = dict(env.overrides)
-    new.update(zip(((tuple(u), tuple(v)) for u, v in edges), raised.tolist()))
-    # the new environment puts every pair in canonical order and rejects
-    # pairs that are not nearest neighbours
-    return replace(env, overrides=new)
+    raised = np.maximum(env.edge_weights(*edge_arrays(edges, env.dim)), float(lam))
+    return override_edges(env, edges, raised)
 
 
 def override_box(env, box, value):
     """New environment with every edge inside ``box`` set to exactly ``value``."""
-    if value < 0:
-        raise ValueError("invalid parameter: weight must be nonnegative")
-    new = dict(env.overrides)
-    points = box.coords().tolist()
-    for tails, heads in box.axis_edges():
-        for u, v in zip(tails.tolist(), heads.tolist()):
-            new[(tuple(points[u]), tuple(points[v]))] = float(value)
-    return replace(env, overrides=new)
+    coords = box.coords()
+    return override_edges(env, np.concatenate([np.stack([coords[tails], coords[heads]], axis=1)
+                                               for tails, heads in box.axis_edges()]), value)
 
 
 def unit_environment(dim, box, seed=0):
     """Environment whose weights are exactly 1 on every edge of ``box``."""
     return override_box(WeightEnvironment(dim, uniform(0.0, 1.0), seed), box, 1.0)
-
-
-@dataclass(frozen=True)
-class TorusEnvironment:
-    """Periodic wrapper: canonical edge ids are taken mod the torus dimensions."""
-
-    env: WeightEnvironment
-    dims: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(L) for L in self.dims))
-        if len(self.dims) != self.env.dim:
-            raise ValueError("torus dims must match environment dimension")
-        if any(L < 3 for L in self.dims):
-            raise ValueError("torus dims must be >= 3 for unambiguous edge ids")
-
-    def edge_weights(self, base_coords, axes):
-        base = np.asarray(base_coords, dtype=np.int64) % np.asarray(self.dims, dtype=np.int64)
-        return self.env.edge_weights(base, axes)
-
-
-@dataclass(frozen=True)
-class GoodnessOfFit:
-    n_samples: int
-    ks_stat: float
-    ks_pvalue: float
-    significance: float
-    passed: bool
-    sample_mean: float
-    expected_mean: float
-
-
-def empirical_distribution_check(env, n_samples, significance=0.01):
-    """Kolmogorov-Smirnov check of hashed weights against the configured CDF."""
-    from scipy import stats
-
-    if n_samples < 1000:
-        raise ValueError("need n_samples >= 1000")
-    k = np.arange(n_samples, dtype=np.int64)
-    coords = np.zeros((n_samples, env.dim), dtype=np.int64)
-    coords[:, 0] = k
-    w = env.edge_weights(coords, np.zeros(n_samples, dtype=np.int64))
-    ks = stats.kstest(w, env.spec.cdf)
-    return GoodnessOfFit(
-        n_samples=int(n_samples),
-        ks_stat=float(ks.statistic),
-        ks_pvalue=float(ks.pvalue),
-        significance=float(significance),
-        passed=bool(ks.pvalue > significance),
-        sample_mean=float(w.mean()),
-        expected_mean=float(env.spec.mean()),
-    )
-
-
-def env_to_config(env):
-    """JSON-ready config; identical config reproduces bit-identical weights."""
-    return {
-        "dim": env.dim,
-        "dist": {"kind": env.spec.kind, "params": list(env.spec.params)},
-        "seed": int(env.seed),
-        "overrides": [[[list(e[0]), list(e[1])], v] for e, v in sorted(env.overrides.items())],
-    }
-
-
-def env_from_config(cfg):
-    spec = DistributionSpec(cfg["dist"]["kind"], tuple(cfg["dist"]["params"]))
-    overrides = {undirected_edge(tuple(e[0]), tuple(e[1])): float(v)
-                 for e, v in cfg.get("overrides", [])}
-    return WeightEnvironment(int(cfg["dim"]), spec, int(cfg["seed"]), overrides)

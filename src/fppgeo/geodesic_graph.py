@@ -26,9 +26,6 @@ class ComponentDecomposition:
     n_components: int
     cycle_edges: int
 
-    def label_of(self, box, v):
-        return int(self.labels[box.index_of(v)])
-
 
 @dataclass
 class Path:

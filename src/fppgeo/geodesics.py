@@ -25,6 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from .environment import edge_arrays
 from .lattice import Box, is_integer_direction
 from .manifest import csv_cells
 
@@ -221,8 +222,9 @@ def successor_forest(edges, weights, tmask):
     returned by ``Box.axis_edges`` and ``weights`` the matching weights.
     Returns ``(T, succ)`` with succ = -1 on target vertices.
     """
-    if any(np.any(w <= 0.0) for w in weights):
-        raise ValueError("nonpositive edge weight encountered; weights must be > 0")
+    # NaN fails too: it would leave a successor cycle that fold_chains never ends
+    if not all(np.all(w > 0.0) for w in weights):
+        raise ValueError("nonpositive or NaN edge weight encountered; weights must be > 0")
     n = len(tmask)
     graph = csr_matrix(
         (np.concatenate(weights),
@@ -244,10 +246,13 @@ def successor_forest(edges, weights, tmask):
 def solve(env, box, target):
     """Shortest-path distances from every box vertex to the target set.
 
-    Paths are constrained to the box.  Raises if the target does not
-    intersect the box, or if any edge weight is not strictly positive
-    (zero-weight regimes are unsupported).
+    Paths are constrained to the box.  Raises if the environment and the
+    box differ in dimension, if the target does not intersect the box, or if
+    any edge weight is not strictly positive (zero-weight regimes are
+    unsupported).
     """
+    if env.dim != box.dim:
+        raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
     tmask = target_mask(target, box)
     if not tmask.any():
         where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
@@ -275,7 +280,9 @@ def extract_geodesic(field, x):
 
 def path_weight(env, path):
     """Total weight of a vertex path under an environment."""
-    return float(sum(env.weight_of((u, v)) for u, v in zip(path, path[1:])))
+    points = np.asarray(path, dtype=np.int64).reshape(-1, env.dim)
+    ends = np.stack([points[:-1], points[1:]], axis=1)
+    return float(env.edge_weights(*edge_arrays(ends, env.dim)).sum())
 
 
 def successor_margin(field):

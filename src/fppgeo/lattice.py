@@ -28,23 +28,6 @@ def neighbors(v):
     return out
 
 
-def undirected_edge(u, v):
-    """Canonical form of the undirected edge {u, v}: endpoints sorted lexicographically."""
-    u, v = tuple(u), tuple(v)
-    if sum(abs(a - b) for a, b in zip(u, v)) != 1:
-        raise ValueError(f"{u} and {v} are not nearest neighbors")
-    return (u, v) if u <= v else (v, u)
-
-
-def edge_axis(e):
-    """Axis along which the two endpoints of e differ."""
-    u, v = e
-    for i, (a, b) in enumerate(zip(u, v)):
-        if a != b:
-            return i
-    raise ValueError("degenerate edge")
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box of lattice vertices, corners inclusive.
@@ -167,19 +150,6 @@ def _box_coords(box):
     coords = np.stack([g.ravel() for g in grids], axis=1)
     coords.setflags(write=False)
     return coords
-
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """Real hyperplane {z : z . direction = level}."""
-
-    direction: tuple
-    level: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "direction", tuple(float(c) for c in self.direction))
-        if all(c == 0.0 for c in self.direction):
-            raise ValueError("hyperplane direction must be nonzero")
 
 
 def is_integer_direction(theta):

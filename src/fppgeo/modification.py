@@ -139,7 +139,9 @@ def eligible_edges(g, spec, y, protected):
     """The finite edge set to be raised: strip edges off every kept geodesic.
 
     Keeps (excludes from the result) every edge on the forward path of y
-    and on the forward path of any protected vertex.
+    and on the forward path of any protected vertex.  Returns an (m, 2, d)
+    int64 array of (tail, head) rows, head = tail + e_axis, in lexicographic
+    order of the rows.
     """
     box = g.box
     coords = box.coords()
@@ -149,16 +151,16 @@ def eligible_edges(g, spec, y, protected):
     keep = forward_orbit(g, box.indices_of(sources))
     kept_edge_tail = keep & (g.succ >= 0)
 
-    edges = []
+    rows = []
     for tails, heads in box.axis_edges():
         ok = strip_mask[tails] & strip_mask[heads]
         tails, heads = tails[ok], heads[ok]
         on_path = (kept_edge_tail[tails] & (g.succ[tails] == heads)) | \
                   (kept_edge_tail[heads] & (g.succ[heads] == tails))
-        edges.extend(zip(map(tuple, coords[tails[~on_path]].tolist()),
-                         map(tuple, coords[heads[~on_path]].tolist())))
-    edges.sort()
-    return edges
+        rows.append(np.stack([coords[tails[~on_path]], coords[heads[~on_path]]], axis=1))
+    edges = np.concatenate(rows)
+    # np.lexsort sorts by its last key first: tail coordinates, then head coordinates
+    return edges[np.lexsort(edges.reshape(len(edges), -1).T[::-1])]
 
 
 @dataclass
@@ -337,7 +339,7 @@ def verify_severing(g_mod, spec, xi_N):
 
 @dataclass
 class ModificationOutcome:
-    edge_set: list
+    edge_set: np.ndarray           # (m, 2, d) rows (tail, head) of the raised edges
     lam: float
     event: EventReport
     verdict: SeveringVerdict

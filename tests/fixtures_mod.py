@@ -8,7 +8,7 @@ upper highway onto the corridor beyond the strip, which is exactly the
 leak the event conditions are there to exclude.
 """
 
-from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.lattice import Box
 from fppgeo.modification import StripSpec
 
@@ -38,4 +38,4 @@ def fixture_env(seed, bridge=False):
     ov[((N - 1, 0), (N, 0))] = 0.99
     if bridge:
         ov[((30, 0), (30, 1))] = 0.001
-    return WeightEnvironment(2, uniform(0, 1), seed, ov)
+    return override_edges(WeightEnvironment(2, uniform(0, 1), seed), list(ov), list(ov.values()))

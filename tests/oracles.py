@@ -10,7 +10,7 @@ from math import gcd, inf
 
 import numpy as np
 
-from fppgeo.lattice import neighbors, undirected_edge
+from fppgeo.lattice import neighbors
 
 
 def bellman_ford(env, box, targets):

@@ -6,8 +6,7 @@ from fppgeo.analysis import (backward_tail, build_torus_graph,
                              estimate_busemann_vector, estimate_shape,
                              intersection_radii, mass_transport_balance,
                              required_pad, shape_residual)
-from fppgeo.environment import (TorusEnvironment, WeightEnvironment, override_box,
-                                uniform, unit_environment)
+from fppgeo.environment import WeightEnvironment, override_box, uniform, unit_environment
 from fppgeo.geodesic_graph import backward_stats, build_graph
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box
@@ -269,8 +268,7 @@ def test_mass_transport_single_spanning_component():
 
 
 def test_mass_transport_random_torus_exact():
-    env = TorusEnvironment(WeightEnvironment(2, uniform(0, 1), 0), (16, 16))
-    g = build_torus_graph(env, (1, 0), 0)
+    g = build_torus_graph(WeightEnvironment(2, uniform(0, 1), 0), (16, 16), (1, 0), 0)
     rep = mass_transport_balance(g, (1, 0))
     assert rep.difference == 0
     assert rep.total_sent == g.n_vertices
@@ -286,20 +284,22 @@ def test_mass_transport_rejects_non_torus():
 
 
 def test_build_torus_graph_structure():
-    env = TorusEnvironment(WeightEnvironment(2, uniform(0, 1), 9), (8, 8))
-    g = build_torus_graph(env, (1, 0), 0)
+    env = WeightEnvironment(2, uniform(0, 1), 9)
+    g = build_torus_graph(env, (8, 8), (1, 0), 0)
     assert g.n_vertices == 64
     assert np.all(g.succ[g.target_mask] == -1)
     assert np.all(g.succ[~g.target_mask] >= 0)
     assert np.all(g.T[g.target_mask] == 0.0)
     with pytest.raises(ValueError):
-        build_torus_graph(env, (1, 0), 99)
+        build_torus_graph(env, (8, 8), (1, 0), 99)
+    with pytest.raises(ValueError, match="2-d environment on a 3-d box"):
+        build_torus_graph(env, (8, 8, 8), (1, 0, 0), 0)
 
 
 def test_torus_successor_tie_breaks_like_solve():
     # unit weights: (4, y) is 4 steps from level 0 both via -e1 and via +e1 around the wrap
     env = override_box(WeightEnvironment(2, uniform(0, 1), 0), Box((0, 0), (8, 8)), 1.0)
-    g = build_torus_graph(TorusEnvironment(env, (8, 8)), (1, 0), 0)
+    g = build_torus_graph(env, (8, 8), (1, 0), 0)
     coords = g.box.coords()
     for y in range(8):
         i = 4 * 8 + y

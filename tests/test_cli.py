@@ -354,7 +354,26 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     ("modify", ["--theta", "1,0", "--y", "99,99"], "y: (99, 99) is not on level 0 of theta (1, 0)"),
     ("modify", ["--theta", "1,0", "--N-list", "8", "--xi", "5,0"],
      "xi: (5, 0) is not on level 8 of theta (1, 0)"),
-], ids=["samples", "directions", "dims", "N_list", "y", "xi"])
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--y", "0,99"],
+     "y: (0, 99) has l1 norm above M_prime = 3"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--delta", "0.4"],
+     "delta: 0.4 is too large for bounded mode: the mean 0.5 exceeds S - 2 delta = 0.2"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded"],
+     "lam: unbounded mode needs --lambda"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "-1"],
+     "lam: must be at least 0, got -1.0"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "nan"],
+     "lam: must be at least 0, got nan"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--dist", "exponential:1"],
+     "dist: bounded mode needs a finite support, got exponential:1"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--M-prime", "0"],
+     "M_prime: must be at least 1, got 0"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--epsilon", "0"],
+     "epsilon: must be positive, got 0.0"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--M-rule", "const:0"],
+     "M_rule: M = 0 at N = 24 must be positive"),
+], ids=["samples", "directions", "dims", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
+        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
-from fppgeo.environment import TorusEnvironment, WeightEnvironment, uniform
+from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
                                    forward_orbit, truncate)
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
@@ -87,7 +87,7 @@ def torus_forests(draw):
     dims = tuple(draw(st.integers(3, 8 if dim == 2 else 4)) for _ in range(dim))
     theta = (1,) + (0,) * (dim - 1)
     env = WeightEnvironment(dim, uniform(0.1, 1.0), draw(st.integers(0, 2 ** 32)))
-    return build_torus_graph(TorusEnvironment(env, dims), theta, draw(st.integers(0, dims[0] - 1)))
+    return build_torus_graph(env, dims, theta, draw(st.integers(0, dims[0] - 1)))
 
 
 @st.composite

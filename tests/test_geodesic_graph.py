@@ -213,7 +213,7 @@ def test_components_match_bfs_oracle():
     for u in verts:
         for v in verts:
             same_oracle = oracle[u] == oracle[v]
-            same_lib = comp.label_of(box, u) == comp.label_of(box, v)
+            same_lib = comp.labels[box.index_of(u)] == comp.labels[box.index_of(v)]
             assert same_oracle == same_lib
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fppgeo.environment import WeightEnvironment, uniform, unit_environment, with_overrides
+from fppgeo.environment import (WeightEnvironment, edge_ids, override_edges, uniform,
+                                unit_environment, with_overrides)
 from fppgeo.geodesics import (HyperplaneTarget, PointTarget, TruncatedPathError,
                               extract_geodesic, field_to_csv, passage_time, path_weight, solve,
                               successor_margin)
@@ -174,8 +175,12 @@ def test_invariant_T_equals_weight_plus_successor_T():
 
 
 def test_zero_weights_rejected():
-    env = WeightEnvironment(2, uniform(0, 1), 0, {((0, 0), (1, 0)): 0.0})
-    with pytest.raises(ValueError):
+    env = override_edges(WeightEnvironment(2, uniform(0, 1), 0), [((0, 0), (1, 0))], 0.0)
+    with pytest.raises(ValueError, match="weights must be > 0"):
+        solve(env, Box.cube(2, 2), PointTarget((0, 0)))
+    # a NaN weight, written into the table by hand, would leave a successor cycle
+    env = WeightEnvironment(2, uniform(0, 1), 0, (edge_ids([[0, 0]], [0]), np.array([np.nan])))
+    with pytest.raises(ValueError, match="weights must be > 0"):
         solve(env, Box.cube(2, 2), PointTarget((0, 0)))
 
 

@@ -4,10 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fppgeo.lattice import (Box, Hyperplane, hyperplane_vertices,
-                            lattice_point_on_level, neighbors,
-                            normalize_direction, order_key, precedes,
-                            undirected_edge)
+from fppgeo.lattice import (Box, hyperplane_vertices, lattice_point_on_level,
+                            neighbors, normalize_direction, order_key, precedes)
 
 from oracles import levels_with_lattice_points, normalize_by_search
 
@@ -30,13 +28,6 @@ def test_neighbors_count_random_dims():
         assert len(neighbors(v)) == 2 * d
 
 
-def test_undirected_edge_canonical():
-    assert undirected_edge((1, 0), (0, 0)) == ((0, 0), (1, 0))
-    assert undirected_edge((0, 0), (1, 0)) == ((0, 0), (1, 0))
-    with pytest.raises(ValueError):
-        undirected_edge((0, 0), (1, 1))
-
-
 def test_box_validation_and_indexing():
     box = Box((-2, -1), (3, 4))
     assert box.n_vertices == 6 * 6
@@ -48,11 +39,6 @@ def test_box_validation_and_indexing():
         Box((1, 0), (0, 0))
     with pytest.raises(ValueError):
         box.index_of((9, 9))
-
-
-def test_hyperplane_requires_nonzero_direction():
-    with pytest.raises(ValueError):
-        Hyperplane((0.0, 0.0), 1.0)
 
 
 def test_normalize_direction_examples():

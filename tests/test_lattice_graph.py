@@ -15,8 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
-from fppgeo.environment import (TorusEnvironment, WeightEnvironment, override_box, uniform,
-                                with_overrides)
+from fppgeo.environment import WeightEnvironment, override_box, uniform, with_overrides
 from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, target_mask
 from fppgeo.lattice import Box, neighbors
 
@@ -103,14 +102,14 @@ def test_solve_matches_networkx(box, seed, data):
        st.integers(0, 2))
 def test_torus_graph_matches_networkx(dims, seed, level):
     dims = tuple(dims)
-    tenv = TorusEnvironment(WeightEnvironment(len(dims), uniform(0.1, 1.0), seed), dims)
+    env = WeightEnvironment(len(dims), uniform(0.1, 1.0), seed)
     theta = (1,) + (0,) * (len(dims) - 1)
-    g = build_torus_graph(tenv, theta, level)
+    g = build_torus_graph(env, dims, theta, level)
     vertices = [tuple(int(c) for c in np.unravel_index(i, dims)) for i in range(g.n_vertices)]
     targets = [v for v in vertices if v[0] == level]
     # a vertex of [0, L) owns the edge to its +e_axis neighbor, so weight_of of the
     # unwrapped edge is the torus weight
-    expect = _nx_passage_times(tenv.env, vertices,
+    expect = _nx_passage_times(env, vertices,
                                lambda w: tuple(c % L for c, L in zip(w, dims)), targets)
     np.testing.assert_allclose(g.T, expect, rtol=1e-12)
 

@@ -116,7 +116,8 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
     g = build_graph(field)
     prot = protected_vertices(fx.BOX, fx.SPEC, fx.XI)
     edges = eligible_edges(g, fx.SPEC, fx.Y, prot)
-    edge_set = set(edges)
+    pairs = [tuple(map(tuple, e)) for e in edges.tolist()]
+    edge_set = set(pairs)
 
     # y's highway edges inside the strip are kept out of the raise set
     for k in range(0, fx.N):
@@ -137,7 +138,7 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
             v = tuple(v)
             if v in strip_set and tuple(sorted((u, v))) not in kept_path_edges:
                 brute.append((u, v))
-    assert sorted(edges) == sorted(brute)
+    assert pairs == sorted(brute)
 
 
 def test_event_passes_on_engineered_fixture():
@@ -314,7 +315,7 @@ def test_xi_segment_passage_time_bound():
     out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
                            box=fx.BOX, alpha=fx.ALPHA)
     env_mod = with_overrides(env, out.edge_set, out.lam)
-    edge_set = set(out.edge_set)
+    edge_set = {tuple(map(tuple, e)) for e in out.edge_set.tolist()}
     field_mod = solve(env_mod, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g_mod = build_graph(field_mod)
     for start in [(5, 5), (10, -7), (20, 3)]:
