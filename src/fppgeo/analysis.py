@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geodesic_graph import backward_stats, components, forward_path
+from .geodesic_graph import backward_stats, components, forward_path, tree_roots
 from .geodesics import HyperplaneTarget, PointTarget, solve
 from .lattice import Box
 
@@ -390,30 +390,29 @@ def mass_transport_balance(g, theta):
 
     Sent mass is counted over all vertices, received mass progenitor by
     progenitor; on a torus the two totals agree as integers in every
-    realization.
+    realization.  A component is the tree of one forest root.
     """
     if not g.box.periodic:
         raise ValueError("mass transport balance requires a forest on a periodic box")
     theta = np.asarray(theta, dtype=np.int64)
     coords = g.box.coords()
-    labels = components(g).labels
-    dots = coords @ theta
-    # rank vertices by (level, lexicographic coords); progenitor = min rank per label
-    order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))
-    rank = np.empty(g.n_vertices, dtype=np.int64)
-    rank[order] = np.arange(g.n_vertices)
-    n_comp = labels.max() + 1
-    best = np.full(n_comp, g.n_vertices, dtype=np.int64)
-    np.minimum.at(best, labels, rank)
-    prog_index = order[best]            # vertex index of each component's progenitor
-
-    sent = int((prog_index[labels] >= 0).sum())
-    received = np.zeros(g.n_vertices, dtype=np.int64)
-    np.add.at(received, prog_index[labels], 1)
-    total_received = int(received.sum())
     n = g.n_vertices
+    roots = tree_roots(np.where(g.succ >= 0, g.succ, np.arange(n)))
+    dots = coords @ theta
+    # rank vertices by (level, lexicographic coords); progenitor = min rank per tree
+    order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    best = np.full(n, n, dtype=np.int64)
+    np.minimum.at(best, roots, rank)
+    prog_index = order[best[roots]]     # vertex index of each vertex's progenitor
+
+    sent = int((prog_index >= 0).sum())
+    received = np.zeros(n, dtype=np.int64)
+    np.add.at(received, prog_index, 1)
+    total_received = int(received.sum())
     return MassTransportReport(
-        dims=g.box.shape, n_vertices=n, n_components=int(n_comp),
+        dims=g.box.shape, n_vertices=n, n_components=int((g.succ < 0).sum()),
         total_sent=int(sent), total_received=total_received,
         mean_sent=sent / n, mean_received=total_received / n,
         difference=int(sent - total_received))

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -155,10 +156,11 @@ def _convert(key, setting, value):
         raise ConfigError(key, str(exc)) from None
     if setting.choices and value not in setting.choices:
         raise ConfigError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
-    if setting.minimum is not None:
-        for entry in value if isinstance(value, tuple) else (value,):
-            if not entry >= setting.minimum:        # NaN fails too
-                raise ConfigError(key, f"must be at least {setting.minimum}, got {entry}")
+    for entry in value if isinstance(value, tuple) else (value,):
+        if setting.minimum is not None and not entry >= setting.minimum:    # NaN fails too
+            raise ConfigError(key, f"must be at least {setting.minimum}, got {entry}")
+        if isinstance(entry, float) and not math.isfinite(entry):
+            raise ConfigError(key, f"must be finite, got {entry}")
     return value
 
 

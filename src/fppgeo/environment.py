@@ -62,6 +62,8 @@ class DistributionSpec:
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         k, p = self.kind, self.params
+        if not all(math.isfinite(v) for v in p):
+            raise ValueError("parameters must be finite")
         if k == "uniform":
             if len(p) != 2 or not (0.0 <= p[0] < p[1]):
                 raise ValueError("uniform requires 0 <= a < b")

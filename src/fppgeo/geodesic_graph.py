@@ -7,6 +7,7 @@ periodic box.  The traversals rest on ``geodesics.fold_chains``, which
 reduces a seed along every forward chain (backward clusters, hop counts),
 and on the cached ``DistanceField.generations``, the vertices grouped by
 hop count, which the statistics sweep leaves first or roots first.
+``tree_roots`` jumps parent pointers to the root of every tree.
 """
 
 from __future__ import annotations
@@ -147,6 +148,21 @@ def truncate(g, inner):
     return replace(g, succ=succ)
 
 
+def tree_roots(parent):
+    """The root of every vertex of a forest of parent pointers (a root is its own parent).
+
+    Pointer jumping: ``len(parent).bit_length()`` jumps reach the root of
+    every tree.  On a parent cycle they end on a vertex that is not its own
+    parent, and that raises ValueError.
+    """
+    roots = parent
+    for _ in range(len(parent).bit_length()):
+        roots = roots[roots]
+    if not np.array_equal(parent[roots], roots):
+        raise ValueError("parent cycle")
+    return roots
+
+
 def components(g):
     """Weak components of the forest via union-find over undirected out-edges.
 
@@ -176,10 +192,7 @@ def components(g):
         parent[y] = x
         if rank[x] == rank[y]:
             rank[x] += 1
-    roots = np.array(parent, dtype=np.int64)
-    while not np.array_equal(up := roots[roots], roots):
-        roots = up
-    uniq, labels = np.unique(roots, return_inverse=True)
+    uniq, labels = np.unique(tree_roots(np.array(parent, dtype=np.int64)), return_inverse=True)
     sizes = np.bincount(labels, minlength=len(uniq))
     return ComponentDecomposition(labels=labels, sizes=sizes,
                                   n_components=len(uniq), cycle_edges=cycle_edges)
@@ -220,14 +233,14 @@ def encounter_points(g, threshold=None):
 
 
 def graph_summary(g):
-    comp = components(g)
-    _, depth, _ = backward_stats(g)
+    """Sizes of the forest: one component per root, and the deepest backward
+    cluster, seen from a root, is as deep as the last generation."""
     return {
         "alpha": g.target.level,
         "n_vertices": int(g.n_vertices),
         "n_edges": int(g.n_edges),
-        "n_components": int(comp.n_components),
-        "max_backward_depth": int(depth.max()) if len(depth) else 0,
+        "n_components": int(g.n_vertices - g.n_edges),
+        "max_backward_depth": len(g.generations()) - 1,
     }
 
 

@@ -4,17 +4,20 @@
 vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
-``successor_forest`` is the one lattice-graph core behind it: it takes the
-per-axis edge arrays of ``Box.axis_edges`` and their weights, and picks each
-successor as the argmin over neighbors y of weight(x, y) + T(y), ties
-broken by direction in the order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
-On a plain box that is the lexicographically smallest tied neighbor.
+``successor_forest`` is the one lattice-graph core behind it.  It turns the
+per-axis edge arrays of ``Box.axis_edges`` and their weights into one
+row-major (n, 2d) neighbor table, whose slots run in the direction order
+-e1 < -e2 < ... < -ed < +ed < ... < +e1.  Dijkstra reads that table as a
+fixed-degree CSR graph, and the successor of x is the first slot with the
+least weight(x, y) + T(y), so ties break by that direction order.  On a
+plain box that is the lexicographically smallest tied neighbor.
 
 ``DistanceField`` is the only record of a successor forest: the geodesic
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
 distance fields.  ``fold_chains`` (a reduction along every successor chain
 by pointer doubling) is, with ``DistanceField.generations``, the traversal
-core of the forest; ``successor_chain`` walks a single chain.
+core of the forest; ``successor_chain`` walks a single chain.  A field
+derives its boundary contact, like its generations, on first read.
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ class DistanceField:
     """Exact within-box passage times to a target, plus successor forest.
 
     The forest has one optional out-edge per vertex, to ``succ`` (-1 on
-    target vertices and wherever a chain was cut).  ``boundary_touched``
-    marks the vertices whose forward chain meets a face of the box.
+    target vertices and wherever a chain was cut).  ``boundary_touched`` and
+    ``generations`` are derived from ``succ`` on first read and cached.
     """
 
     box: Box
@@ -113,11 +116,11 @@ class DistanceField:
     env: object
     T: np.ndarray
     succ: np.ndarray
-    boundary_touched: np.ndarray
     target_mask: np.ndarray
 
     def __post_init__(self):
         self._gens = None
+        self._touched = None
 
     @property
     def n_vertices(self):
@@ -150,6 +153,13 @@ class DistanceField:
     def in_degrees(self):
         return np.diff(self.reverse_index()[0])
 
+    @property
+    def boundary_touched(self):
+        """Mask of the vertices whose forward chain meets a face of the box."""
+        if self._touched is None:
+            self._touched = fold_chains(self.succ, self.box.boundary_mask(), np.logical_or)
+        return self._touched
+
     def hops(self):
         """Number of out-edges from each vertex to its root."""
         return fold_chains(self.succ, (self.succ >= 0).astype(np.int64), np.add)
@@ -170,17 +180,20 @@ def fold_chains(succ, seed, op):
     """Reduce ``seed`` with the ufunc ``op`` over each forward chain, by pointer doubling.
 
     Entry i of the result is op over seed at i, succ[i], succ[succ[i]], ...
-    up to the root of i (the first vertex with succ = -1).
+    up to the root of i (the first vertex with succ = -1).  Every chain of a
+    forest ends within ``len(succ).bit_length()`` doublings, so a chain still
+    open after them runs into a cycle, and that raises ValueError.
     """
     out = seed.copy()
     anc = succ.copy()
-    while True:
+    for _ in range(len(succ).bit_length() + 1):
         valid = np.flatnonzero(anc >= 0)
         if valid.size == 0:
             return out
         parents = anc[valid]
         out[valid] = op(out[valid], out[parents])
         anc[valid] = anc[parents]
+    raise ValueError("successor cycle")
 
 
 def successor_chain(succ, start):
@@ -201,18 +214,23 @@ def axis_weights(env, box, edges):
             for axis, (u, _) in enumerate(edges)]
 
 
-def _candidates(edges, weights, T):
-    """Per-direction table of weight(x, y) + T(y) over the neighbors y of x.
+def _neighbor_table(edges, weights, n):
+    """Row-major (n, 2d) neighbor indices and edge weights of the lattice graph.
 
-    Rows follow the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1;
-    a missing neighbor reads inf.
+    Slots follow the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1;
+    a missing neighbor is the vertex itself with weight inf.  Indices are
+    int32 while the table has fewer than 2**31 entries.
     """
-    dim = len(edges)
-    cand = np.full((2 * dim, len(T)), np.inf)
+    slots = 2 * len(edges)
+    nbr = np.empty((n, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
+    nbr[:] = np.arange(n, dtype=nbr.dtype)[:, None]
+    wt = np.full((n, slots), np.inf)
     for axis, ((u, v), w) in enumerate(zip(edges, weights)):
-        cand[2 * dim - 1 - axis, u] = w + T[v]
-        cand[axis, v] = w + T[u]
-    return cand
+        nbr[u, slots - 1 - axis] = v
+        wt[u, slots - 1 - axis] = w
+        nbr[v, axis] = u
+        wt[v, axis] = w
+    return nbr, wt
 
 
 def successor_forest(edges, weights, tmask):
@@ -222,23 +240,16 @@ def successor_forest(edges, weights, tmask):
     returned by ``Box.axis_edges`` and ``weights`` the matching weights.
     Returns ``(T, succ)`` with succ = -1 on target vertices.
     """
-    # NaN fails too: it would leave a successor cycle that fold_chains never ends
+    # NaN fails too: it would leave a successor cycle
     if not all(np.all(w > 0.0) for w in weights):
         raise ValueError("nonpositive or NaN edge weight encountered; weights must be > 0")
     n = len(tmask)
-    graph = csr_matrix(
-        (np.concatenate(weights),
-         (np.concatenate([u for u, _ in edges]), np.concatenate([v for _, v in edges]))),
-        shape=(n, n))
-    T = dijkstra(graph, directed=False, indices=np.flatnonzero(tmask), min_only=True)
-    best = np.argmin(_candidates(edges, weights, T), axis=0)
-    # the neighbor in direction row best[x], read back through the edge arrays
-    succ = np.full(n, -1, dtype=np.int64)
-    for axis, (u, v) in enumerate(edges):
-        up = best[u] == 2 * len(edges) - 1 - axis
-        succ[u[up]] = v[up]
-        down = best[v] == axis
-        succ[v[down]] = u[down]
+    nbr, wt = _neighbor_table(edges, weights, n)
+    indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
+    graph = csr_matrix((wt.ravel(), nbr.ravel(), indptr), shape=(n, n))
+    T = dijkstra(graph, directed=True, indices=np.flatnonzero(tmask), min_only=True)
+    wt += T[nbr]        # in place: weight(x, y) + T(y) per slot
+    succ = nbr[np.arange(n), np.argmin(wt, axis=1)].astype(np.int64)
     succ[tmask] = -1
     return T, succ
 
@@ -259,9 +270,7 @@ def solve(env, box, target):
         raise NoTargetError(f"no target vertex {where}")
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
-    touched = fold_chains(succ, box.boundary_mask(), np.logical_or)
-    return DistanceField(box=box, target=target, env=env, T=T, succ=succ,
-                         boundary_touched=touched, target_mask=tmask)
+    return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
 
 
 def passage_time(field, x):
@@ -292,10 +301,11 @@ def successor_margin(field):
     continuous weights the successor is a.s. unique.
     """
     edges = field.box.axis_edges()
-    cand = _candidates(edges, axis_weights(field.env, field.box, edges), field.T)
-    part = np.partition(cand, 1, axis=0)
-    gap = part[1] - part[0]
-    return gap[~field.target_mask]
+    nbr, wt = _neighbor_table(edges, axis_weights(field.env, field.box, edges),
+                              field.n_vertices)
+    keep = ~field.target_mask
+    part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
+    return part[:, 1] - part[:, 0]
 
 
 def field_to_csv(field, path):

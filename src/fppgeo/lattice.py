@@ -129,12 +129,11 @@ class Box:
 
     def boundary_mask(self):
         """Boolean mask of vertices lying on a face of the box (none if periodic)."""
-        if self.periodic:
-            return np.zeros(self.n_vertices, dtype=bool)
-        coords = self.coords()
-        lo = np.asarray(self.lower)
-        hi = np.asarray(self.upper)
-        return ((coords == lo) | (coords == hi)).any(axis=1)
+        mask = np.zeros(self.shape, dtype=bool)
+        if not self.periodic:
+            for axis in range(self.dim):
+                np.moveaxis(mask, axis, 0)[[0, -1]] = True
+        return mask.ravel()
 
     def expand(self, k):
         return Box(tuple(l - k for l in self.lower), tuple(u + k for u in self.upper))

@@ -247,7 +247,7 @@ def _manual_torus(dims, succ_pairs, targets):
         tmask[idx(t)] = True
     box = Box((0, 0), tuple(L - 1 for L in dims), periodic=True)
     return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
-                         succ=succ, boundary_touched=np.zeros(n, bool), target_mask=tmask)
+                         succ=succ, target_mask=tmask)
 
 
 def test_mass_transport_every_component_singleton():

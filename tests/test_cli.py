@@ -372,8 +372,30 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "epsilon: must be positive, got 0.0"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--M-rule", "const:0"],
      "M_rule: M = 0 at N = 24 must be positive"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "inf"],
+     "lam: must be finite, got inf"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--epsilon", "inf"],
+     "epsilon: must be finite, got inf"),
+    ("shape", ["--radius", "4", "--dist", "uniform:0,inf"],
+     "dist: bad dist 'uniform:0,inf': parameters must be finite"),
+    ("shape", ["--radius", "4", "--dist", "exponential:inf"],
+     "dist: bad dist 'exponential:inf': parameters must be finite"),
 ], ids=["samples", "directions", "dims", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
-        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule"])
+        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "lam-inf",
+        "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("key, value", [("lam", "inf"), ("epsilon", "inf"), ("delta", "-inf"),
+                                        ("M_rule", "const:inf")])
+def test_non_finite_setting_stops_before_any_output(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "unbounded", "lam": 2.0, key: value}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(["modify", *_D2, "--theta", "1,0", "--N-list", "24", "--config", str(config),
+                    "--out", str(out / "modify.csv")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: must be finite, got ")
+    assert list(out.iterdir()) == []

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fppgeo.environment import (WeightEnvironment, edge_ids, exponential, override_box,
+from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, exponential, override_box,
                                 override_edges, parse_dist, uniform, uniform_shifted,
                                 with_overrides)
 from fppgeo.lattice import Box
@@ -57,6 +57,16 @@ def test_distribution_validation():
         uniform_shifted(0.0, 1.0)
     with pytest.raises(ValueError):
         parse_dist("poisson:3")
+
+
+@pytest.mark.parametrize("kind, params", [("uniform", (0.0, float("inf"))),
+                                          ("uniform", (float("-inf"), 1.0)),
+                                          ("uniform_shifted", (float("inf"), 1.0)),
+                                          ("exponential", (float("inf"),)),
+                                          ("exponential", (float("nan"),))])
+def test_distribution_parameters_must_be_finite(kind, params):
+    with pytest.raises(ValueError, match="parameters must be finite"):
+        DistributionSpec(kind, params)
 
 
 def test_sup_support_and_mean():

@@ -16,10 +16,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fppgeo.analysis import build_torus_graph
+from fppgeo.analysis import build_torus_graph, mass_transport_balance
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
-                                   forward_orbit, truncate)
+                                   forward_orbit, graph_summary, truncate)
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
 from fppgeo.modification import StripSpec, violating_sources
@@ -73,8 +73,7 @@ def branching_forests(draw):
 def _graph_on(box, succ):
     n = box.n_vertices
     return DistanceField(box=box, target=HyperplaneTarget((1,) + (0,) * (box.dim - 1), 0),
-                         env=None, T=np.zeros(n), succ=succ,
-                         boundary_touched=np.zeros(n, bool), target_mask=succ < 0)
+                         env=None, T=np.zeros(n), succ=succ, target_mask=succ < 0)
 
 
 FORESTS = st.one_of(forests(), branching_forests())
@@ -176,3 +175,20 @@ def test_torus_sweeps_balance_and_touch_no_boundary(g):
     assert sizes.sum() == (g.hops() + 1).sum()
     assert not g.boundary_touched.any()
     assert not touch.any()
+
+
+@SETTINGS
+@given(FORESTS)
+def test_graph_summary_matches_components_and_backward_depth(forest):
+    g, _ = forest
+    summary = graph_summary(g)
+    assert summary["n_components"] == components(g).n_components
+    assert summary["max_backward_depth"] == backward_stats(g)[1].max()
+
+
+@SETTINGS
+@given(torus_forests())
+def test_mass_transport_trees_are_the_weak_components(g):
+    report = mass_transport_balance(g, g.target.direction)
+    assert report.n_components == components(g).n_components
+    assert report.total_sent == report.total_received == g.n_vertices

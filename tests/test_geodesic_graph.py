@@ -236,7 +236,7 @@ def _manual_graph(box, succ_pairs, target):
     tmask = np.zeros(n, dtype=bool)
     tmask[box.index_of(target)] = True
     return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
-                         succ=succ, boundary_touched=np.zeros(n, bool), target_mask=tmask)
+                         succ=succ, target_mask=tmask)
 
 
 def test_encounter_points_empty_without_branching():
