@@ -65,20 +65,29 @@ class ShapeEstimate:
     radius: int
     directions: np.ndarray       # (m, d) unit vectors
     eval_points: np.ndarray      # (m, d) lattice points floor(r * xi)
-    g_hat: np.ndarray            # mean T(0, point) / r per direction
-    g_stderr: np.ndarray
-    T_samples: np.ndarray        # (n_seeds, m)
-    boundary_samples: np.ndarray
-    n_seeds: int
+    T_samples: np.ndarray        # (n_seeds, m) passage times T(0, point)
 
-    def rows(self):
-        out = []
-        for s in range(self.T_samples.shape[0]):
-            for i in range(len(self.g_hat)):
-                out.append(("T_over_r", s, i, self.T_samples[s, i] / self.radius))
-        for i in range(len(self.g_hat)):
-            out.append(("g_hat", "", i, self.g_hat[i]))
-            out.append(("g_stderr", "", i, self.g_stderr[i]))
+    @property
+    def g_hat(self):
+        """Mean T(0, point) / r per direction."""
+        return self.T_samples.mean(axis=0) / self.radius
+
+    @property
+    def g_stderr(self):
+        """Standard error of ``g_hat``; zero from a single seed."""
+        n = len(self.T_samples)
+        if n < 2:
+            return np.zeros(self.T_samples.shape[1])
+        return self.T_samples.std(axis=0, ddof=1) / np.sqrt(n) / self.radius
+
+    def rows(self, seeds):
+        """Long-format rows: T / r per seed (``seeds`` names the rows of
+        ``T_samples``) and direction, then g_hat and g_stderr per direction."""
+        out = [("T_over_r", seed, i, t / self.radius)
+               for seed, row in zip(seeds, self.T_samples) for i, t in enumerate(row)]
+        for i, (g, se) in enumerate(zip(self.g_hat, self.g_stderr)):
+            out.append(("g_hat", "", i, g))
+            out.append(("g_stderr", "", i, se))
         return out
 
 
@@ -87,10 +96,10 @@ def _shape_window(points):
     return Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
 
 
-def estimate_shape(env, t_list, n_seeds, directions=None, n_directions=64, box=None):
-    """Directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r."""
-    t_list = sorted(int(t) for t in t_list)
-    r = t_list[-1]
+def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64, box=None):
+    """Passage times T(0, floor(r xi)) over ``n_seeds`` consecutive seeds, for
+    the directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r."""
+    r = int(radius)
     if directions is None:
         directions = direction_grid(env.dim, n_directions)
     directions = np.asarray(directions, dtype=np.float64)
@@ -101,92 +110,13 @@ def estimate_shape(env, t_list, n_seeds, directions=None, n_directions=64, box=N
     else:
         check_window(window, box)
 
-    origin = (0,) * env.dim
-    m = len(points)
-    samples = np.empty((n_seeds, m))
-    boundary = None
+    origin = PointTarget((0,) * env.dim)
+    idx = box.indices_of(points)
+    samples = np.empty((n_seeds, len(points)))
     for k in range(n_seeds):
-        field = solve(replace(env, seed=env.seed + k), box, PointTarget(origin))
-        idx = box.indices_of(points)
-        samples[k] = field.T[idx]
-        if boundary is None:
-            boundary = _boundary_samples(field, r)
-    g_hat = samples.mean(axis=0) / r
-    if n_seeds > 1:
-        stderr = samples.std(axis=0, ddof=1) / np.sqrt(n_seeds) / r
-    else:
-        stderr = np.zeros(m)
+        samples[k] = solve(replace(env, seed=env.seed + k), box, origin).T[idx]
     return ShapeEstimate(radius=r, directions=directions, eval_points=points,
-                         g_hat=g_hat, g_stderr=stderr, T_samples=samples,
-                         boundary_samples=boundary, n_seeds=n_seeds)
-
-
-def _boundary_samples(field, t):
-    """Points x/t on the outer rim of the sublevel set {T <= t}."""
-    inside = field.T <= t
-    rim = inside & ~field.boundary_touched
-    # rim vertex: inside, with some lattice neighbor outside
-    outside_nbr = np.zeros_like(inside)
-    for i, j in field.box.axis_edges():
-        outside_nbr[i] |= ~inside[j]
-        outside_nbr[j] |= ~inside[i]
-    rim &= outside_nbr
-    return field.box.coords()[rim] / float(t)
-
-
-@dataclass
-class ShapeResidualReport:
-    radii: list
-    medians: np.ndarray
-    per_seed: np.ndarray   # (n_seeds, n_radii)
-    monotone_nonincreasing: bool
-
-    def rows(self):
-        out = [("residual_median", "", r, m) for r, m in zip(self.radii, self.medians)]
-        for s in range(self.per_seed.shape[0]):
-            for j, r in enumerate(self.radii):
-                out.append(("residual", s, r, self.per_seed[s, j]))
-        return out
-
-
-def shape_residual(env, radii, n_seeds, directions=None, n_directions=16, box=None):
-    """Scaled residual max_xi |T(0, x) - g_hat(x)| / |x|_1 per radius.
-
-    g_hat is the directional estimate at the largest radius, extended by
-    l1 homogeneity; with at least three radii the report states whether the
-    median residual decreases.
-    """
-    radii = sorted(int(r) for r in radii)
-    if len(radii) < 3:
-        raise ValueError("need at least 3 radii to report a trend")
-    r_max = radii[-1]
-    if directions is None:
-        directions = direction_grid(env.dim, n_directions)
-    directions = np.asarray(directions, dtype=np.float64)
-    points = {r: np.floor(r * directions).astype(np.int64) for r in radii}
-    window = _shape_window(points[r_max])
-    if box is None:
-        box = padded_solve_box(window)
-    else:
-        check_window(window, box)
-
-    origin = (0,) * env.dim
-    l1 = {r: np.abs(points[r]).sum(axis=1).astype(np.float64) for r in radii}
-    T = {}
-    for k in range(n_seeds):
-        field = solve(replace(env, seed=env.seed + k), box, PointTarget(origin))
-        for r in radii:
-            T.setdefault(r, []).append(field.T[box.indices_of(points[r])])
-    T = {r: np.vstack(v) for r, v in T.items()}
-    g_unit = T[r_max].mean(axis=0) / l1[r_max]
-    per_seed = np.empty((n_seeds, len(radii)))
-    for j, r in enumerate(radii):
-        resid = np.abs(T[r] - g_unit[None, :] * l1[r][None, :]) / l1[r][None, :]
-        per_seed[:, j] = resid.max(axis=1)
-    medians = np.median(per_seed, axis=0)
-    mono = bool(np.all(np.diff(medians) <= 0))
-    return ShapeResidualReport(radii=radii, medians=medians, per_seed=per_seed,
-                               monotone_nonincreasing=mono)
+                         T_samples=samples)
 
 
 @dataclass
@@ -247,8 +177,8 @@ def crossing_counts(g, theta, levels, sample_vertices):
         if not inner.contains(x):
             raise ValueError(f"sample vertex {tuple(x)} outside padded region")
         path = forward_path(g, x)
-        dots = coords[path.indices] @ theta
-        lengths[i] = len(path.indices)
+        dots = coords[path] @ theta
+        lengths[i] = len(path)
         for j, a in enumerate(levels):
             counts[i, j] = int((dots < a).sum())
     return CrossingReport(levels=list(levels), samples=[tuple(v) for v in sample_vertices],
@@ -272,6 +202,10 @@ class BackwardTailReport:
         out += [("p_depth_ge", "", int(k), p) for k, p in zip(self.k_depth, self.p_depth_ge)]
         out.append(("censored_fraction", "", "", self.censored_fraction))
         return out
+
+
+class CensoredError(ValueError):
+    """Every backward cluster of the window touches the solve-box boundary."""
 
 
 def _fraction_ge(values, ks):
@@ -298,7 +232,7 @@ def backward_tail(g, window):
     keep_sizes = sizes[idx][~censored]
     keep_depth = depth[idx][~censored]
     if keep_sizes.size == 0:
-        raise ValueError("all clusters censored; enlarge the box")
+        raise CensoredError("all clusters censored; enlarge the box")
     k_size = np.arange(1, keep_sizes.max() + 1)
     k_depth = np.arange(0, keep_depth.max() + 2)
     return BackwardTailReport(
@@ -316,9 +250,6 @@ class IntersectionRadiusReport:
     def rows(self):
         return [("radius", "", f"{lvl}/{lab}", float(r))
                 for lvl, lab, _, r in self.records]
-
-    def radii_at(self, level):
-        return [r for lvl, _, _, r in self.records if lvl == level]
 
 
 def _max_pairwise_l1(pts):

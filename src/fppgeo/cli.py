@@ -14,8 +14,11 @@ value in place; file keys that a command does not take pass through to the
 manifest untouched.  Each setting a command takes is converted once, and a
 value that does not convert, a number or list entry below its minimum, a
 per-axis list whose length is not ``dim``, or a required setting that is
-missing, exits 2 with ``config error: <key>: ...``.  Identical configs
-produce byte-identical primary outputs; timing lives in the manifest only.
+missing, exits 2 with ``config error: <key>: ...``; so does a library error
+that only a setting can cause, named by its setting.  Any other exception is
+the program's fault: it exits 3 with ``internal error:`` and the traceback.
+Identical configs produce byte-identical primary outputs; timing lives in
+the manifest only.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import math
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -264,9 +268,8 @@ def _shape_task(arg):
     if cfg["axis"]:
         directions = np.zeros((1, cfg["dim"]))
         directions[0, 0] = 1.0
-    est = analysis.estimate_shape(_env(cfg, seed), [cfg["radius"]], n_seeds=1,
-                                  directions=directions, n_directions=cfg["directions"])
-    return est.T_samples[0]
+    return analysis.estimate_shape(_env(cfg, seed), cfg["radius"], n_seeds=1,
+                                   directions=directions, n_directions=cfg["directions"])
 
 
 def _graph_task(arg):
@@ -277,12 +280,20 @@ def _graph_task(arg):
 def _backward_task(arg):
     cfg, seed = arg
     window = _padded_window(cfg)
-    return _long_rows(analysis.backward_tail(build_graph(_solve(cfg, seed)), window), seed)
+    try:
+        report = analysis.backward_tail(build_graph(_solve(cfg, seed)), window)
+    except analysis.CensoredError as exc:
+        raise ConfigError("box", f"side {cfg['box']}: {exc}") from None
+    return _long_rows(report, seed)
 
 
 def _busemann_task(arg):
     cfg, seed = arg
     window = _padded_window(cfg)
+    if cfg["window"] < 3:
+        # sides 1 and 2 both make a one-vertex cube, which fits no vector
+        raise ConfigError("window", f"side {cfg['window']} holds one vertex; a Busemann "
+                                    "fit needs side 3 or more")
     return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), window), seed)
 
 
@@ -366,19 +377,8 @@ LONG_HEADER = ("metric", "seed", "param", "value")
 # writers of commands whose results are not CSV rows: (out, cfg, seeds, results) -> paths
 
 def _write_shape(out, cfg, seeds, results):
-    samples = np.vstack(results)
-    radius = cfg["radius"]
-    rows = []
-    for i, s in enumerate(seeds):
-        for j in range(samples.shape[1]):
-            rows.append(("T_over_r", s, j, samples[i, j] / radius))
-    g_hat = samples.mean(axis=0) / radius
-    stderr = (samples.std(axis=0, ddof=1) / np.sqrt(len(seeds)) / radius
-              if len(seeds) > 1 else np.zeros_like(g_hat))
-    for j in range(len(g_hat)):
-        rows.append(("g_hat", "", j, float(g_hat[j])))
-        rows.append(("g_stderr", "", j, float(stderr[j])))
-    export_csv(out, LONG_HEADER, rows)
+    est = replace(results[0], T_samples=np.vstack([r.T_samples for r in results]))
+    export_csv(out, LONG_HEADER, est.rows(seeds))
     return [out]
 
 
@@ -478,12 +478,13 @@ def main(argv=None):
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

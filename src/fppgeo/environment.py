@@ -89,13 +89,6 @@ class DistributionSpec:
             return b[0] + (b[1] - b[0]) * u
         return -np.log1p(-u) / self.params[0]
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        b = self._bounds()
-        if b is not None:
-            return np.clip((x - b[0]) / (b[1] - b[0]), 0.0, 1.0)
-        return 1.0 - np.exp(-self.params[0] * x)
-
     def mean(self):
         b = self._bounds()
         if b is not None:
@@ -112,14 +105,6 @@ class DistributionSpec:
 
 def uniform(a, b):
     return DistributionSpec("uniform", (a, b))
-
-
-def uniform_shifted(shift, width):
-    return DistributionSpec("uniform_shifted", (shift, width))
-
-
-def exponential(rate):
-    return DistributionSpec("exponential", (rate,))
 
 
 def parse_dist(text):
@@ -197,8 +182,8 @@ def override_edges(env, edges, values):
     """
     lows, axes = edge_arrays(edges, env.dim)
     values = np.broadcast_to(np.asarray(values, dtype=np.float64), axes.shape)
-    if not (values >= 0).all():
-        raise ValueError("override weights must be nonnegative")
+    if not ((values >= 0) & (values < np.inf)).all():     # NaN fails too
+        raise ValueError("override weights must be finite and nonnegative")
     old_ids, old_values = env.overrides
     # np.unique keeps the first occurrence of each id: newest entries first
     ids, first = np.unique(np.concatenate([edge_ids(lows, axes)[::-1], old_ids]),
@@ -213,14 +198,3 @@ def with_overrides(env, edges, lam):
     raised = np.maximum(env.edge_weights(*edge_arrays(edges, env.dim)), float(lam))
     return override_edges(env, edges, raised)
 
-
-def override_box(env, box, value):
-    """New environment with every edge inside ``box`` set to exactly ``value``."""
-    coords = box.coords()
-    return override_edges(env, np.concatenate([np.stack([coords[tails], coords[heads]], axis=1)
-                                               for tails, heads in box.axis_edges()]), value)
-
-
-def unit_environment(dim, box, seed=0):
-    """Environment whose weights are exactly 1 on every edge of ``box``."""
-    return override_box(WeightEnvironment(dim, uniform(0.0, 1.0), seed), box, 1.0)

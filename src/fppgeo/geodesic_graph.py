@@ -3,20 +3,20 @@
 A geodesic graph is the ``geodesics.DistanceField`` of a hyperplane target:
 one optional out-edge per vertex (its successor) and the passage times of
 the solve.  The functions here take any distance field, on a plain or a
-periodic box.  The traversals rest on ``geodesics.fold_chains``, which
-reduces a seed along every forward chain (backward clusters, hop counts),
-and on the cached ``DistanceField.generations``, the vertices grouped by
-hop count, which the statistics sweep leaves first or roots first.
+periodic box: forward paths and orbits, the backward-cluster statistics,
+weak components, encounter points, and the averaged graph at a random
+level.  The sweeps run over the cached ``DistanceField.generations``, the
+vertices grouped by hop count, leaves first or roots first.
 ``tree_roots`` jumps parent pointers to the root of every tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import HyperplaneTarget, fold_chains, solve, successor_chain
+from .geodesics import HyperplaneTarget, solve, successor_chain
 from .manifest import csv_cells
 
 
@@ -28,21 +28,6 @@ class ComponentDecomposition:
     cycle_edges: int
 
 
-@dataclass
-class Path:
-    vertices: list
-    indices: np.ndarray
-    reached_target: bool
-
-
-@dataclass
-class BackwardCluster:
-    vertices: list
-    size: int
-    depth: int
-    touches_boundary: bool
-
-
 def build_graph(field):
     """Geodesic graph of a hyperplane-target distance field: the field itself."""
     if not isinstance(field.target, HyperplaneTarget):
@@ -50,33 +35,12 @@ def build_graph(field):
     return field
 
 
-class BusemannField:
-    """View over a distance field exposing B(x, y) = T(x, H) - T(y, H)."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def value(self, x, y):
-        return float(self.field.T[self.field.box.index_of(x)]
-                     - self.field.T[self.field.box.index_of(y)])
-
-    def relative_to(self, origin):
-        """Array of B(origin, x) over all box vertices."""
-        return self.field.T[self.field.box.index_of(origin)] - self.field.T
-
-
-def busemann(field, x, y):
-    return BusemannField(field).value(x, y)
-
-
 def forward_path(g, x):
-    """Out-edge chain from x until a target vertex or a missing out-edge."""
-    chain = successor_chain(g.succ, g.box.index_of(x))
-    return Path(
-        vertices=[g.box.vertex_at(i) for i in chain],
-        indices=np.asarray(chain, dtype=np.int64),
-        reached_target=bool(g.target_mask[chain[-1]]),
-    )
+    """Vertex indices of the out-edge chain from x up to its root, as an int64 array.
+
+    The chain ends at a target vertex, or at a vertex whose out-edge was cut.
+    """
+    return np.asarray(successor_chain(g.succ, g.box.index_of(x)), dtype=np.int64)
 
 
 def forward_orbit(g, source_indices):
@@ -88,25 +52,12 @@ def forward_orbit(g, source_indices):
     return mark
 
 
-def backward_cluster(g, x):
-    """The set C^b_x of vertices with a directed path to x: their forward chains meet x."""
-    start = g.box.index_of(x)
-    at_x = np.arange(g.n_vertices) == start
-    members = np.flatnonzero(fold_chains(g.succ, at_x, np.logical_or))
-    hops = g.hops()
-    return BackwardCluster(
-        vertices=[g.box.vertex_at(i) for i in members],
-        size=len(members),
-        depth=int(hops[members].max() - hops[start]),
-        touches_boundary=bool(g.box.boundary_mask()[members].any()),
-    )
-
-
 def backward_stats(g):
     """Per-vertex backward-cluster size, depth, and boundary contact.
 
-    Sweeps the generations leaves first, accumulating each generation into
-    its successors; agrees with per-vertex ``backward_cluster``.
+    The backward cluster of x holds the vertices whose forward chain meets
+    x.  Sweeps the generations leaves first, accumulating each generation
+    into its successors.
     """
     n = g.n_vertices
     sizes = np.ones(n, dtype=np.int64)
@@ -132,20 +83,6 @@ def sample_averaged_graph(env, n, box, direction, rng_seed):
     alpha = sample_level(n, rng_seed)
     field = solve(env, box, HyperplaneTarget(direction, alpha, mode="halfspace_frontier"))
     return alpha, build_graph(field)
-
-
-def truncate(g, inner):
-    """Keep only out-edges with both endpoints in ``inner`` (same vertex set)."""
-    if not g.box.contains_box(inner):
-        raise ValueError("inner box not contained in graph box")
-    coords = g.box.coords()
-    lo = np.asarray(inner.lower)
-    hi = np.asarray(inner.upper)
-    inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
-    succ = g.succ.copy()
-    keep = (succ >= 0) & inside & inside[np.clip(succ, 0, None)]
-    succ[~keep] = -1
-    return replace(g, succ=succ)
 
 
 def tree_roots(parent):

@@ -16,8 +16,9 @@ plain box that is the lexicographically smallest tied neighbor.
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
 distance fields.  ``fold_chains`` (a reduction along every successor chain
 by pointer doubling) is, with ``DistanceField.generations``, the traversal
-core of the forest; ``successor_chain`` walks a single chain.  A field
-derives its boundary contact, like its generations, on first read.
+core of the forest; ``successor_chain`` walks a single chain, the geodesic
+from its start.  A field derives its generations on first read; the forest
+statistics and the ``graph.csv`` writer are in ``geodesic_graph``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .environment import edge_arrays
 from .lattice import Box, is_integer_direction
-from .manifest import csv_cells
 
 
 @dataclass(frozen=True)
@@ -77,14 +76,6 @@ class NoTargetError(ValueError):
     """The target has no vertex in the solve region."""
 
 
-class TruncatedPathError(RuntimeError):
-    """Successor chain left the box before reaching a target vertex."""
-
-    def __init__(self, partial):
-        super().__init__(f"successor chain truncated after {len(partial)} vertices")
-        self.partial = partial
-
-
 def target_mask(target, box):
     """Boolean mask over box vertices belonging to the target set."""
     coords = box.coords()
@@ -107,8 +98,8 @@ class DistanceField:
     """Exact within-box passage times to a target, plus successor forest.
 
     The forest has one optional out-edge per vertex, to ``succ`` (-1 on
-    target vertices and wherever a chain was cut).  ``boundary_touched`` and
-    ``generations`` are derived from ``succ`` on first read and cached.
+    target vertices and wherever a chain was cut).  ``generations`` are
+    derived from ``succ`` on first read and cached.
     """
 
     box: Box
@@ -120,7 +111,6 @@ class DistanceField:
 
     def __post_init__(self):
         self._gens = None
-        self._touched = None
 
     @property
     def n_vertices(self):
@@ -130,35 +120,9 @@ class DistanceField:
     def n_edges(self):
         return int((self.succ >= 0).sum())
 
-    def passage_time(self, x):
-        return float(self.T[self.box.index_of(x)])
-
-    def out_edge(self, x):
-        """Directed out-edge of x as (x, succ(x)), or None."""
-        s = self.succ[self.box.index_of(x)]
-        if s < 0:
-            return None
-        return (tuple(x), self.box.vertex_at(int(s)))
-
-    def reverse_index(self):
-        """CSR-style (indptr, indices) of in-neighbors."""
-        has = self.succ >= 0
-        heads = self.succ[has]
-        order = np.argsort(heads, kind="stable")
-        indptr = np.zeros(self.n_vertices + 1, dtype=np.int64)
-        np.add.at(indptr, heads + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return indptr, np.flatnonzero(has)[order]
-
     def in_degrees(self):
-        return np.diff(self.reverse_index()[0])
-
-    @property
-    def boundary_touched(self):
-        """Mask of the vertices whose forward chain meets a face of the box."""
-        if self._touched is None:
-            self._touched = fold_chains(self.succ, self.box.boundary_mask(), np.logical_or)
-        return self._touched
+        """Number of out-edges into each vertex."""
+        return np.bincount(self.succ[self.succ >= 0], minlength=self.n_vertices)
 
     def hops(self):
         """Number of out-edges from each vertex to its root."""
@@ -240,9 +204,10 @@ def successor_forest(edges, weights, tmask):
     returned by ``Box.axis_edges`` and ``weights`` the matching weights.
     Returns ``(T, succ)`` with succ = -1 on target vertices.
     """
-    # NaN fails too: it would leave a successor cycle
-    if not all(np.all(w > 0.0) for w in weights):
-        raise ValueError("nonpositive or NaN edge weight encountered; weights must be > 0")
+    # NaN and inf fail too: either can leave a vertex that is its own successor
+    if not all(np.all((w > 0.0) & (w < np.inf)) for w in weights):
+        raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
+                         "weights must be > 0 and finite")
     n = len(tmask)
     nbr, wt = _neighbor_table(edges, weights, n)
     indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
@@ -259,8 +224,8 @@ def solve(env, box, target):
 
     Paths are constrained to the box.  Raises if the environment and the
     box differ in dimension, if the target does not intersect the box, or if
-    any edge weight is not strictly positive (zero-weight regimes are
-    unsupported).
+    any edge weight is not strictly positive and finite (zero-weight regimes
+    are unsupported).
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
@@ -271,27 +236,6 @@ def solve(env, box, target):
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
-
-
-def passage_time(field, x):
-    """T(x, target); zero exactly on target vertices."""
-    return field.passage_time(x)
-
-
-def extract_geodesic(field, x):
-    """The unique geodesic from x to the target, as a vertex sequence."""
-    chain = successor_chain(field.succ, field.box.index_of(x))
-    path = [field.box.vertex_at(i) for i in chain]
-    if not field.target_mask[chain[-1]]:
-        raise TruncatedPathError(path)
-    return path
-
-
-def path_weight(env, path):
-    """Total weight of a vertex path under an environment."""
-    points = np.asarray(path, dtype=np.int64).reshape(-1, env.dim)
-    ends = np.stack([points[:-1], points[1:]], axis=1)
-    return float(env.edge_weights(*edge_arrays(ends, env.dim)).sum())
 
 
 def successor_margin(field):
@@ -306,16 +250,4 @@ def successor_margin(field):
     keep = ~field.target_mask
     part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
     return part[:, 1] - part[:, 0]
-
-
-def field_to_csv(field, path):
-    """CSV dump: x1..xd, T, succ_dx1..succ_dxd, boundary_touched."""
-    d = field.box.dim
-    head = [f"x{i+1}" for i in range(d)] + ["T"] + \
-           [f"succ_dx{i+1}" for i in range(d)] + ["boundary_touched"]
-    coords = field.box.coords()
-    steps = np.ma.masked_array(coords[field.succ] - coords)
-    steps[field.succ < 0] = np.ma.masked
-    with open(path, "w", newline="") as fh:
-        fh.writelines(csv_cells(head, [*coords.T, field.T, *steps.T, field.boundary_touched]))
 

@@ -1,4 +1,4 @@
-"""Integer-lattice geometry: vertices, edges, boxes, hyperplanes, and orderings.
+"""Integer-lattice geometry: boxes, their edges, and integer directions.
 
 Vertices are plain tuples of ints.  Heavy code paths work on flat numpy
 index arrays keyed to a Box; the tuple API is the boundary for users and
@@ -13,19 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-Vertex = tuple
-
-
-def neighbors(v):
-    """The 2d nearest neighbors of v, in the fixed order +e1, -e1, +e2, -e2, ..."""
-    out = []
-    for i in range(len(v)):
-        for s in (1, -1):
-            w = list(v)
-            w[i] += s
-            out.append(tuple(w))
-    return out
 
 
 @dataclass(frozen=True)
@@ -221,25 +208,3 @@ def lattice_point_on_level(theta, n):
     k = n // g
     return tuple(k * c for c in combo)
 
-
-def hyperplane_vertices(theta, n, box):
-    """All box vertices z with z . theta = n, in lexicographic order."""
-    coords = box.coords()
-    dots = coords @ np.asarray(theta, dtype=np.int64)
-    hit = coords[dots == int(n)]
-    return [tuple(int(c) for c in row) for row in hit]
-
-
-def order_key(theta):
-    """Sort key realizing the level-then-lexicographic total order on Z^d."""
-    theta = tuple(int(c) for c in theta)
-
-    def key(v):
-        return (sum(c * t for c, t in zip(v, theta)), tuple(v))
-
-    return key
-
-
-def precedes(x, y, theta):
-    """x precedes y: smaller theta-level first, lexicographic tie-break (reflexive)."""
-    return order_key(theta)(x) <= order_key(theta)(y)

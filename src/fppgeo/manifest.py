@@ -108,16 +108,6 @@ def export_json(path, obj):
         fh.write("\n")
 
 
-def export_report(report, fmt, path):
-    """Export a report carrying ``rows()`` in long format, or a JSON summary."""
-    if fmt == "csv":
-        export_csv(path, ("metric", "seed", "param", "value"), report.rows())
-    elif fmt == "json":
-        export_json(path, {"rows": [list(map(fmt_value, r)) for r in report.rows()]})
-    else:
-        raise ValueError(f"unsupported export format {fmt!r}")
-
-
 def write_manifest(out_path, command, config, seeds, started, finished,
                    outputs, runtime_ms=None):
     """Write ``<out>.manifest.json`` next to a result file; returns its path."""

@@ -4,7 +4,9 @@ Builds the slab-and-cylinder strip around the direction axis, enumerates
 the protected vertices whose geodesics must be preserved, raises weights on
 the remaining strip edges, and verifies that no geodesic started at or
 behind the zero-level hyperplane reaches the forward path of the marked
-vertex on the far side of the strip.
+vertex on the far side of the strip.  ``run_modification`` runs the whole
+experiment: the event check on the original graph, the raise, and the
+severing check on the modified graph, whose failures name a witness.
 
 Real-point conditions on embedded edges are decided with exact integer
 arithmetic: a unit segment crosses an integer-normal hyperplane at a
@@ -17,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .environment import with_overrides
-from .geodesic_graph import build_graph, forward_orbit, forward_path, graph_summary
+from .geodesic_graph import build_graph, forward_orbit, forward_path
 from .geodesics import DistanceField, HyperplaneTarget, fold_chains, solve
-from .lattice import Box, is_integer_direction, order_key
+from .lattice import Box, is_integer_direction
 
 
 @dataclass(frozen=True)
@@ -57,17 +59,6 @@ def in_strip(spec, coords):
     # squared distance to the line R*theta, times |theta|^2 (integer exact)
     dist_sq_scaled = (coords ** 2).sum(axis=1) * nsq - dots ** 2
     return (dots >= 0) & (dots <= spec.N) & (dist_sq_scaled <= spec.M ** 2 * nsq)
-
-
-def strip_vertices(spec, box):
-    """Predicate and lexicographic enumeration of the strip inside a box."""
-    coords = box.coords()
-    mask = in_strip(spec, coords)
-
-    def predicate(z):
-        return bool(in_strip(spec, np.asarray([z]))[0])
-
-    return predicate, [tuple(int(c) for c in row) for row in coords[mask]]
 
 
 def _level_interval(a_u, step, s, low, high):
@@ -197,16 +188,16 @@ def check_event_A2prime(g, spec, y, xi_N):
     wit = {}
 
     xi_path = forward_path(g, xi)
-    dots_xi = coords[xi_path.indices] @ theta
+    dots_xi = coords[xi_path] @ theta
     bad = np.flatnonzero(dots_xi[1:] <= spec.N)
     exit_and_stay = bad.size == 0
     if not exit_and_stay:
-        wit["slab_reentry"] = box.vertex_at(int(xi_path.indices[1 + bad[0]]))
+        wit["slab_reentry"] = box.vertex_at(int(xi_path[1 + bad[0]]))
 
     y_path = forward_path(g, y)
-    y_dist_to_xi = np.abs(coords[y_path.indices] - np.asarray(xi)).sum(axis=1)
+    y_dist_to_xi = np.abs(coords[y_path] - np.asarray(xi)).sum(axis=1)
     near = y_dist_to_xi <= spec.epsilon * sum(abs(c) for c in xi)
-    meets = y_path.indices[np.isin(y_path.indices, xi_path.indices)]
+    meets = y_path[np.isin(y_path, xi_path)]
     approach_but_disjoint = bool(near.any()) and meets.size == 0
     if meets.size:
         wit["y_meets_xi_path"] = box.vertex_at(int(meets[0]))
@@ -216,8 +207,8 @@ def check_event_A2prime(g, spec, y, xi_N):
     S = g.env.spec.sup_support()
     bound = S - spec.delta
     iy = box.index_of(y)
-    Ty = g.T[iy] - g.T[y_path.indices]      # passage time from y along its path
-    l1_from_y = np.abs(coords[y_path.indices] - np.asarray(y)).sum(axis=1)
+    Ty = g.T[iy] - g.T[y_path]      # passage time from y along its path
+    l1_from_y = np.abs(coords[y_path] - np.asarray(y)).sum(axis=1)
     relevant = near & (l1_from_y >= spec.M_prime)
     speed_bound = True
     if math.isinf(S):
@@ -226,7 +217,7 @@ def check_event_A2prime(g, spec, y, xi_N):
         viol = relevant & (Ty > l1_from_y * bound)
         speed_bound = not viol.any()
         if not speed_bound:
-            wit["speed_violation"] = box.vertex_at(int(y_path.indices[np.flatnonzero(viol)[0]]))
+            wit["speed_violation"] = box.vertex_at(int(y_path[np.flatnonzero(viol)[0]]))
     global_rel = l1_from_y >= spec.M_prime
     speed_bound_global = True
     if not math.isinf(S) and global_rel.any():
@@ -234,7 +225,7 @@ def check_event_A2prime(g, spec, y, xi_N):
 
     protected = np.array(protected_vertices(box, spec, xi), dtype=np.int64).reshape(-1, box.dim)
     orbit = forward_orbit(g, box.indices_of(protected))
-    inter = xi_path.indices[orbit[xi_path.indices]]
+    inter = xi_path[orbit[xi_path]]
     protected_disjoint = inter.size == 0
     if inter.size:
         wit["protected_meets_xi_path"] = box.vertex_at(int(inter[0]))
@@ -276,24 +267,17 @@ def _first_attainment(dots, level, start):
     return None
 
 
-def violating_sources(g_mod, spec, xi_N, reference=None):
+def violating_sources(g_mod, spec, xi_N):
     """Vertices at level <= 0 whose forward path meets the path of xi_N.
 
     Computed as the backward closure of the xi path (reverse reachability)
-    intersected with the low-level halfspace.  ``reference`` optionally pins
-    the xi path to a fixed vertex sequence (for comparisons across
-    modification strengths); by default it is recomputed in ``g_mod``.
+    intersected with the low-level halfspace.
     """
     theta = np.asarray(spec.theta, dtype=np.int64)
     box = g_mod.box
     coords = box.coords()
     mark = np.zeros(g_mod.n_vertices, dtype=bool)
-    if reference is None:
-        xi_path = forward_path(g_mod, tuple(int(c) for c in xi_N))
-        mark[xi_path.indices] = True
-    else:
-        for v in reference:
-            mark[box.index_of(v)] = True
+    mark[forward_path(g_mod, tuple(int(c) for c in xi_N))] = True
     mark = fold_chains(g_mod.succ, mark, np.logical_or)
     dots = coords @ theta
     return [box.vertex_at(int(i)) for i in np.flatnonzero(mark & (dots <= 0))]
@@ -321,7 +305,7 @@ def verify_severing(g_mod, spec, xi_N):
 
     src = violators[0]
     path = forward_path(g_mod, src)
-    pd = list(coords[path.indices] @ theta)
+    pd = list(coords[path] @ theta)
     w1 = _last_attainment(pd, 0)
     if w1 is None:
         v1_k = 0
@@ -329,8 +313,8 @@ def verify_severing(g_mod, spec, xi_N):
         v1_k = w1[0] if w1[1] else w1[0] + 1
     w2 = _first_attainment(pd, spec.N, v1_k)
     v2_k = w2[0] if w2 is not None else len(pd) - 1
-    v1 = int(path.indices[v1_k])
-    v2 = int(path.indices[v2_k])
+    v1 = int(path[v1_k])
+    v2 = int(path[v2_k])
     return SeveringVerdict(severed=False, witness=src,
                            crossing=(box.vertex_at(v1), box.vertex_at(v2)),
                            crossing_time=float(g_mod.T[v1] - g_mod.T[v2]),
@@ -349,14 +333,6 @@ class ModificationOutcome:
     @property
     def severed(self):
         return self.verdict.severed
-
-    @cached_property
-    def summary_original(self):
-        return graph_summary(self.g)
-
-    @cached_property
-    def summary_modified(self):
-        return graph_summary(self.g_mod)
 
 
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alpha=None):
@@ -403,10 +379,3 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alp
     return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
                                verdict=verdict, g=g, g_mod=g_mod)
 
-
-def progenitor(vertices, theta):
-    """The minimal vertex: lowest level first, then lexicographic."""
-    vertices = list(vertices)
-    if not vertices:
-        raise ValueError("progenitor of an empty vertex set")
-    return min(vertices, key=order_key(theta))

@@ -2,15 +2,33 @@
 
 Nothing here shares code with the library's solvers; these exist so tests
 can compare optimized implementations against first-principles computation.
+The environment and truncation helpers at the end build test inputs.
 """
 
 import itertools
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, inf
 
 import numpy as np
 
-from fppgeo.lattice import neighbors
+from fppgeo.environment import WeightEnvironment, override_edges, uniform
+
+
+def neighbors(v):
+    """The 2d nearest neighbors of v, in the fixed order +e1, -e1, +e2, -e2, ..."""
+    out = []
+    for i in range(len(v)):
+        for s in (1, -1):
+            w = list(v)
+            w[i] += s
+            out.append(tuple(w))
+    return out
+
+
+def path_weight(env, path):
+    """Total weight of a vertex path under an environment, one edge at a time."""
+    return sum(env.weight_of((u, v)) for u, v in zip(path, path[1:]))
 
 
 def bellman_ford(env, box, targets):
@@ -57,9 +75,9 @@ def min_simple_path_weight(env, box, start, goal):
     return best[0]
 
 
-def reverse_reachable(succ_map, x):
-    """Transitive closure on reversed out-edges, by repeated scanning."""
-    cluster = {x}
+def reverse_reachable(succ_map, sources):
+    """Transitive closure of the set ``sources`` on reversed out-edges, by repeated scanning."""
+    cluster = set(sources)
     changed = True
     while changed:
         changed = False
@@ -240,6 +258,36 @@ def protected_vertices_exact(box, spec, xi_N):
     return tuple(sorted(z for z in hit if box.contains(z)))
 
 
+@dataclass
+class BackwardCluster:
+    vertices: list
+    size: int
+    depth: int
+    touches_boundary: bool
+
+
+def backward_cluster(g, x):
+    """The set C^b_x of vertices whose forward chain meets x, by walking every chain.
+
+    ``depth`` is the most hops from a member down to x, and
+    ``touches_boundary`` says whether a member lies on a face of a plain box.
+    """
+    box = g.box
+    start = box.index_of(x)
+    members, depth = [], 0
+    for i in range(g.n_vertices):
+        j, hops = i, 0
+        while j != start and g.succ[j] >= 0:
+            j, hops = int(g.succ[j]), hops + 1
+        if j == start:
+            members.append(i)
+            depth = max(depth, hops)
+    vertices = [box.vertex_at(i) for i in members]
+    on_face = [any(c in (l, u) for c, l, u in zip(v, box.lower, box.upper)) for v in vertices]
+    return BackwardCluster(vertices=vertices, size=len(members), depth=depth,
+                           touches_boundary=not box.periodic and any(on_face))
+
+
 def sort_by_order(vertices, theta):
     """Progenitor oracle: full sort under (level, lexicographic)."""
     return sorted(vertices, key=lambda v: (sum(c * t for c, t in zip(v, theta)), v))
@@ -279,21 +327,6 @@ def _step_cells(coords, succ, i):
     return ["" for _ in range(coords.shape[1])]
 
 
-def field_csv_text(field):
-    """Row-by-row rendering of ``geodesics.field_to_csv``."""
-    d = field.box.dim
-    coords = field.box.coords()
-    head = [f"x{i+1}" for i in range(d)] + ["T"] + \
-           [f"succ_dx{i+1}" for i in range(d)] + ["boundary_touched"]
-    lines = [",".join(head)]
-    for i in range(field.box.n_vertices):
-        row = [str(int(c)) for c in coords[i]] + [format(field.T[i], ".17g")]
-        row += _step_cells(coords, field.succ, i)
-        row.append(str(int(field.boundary_touched[i])))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
-
-
 def graph_csv_text(g):
     """Row-by-row rendering of ``geodesic_graph.graph_to_csv``."""
     d = g.box.dim
@@ -321,3 +354,29 @@ def columns_csv_text(header, columns):
                 row.append(str(int(v)))
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def override_box(env, box, value):
+    """New environment with every edge inside ``box`` set to exactly ``value``."""
+    coords = box.coords()
+    return override_edges(env, np.concatenate([np.stack([coords[tails], coords[heads]], axis=1)
+                                               for tails, heads in box.axis_edges()]), value)
+
+
+def unit_environment(dim, box, seed=0):
+    """Environment whose weights are exactly 1 on every edge of ``box``."""
+    return override_box(WeightEnvironment(dim, uniform(0.0, 1.0), seed), box, 1.0)
+
+
+def truncate(g, inner):
+    """Keep only out-edges with both endpoints in ``inner`` (same vertex set)."""
+    if not g.box.contains_box(inner):
+        raise ValueError("inner box not contained in graph box")
+    coords = g.box.coords()
+    lo = np.asarray(inner.lower)
+    hi = np.asarray(inner.upper)
+    inside = ((coords >= lo) & (coords <= hi)).all(axis=1)
+    succ = g.succ.copy()
+    keep = (succ >= 0) & inside & inside[np.clip(succ, 0, None)]
+    succ[~keep] = -1
+    return replace(g, succ=succ)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from fppgeo.analysis import (backward_tail, build_torus_graph,
-                             crossing_counts, direction_grid,
-                             estimate_busemann_vector, estimate_shape,
-                             intersection_radii, mass_transport_balance,
-                             required_pad, shape_residual)
-from fppgeo.environment import WeightEnvironment, override_box, uniform, unit_environment
+from fppgeo.analysis import (backward_tail, build_torus_graph, crossing_counts, direction_grid,
+                             estimate_busemann_vector, estimate_shape, intersection_radii,
+                             mass_transport_balance)
+from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box
+
+from oracles import override_box, unit_environment
 
 
 def test_direction_grid_shapes():
@@ -24,7 +24,7 @@ def test_estimate_shape_unit_weights_exact():
     r = 12
     box = Box.cube(r + 16, 2)
     env = unit_environment(2, box, seed=0)
-    est = estimate_shape(env, [r], n_seeds=2, n_directions=16, box=box)
+    est = estimate_shape(env, r, n_seeds=2, n_directions=16, box=box)
     l1 = np.abs(est.eval_points).sum(axis=1)
     assert np.array_equal(est.T_samples[0], l1.astype(float))
     assert np.array_equal(est.g_hat * r, l1.astype(float))
@@ -35,8 +35,8 @@ def test_estimate_shape_lattice_symmetry():
     e1 = np.array([[1.0, 0.0]])
     e2 = np.array([[0.0, 1.0]])
     r = 30
-    a = estimate_shape(env, [r], n_seeds=12, directions=e1)
-    b = estimate_shape(env, [r], n_seeds=12, directions=e2)
+    a = estimate_shape(env, r, n_seeds=12, directions=e1)
+    b = estimate_shape(env, r, n_seeds=12, directions=e2)
     pooled = np.sqrt(a.g_stderr[0] ** 2 + b.g_stderr[0] ** 2)
     assert abs(a.g_hat[0] - b.g_hat[0]) < 3 * pooled
 
@@ -44,47 +44,30 @@ def test_estimate_shape_lattice_symmetry():
 def test_estimate_shape_mean_bound_small_scale():
     # deterministic-path upper bound: g(e1) <= E t_e
     env = WeightEnvironment(2, uniform(0, 1), 0)
-    est = estimate_shape(env, [40], n_seeds=10, directions=np.array([[1.0, 0.0]]))
+    est = estimate_shape(env, 40, n_seeds=10, directions=np.array([[1.0, 0.0]]))
     assert est.g_hat[0] <= 0.5 + 3 * est.g_stderr[0]
 
 
 def test_estimate_shape_box_too_small():
     env = WeightEnvironment(2, uniform(0, 1), 0)
     with pytest.raises(ValueError):
-        estimate_shape(env, [40], n_seeds=1, n_directions=8, box=Box.cube(42, 2))
+        estimate_shape(env, 40, n_seeds=1, n_directions=8, box=Box.cube(42, 2))
 
 
-def test_boundary_samples_on_l1_sphere():
-    r = 10
-    box = Box.cube(r + 16, 2)
-    env = unit_environment(2, box, seed=0)
-    est = estimate_shape(env, [r], n_seeds=1, n_directions=8, box=box)
-    l1 = np.abs(est.boundary_samples).sum(axis=1)
-    assert np.all(l1 <= 1.0 + 1e-12)
-    assert np.any(l1 == 1.0)
-
-
-def test_shape_residual_unit_weights_zero():
-    r = 12
-    box = Box.cube(r + 16, 2)
-    env = unit_environment(2, box, seed=0)
-    rep = shape_residual(env, [4, 8, 12], n_seeds=2, n_directions=8, box=box)
-    assert np.all(rep.medians == 0.0)
-    assert rep.monotone_nonincreasing
-
-
-def test_shape_residual_needs_three_radii():
-    env = WeightEnvironment(2, uniform(0, 1), 0)
-    with pytest.raises(ValueError):
-        shape_residual(env, [50], n_seeds=2)
-
-
-def test_shape_residual_trend_uniform():
-    # pilot (10 seeds, radii 50/100/200, 8 directions): medians
-    # 0.036 / 0.023 / 0.010, decreasing; margin 0.005 guards seed noise
-    env = WeightEnvironment(2, uniform(0, 1), 0)
-    rep = shape_residual(env, [50, 100, 200], n_seeds=10, n_directions=8)
-    assert np.all(np.diff(rep.medians) <= 0.005)
+def test_shape_estimate_moments_and_rows():
+    env = WeightEnvironment(2, uniform(0, 1), 4)
+    est = estimate_shape(env, 10, n_seeds=3, n_directions=5)
+    T = est.T_samples
+    assert T.shape == (3, 5)
+    assert est.g_hat.tolist() == [T[:, i].mean() / 10 for i in range(5)]
+    assert np.allclose(est.g_stderr, T.std(axis=0, ddof=1) / np.sqrt(3) / 10, rtol=1e-12)
+    rows = est.rows([7, 8, 9])
+    assert rows[:5] == [("T_over_r", 7, i, T[0, i] / 10) for i in range(5)]
+    assert rows[15:] == [row for i in range(5) for row in (("g_hat", "", i, est.g_hat[i]),
+                                                           ("g_stderr", "", i, est.g_stderr[i]))]
+    one = estimate_shape(env, 10, n_seeds=1, n_directions=5)
+    assert one.T_samples.tolist() == T[:1].tolist()
+    assert one.g_stderr.tolist() == [0.0] * 5
 
 
 def test_busemann_vector_unit_weights_exact():
@@ -225,8 +208,8 @@ def test_intersection_radii_level_symmetry():
         env = WeightEnvironment(2, uniform(0, 1), seed)
         g = build_graph(solve(env, box, HyperplaneTarget((1, 0), 20)))
         rep = intersection_radii(g, (1, 0), [-3, 3], window=win)
-        pos.extend(rep.radii_at(3))
-        neg.extend(rep.radii_at(-3))
+        pos.extend(r for level, _, _, r in rep.records if level == 3)
+        neg.extend(r for level, _, _, r in rep.records if level == -3)
     pos, neg = np.array(pos, float), np.array(neg, float)
     se = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
     assert abs(pos.mean() - neg.mean()) < 3 * se

@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fppgeo
+from fppgeo import cli
+from fppgeo.analysis import estimate_shape
 from fppgeo.cli import main
-from fppgeo.manifest import (MANIFEST_SCHEMA, canonical_json, export_csv,
-                             export_json, export_report, validate_manifest)
+from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.manifest import canonical_json, export_csv, export_json, validate_manifest
 
 
 def run_cli(args):
@@ -130,6 +134,21 @@ def test_shape_command(tmp_path):
     assert any(l.startswith("g_hat") for l in lines)
 
 
+def test_shape_rows_match_estimate_shape(tmp_path):
+    # the CLI runs one solve per seed and stacks them; the library runs the seeds in one call
+    out = tmp_path / "s.csv"
+    assert run_cli(["shape", "--dim", "2", "--dist", "uniform:0,1", "--radius", "9",
+                    "--directions", "6", "--seed", "5", "--seeds", "3", "--out", str(out)]) == 0
+    est = estimate_shape(WeightEnvironment(2, uniform(0.0, 1.0), 5), 9, n_seeds=3,
+                         n_directions=6)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    for metric, values in (("g_hat", est.g_hat), ("g_stderr", est.g_stderr)):
+        got = [float(value) for name, _, _, value in rows if name == metric]
+        assert np.array(got).tobytes() == values.tobytes()
+    got = [float(value) for name, _, _, value in rows if name == "T_over_r"]
+    assert np.array(got).tobytes() == (est.T_samples / 9).ravel().tobytes()
+
+
 def test_busemann_backward_crossings_radii_masstransport(tmp_path):
     common = ["--dim", "2", "--dist", "uniform:0,1", "--seed", "0",
               "--theta", "1,0"]
@@ -177,25 +196,20 @@ def test_export_csv_empty_report(tmp_path):
 
 
 def test_export_report_roundtrip_and_counts(tmp_path):
+    # the CLI exports a report as its long-format rows
     class Rep:
         def rows(self):
             return [("m", 0, 1, 0.1234567890123456789), ("m", 1, 2, 3.0)]
 
     rep = Rep()
     csv_path = tmp_path / "r.csv"
-    export_report(rep, "csv", csv_path)
+    export_csv(csv_path, ("metric", "seed", "param", "value"), rep.rows())
     lines = csv_path.read_text().splitlines()
     assert len(lines) == 1 + len(rep.rows())
     # 17 significant digit formatting round-trips exactly
     val = float(lines[1].split(",")[-1])
     assert val == 0.1234567890123456789
-
-    json_path = tmp_path / "r.json"
-    export_report(rep, "json", json_path)
-    parsed = json.loads(json_path.read_text())
-    assert len(parsed["rows"]) == len(rep.rows())
-    with pytest.raises(ValueError):
-        export_report(rep, "xml", tmp_path / "r.xml")
+    assert lines[2] == "m,1,2,3"
 
 
 def test_canonical_json_stable():
@@ -306,8 +320,11 @@ def test_box_too_small_for_analysis_pad_names_key(tmp_path, capsys, command, arg
     assert capsys.readouterr().err.strip() == (
         "config error: box: side 31 leaves no vertex inside the analysis pad of 16; "
         "the smallest side accepted is 33")
-    if command != "busemann":       # a one-vertex window fits no Busemann vector
+    if command != "busemann":
         assert run_cli(argv + ["--box", "33"]) == 0
+    else:                           # a one-vertex window fits no Busemann vector
+        assert run_cli(argv + ["--box", "33"]) == 2
+        assert capsys.readouterr().err.startswith("config error: window: side 1 ")
 
 
 def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
@@ -339,7 +356,14 @@ def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
     ("masstransport", ["--dims", "8,8,8", "--theta", "1,0"], "dims: expected 2 integers, got 3"),
     ("masstransport", ["--dims", "8,8", "--theta", "1,0", "--level", "8"],
      "level: no target vertex on torus (8, 8)"),
-], ids=["alpha", "radii-window", "backward-window", "theta", "dims", "level"])
+    ("busemann", ["--box", "33", "--theta", "1,0", "--alpha", "4", "--window", "1"],
+     "window: side 1 holds one vertex; a Busemann fit needs side 3 or more"),
+    ("busemann", ["--box", "33", "--theta", "1,0", "--alpha", "4", "--window", "2"],
+     "window: side 2 holds one vertex; a Busemann fit needs side 3 or more"),
+    ("backward", ["--box", "33", "--theta", "1,0", "--alpha", "-16", "--window", "1"],
+     "box: side 33: all clusters censored; enlarge the box"),
+], ids=["alpha", "radii-window", "backward-window", "theta", "dims", "level",
+        "busemann-window-1", "busemann-window-2", "backward-censored"])
 def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -399,3 +423,18 @@ def test_non_finite_setting_stops_before_any_output(tmp_path, capsys, key, value
                     "--out", str(out / "modify.csv")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: {key}: must be finite, got ")
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("error", [ValueError("a program fault"), KeyError("missing")])
+def test_program_fault_is_internal_error(tmp_path, capsys, monkeypatch, error):
+    def task(arg):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "graph", replace(cli.COMMANDS["graph"], task=task))
+    out = tmp_path / "g.csv"
+    assert run_cli(["graph", *_D2, "--box", "15", "--theta", "1,0", "--alpha", "4",
+                    "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"internal error: {error!r}\n")
+    assert "Traceback (most recent call last)" in err and "config error" not in err
+    assert not out.exists()

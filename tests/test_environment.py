@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, exponential, override_box,
-                                override_edges, parse_dist, uniform, uniform_shifted,
-                                with_overrides)
+from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, override_edges,
+                                parse_dist, uniform, with_overrides)
 from fppgeo.lattice import Box
+
+from oracles import override_box
 
 
 def make_env(seed=0, dist=None):
@@ -39,8 +40,8 @@ def test_override_validation():
     env = override_edges(make_env(0), [((1, 0), (0, 0))], 2.0)
     ids, values = env.overrides
     assert ids.tolist() == edge_ids([[0, 0]], [0]).tolist() and values.tolist() == [2.0]
-    for bad in (-1.0, np.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
             override_edges(make_env(0), [((0, 0), (1, 0))], bad)
     with pytest.raises(ValueError, match=r"^\(1, 1\) and \(0, 0\) are not nearest neighbors"):
         override_edges(make_env(0), [((0, 0), (0, 1)), ((1, 1), (0, 0))], 1.0)
@@ -52,9 +53,9 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         uniform(-0.5, 1.0)
     with pytest.raises(ValueError):
-        exponential(0.0)
+        parse_dist("exponential:0")
     with pytest.raises(ValueError):
-        uniform_shifted(0.0, 1.0)
+        parse_dist("uniform-shifted:0,1")
     with pytest.raises(ValueError):
         parse_dist("poisson:3")
 
@@ -71,10 +72,10 @@ def test_distribution_parameters_must_be_finite(kind, params):
 
 def test_sup_support_and_mean():
     assert uniform(0, 1).sup_support() == 1.0
-    assert uniform_shifted(0.5, 1.0).sup_support() == 1.5
-    assert exponential(2.0).sup_support() == np.inf
+    assert parse_dist("uniform-shifted:0.5,1").sup_support() == 1.5
+    assert parse_dist("exponential:2").sup_support() == np.inf
     assert uniform(0, 1).mean() == 0.5
-    assert exponential(2.0).mean() == 0.5
+    assert parse_dist("exponential:2").mean() == 0.5
 
 
 def test_with_overrides_empty_is_identity():
@@ -171,15 +172,15 @@ def _e1_weights(env, n):
 
 def test_ks_check_uniform():
     env = make_env(2)
-    ks = stats.kstest(_e1_weights(env, 10 ** 5), env.spec.cdf)
+    ks = stats.kstest(_e1_weights(env, 10 ** 5), stats.uniform(0.0, 1.0).cdf)
     assert ks.statistic < 0.01
     assert ks.pvalue > 0.01
 
 
 def test_ks_check_exponential_mean():
-    env = make_env(2, exponential(1.0))
+    env = make_env(2, parse_dist("exponential:1"))
     w = _e1_weights(env, 10 ** 5)
-    assert stats.kstest(w, env.spec.cdf).pvalue > 0.01
+    assert stats.kstest(w, stats.expon(scale=1.0).cdf).pvalue > 0.01
     # CLT bound: |mean - 1| within 3 sigma/sqrt(n) for Exp(1)
     assert abs(w.mean() - 1.0) < 3.0 / np.sqrt(10 ** 5)
 

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from fppgeo.analysis import build_torus_graph, mass_transport_balance
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
-                                   forward_orbit, graph_summary, truncate)
+                                   forward_orbit, graph_summary)
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
 from fppgeo.modification import StripSpec, violating_sources
 
-from oracles import components_union_find, encounter_indices, reverse_reachable
+from oracles import components_union_find, encounter_indices, reverse_reachable, truncate
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -140,7 +140,7 @@ def test_violating_sources_match_reverse_reachable(forest, data):
     path = [xi]
     while succ_map[path[-1]] is not None:
         path.append(succ_map[path[-1]])
-    closure = set().union(*(reverse_reachable(succ_map, z) for z in path))
+    closure = reverse_reachable(succ_map, path)
     expect = sorted(z for z in closure if sum(c * t for c, t in zip(z, theta)) <= 0)
     assert violating_sources(g, spec, xi) == expect
 
@@ -173,7 +173,7 @@ def test_components_match_union_find_oracle_and_networkx(g):
 def test_torus_sweeps_balance_and_touch_no_boundary(g):
     sizes, _, touch = backward_stats(g)
     assert sizes.sum() == (g.hops() + 1).sum()
-    assert not g.boundary_touched.any()
+    assert not g.box.boundary_mask().any()
     assert not touch.any()
 
 

@@ -2,22 +2,30 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fppgeo.environment import WeightEnvironment, uniform, unit_environment
-from fppgeo.geodesic_graph import (BusemannField, backward_cluster,
-                                   backward_stats, build_graph, busemann,
-                                   components, encounter_points, forward_path,
-                                   graph_summary, sample_averaged_graph,
-                                   sample_level, truncate)
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, path_weight, solve
+from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
+                                   forward_path, graph_summary, sample_averaged_graph,
+                                   sample_level)
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, solve
 from fppgeo.lattice import Box
 
-from oracles import bellman_ford, connected_components_bfs, reverse_reachable
+from oracles import (backward_cluster, bellman_ford, connected_components_bfs, path_weight,
+                     reverse_reachable, truncate, unit_environment)
 
 
 def hyper_field(seed=0, radius=4, level=2, dist=None, d=2):
     box = Box.cube(radius, d)
     env = WeightEnvironment(d, dist or uniform(0, 1), seed)
     return env, box, solve(env, box, HyperplaneTarget((1,) + (0,) * (d - 1), level))
+
+
+def busemann(f, x, y):
+    """B(x, y) = T(x, H) - T(y, H), read from the field of the hyperplane H."""
+    return float(f.T[f.box.index_of(x)] - f.T[f.box.index_of(y)])
+
+
+def path_vertices(g, x):
+    return [g.box.vertex_at(int(i)) for i in forward_path(g, x)]
 
 
 def test_build_graph_requires_hyperplane_target():
@@ -43,9 +51,9 @@ def test_unit_weight_graph_points_toward_hyperplane():
     env = unit_environment(2, box)
     g = build_graph(solve(env, box, HyperplaneTarget((1, 0), 0)))
     for x1 in range(1, 4):
-        e = g.out_edge((x1, 1))
-        assert e is not None
-        assert abs(e[1][0]) < x1  # steps decrease |x . e1|
+        s = g.succ[box.index_of((x1, 1))]
+        assert s >= 0
+        assert abs(box.vertex_at(int(s))[0]) < x1  # steps decrease |x . e1|
 
 
 def test_directed_paths_are_geodesics_bruteforce():
@@ -56,22 +64,22 @@ def test_directed_paths_are_geodesics_bruteforce():
     for i in range(box.n_vertices):
         x = box.vertex_at(i)
         p = forward_path(g, x)
-        assert p.reached_target
-        assert path_weight(env, p.vertices) == pytest.approx(oracle[x], rel=1e-12)
+        assert g.target_mask[p[-1]]
+        assert path_weight(env, path_vertices(g, x)) == pytest.approx(oracle[x], rel=1e-12)
 
 
 def test_busemann_algebra():
     env, box, f = hyper_field(11)
-    b = BusemannField(f)
     rng = np.random.default_rng(0)
     pts = [tuple(int(c) for c in rng.integers(-4, 5, size=2)) for _ in range(30)]
     for x in pts[:10]:
-        assert b.value(x, x) == 0.0
+        assert busemann(f, x, x) == 0.0
     for x, y, z in zip(pts, pts[10:], pts[20:]):
-        assert b.value(x, y) == -b.value(y, x)  # antisymmetry is exact
-        assert b.value(x, y) + b.value(y, z) == pytest.approx(b.value(x, z), abs=1e-9)
+        assert busemann(f, x, y) == -busemann(f, y, x)  # antisymmetry is exact
+        assert busemann(f, x, y) + busemann(f, y, z) == pytest.approx(busemann(f, x, z),
+                                                                      abs=1e-9)
     with pytest.raises(ValueError):
-        b.value((99, 0), (0, 0))
+        busemann(f, (99, 0), (0, 0))
 
 
 def test_busemann_bounded_by_T():
@@ -81,32 +89,32 @@ def test_busemann_bounded_by_T():
         x = tuple(int(c) for c in rng.integers(-4, 5, size=2))
         y = tuple(int(c) for c in rng.integers(-4, 5, size=2))
         fy = solve(env, box, PointTarget(y))
-        assert abs(busemann(f, x, y)) <= fy.passage_time(x) + 1e-9
+        assert abs(busemann(f, x, y)) <= fy.T[box.index_of(x)] + 1e-9
 
 
 def test_forward_path_trivial_at_target():
     env, box, f = hyper_field(5)
     g = build_graph(f)
-    t = box.vertex_at(int(np.flatnonzero(g.target_mask)[0]))
-    p = forward_path(g, t)
-    assert p.vertices == [t]
+    t = int(np.flatnonzero(g.target_mask)[0])
+    p = forward_path(g, box.vertex_at(t))
+    assert p.dtype == np.int64 and p.tolist() == [t]
 
 
 def test_busemann_equals_T_along_graph_order():
     env, box, f = hyper_field(5)
     g = build_graph(f)
-    p = forward_path(g, (-4, -2))
-    x = p.vertices[0]
-    for y in p.vertices[1:4]:
+    p = path_vertices(g, (-4, -2))
+    x = p[0]
+    for y in p[1:4]:
         fy = solve(env, box, PointTarget(y))
-        assert busemann(f, x, y) == pytest.approx(fy.passage_time(x), abs=1e-9)
+        assert busemann(f, x, y) == pytest.approx(fy.T[box.index_of(x)], abs=1e-9)
 
 
 def test_forward_paths_coalesce_after_meeting():
     env, box, f = hyper_field(21)
     g = build_graph(f)
-    pa = forward_path(g, (-4, -4)).vertices
-    pb = forward_path(g, (-4, 4)).vertices
+    pa = path_vertices(g, (-4, -4))
+    pb = path_vertices(g, (-4, 4))
     common = set(pa) & set(pb)
     if common:
         first = min((pa.index(v), v) for v in common)[1]
@@ -123,26 +131,31 @@ def test_backward_cluster_leaf_and_oracle():
         if s is not None:
             indeg[s] += 1
     leaves = [v for v, k in indeg.items() if k == 0]
+    sizes, depth, _ = backward_stats(g)
     bc = backward_cluster(g, leaves[0])
     assert bc.vertices == [leaves[0]] and bc.depth == 0
+    assert (sizes[box.index_of(leaves[0])], depth[box.index_of(leaves[0])]) == (1, 0)
     for x in list(succ_map)[::5]:
-        oracle = reverse_reachable(succ_map, x)
+        oracle = reverse_reachable(succ_map, {x})
         assert set(backward_cluster(g, x).vertices) == oracle
+        assert sizes[box.index_of(x)] == len(oracle)
 
 
 def test_indegree_conservation():
     env, box, f = hyper_field(29)
-    g = build_graph(f)
-    indptr, _ = g.reverse_index()
-    n_roots = int((g.succ < 0).sum())
-    assert int(np.diff(indptr).sum()) == g.n_vertices - n_roots
+    # the point target makes vertex 0 a root with in-edges
+    for g in (build_graph(f), solve(env, box, PointTarget(box.lower))):
+        n_roots = int((g.succ < 0).sum())
+        assert int(g.in_degrees().sum()) == g.n_vertices - n_roots
+        heads = [int(s) for s in g.succ if s >= 0]
+        assert g.in_degrees().tolist() == [heads.count(i) for i in range(g.n_vertices)]
 
 
 def test_backward_stats_match_bfs():
     env, box, f = hyper_field(31, radius=3)
     g = build_graph(f)
     sizes, depth, touch = backward_stats(g)
-    for i in range(0, g.n_vertices, 7):
+    for i in range(0, g.n_vertices, 5):     # interior vertices too
         bc = backward_cluster(g, box.vertex_at(i))
         assert bc.size == sizes[i]
         assert bc.depth == depth[i]

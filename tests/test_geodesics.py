@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from fppgeo.environment import (WeightEnvironment, edge_ids, override_edges, uniform,
-                                unit_environment, with_overrides)
-from fppgeo.geodesics import (HyperplaneTarget, PointTarget, TruncatedPathError,
-                              extract_geodesic, field_to_csv, passage_time, path_weight, solve,
-                              successor_margin)
+from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
+from fppgeo.geodesic_graph import forward_path
+from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, successor_margin
 from fppgeo.lattice import Box
 
-from oracles import bellman_ford, min_simple_path_weight
+from oracles import bellman_ford, min_simple_path_weight, path_weight, unit_environment
+
+
+def passage_time(f, x):
+    return float(f.T[f.box.index_of(x)])
+
+
+def geodesic(f, x):
+    """The successor chain from x as vertex tuples; it must end on the target."""
+    chain = forward_path(f, x)
+    assert f.target_mask[chain[-1]]
+    return [f.box.vertex_at(int(i)) for i in chain]
 
 
 def test_unit_weights_point_target_is_l1():
@@ -73,9 +82,9 @@ def test_extract_geodesic_trivial_and_forced():
     box = Box.cube(3, 2)
     env = unit_environment(2, box)
     f = solve(env, box, PointTarget((0, 0)))
-    assert extract_geodesic(f, (0, 0)) == [(0, 0)]
+    assert geodesic(f, (0, 0)) == [(0, 0)]
     # deterministic tie-break forces the straight path
-    assert extract_geodesic(f, (2, 0)) == [(2, 0), (1, 0), (0, 0)]
+    assert geodesic(f, (2, 0)) == [(2, 0), (1, 0), (0, 0)]
 
 
 def test_extract_geodesic_weight_and_simplicity():
@@ -83,7 +92,7 @@ def test_extract_geodesic_weight_and_simplicity():
     for seed in range(20):
         env = WeightEnvironment(2, uniform(0, 1), seed)
         f = solve(env, box, PointTarget((0, 0)))
-        path = extract_geodesic(f, (3, 3))
+        path = geodesic(f, (3, 3))
         assert len(set(path)) == len(path)
         assert path_weight(env, path) == pytest.approx(passage_time(f, (3, 3)), rel=1e-9)
 
@@ -93,7 +102,7 @@ def test_geodesic_matches_exhaustive_enumeration():
     for seed in range(5):
         env = WeightEnvironment(2, uniform(0, 1), seed)
         f = solve(env, box, PointTarget((0, 0)))
-        path = extract_geodesic(f, (3, 3))
+        path = geodesic(f, (3, 3))
         best = min_simple_path_weight(env, box, (3, 3), (0, 0))
         assert path_weight(env, path) == pytest.approx(best, rel=1e-12)
         assert passage_time(f, (3, 3)) == pytest.approx(best, rel=1e-12)
@@ -135,9 +144,9 @@ def test_subpath_property():
     box = Box.cube(4, 2)
     env = WeightEnvironment(2, uniform(0, 1), 5)
     f = solve(env, box, HyperplaneTarget((1, 0), 2))
-    path = extract_geodesic(f, (-4, -3))
+    path = geodesic(f, (-4, -3))
     for k in range(1, len(path)):
-        assert extract_geodesic(f, path[k]) == path[k:]
+        assert geodesic(f, path[k]) == path[k:]
 
 
 def test_upward_modification_never_decreases_T():
@@ -149,17 +158,6 @@ def test_upward_modification_never_decreases_T():
         env2 = with_overrides(env, edges, 0.9)
         f2 = solve(env2, box, PointTarget((0, 0)))
         assert np.all(f2.T >= f.T - 1e-12)
-
-
-def test_boundary_touched_semantics():
-    box = Box.cube(3, 2)
-    env = unit_environment(2, box)
-    f = solve(env, box, PointTarget((0, 0)))
-    # boundary vertices are flagged; the origin's own geodesic stays put
-    assert not f.boundary_touched[box.index_of((0, 0))]
-    assert f.boundary_touched[box.index_of((3, 0))]
-    # interior vertex whose unique path stays interior
-    assert not f.boundary_touched[box.index_of((1, 1))]
 
 
 def test_invariant_T_equals_weight_plus_successor_T():
@@ -184,22 +182,15 @@ def test_zero_weights_rejected():
         solve(env, Box.cube(2, 2), PointTarget((0, 0)))
 
 
-def test_truncated_path_error_carries_partial():
+def test_infinite_weights_rejected():
+    # every edge of (1, 1) at inf once gave T = inf and a successor along an inf edge
     box = Box.cube(2, 2)
+    edges = [((1, 1), v) for v in ((2, 1), (0, 1), (1, 2), (1, 0))]
     env = WeightEnvironment(2, uniform(0, 1), 0)
-    f = solve(env, box, PointTarget((0, 0)))
-    f.succ[box.index_of((2, 2))] = -1  # simulate a severed chain
-    with pytest.raises(TruncatedPathError) as err:
-        extract_geodesic(f, (2, 2))
-    assert err.value.partial == [(2, 2)]
-
-
-def test_field_csv_roundtrip(tmp_path):
-    box = Box.cube(2, 2)
-    env = WeightEnvironment(2, uniform(0, 1), 12)
-    f = solve(env, box, HyperplaneTarget((1, 0), 0))
-    csv_path = tmp_path / "field.csv"
-    field_to_csv(f, csv_path)
-    lines = csv_path.read_text().strip().split("\n")
-    assert lines[0] == "x1,x2,T,succ_dx1,succ_dx2,boundary_touched"
-    assert len(lines) == 1 + box.n_vertices
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        override_edges(env, edges, np.inf)
+    ids = np.sort(edge_ids([[1, 1], [0, 1], [1, 1], [1, 0]], [0, 0, 1, 1]))
+    env = WeightEnvironment(2, uniform(0, 1), 0, (ids, np.full(4, np.inf)))
+    assert env.weight_of(edges[0]) == np.inf
+    with pytest.raises(ValueError, match="weights must be > 0 and finite"):
+        solve(env, box, PointTarget((0, 0)))

@@ -4,10 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fppgeo.lattice import (Box, hyperplane_vertices, lattice_point_on_level,
-                            neighbors, normalize_direction, order_key, precedes)
+from fppgeo.geodesics import HyperplaneTarget, target_mask
+from fppgeo.lattice import Box, lattice_point_on_level, normalize_direction
 
-from oracles import levels_with_lattice_points, normalize_by_search
+from oracles import levels_with_lattice_points, neighbors, normalize_by_search
+
+
+def hyperplane_vertices(theta, n, box):
+    """The box vertices z with z . theta = n, in lexicographic order, by ``target_mask``."""
+    hit = box.coords()[target_mask(HyperplaneTarget(theta, n), box)]
+    return [tuple(int(c) for c in row) for row in hit]
 
 
 def test_neighbors_d2_order():
@@ -118,22 +124,3 @@ def test_hyperplane_vertices_nonempty_for_coprime():
         for n in (-2, 0, 3):
             assert hyperplane_vertices(theta, n, box)
 
-
-def test_precedes_examples():
-    assert precedes((0, 5), (1, -9), (1, 0))
-    assert precedes((0, -1), (0, 1), (1, 0))
-    assert precedes((3, 4), (3, 4), (1, 0))  # reflexive
-
-
-def test_precedes_total_order():
-    rng = np.random.default_rng(11)
-    theta = (2, 1)
-    pts = [tuple(int(c) for c in rng.integers(-6, 7, size=2)) for _ in range(40)]
-    ordered = sorted(set(pts), key=order_key(theta))
-    for a, b in zip(ordered, ordered[1:]):
-        assert precedes(a, b, theta)
-        assert not precedes(b, a, theta) or a == b
-    # transitivity along the sorted chain
-    for i in range(len(ordered)):
-        for j in range(i, len(ordered)):
-            assert precedes(ordered[i], ordered[j], theta)

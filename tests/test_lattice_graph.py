@@ -1,6 +1,6 @@
 """Property tests of the lattice-graph core against independent oracles.
 
-Edge enumeration is checked against ``lattice.neighbors``; passage times on
+Edge enumeration is checked against ``oracles.neighbors``; passage times on
 boxes and tori against a networkx multi-source Dijkstra over a graph built
 edge by edge from ``weight_of``; the successor of every vertex against a
 scan of its neighbors in the documented tie order, under weights 1 and 2 so
@@ -15,9 +15,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
-from fppgeo.environment import WeightEnvironment, override_box, uniform, with_overrides
+from fppgeo.environment import WeightEnvironment, uniform, with_overrides
 from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, target_mask
-from fppgeo.lattice import Box, neighbors
+from fppgeo.lattice import Box
+
+from oracles import neighbors, override_box
 
 SETTINGS = settings(max_examples=30, deadline=None)
 

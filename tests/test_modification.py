@@ -1,20 +1,32 @@
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures_mod as fx
-from fppgeo.environment import (WeightEnvironment, exponential, uniform,
-                                unit_environment, with_overrides)
-from fppgeo.geodesic_graph import build_graph, forward_path
+from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_overrides
+from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
-from fppgeo.modification import (StripSpec, check_event_A2prime, eligible_edges,
-                                 progenitor, protected_vertices, run_modification,
-                                 strip_vertices, verify_severing,
-                                 violating_sources)
+from fppgeo.modification import (StripSpec, check_event_A2prime, eligible_edges, in_strip,
+                                 protected_vertices, run_modification)
 
-from oracles import protected_vertices_exact, sort_by_order, strip_scan
+from oracles import (protected_vertices_exact, reverse_reachable, sort_by_order, strip_scan,
+                     unit_environment)
+
+
+def strip_list(spec, box):
+    """The box vertices inside the strip, in lexicographic order."""
+    coords = box.coords()
+    return [tuple(int(c) for c in row) for row in coords[in_strip(spec, coords)]]
+
+
+def path_vertices(g, x):
+    return [g.box.vertex_at(int(i)) for i in forward_path(g, x)]
+
+
+def succ_map(g):
+    vertex = g.box.vertex_at
+    return {vertex(i): (vertex(int(s)) if s >= 0 else None) for i, s in enumerate(g.succ)}
 
 
 def test_strip_spec_validation():
@@ -29,9 +41,12 @@ def test_strip_spec_validation():
 def test_strip_contains_origin_and_excludes_far_points():
     spec = StripSpec((1, 0), 10, 3.0, 2, 0.1, 0.1)
     box = Box.cube(12, 2)
-    pred, verts = strip_vertices(spec, box)
+
+    def pred(z):
+        return bool(in_strip(spec, [z])[0])
+
     assert pred((0, 0))
-    assert (0, 0) in verts
+    assert (0, 0) in strip_list(spec, box)
     for k in range(0, 10):
         assert not pred((k, 4))  # distance M+1 off the axis
     assert not pred((-1, 0))
@@ -42,8 +57,7 @@ def test_strip_matches_bruteforce_scan():
     for theta, N, M in [((1, 0), 8, 2.5), ((1, 2), 6, 3.0), ((2, -1), 7, 2.0)]:
         spec = StripSpec(theta, N, M, 2, 0.1, 0.1)
         box = Box.cube(10, 2)
-        _, verts = strip_vertices(spec, box)
-        assert verts == strip_scan(theta, N, M, box.coords())
+        assert strip_list(spec, box) == strip_scan(theta, N, M, box.coords())
 
 
 def test_protected_vertices_geometry():
@@ -124,10 +138,10 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
         assert ((k, 1), (k + 1, 1)) not in edge_set
 
     # brute-force filter: strip edges minus edges on kept forward paths
-    pred, verts = strip_vertices(fx.SPEC, fx.BOX)
+    verts = strip_list(fx.SPEC, fx.BOX)
     kept_path_edges = set()
     for z in list(prot) + [fx.Y]:
-        p = forward_path(g, z).vertices
+        p = path_vertices(g, z)
         kept_path_edges.update(tuple(sorted((u, v))) for u, v in zip(p, p[1:]))
     brute = []
     strip_set = set(verts)
@@ -197,7 +211,7 @@ def test_run_modification_low_lambda_identity():
     env = fx.fixture_env(2)
     out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="unbounded", lam=0.0,
                            box=fx.BOX, alpha=fx.ALPHA)
-    assert out.summary_original == out.summary_modified
+    assert graph_summary(out.g) == graph_summary(out.g_mod)
 
 
 def test_run_modification_default_box_contains_y_and_xi():
@@ -213,7 +227,7 @@ def test_run_modification_default_box_contains_y_and_xi():
 
 
 def test_run_modification_mode_errors():
-    env = WeightEnvironment(2, exponential(1.0), 0)
+    env = WeightEnvironment(2, parse_dist("exponential:1"), 0)
     with pytest.raises(ValueError):
         run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
                          box=fx.BOX, alpha=fx.ALPHA)
@@ -252,18 +266,6 @@ def test_severing_false_on_bridge_fixture_with_witness():
     assert out.verdict.crossing_time < out.verdict.bound_value
 
 
-def test_progenitor_examples_and_oracle():
-    assert progenitor([(3, 7)], (1, 0)) == (3, 7)
-    assert progenitor([(0, 0), (0, 1), (1, -5)], (1, 0)) == (0, 0)
-    with pytest.raises(ValueError):
-        progenitor([], (1, 0))
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        pts = [tuple(int(c) for c in rng.integers(-9, 10, size=2)) for _ in range(12)]
-        theta = (1, 2)
-        assert progenitor(pts, theta) == sort_by_order(pts, theta)[0]
-
-
 def test_progenitor_of_severed_component_above_zero():
     # when severing holds, every vertex reaching the xi path sits at level > 0
     env = fx.fixture_env(3)
@@ -273,20 +275,8 @@ def test_progenitor_of_severed_component_above_zero():
     env_mod = with_overrides(env, out.edge_set, out.lam)
     field_mod = solve(env_mod, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g_mod = build_graph(field_mod)
-    indptr, indices = g_mod.reverse_index()
-    xi_path = forward_path(g_mod, fx.XI)
-    cluster = set(map(int, xi_path.indices))
-    frontier = list(cluster)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in indices[indptr[i]:indptr[i + 1]]:
-                if int(j) not in cluster:
-                    cluster.add(int(j))
-                    nxt.append(int(j))
-        frontier = nxt
-    members = [g_mod.box.vertex_at(i) for i in cluster]
-    prog = progenitor(members, fx.SPEC.theta)
+    members = reverse_reachable(succ_map(g_mod), path_vertices(g_mod, fx.XI))
+    prog = sort_by_order(members, fx.SPEC.theta)[0]
     assert sum(c * t for c, t in zip(prog, fx.SPEC.theta)) > 0
 
 
@@ -299,12 +289,13 @@ def test_monotone_severing_with_pinned_reference():
         g = build_graph(field)
         prot = protected_vertices(fx.BOX, fx.SPEC, fx.XI)
         edges = eligible_edges(g, fx.SPEC, fx.Y, prot)
-        ref = forward_path(g, fx.XI).vertices
+        ref = path_vertices(g, fx.XI)
 
         def vset(lam):
             env2 = with_overrides(env, edges, lam)
             g2 = build_graph(solve(env2, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA)))
-            return set(violating_sources(g2, fx.SPEC, fx.XI, reference=ref))
+            closure = reverse_reachable(succ_map(g2), ref)
+            return {z for z in closure if sum(c * t for c, t in zip(z, fx.SPEC.theta)) <= 0}
 
         assert vset(0.95) <= vset(0.6)
 
@@ -319,7 +310,7 @@ def test_xi_segment_passage_time_bound():
     field_mod = solve(env_mod, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
     g_mod = build_graph(field_mod)
     for start in [(5, 5), (10, -7), (20, 3)]:
-        p = forward_path(g_mod, start).vertices
+        p = path_vertices(g_mod, start)
         run = 0
         t = 0.0
         for u, v in zip(p, p[1:]):

@@ -1,11 +1,10 @@
 """Oracle tests of the neighbor-table successor rule and the lazy forest derivatives.
 
 ``successor_forest`` and ``successor_margin`` read one (n, 2d) neighbor
-table; here every vertex is checked against a scan of ``lattice.neighbors``
+table; here every vertex is checked against a scan of ``oracles.neighbors``
 in the tie order -e1 < ... < -ed < +ed < ... < +e1, under weights 1 and 2
 so that ties are common.  ``Box.boundary_mask`` is checked against the
-coordinate comparison it replaced, and ``boundary_touched`` of a field
-against ``fold_chains`` on its own successor array.
+coordinate comparison it replaced.
 """
 
 import numpy as np
@@ -14,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
-from fppgeo.geodesic_graph import build_graph, forward_orbit, truncate, tree_roots
+from fppgeo.geodesic_graph import forward_orbit, tree_roots
 from fppgeo.geodesics import (DistanceField, HyperplaneTarget, PointTarget, axis_weights,
-                              fold_chains, solve, successor_forest, successor_margin,
-                              target_mask)
-from fppgeo.lattice import Box, neighbors
+                              solve, successor_forest, successor_margin, target_mask)
+from fppgeo.lattice import Box
+
+from oracles import neighbors
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -109,20 +109,6 @@ def test_boundary_mask_matches_coordinate_comparison(dim, periodic, data):
     assert box.boundary_mask().tolist() == (on_face & (not periodic)).tolist()
 
 
-@SETTINGS
-@given(st.integers(0, 2 ** 32), st.integers(1, 6), st.integers(-4, 4))
-def test_truncated_graph_gets_boundary_contact_of_its_own_forest(seed, shrink, level):
-    box = Box.cube(7, 2)
-    g = build_graph(solve(WeightEnvironment(2, uniform(0, 1), seed), box,
-                          HyperplaneTarget((1, 0), level)))
-    assert g.boundary_touched.any()     # cached on the parent before the truncation
-    t = truncate(g, box.shrink(shrink))
-    assert np.array_equal(t.boundary_touched,
-                          fold_chains(t.succ, box.boundary_mask(), np.logical_or))
-    # no kept chain leaves the inner box, so only the outer faces touch the boundary
-    assert np.array_equal(t.boundary_touched, box.boundary_mask())
-
-
 def _two_cycle():
     box = Box.cube(1, 2)
     succ = np.full(box.n_vertices, -1)
@@ -133,9 +119,8 @@ def _two_cycle():
 
 
 @pytest.mark.parametrize("read", [lambda f: f.hops(), lambda f: f.generations(),
-                                  lambda f: f.boundary_touched,
                                   lambda f: forward_orbit(f, [2])],
-                         ids=["hops", "generations", "boundary_touched", "forward_orbit"])
+                         ids=["hops", "generations", "forward_orbit"])
 def test_successor_cycle_raises(read):
     with pytest.raises(ValueError, match="successor cycle"):
         read(_two_cycle())
