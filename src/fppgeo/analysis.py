@@ -193,7 +193,6 @@ class BackwardTailReport:
     k_depth: np.ndarray
     p_depth_ge: np.ndarray
     censored_fraction: float
-    n_window: int
     n_censored: int
     mean_depth: float
 
@@ -228,7 +227,6 @@ def backward_tail(g, window):
     sizes, depth, touch = backward_stats(g)
     idx = g.box.indices_of(window.coords())
     censored = touch[idx]
-    n_window = len(idx)
     keep_sizes = sizes[idx][~censored]
     keep_depth = depth[idx][~censored]
     if keep_sizes.size == 0:
@@ -239,7 +237,7 @@ def backward_tail(g, window):
         k_size=k_size, p_size_ge=_fraction_ge(keep_sizes, k_size),
         k_depth=k_depth, p_depth_ge=_fraction_ge(keep_depth, k_depth),
         censored_fraction=float(censored.mean()),
-        n_window=n_window, n_censored=int(censored.sum()),
+        n_censored=int(censored.sum()),
         mean_depth=float(keep_depth.mean()))
 
 
@@ -268,12 +266,10 @@ def _max_pairwise_l1(pts):
     return best
 
 
-def intersection_radii(g, theta, levels, window=None):
-    """Per-component l1 radius of the vertex intersection with each hyperplane."""
+def intersection_radii(g, theta, levels, window):
+    """Per-component l1 radius of the window's vertex intersection with each hyperplane."""
     theta = np.asarray(theta, dtype=np.int64)
     comp = components(g)
-    if window is None:
-        window = g.box.shrink(required_pad(g.box))
     coords = window.coords()
     idx = g.box.indices_of(coords)
     dots = coords @ theta
@@ -325,12 +321,11 @@ def mass_transport_balance(g, theta):
     """
     if not g.box.periodic:
         raise ValueError("mass transport balance requires a forest on a periodic box")
-    theta = np.asarray(theta, dtype=np.int64)
     coords = g.box.coords()
     n = g.n_vertices
     roots = tree_roots(np.where(g.succ >= 0, g.succ, np.arange(n)))
-    dots = coords @ theta
-    # rank vertices by (level, lexicographic coords); progenitor = min rank per tree
+    dots = g.box.levels(theta)
+    # rank vertices by (wrapped level, lexicographic coords); progenitor = min rank per tree
     order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)

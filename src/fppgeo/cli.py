@@ -324,36 +324,23 @@ def _masstransport_task(arg):
     return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
 
 
+# the setting of each experiment parameter whose name differs from it
+_MODIFY_KEYS = {"M": "M_rule", "distribution": "dist"}
+
+
 def _modify_task(arg):
     cfg, seed, N = arg
     theta = cfg["theta"]
     kind, number = cfg["M_rule"]
     M = number * N if kind == "linear" else number
-    if not M > 0:
-        raise ConfigError("M_rule", f"M = {M:g} at N = {N} must be positive")
-    for key in ("epsilon", "delta"):
-        if not cfg[key] > 0:
-            raise ConfigError(key, f"must be positive, got {cfg[key]}")
     spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
     y = cfg["y"] or _default_y(theta, cfg["dim"])
     xi = cfg["xi"] or lattice_point_on_level(theta, N)
-    for key, point, level in (("y", y, 0), ("xi", xi, N)):
-        if np.dot(point, theta) != level:
-            raise ConfigError(key, f"{point} is not on level {level} of theta {theta}")
-    if sum(map(abs, y)) > cfg["M_prime"]:
-        raise ConfigError("y", f"{y} has l1 norm above M_prime = {cfg['M_prime']}")
-    dist, delta = cfg["dist"], cfg["delta"]
-    S = dist.sup_support()
-    if cfg["mode"] == "unbounded":
-        if cfg["lam"] is None:
-            raise ConfigError("lam", "unbounded mode needs --lambda")
-    elif np.isinf(S):
-        raise ConfigError("dist", f"bounded mode needs a finite support, got {dist.label()}")
-    elif dist.mean() > S - 2 * delta:
-        raise ConfigError("delta", f"{delta:g} is too large for bounded mode: the mean "
-                                   f"{dist.mean():g} exceeds S - 2 delta = {S - 2 * delta:g}")
-    out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
-                                        lam=cfg["lam"])
+    try:
+        out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
+                                            lam=cfg["lam"])
+    except modification.ParameterError as exc:
+        raise ConfigError(_MODIFY_KEYS.get(exc.name, exc.name), exc.message) from None
     witness_level = ""
     if out.verdict.witness is not None:
         witness_level = sum(c * t for c, t in zip(out.verdict.witness, theta))

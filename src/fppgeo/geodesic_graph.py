@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import HyperplaneTarget, solve, successor_chain
+from .geodesics import HyperplaneTarget, solve
 from .manifest import csv_cells
 
 
@@ -39,8 +39,13 @@ def forward_path(g, x):
     """Vertex indices of the out-edge chain from x up to its root, as an int64 array.
 
     The chain ends at a target vertex, or at a vertex whose out-edge was cut.
+    It stops after n + 1 entries, so a cyclic successor array cannot hang.
     """
-    return np.asarray(successor_chain(g.succ, g.box.index_of(x)), dtype=np.int64)
+    succ = g.succ
+    chain = [g.box.index_of(x)]
+    while succ[chain[-1]] >= 0 and len(chain) <= len(succ):
+        chain.append(int(succ[chain[-1]]))
+    return np.asarray(chain, dtype=np.int64)
 
 
 def forward_orbit(g, source_indices):

@@ -16,9 +16,9 @@ plain box that is the lexicographically smallest tied neighbor.
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
 distance fields.  ``fold_chains`` (a reduction along every successor chain
 by pointer doubling) is, with ``DistanceField.generations``, the traversal
-core of the forest; ``successor_chain`` walks a single chain, the geodesic
-from its start.  A field derives its generations on first read; the forest
-statistics and the ``graph.csv`` writer are in ``geodesic_graph``.
+core of the forest.  A field derives its generations on first read; the
+forest statistics, the forward paths and the ``graph.csv`` writer are in
+``geodesic_graph``.
 """
 
 from __future__ import annotations
@@ -77,18 +77,20 @@ class NoTargetError(ValueError):
 
 
 def target_mask(target, box):
-    """Boolean mask over box vertices belonging to the target set."""
-    coords = box.coords()
+    """Boolean mask over box vertices belonging to the target set.
+
+    On a periodic box an ``exact_lattice`` level is a wrapped level (see
+    ``Box.levels``): in [0, gcd_i(theta_i L_i)) on a torus from the origin.
+    """
     if isinstance(target, PointTarget):
         mask = np.zeros(box.n_vertices, dtype=bool)
         if box.contains(target.vertex):
             mask[box.index_of(target.vertex)] = True
         return mask
-    dirs = np.asarray(target.direction, dtype=np.float64)
     if target.mode == "exact_lattice":
-        dots = coords @ np.asarray(target.direction, dtype=np.int64)
-        return dots == int(target.level)
-    dots = coords @ dirs
+        return box.levels(target.direction) == target.level
+    dirs = np.asarray(target.direction, dtype=np.float64)
+    dots = box.coords() @ dirs
     step = np.abs(dirs).max()
     return (dots >= target.level) & (dots - step < target.level)
 
@@ -158,17 +160,6 @@ def fold_chains(succ, seed, op):
         out[valid] = op(out[valid], out[parents])
         anc[valid] = anc[parents]
     raise ValueError("successor cycle")
-
-
-def successor_chain(succ, start):
-    """Indices start, succ[start], ... up to the first vertex without a successor.
-
-    Stops after len(succ) + 1 entries, so a cyclic successor array cannot hang.
-    """
-    chain = [start]
-    while succ[chain[-1]] >= 0 and len(chain) <= len(succ):
-        chain.append(int(succ[chain[-1]]))
-    return chain
 
 
 def axis_weights(env, box, edges):

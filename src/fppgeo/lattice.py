@@ -114,6 +114,21 @@ class Box:
             raise ValueError("coordinates outside box")
         return np.ravel_multi_index(tuple(offs.T), self.shape)
 
+    def levels(self, theta):
+        """Level z . theta of every vertex z, for an integer direction theta.
+
+        On a torus the level is taken mod m = gcd_i(theta_i L_i), the period
+        of z . theta around every axis, so that a level set is a closed
+        hyperplane.  The wrapped level of z is the one in [b, b + m), where b
+        is the level of the lower corner: [0, m) on a torus from the origin.
+        """
+        dots = self.coords() @ np.asarray(theta, dtype=np.int64)
+        if self.periodic:
+            m = math.gcd(*(int(t) * L for t, L in zip(theta, self.shape)))
+            base = int(np.dot(self.lower, theta))
+            dots = base + (dots - base) % m
+        return dots
+
     def boundary_mask(self):
         """Boolean mask of vertices lying on a face of the box (none if periodic)."""
         mask = np.zeros(self.shape, dtype=bool)

@@ -1,12 +1,15 @@
-"""Strip edge-modification experiment.
+"""Strip edge-modification experiment, run in one pass by ``run_modification``.
 
-Builds the slab-and-cylinder strip around the direction axis, enumerates
-the protected vertices whose geodesics must be preserved, raises weights on
-the remaining strip edges, and verifies that no geodesic started at or
-behind the zero-level hyperplane reaches the forward path of the marked
-vertex on the far side of the strip.  ``run_modification`` runs the whole
-experiment: the event check on the original graph, the raise, and the
-severing check on the modified graph, whose failures name a witness.
+1. Every parameter is checked before the first solve; one out of its range
+   raises ``ParameterError``, which names it.
+2. On the original geodesic graph, the protected vertices (whose geodesics
+   the raise keeps), their forward orbit and the forward paths of y and of
+   the marked vertex xi_N are computed once each.  The event check reads the
+   two paths and the orbit; the eligible edges are the strip edges off the
+   kept mask, the orbit and the path of y.
+3. The eligible edges are raised and the graph solved again; no geodesic
+   started at or behind the zero-level hyperplane may reach the forward
+   path of xi_N, and a failure names its witness and its strip crossing.
 
 Real-point conditions on embedded edges are decided with exact integer
 arithmetic: a unit segment crosses an integer-normal hyperplane at a
@@ -29,9 +32,21 @@ from .geodesics import DistanceField, HyperplaneTarget, fold_chains, solve
 from .lattice import Box, is_integer_direction
 
 
+class ParameterError(ValueError):
+    """A parameter of the experiment is out of its range; ``name`` names the parameter."""
+
+    def __init__(self, name, message):
+        super().__init__(name, message)     # as args, so that the error pickles
+        self.name, self.message = name, message
+
+    def __str__(self):
+        return f"{self.name}: {self.message}"
+
+
 @dataclass(frozen=True)
 class StripSpec:
-    """Geometry and margins of one modification experiment."""
+    """Geometry and margins of one modification experiment (``run_modification``
+    checks the margins)."""
 
     theta: tuple
     N: int
@@ -46,8 +61,6 @@ class StripSpec:
             raise ValueError("theta must be a coprime integer direction")
         if self.N < 1:
             raise ValueError("N >= 1 required")
-        if not (self.M > 0 and self.M_prime > 0 and self.epsilon > 0 and self.delta > 0):
-            raise ValueError("M, M_prime, epsilon, delta must all be positive")
 
 
 def in_strip(spec, coords):
@@ -126,21 +139,18 @@ def protected_vertices(box, spec, xi_N):
     return tuple(tuple(z) for z in coords[hit & inside].tolist())
 
 
-def eligible_edges(g, spec, y, protected):
-    """The finite edge set to be raised: strip edges off every kept geodesic.
+def eligible_edges(g, spec, kept):
+    """The finite edge set to be raised: the strip edges off every kept geodesic.
 
-    Keeps (excludes from the result) every edge on the forward path of y
-    and on the forward path of any protected vertex.  Returns an (m, 2, d)
-    int64 array of (tail, head) rows, head = tail + e_axis, in lexicographic
-    order of the rows.
+    ``kept`` masks the vertices whose out-edges stay as they are: the forward
+    orbit of the protected vertices and the forward path of y.  Returns an
+    (m, 2, d) int64 array of (tail, head) rows, head = tail + e_axis, in
+    lexicographic order of the rows.
     """
     box = g.box
     coords = box.coords()
     strip_mask = in_strip(spec, coords)
-    sources = np.array([*protected, y], dtype=np.int64)
-    sources = sources[((sources >= box.lower) & (sources <= box.upper)).all(axis=1)]
-    keep = forward_orbit(g, box.indices_of(sources))
-    kept_edge_tail = keep & (g.succ >= 0)
+    kept_edge_tail = kept & (g.succ >= 0)
 
     rows = []
     for tails, heads in box.axis_edges():
@@ -162,7 +172,6 @@ class EventReport:
     approach_but_disjoint: bool  # path of y comes close to xi_N yet never meets its path
     speed_bound: bool            # passage times along the y path beat (S - delta) l1
     protected_disjoint: bool     # no protected geodesic meets the path of xi_N
-    speed_bound_global: bool     # same speed bound over the whole y path
     witnesses: dict
 
     @property
@@ -171,32 +180,21 @@ class EventReport:
                 and self.speed_bound and self.protected_disjoint)
 
 
-def check_event_A2prime(g, spec, y, xi_N):
-    """Evaluate the event conditions on the finite graph."""
+def check_event_A2prime(g, spec, y_path, xi_path, orbit):
+    """Evaluate the event conditions on the finite graph, from the forward
+    paths of y and xi_N (vertex indices) and the mask of the protected orbit."""
     theta = np.asarray(spec.theta, dtype=np.int64)
-    y = tuple(int(c) for c in y)
-    xi = tuple(int(c) for c in xi_N)
-    if sum(c * t for c, t in zip(xi, spec.theta)) != spec.N:
-        raise ValueError(f"xi_N must lie on level N={spec.N}")
-    if sum(c * t for c, t in zip(y, spec.theta)) != 0:
-        raise ValueError("y must lie on level 0")
-    if sum(abs(c) for c in y) > spec.M_prime:
-        raise ValueError("y violates |y|_1 <= M_prime")
-
     box = g.box
     coords = box.coords()
+    y, xi = coords[y_path[0]], coords[xi_path[0]]
     wit = {}
 
-    xi_path = forward_path(g, xi)
-    dots_xi = coords[xi_path] @ theta
-    bad = np.flatnonzero(dots_xi[1:] <= spec.N)
+    bad = np.flatnonzero(coords[xi_path[1:]] @ theta <= spec.N)
     exit_and_stay = bad.size == 0
     if not exit_and_stay:
         wit["slab_reentry"] = box.vertex_at(int(xi_path[1 + bad[0]]))
 
-    y_path = forward_path(g, y)
-    y_dist_to_xi = np.abs(coords[y_path] - np.asarray(xi)).sum(axis=1)
-    near = y_dist_to_xi <= spec.epsilon * sum(abs(c) for c in xi)
+    near = np.abs(coords[y_path] - xi).sum(axis=1) <= spec.epsilon * np.abs(xi).sum()
     meets = y_path[np.isin(y_path, xi_path)]
     approach_but_disjoint = bool(near.any()) and meets.size == 0
     if meets.size:
@@ -205,36 +203,21 @@ def check_event_A2prime(g, spec, y, xi_N):
         wit["y_never_near"] = True
 
     S = g.env.spec.sup_support()
-    bound = S - spec.delta
-    iy = box.index_of(y)
-    Ty = g.T[iy] - g.T[y_path]      # passage time from y along its path
-    l1_from_y = np.abs(coords[y_path] - np.asarray(y)).sum(axis=1)
-    relevant = near & (l1_from_y >= spec.M_prime)
-    speed_bound = True
-    if math.isinf(S):
-        speed_bound = True                           # vacuous in unbounded mode
-    elif relevant.any():
-        viol = relevant & (Ty > l1_from_y * bound)
+    speed_bound = True                              # vacuous in unbounded mode
+    if not math.isinf(S):
+        Ty = g.T[y_path[0]] - g.T[y_path]           # passage time from y along its path
+        l1_from_y = np.abs(coords[y_path] - y).sum(axis=1)
+        viol = near & (l1_from_y >= spec.M_prime) & (Ty > l1_from_y * (S - spec.delta))
         speed_bound = not viol.any()
         if not speed_bound:
             wit["speed_violation"] = box.vertex_at(int(y_path[np.flatnonzero(viol)[0]]))
-    global_rel = l1_from_y >= spec.M_prime
-    speed_bound_global = True
-    if not math.isinf(S) and global_rel.any():
-        speed_bound_global = not (global_rel & (Ty > l1_from_y * bound)).any()
 
-    protected = np.array(protected_vertices(box, spec, xi), dtype=np.int64).reshape(-1, box.dim)
-    orbit = forward_orbit(g, box.indices_of(protected))
     inter = xi_path[orbit[xi_path]]
     protected_disjoint = inter.size == 0
     if inter.size:
         wit["protected_meets_xi_path"] = box.vertex_at(int(inter[0]))
 
-    return EventReport(exit_and_stay=exit_and_stay,
-                       approach_but_disjoint=approach_but_disjoint,
-                       speed_bound=speed_bound,
-                       protected_disjoint=protected_disjoint,
-                       speed_bound_global=speed_bound_global,
+    return EventReport(exit_and_stay, approach_but_disjoint, speed_bound, protected_disjoint,
                        witnesses=wit)
 
 
@@ -247,40 +230,35 @@ class SeveringVerdict:
     bound_value: float | None      # (S - 3 delta / 4) |xi|_1 when S is finite
 
 
-def _last_attainment(dots, level):
-    """Index pair (segment start, is_vertex) of the last path point on a level."""
-    last = None
-    for k in range(len(dots)):
-        if dots[k] == level:
-            last = (k, True)
-        if k + 1 < len(dots) and min(dots[k], dots[k + 1]) < level < max(dots[k], dots[k + 1]):
-            last = (k, False)
-    return last
-
-
-def _first_attainment(dots, level, start):
-    for k in range(start, len(dots)):
-        if dots[k] == level:
-            return (k, True)
-        if k + 1 < len(dots) and min(dots[k], dots[k + 1]) < level < max(dots[k], dots[k + 1]):
-            return (k, False)
-    return None
-
-
 def violating_sources(g_mod, spec, xi_N):
-    """Vertices at level <= 0 whose forward path meets the path of xi_N.
-
-    Computed as the backward closure of the xi path (reverse reachability)
-    intersected with the low-level halfspace.
-    """
-    theta = np.asarray(spec.theta, dtype=np.int64)
-    box = g_mod.box
-    coords = box.coords()
+    """Sorted int64 indices of the vertices at level <= 0 whose forward path meets
+    the path of xi_N: the backward closure of that path, cut to the halfspace."""
     mark = np.zeros(g_mod.n_vertices, dtype=bool)
-    mark[forward_path(g_mod, tuple(int(c) for c in xi_N))] = True
+    mark[forward_path(g_mod, xi_N)] = True
     mark = fold_chains(g_mod.succ, mark, np.logical_or)
-    dots = coords @ theta
-    return [box.vertex_at(int(i)) for i in np.flatnonzero(mark & (dots <= 0))]
+    dots = g_mod.box.coords() @ np.asarray(spec.theta, dtype=np.int64)
+    return np.flatnonzero(mark & (dots <= 0))
+
+
+def _strip_crossing(dots, N):
+    """Path positions (k1, k2) of the strip crossing, given the path's levels.
+
+    A path attains a level at point k, or in segment (k, k + 1) crossing it
+    strictly.  k1 is the last attainment of level 0 (a segment's far end),
+    else 0; k2 the first of level N from k1 on (a segment's near end), else
+    the last point.
+    """
+    lo, hi = np.minimum(dots[:-1], dots[1:]), np.maximum(dots[:-1], dots[1:])
+
+    def attained(level):
+        inside = np.append((lo < level) & (level < hi), False)
+        return np.flatnonzero((dots == level) | inside), inside
+
+    at_0, inside_0 = attained(0)
+    k1 = int(at_0[-1] + inside_0[at_0[-1]]) if at_0.size else 0
+    at_N, _ = attained(N)
+    at_N = at_N[at_N >= k1]
+    return k1, int(at_N[0]) if at_N.size else len(dots) - 1
 
 
 def verify_severing(g_mod, spec, xi_N):
@@ -290,32 +268,20 @@ def verify_severing(g_mod, spec, xi_N):
     with its strip-crossing segment (v1, v2) and that segment's passage time
     for comparison against the severing bound.
     """
-    theta = np.asarray(spec.theta, dtype=np.int64)
     box = g_mod.box
-    coords = box.coords()
-    xi = tuple(int(c) for c in xi_N)
-
     S = g_mod.env.spec.sup_support()
-    bound_value = None if math.isinf(S) else (S - 0.75 * spec.delta) * sum(abs(c) for c in xi)
+    bound_value = None if math.isinf(S) else (S - 0.75 * spec.delta) * sum(map(abs, xi_N))
 
     violators = violating_sources(g_mod, spec, xi_N)
-    if not violators:
+    if violators.size == 0:
         return SeveringVerdict(severed=True, witness=None, crossing=None,
                                crossing_time=None, bound_value=bound_value)
 
-    src = violators[0]
-    path = forward_path(g_mod, src)
-    pd = list(coords[path] @ theta)
-    w1 = _last_attainment(pd, 0)
-    if w1 is None:
-        v1_k = 0
-    else:
-        v1_k = w1[0] if w1[1] else w1[0] + 1
-    w2 = _first_attainment(pd, spec.N, v1_k)
-    v2_k = w2[0] if w2 is not None else len(pd) - 1
-    v1 = int(path[v1_k])
-    v2 = int(path[v2_k])
-    return SeveringVerdict(severed=False, witness=src,
+    witness = box.vertex_at(int(violators[0]))
+    path = forward_path(g_mod, witness)
+    dots = box.coords()[path] @ np.asarray(spec.theta, dtype=np.int64)
+    v1, v2 = (int(path[k]) for k in _strip_crossing(dots, spec.N))
+    return SeveringVerdict(severed=False, witness=witness,
                            crossing=(box.vertex_at(v1), box.vertex_at(v2)),
                            crossing_time=float(g_mod.T[v1] - g_mod.T[v2]),
                            bound_value=bound_value)
@@ -335,47 +301,73 @@ class ModificationOutcome:
         return self.verdict.severed
 
 
+def _checked_lambda(env, spec, y, xi, mode, lam, box):
+    """The lambda of the raise; ``ParameterError`` on the first parameter out of
+    its range (the weight distribution is named ``distribution``)."""
+    if not spec.M > 0:
+        raise ParameterError("M", f"M = {spec.M:g} at N = {spec.N} must be positive")
+    for name in ("M_prime", "epsilon", "delta"):
+        if not getattr(spec, name) > 0:
+            raise ParameterError(name, f"must be positive, got {getattr(spec, name)}")
+    for name, point, level in (("y", y, 0), ("xi", xi, spec.N)):
+        if np.dot(point, spec.theta) != level:
+            raise ParameterError(name, f"{point} is not on level {level} of theta {spec.theta}")
+    if sum(map(abs, y)) > spec.M_prime:
+        raise ParameterError("y", f"{y} has l1 norm above M_prime = {spec.M_prime}")
+    for name, point in (("y", y), ("xi", xi)):
+        if not box.contains(point):
+            raise ParameterError(name, f"{point} is outside the box {box.lower}..{box.upper}")
+    if mode == "unbounded":
+        if lam is None:
+            raise ParameterError("lam", "unbounded mode needs a lambda")
+        if not lam >= 0:
+            raise ParameterError("lam", f"must be nonnegative, got {lam}")
+        return lam
+    if mode != "bounded":
+        raise ParameterError("mode", f"unknown mode {mode!r}")
+    dist, delta = env.spec, spec.delta
+    S = dist.sup_support()
+    if math.isinf(S):
+        raise ParameterError("distribution",
+                             f"bounded mode needs a finite support, got {dist.label()}")
+    if dist.mean() > S - 2 * delta:
+        raise ParameterError("delta", f"{delta:g} is too large for bounded mode: the mean "
+                                      f"{dist.mean():g} exceeds S - 2 delta = {S - 2 * delta:g}")
+    return S - delta / 2
+
+
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alpha=None):
-    """Full experiment: build, modify weights upward on the eligible set, re-verify.
+    """Full experiment: check, solve, raise the eligible edges, solve again, verify.
 
     ``bounded`` mode uses lam = S - delta/2 and requires a finite support
     supremum with mean t_e <= S - 2 delta; ``unbounded`` mode takes a caller
-    lambda.
+    lambda.  Every parameter is checked before the first solve.
     """
-    S = env.spec.sup_support()
-    if mode == "bounded":
-        if math.isinf(S):
-            raise ValueError("bounded mode requires a distribution with finite support")
-        if env.spec.mean() > S - 2 * spec.delta:
-            raise ValueError("delta too large: need mean t_e <= S - 2 delta")
-        lam = S - spec.delta / 2
-    elif mode == "unbounded":
-        if lam is None:
-            raise ValueError("unbounded mode requires an explicit lambda")
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
+    y, xi = (tuple(int(c) for c in p) for p in (y, xi_N))
     if alpha is None:
         alpha = spec.N + max(spec.N // 2, 8)
     if box is None:
         margin = int(math.ceil(spec.M)) + 4
-        lo = [-margin] * env.dim
-        hi = [margin] * env.dim
+        lo, hi = [-margin] * env.dim, [margin] * env.dim
         axis = int(np.argmax(np.abs(spec.theta)))
         lo[axis] = -max(8, spec.N // 3)
         hi[axis] = int(alpha)
         # off-axis theta can put y or xi_N outside the slab around the main axis
-        box = Box(tuple(map(min, lo, y, xi_N)), tuple(map(max, hi, y, xi_N)))
+        box = Box(tuple(map(min, lo, y, xi)), tuple(map(max, hi, y, xi)))
+    lam = _checked_lambda(env, spec, y, xi, mode, lam, box)
 
     target = HyperplaneTarget(spec.theta, alpha)
     g = build_graph(solve(env, box, target))
-    protected = protected_vertices(box, spec, tuple(int(c) for c in xi_N))
-    xi_edges = eligible_edges(g, spec, y, protected)
-    event = check_event_A2prime(g, spec, y, xi_N)
+    protected = np.array(protected_vertices(box, spec, xi), dtype=np.int64).reshape(-1, box.dim)
+    orbit = forward_orbit(g, box.indices_of(protected))
+    y_path, xi_path = forward_path(g, y), forward_path(g, xi)
+    kept = orbit.copy()
+    kept[y_path] = True
+    xi_edges = eligible_edges(g, spec, kept)
+    event = check_event_A2prime(g, spec, y_path, xi_path, orbit)
 
     g_mod = build_graph(solve(with_overrides(env, xi_edges, lam), box, target))
-    verdict = verify_severing(g_mod, spec, xi_N)
+    verdict = verify_severing(g_mod, spec, xi)
 
     return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
                                verdict=verdict, g=g, g_mod=g_mod)
-

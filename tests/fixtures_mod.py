@@ -10,7 +10,7 @@ leak the event conditions are there to exclude.
 
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.lattice import Box
-from fppgeo.modification import StripSpec
+from fppgeo.modification import StripSpec, run_modification
 
 N = 24
 ALPHA = 36
@@ -39,3 +39,8 @@ def fixture_env(seed, bridge=False):
     if bridge:
         ov[((30, 0), (30, 1))] = 0.001
     return override_edges(WeightEnvironment(2, uniform(0, 1), seed), list(ov), list(ov.values()))
+
+
+def run_fixture(env, **kwargs):
+    """``run_modification`` of the fixture geometry under ``env``."""
+    return run_modification(env, SPEC, Y, XI, box=BOX, alpha=ALPHA, **kwargs)

@@ -293,6 +293,27 @@ def sort_by_order(vertices, theta):
     return sorted(vertices, key=lambda v: (sum(c * t for c, t in zip(v, theta)), v))
 
 
+def last_attainment(dots, level):
+    """Index pair (segment start, is_vertex) of the last path point on a level."""
+    last = None
+    for k in range(len(dots)):
+        if dots[k] == level:
+            last = (k, True)
+        if k + 1 < len(dots) and min(dots[k], dots[k + 1]) < level < max(dots[k], dots[k + 1]):
+            last = (k, False)
+    return last
+
+
+def first_attainment(dots, level, start):
+    """Index pair (segment start, is_vertex) of the first path point on a level from ``start``."""
+    for k in range(start, len(dots)):
+        if dots[k] == level:
+            return (k, True)
+        if k + 1 < len(dots) and min(dots[k], dots[k + 1]) < level < max(dots[k], dots[k + 1]):
+            return (k, False)
+    return None
+
+
 def encounter_indices(succ, threshold):
     """Vertices whose removal leaves >= 3 parts reaching distance >= threshold.
 

@@ -1,13 +1,18 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fppgeo.analysis import (backward_tail, build_torus_graph, crossing_counts, direction_grid,
                              estimate_busemann_vector, estimate_shape, intersection_radii,
                              mass_transport_balance)
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
-from fppgeo.lattice import Box
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve, target_mask
+from fppgeo.lattice import Box, is_integer_direction
 
 from oracles import override_box, unit_environment
 
@@ -277,6 +282,41 @@ def test_build_torus_graph_structure():
         build_torus_graph(env, (8, 8), (1, 0), 99)
     with pytest.raises(ValueError, match="2-d environment on a 3-d box"):
         build_torus_graph(env, (8, 8, 8), (1, 0, 0), 0)
+
+
+@st.composite
+def torus_targets(draw):
+    """A small torus from the origin, a coprime direction theta, m = gcd_i(theta_i L_i)
+    and a wrapped level in [0, m)."""
+    dim = draw(st.integers(2, 3))
+    dims = tuple(draw(st.integers(3, 7 if dim == 2 else 5)) for _ in range(dim))
+    theta = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(is_integer_direction))
+    m = math.gcd(*(t * L for t, L in zip(theta, dims)))
+    return dims, theta, m, draw(st.integers(0, m - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(torus_targets())
+def test_torus_target_is_a_closed_hyperplane(case):
+    dims, theta, m, level = case
+    box = Box((0,) * len(dims), tuple(L - 1 for L in dims), periodic=True)
+    mask = target_mask(HyperplaneTarget(theta, level), box).reshape(dims)
+    # z -> z . theta mod m maps the torus onto Z_m, so every level holds n / m vertices
+    assert mask.sum() == box.n_vertices // m
+    # a translation tau keeps the target exactly when tau . theta = 0 mod m
+    for tau in itertools.product(*map(range, dims)):
+        shifted = np.roll(mask, tau, axis=tuple(range(len(dims))))
+        assert np.array_equal(shifted, mask) == (np.dot(tau, theta) % m == 0)
+    for outside in (-1, m):
+        assert not target_mask(HyperplaneTarget(theta, outside), box).any()
+
+
+def test_torus_target_of_a_diagonal_direction_wraps():
+    env = WeightEnvironment(2, uniform(0, 1), 0)
+    # m = gcd(64, 64) = 64: one target vertex per row, not only the origin
+    assert build_torus_graph(env, (64, 64), (1, 1), 0).target_mask.sum() == 64
+    # m = gcd(128, 64) = 64: level 5 holds 64 vertices, not 3
+    assert build_torus_graph(env, (64, 64), (2, 1), 5).target_mask.sum() == 64
 
 
 def test_torus_successor_tie_breaks_like_solve():

@@ -383,7 +383,7 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     ("modify", ["--theta", "1,0", "--N-list", "24", "--delta", "0.4"],
      "delta: 0.4 is too large for bounded mode: the mean 0.5 exceeds S - 2 delta = 0.2"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded"],
-     "lam: unbounded mode needs --lambda"),
+     "lam: unbounded mode needs a lambda"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "-1"],
      "lam: must be at least 0, got -1.0"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "nan"],

@@ -142,7 +142,9 @@ def test_violating_sources_match_reverse_reachable(forest, data):
         path.append(succ_map[path[-1]])
     closure = reverse_reachable(succ_map, path)
     expect = sorted(z for z in closure if sum(c * t for c, t in zip(z, theta)) <= 0)
-    assert violating_sources(g, spec, xi) == expect
+    found = violating_sources(g, spec, xi)
+    assert found.dtype == np.int64
+    assert found.tolist() == [g.box.index_of(z) for z in expect]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,17 +1,19 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures_mod as fx
+from fppgeo import modification
 from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_overrides
 from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
-from fppgeo.geodesics import HyperplaneTarget, solve
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
-from fppgeo.modification import (StripSpec, check_event_A2prime, eligible_edges, in_strip,
-                                 protected_vertices, run_modification)
+from fppgeo.modification import (ParameterError, StripSpec, in_strip, protected_vertices,
+                                 run_modification, verify_severing)
 
-from oracles import (protected_vertices_exact, reverse_reachable, sort_by_order, strip_scan,
-                     unit_environment)
+from oracles import (first_attainment, last_attainment, protected_vertices_exact,
+                     reverse_reachable, sort_by_order, strip_scan, unit_environment)
 
 
 def strip_list(spec, box):
@@ -34,8 +36,10 @@ def test_strip_spec_validation():
         StripSpec((2, 4), 10, 5.0, 3, 0.1, 0.1)   # non-coprime direction
     with pytest.raises(ValueError):
         StripSpec((1, 0), 0, 5.0, 3, 0.1, 0.1)
+    # the margins are checked where the experiment runs
     with pytest.raises(ValueError):
-        StripSpec((1, 0), 10, -5.0, 3, 0.1, 0.1)
+        run_modification(WeightEnvironment(2, uniform(0, 1), 0),
+                         StripSpec((1, 0), 10, -5.0, 3, 0.1, 0.1), (0, 1), (10, 0))
 
 
 def test_strip_contains_origin_and_excludes_far_points():
@@ -125,12 +129,10 @@ def test_protected_vertices_far_from_origin_and_overflow_guard():
 
 
 def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
-    env = fx.fixture_env(0)
-    field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-    g = build_graph(field)
+    out = fx.run_fixture(fx.fixture_env(0))
+    g = out.g
     prot = protected_vertices(fx.BOX, fx.SPEC, fx.XI)
-    edges = eligible_edges(g, fx.SPEC, fx.Y, prot)
-    pairs = [tuple(map(tuple, e)) for e in edges.tolist()]
+    pairs = [tuple(map(tuple, e)) for e in out.edge_set.tolist()]
     edge_set = set(pairs)
 
     # y's highway edges inside the strip are kept out of the raise set
@@ -157,10 +159,7 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
 
 def test_event_passes_on_engineered_fixture():
     for seed in range(5):
-        env = fx.fixture_env(seed)
-        field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-        g = build_graph(field)
-        rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
+        rep = fx.run_fixture(fx.fixture_env(seed)).event
         assert rep.exit_and_stay
         assert rep.approach_but_disjoint
         assert rep.speed_bound
@@ -170,31 +169,55 @@ def test_event_passes_on_engineered_fixture():
 
 def test_event_speed_bound_fails_on_unit_weights():
     # unit weights saturate the support supremum, so the margin condition fails
-    env = unit_environment(2, fx.BOX, seed=0)
-    field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-    g = build_graph(field)
-    rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
+    rep = fx.run_fixture(unit_environment(2, fx.BOX, seed=0)).event
     assert not rep.speed_bound
     assert "speed_violation" in rep.witnesses
 
 
 def test_event_detects_path_intersection():
-    env = fx.fixture_env(0, bridge=True)
-    field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-    g = build_graph(field)
-    rep = check_event_A2prime(g, fx.SPEC, fx.Y, fx.XI)
+    rep = fx.run_fixture(fx.fixture_env(0, bridge=True)).event
     assert not rep.approach_but_disjoint
     assert rep.witnesses["y_meets_xi_path"] == (30, 0)
 
 
-def test_event_parameter_validation():
-    env = fx.fixture_env(0)
-    field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-    g = build_graph(field)
-    with pytest.raises(ValueError):
-        check_event_A2prime(g, fx.SPEC, fx.Y, (23, 0))   # off-level xi
-    with pytest.raises(ValueError):
-        check_event_A2prime(g, fx.SPEC, (0, 9), fx.XI)   # |y| > M_prime
+_UNIFORM = WeightEnvironment(2, uniform(0, 1), 0)
+
+
+def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
+    return StripSpec((1, 0), fx.N, M, M_prime, epsilon, delta)
+
+
+@pytest.mark.parametrize("name, env, spec, y, xi, kwargs", [
+    ("M", _UNIFORM, _spec(M=0.0), fx.Y, fx.XI, {}),
+    ("M_prime", _UNIFORM, _spec(M_prime=0), (0, 0), fx.XI, {}),
+    ("epsilon", _UNIFORM, _spec(epsilon=0.0), fx.Y, fx.XI, {}),
+    ("delta", _UNIFORM, _spec(delta=-0.1), fx.Y, fx.XI, {}),
+    ("y", _UNIFORM, fx.SPEC, (1, 1), fx.XI, {}),                  # off level 0
+    ("xi", _UNIFORM, fx.SPEC, fx.Y, (fx.N - 1, 0), {}),           # off level N
+    ("y", _UNIFORM, fx.SPEC, (0, 9), fx.XI, {}),                  # |y|_1 > M'
+    ("y", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"box": Box((-8, 2), (36, 16))}),
+    ("xi", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"box": Box((-8, -16), (20, 16))}),
+    ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded"}),
+    ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded", "lam": -1.0}),
+    ("mode", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "sideways"}),
+    ("distribution", WeightEnvironment(2, parse_dist("exponential:1"), 0), fx.SPEC, fx.Y,
+     fx.XI, {}),
+    ("delta", _UNIFORM, _spec(delta=0.3), fx.Y, fx.XI, {}),      # mean 0.5 > S - 2 delta
+], ids=["M", "M_prime", "epsilon", "delta", "y-level", "xi-level", "y-l1", "y-box", "xi-box",
+        "lam-missing", "lam-negative", "mode", "distribution", "delta-bounded"])
+def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y, xi, kwargs):
+    calls = []
+
+    def counting_solve(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(modification, "solve", counting_solve)
+    with pytest.raises(ParameterError) as exc:
+        run_modification(env, spec, y, xi, **kwargs)
+    assert exc.value.name == name
+    assert str(exc.value).startswith(f"{name}: ")
+    assert calls == []
 
 
 def test_run_modification_lambda_and_weights():
@@ -224,21 +247,6 @@ def test_run_modification_default_box_contains_y_and_xi():
     out = run_modification(env, StripSpec((1, 1), 48, 12.0, 40, 0.1, 0.1), (-20, 20), (0, 48))
     assert out.g.box == Box((-20, -16), (72, 48))
     assert out.g_mod.box == out.g.box
-
-
-def test_run_modification_mode_errors():
-    env = WeightEnvironment(2, parse_dist("exponential:1"), 0)
-    with pytest.raises(ValueError):
-        run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                         box=fx.BOX, alpha=fx.ALPHA)
-    env2 = fx.fixture_env(0)
-    with pytest.raises(ValueError):
-        run_modification(env2, fx.SPEC, fx.Y, fx.XI, mode="unbounded",
-                         box=fx.BOX, alpha=fx.ALPHA)  # missing lambda
-    bad_delta = StripSpec((1, 0), fx.N, 12.0, 3, 0.1, 0.3)  # mean > S - 2 delta
-    with pytest.raises(ValueError):
-        run_modification(env2, bad_delta, fx.Y, fx.XI, mode="bounded",
-                         box=fx.BOX, alpha=fx.ALPHA)
 
 
 def test_severing_on_fixture_true_with_margin():
@@ -285,11 +293,9 @@ def test_monotone_severing_with_pinned_reference():
     # is held fixed; verified 0/50 violations in the pilot
     for seed in range(12):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        field = solve(env, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
-        g = build_graph(field)
-        prot = protected_vertices(fx.BOX, fx.SPEC, fx.XI)
-        edges = eligible_edges(g, fx.SPEC, fx.Y, prot)
-        ref = path_vertices(g, fx.XI)
+        out = fx.run_fixture(env)
+        edges = out.edge_set
+        ref = path_vertices(out.g, fx.XI)
 
         def vset(lam):
             env2 = with_overrides(env, edges, lam)
@@ -323,3 +329,35 @@ def test_xi_segment_passage_time_bound():
                 run, t = 0, 0.0
         if run:
             assert t >= out.lam * run - 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-6, 12), min_size=1, max_size=12), st.integers(1, 8))
+# steps above 1 that cross level 0 and level N strictly inside a segment
+@example([-3, 2, -1, 5, 9, 3], 4)
+@example([0, -2, 3, 0, 7], 5)
+def test_severing_crossing_matches_attainment_oracles(levels, N):
+    # one chain through the vertices (k, levels[k]) under theta = e2, ending
+    # at xi; every other vertex is a root, so the violators are the chain
+    # vertices at level <= 0 and the witness is the first of them
+    box = Box((0, min(levels)), (len(levels) - 1, max(levels)))
+    chain = box.indices_of(list(enumerate(levels)))
+    succ = np.full(box.n_vertices, -1)
+    succ[chain[:-1]] = chain[1:]
+    g = DistanceField(box=box, target=HyperplaneTarget((0, 1), N),
+                      env=WeightEnvironment(2, uniform(0, 1), 0), T=np.zeros(box.n_vertices),
+                      succ=succ, target_mask=succ < 0)
+    xi = (len(levels) - 1, levels[-1])
+    verdict = verify_severing(g, StripSpec((0, 1), N, 1.0, 1, 0.1, 0.1), xi)
+    low = [k for k, level in enumerate(levels) if level <= 0]
+    assert verdict.severed == (not low)
+    if not low:
+        return
+    start = low[0]
+    dots = levels[start:]
+    w1 = last_attainment(dots, 0)
+    k1 = 0 if w1 is None else (w1[0] if w1[1] else w1[0] + 1)
+    w2 = first_attainment(dots, N, k1)
+    k2 = w2[0] if w2 is not None else len(dots) - 1
+    assert verdict.witness == (start, levels[start])
+    assert verdict.crossing == ((start + k1, dots[k1]), (start + k2, dots[k2]))
