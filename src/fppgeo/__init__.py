@@ -1,6 +1,7 @@
 """First-passage percolation on Z^d: geodesic forests, Busemann fields,
 backward-cluster statistics, and strip edge-modification experiments."""
 
+from .manifest import TOOL_VERSION as __version__
 from .lattice import Box, normalize_direction, lattice_point_on_level
 from .environment import (DistributionSpec, WeightEnvironment, uniform, edge_arrays,
                           override_edges, with_overrides)
@@ -13,5 +14,3 @@ from .analysis import (estimate_shape, estimate_busemann_vector, crossing_counts
                        mass_transport_balance, direction_grid)
 from .modification import (StripSpec, eligible_edges, check_event_A2prime, run_modification,
                            verify_severing, violating_sources, protected_vertices)
-
-__version__ = "0.1.0"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geodesic_graph import backward_stats, components, forward_path, tree_roots
-from .geodesics import HyperplaneTarget, PointTarget, solve
+from .geodesic_graph import backward_stats, components, forward_path
+from .geodesics import HyperplaneTarget, PointTarget, fold_chains, solve
 from .lattice import Box
 
 
@@ -323,7 +323,7 @@ def mass_transport_balance(g, theta):
         raise ValueError("mass transport balance requires a forest on a periodic box")
     coords = g.box.coords()
     n = g.n_vertices
-    roots = tree_roots(np.where(g.succ >= 0, g.succ, np.arange(n)))
+    roots = fold_chains(g.succ, np.where(g.succ < 0, np.arange(n), -1), np.maximum)
     dots = g.box.levels(theta)
     # rank vertices by (wrapped level, lexicographic coords); progenitor = min rank per tree
     order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))

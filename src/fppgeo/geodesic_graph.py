@@ -7,7 +7,6 @@ periodic box: forward paths and orbits, the backward-cluster statistics,
 weak components, encounter points, and the averaged graph at a random
 level.  The sweeps run over the cached ``DistanceField.generations``, the
 vertices grouped by hop count, leaves first or roots first.
-``tree_roots`` jumps parent pointers to the root of every tree.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geodesics import HyperplaneTarget, solve
+from .geodesics import HyperplaneTarget, fold_chains, solve
 from .manifest import csv_cells
 
 
@@ -39,11 +38,14 @@ def forward_path(g, x):
     """Vertex indices of the out-edge chain from x up to its root, as an int64 array.
 
     The chain ends at a target vertex, or at a vertex whose out-edge was cut.
-    It stops after n + 1 entries, so a cyclic successor array cannot hang.
+    A chain of a forest holds at most n vertices, so a longer one runs into
+    a cycle, and that raises ValueError.
     """
     succ = g.succ
     chain = [g.box.index_of(x)]
-    while succ[chain[-1]] >= 0 and len(chain) <= len(succ):
+    while succ[chain[-1]] >= 0:
+        if len(chain) == len(succ):
+            raise ValueError("successor cycle")
         chain.append(int(succ[chain[-1]]))
     return np.asarray(chain, dtype=np.int64)
 
@@ -90,28 +92,13 @@ def sample_averaged_graph(env, n, box, direction, rng_seed):
     return alpha, build_graph(field)
 
 
-def tree_roots(parent):
-    """The root of every vertex of a forest of parent pointers (a root is its own parent).
-
-    Pointer jumping: ``len(parent).bit_length()`` jumps reach the root of
-    every tree.  On a parent cycle they end on a vertex that is not its own
-    parent, and that raises ValueError.
-    """
-    roots = parent
-    for _ in range(len(parent).bit_length()):
-        roots = roots[roots]
-    if not np.array_equal(parent[roots], roots):
-        raise ValueError("parent cycle")
-    return roots
-
-
 def components(g):
     """Weak components of the forest via union-find over undirected out-edges.
 
     Union by rank with path halving, over Python lists; the final roots come
-    from vectorised pointer jumping.  Labels number the union-by-rank
-    representatives in increasing index order.  That numbering is kept
-    because ``radii.csv`` prints the labels.
+    from ``fold_chains`` over the union-find forest.  Labels number the
+    union-by-rank representatives in increasing index order.  That numbering
+    is kept because ``radii.csv`` prints the labels.
     """
     n = g.n_vertices
     parent = list(range(n))
@@ -134,7 +121,11 @@ def components(g):
         parent[y] = x
         if rank[x] == rank[y]:
             rank[x] += 1
-    uniq, labels = np.unique(tree_roots(np.array(parent, dtype=np.int64)), return_inverse=True)
+    up = np.array(parent, dtype=np.int64)
+    is_root = up == np.arange(n)
+    up[is_root] = -1
+    roots = fold_chains(up, np.where(is_root, np.arange(n), -1), np.maximum)
+    uniq, labels = np.unique(roots, return_inverse=True)
     sizes = np.bincount(labels, minlength=len(uniq))
     return ComponentDecomposition(labels=labels, sizes=sizes,
                                   n_components=len(uniq), cycle_edges=cycle_edges)

@@ -143,12 +143,12 @@ class DistanceField:
 
 
 def fold_chains(succ, seed, op):
-    """Reduce ``seed`` with the ufunc ``op`` over each forward chain, by pointer doubling.
+    """Reduce ``seed`` with the associative binary op ``op`` over each forward chain.
 
-    Entry i of the result is op over seed at i, succ[i], succ[succ[i]], ...
-    up to the root of i (the first vertex with succ = -1).  Every chain of a
-    forest ends within ``len(succ).bit_length()`` doublings, so a chain still
-    open after them runs into a cycle, and that raises ValueError.
+    By pointer doubling, entry i of the result is op over seed at i, succ[i],
+    succ[succ[i]], ... up to the root of i (the first vertex with succ = -1).
+    Every chain of a forest ends within ``len(succ).bit_length()`` doublings,
+    so a chain still open after them runs into a cycle and raises ValueError.
     """
     out = seed.copy()
     anc = succ.copy()

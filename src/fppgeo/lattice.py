@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -159,36 +158,21 @@ def is_integer_direction(theta):
             and math.gcd(*(abs(int(c)) for c in theta)) == 1)
 
 
-def normalize_direction(rho, max_denominator=10 ** 6):
-    """Rescale a rational direction to a coprime integer vector.
+def normalize_direction(rho):
+    """Divide an integer direction by the gcd of its components.
 
-    Components may be ints, Fractions, (numerator, denominator) pairs, or
-    floats (reconstructed as rationals with denominators bounded by
-    ``max_denominator``).  The result is the unique positive rational
-    multiple of the input with integer components of gcd 1, so the set of
-    levels whose hyperplane contains lattice points is exactly the integers.
+    The result is the coprime integer vector on the ray of ``rho``, so the
+    set of levels whose hyperplane contains lattice points is exactly the
+    integers.  A component that is not an integer raises TypeError.
     """
-    fracs = []
-    for c in rho:
-        if isinstance(c, Fraction):
-            f = c
-        elif isinstance(c, tuple):
-            f = Fraction(int(c[0]), int(c[1]))
-        elif isinstance(c, float):
-            f = Fraction(c).limit_denominator(max_denominator)
-        elif isinstance(c, (int, np.integer)):
-            f = Fraction(int(c))
-        else:
-            raise TypeError(f"unsupported direction component {c!r}")
-        fracs.append(f)
-    if len(fracs) < 2:
+    if not all(isinstance(c, (int, np.integer)) for c in rho):
+        raise TypeError(f"direction components must be integers, got {rho!r}")
+    if len(rho) < 2:
         raise ValueError("d >= 2 required")
-    if all(f == 0 for f in fracs):
+    g = math.gcd(*(int(c) for c in rho))
+    if g == 0:
         raise ValueError("invalid direction: zero vector")
-    scale = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * scale) for f in fracs]
-    g = math.gcd(*(abs(i) for i in ints))
-    return tuple(i // g for i in ints)
+    return tuple(int(c) // g for c in rho)
 
 
 def _extended_gcd(a, b):

@@ -1,9 +1,12 @@
 """Run manifests and deterministic exporters.
 
 Every CLI result file is accompanied by a manifest recording the tool
-version, the canonical merged config, seeds, timestamps, and SHA-256
-digests of the outputs.  Primary CSV outputs are byte-stable for identical
-configs; wall-clock information lives only in the manifest.
+version, the canonical merged config, seeds, timestamps, the run time and
+SHA-256 digests of the outputs.  Each field is fixed by how the manifest is
+built, so nothing re-checks it on the run path; the tests read written
+manifests back and check them against digests they compute themselves.
+Primary CSV outputs are byte-stable for identical configs; wall-clock
+information lives only in the manifest.
 """
 
 from __future__ import annotations
@@ -12,35 +15,12 @@ import hashlib
 import json
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = "0.1.0"     # the package version, re-exported as fppgeo.__version__
 
 # rows per block of rendered CSV text: bounds the strings a writer holds at once
 CSV_CHUNK_ROWS = 1 << 14
-
-MANIFEST_SCHEMA = {
-    "type": "object",
-    "required": ["tool_version", "command", "config", "config_digest",
-                 "seeds", "started", "finished", "outputs"],
-    "properties": {
-        "tool_version": {"type": "string"},
-        "command": {"type": "array", "items": {"type": "string"}},
-        "config": {"type": "object"},
-        "config_digest": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "seeds": {"type": "array", "items": {"type": "integer"}},
-        "started": {"type": "string"},
-        "finished": {"type": "string"},
-        "outputs": {
-            "type": "object",
-            "additionalProperties": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        },
-        "runtime_ms": {"type": "number"},
-    },
-    "additionalProperties": True,
-}
-
 
 def canonical_json(obj):
     """Byte-stable JSON: sorted keys, compact separators, repr floats (round-trip exact)."""
@@ -108,10 +88,10 @@ def export_json(path, obj):
         fh.write("\n")
 
 
-def write_manifest(out_path, command, config, seeds, started, finished,
-                   outputs, runtime_ms=None):
+def write_manifest(out_path, command, config, seeds, started, finished, outputs, runtime_ms):
     """Write ``<out>.manifest.json`` next to a result file; returns its path."""
-    manifest = {
+    path = str(Path(out_path).with_suffix("")) + ".manifest.json"
+    export_json(path, {
         "tool_version": TOOL_VERSION,
         "command": list(command),
         "config": config,
@@ -120,19 +100,6 @@ def write_manifest(out_path, command, config, seeds, started, finished,
         "started": started,
         "finished": finished,
         "outputs": {name: file_digest(name) for name in outputs},
-    }
-    if runtime_ms is not None:
-        manifest["runtime_ms"] = float(runtime_ms)
-    validate_manifest(manifest)
-    path = str(Path(out_path).with_suffix("")) + ".manifest.json"
-    with open(path, "w") as fh:
-        fh.write(canonical_json(manifest))
-        fh.write("\n")
+        "runtime_ms": float(runtime_ms),
+    })
     return path
-
-
-def validate_manifest(manifest):
-    jsonschema.validate(manifest, MANIFEST_SCHEMA)
-    digest = config_digest(manifest["config"])
-    if digest != manifest["config_digest"]:
-        raise ValueError("config digest mismatch")

@@ -5,10 +5,12 @@ can compare optimized implementations against first-principles computation.
 The environment and truncation helpers at the end build test inputs.
 """
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, inf
+from math import inf
 
 import numpy as np
 
@@ -143,16 +145,11 @@ def components_union_find(succ):
     return labels, np.bincount(labels, minlength=len(uniq)), cycle_edges
 
 
-def normalize_by_search(fracs):
-    """Clear denominators then divide by gcd, step by step."""
-    k = 1
-    for f in fracs:
-        k = k * f.denominator // gcd(k, f.denominator)
-    ints = [int(f * k) for f in fracs]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    return tuple(i // g for i in ints)
+def normalize_by_search(rho):
+    """Divide a nonzero integer vector by the largest k that divides every component."""
+    for k in range(max(abs(c) for c in rho), 0, -1):
+        if all(c % k == 0 for c in rho):
+            return tuple(c // k for c in rho)
 
 
 def levels_with_lattice_points(theta, radius, level_range):
@@ -164,6 +161,37 @@ def levels_with_lattice_points(theta, radius, level_range):
         if level_range[0] <= dot <= level_range[1]:
             found.add(dot)
     return found
+
+
+MANIFEST_KEYS = {"tool_version": str, "command": list, "config": dict, "config_digest": str,
+                 "seeds": list, "started": str, "finished": str, "outputs": dict,
+                 "runtime_ms": float}
+
+
+def check_manifest(path):
+    """Read a written run manifest back and check it; returns it, or raises ValueError.
+
+    Each required key must hold a value of its type.  ``config_digest`` must
+    be the SHA-256 of ``config`` as sorted compact JSON, and each digest in
+    ``outputs`` the SHA-256 of that file's bytes, both computed here.
+    """
+    with open(path) as fh:
+        manifest = json.load(fh)
+    for key, kind in MANIFEST_KEYS.items():
+        if not isinstance(manifest.get(key), kind):
+            raise ValueError(f"{key}: missing or not a {kind.__name__}")
+    if not all(isinstance(c, str) for c in manifest["command"]):
+        raise ValueError("command: not a list of strings")
+    if not all(type(s) is int for s in manifest["seeds"]):
+        raise ValueError("seeds: not a list of integers")
+    text = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+    if hashlib.sha256(text.encode()).hexdigest() != manifest["config_digest"]:
+        raise ValueError("config_digest: not the SHA-256 of config")
+    for name, digest in manifest["outputs"].items():
+        with open(name, "rb") as fh:
+            if hashlib.sha256(fh.read()).hexdigest() != digest:
+                raise ValueError(f"outputs: {name} does not match its digest")
+    return manifest
 
 
 def strip_scan(theta, N, M, box_coords):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -14,11 +15,17 @@ from fppgeo import cli
 from fppgeo.analysis import estimate_shape
 from fppgeo.cli import main
 from fppgeo.environment import WeightEnvironment, uniform
-from fppgeo.manifest import canonical_json, export_csv, export_json, validate_manifest
+from fppgeo.manifest import canonical_json, export_csv, export_json
+
+from oracles import check_manifest
 
 
 def run_cli(args):
-    return main(args)
+    """Run the CLI; a run that succeeds must leave a manifest that ``check_manifest`` accepts."""
+    rc = main(args)
+    if rc == 0:
+        check_manifest(str(Path(args[args.index("--out") + 1]).with_suffix("")) + ".manifest.json")
+    return rc
 
 
 def test_graph_command_outputs_and_manifest(tmp_path):
@@ -30,10 +37,20 @@ def test_graph_command_outputs_and_manifest(tmp_path):
     assert out.exists()
     header = out.read_text().splitlines()[0]
     assert header == "x1,x2,dx1,dx2"
-    manifest = json.loads((tmp_path / "g.manifest.json").read_text())
-    validate_manifest(manifest)
+    manifest = check_manifest(tmp_path / "g.manifest.json")
+    assert manifest["outputs"].keys() == {str(out), str(tmp_path / "g.summary.json")}
     summary = json.loads((tmp_path / "g.summary.json").read_text())
     assert summary["n_vertices"] == 15 * 15
+
+
+def test_manifest_tool_version_is_the_package_version(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run_cli(["graph", *_D2, "--box", "9", "--theta", "1,0", "--alpha", "2",
+                    "--out", str(out)]) == 0
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert check_manifest(tmp_path / "g.manifest.json")["tool_version"] == fppgeo.__version__
+    assert fppgeo.__version__ == version
 
 
 def test_graph_command_byte_identical_reruns(tmp_path):
@@ -218,11 +235,24 @@ def test_canonical_json_stable():
     assert a == b == '{"a":[1,2],"b":1.5}'
 
 
-def test_manifest_schema_rejects_bad_digest():
-    bad = {"tool_version": "x", "command": [], "config": {}, "config_digest": "0" * 64,
-           "seeds": [], "started": "", "finished": "", "outputs": {}}
-    with pytest.raises(ValueError):
-        validate_manifest(bad)
+def test_check_manifest_rejects_tampered_manifests(tmp_path):
+    out = tmp_path / "g.csv"
+    assert run_cli(["graph", *_D2, "--box", "9", "--theta", "1,0", "--alpha", "2",
+                    "--out", str(out)]) == 0
+    path = tmp_path / "g.manifest.json"
+    good = json.loads(path.read_text())
+    edited = dict(good, config=dict(good["config"], alpha=3))
+    cases = [(edited, "config_digest")]
+    cases += [({k: v for k, v in good.items() if k != key}, key) for key in good]
+    for manifest, key in cases:
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            check_manifest(path)
+    path.write_text(json.dumps(good))
+    with open(out, "ab") as fh:
+        fh.write(b"0")
+    with pytest.raises(ValueError, match=f"^outputs: {out} does not match"):
+        check_manifest(path)
 
 
 def test_export_json_writes_sorted(tmp_path):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
-from fppgeo.geodesic_graph import forward_orbit, tree_roots
+from fppgeo.geodesic_graph import forward_orbit, forward_path
 from fppgeo.geodesics import (DistanceField, HyperplaneTarget, PointTarget, axis_weights,
                               solve, successor_forest, successor_margin, target_mask)
 from fppgeo.lattice import Box
@@ -119,15 +119,19 @@ def _two_cycle():
 
 
 @pytest.mark.parametrize("read", [lambda f: f.hops(), lambda f: f.generations(),
-                                  lambda f: forward_orbit(f, [2])],
-                         ids=["hops", "generations", "forward_orbit"])
+                                  lambda f: forward_orbit(f, [2]),
+                                  lambda f: forward_path(f, (-1, 1))],
+                         ids=["hops", "generations", "forward_orbit", "forward_path"])
 def test_successor_cycle_raises(read):
     with pytest.raises(ValueError, match="successor cycle"):
         read(_two_cycle())
 
 
-def test_tree_roots_raise_on_parent_cycle():
-    assert tree_roots(np.array([0, 0, 1, 3, 3])).tolist() == [0, 0, 0, 3, 3]
-    for cycle in ([1, 0, 2], [1, 2, 0, 0]):
-        with pytest.raises(ValueError, match="parent cycle"):
-            tree_roots(np.array(cycle))
+
+def test_forward_path_runs_a_chain_through_every_vertex():
+    # the longest chain of a forest holds all n vertices, and it is no cycle
+    box = Box((0, 0), (3, 0))
+    succ = np.array([-1, 0, 1, 2])
+    field = DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None,
+                          T=np.zeros(4), succ=succ, target_mask=succ < 0)
+    assert forward_path(field, (3, 0)).tolist() == [3, 2, 1, 0]

@@ -6,9 +6,16 @@ another part of the package, by the benchmark in ``perfbench/`` (its code,
 or the dotted names its tracer patches), or it must be on ``KEEP`` with the
 roadmap direction that will call it.  A helper that only the tests read
 belongs in ``tests/oracles.py``.
+
+The package imports no third-party module that ``pyproject.toml`` does not
+declare, and declares none it does not import.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +114,34 @@ def test_keep_list_names_exist_and_name_their_direction():
 
 def test_no_module_imports_a_name_it_does_not_use():
     assert unused_imports(_modules(PACKAGE) + sorted((ROOT / "tests").glob("*.py"))) == []
+
+
+def declared_dependencies(pyproject=ROOT / "pyproject.toml"):
+    """Import names of the ``dependencies`` of ``pyproject.toml``, read by regex
+    (Python 3.10 has no ``tomllib``)."""
+    block = re.search(r"^dependencies = \[(.*?)\]", pyproject.read_text(), re.M | re.S).group(1)
+    return {name.lower().replace("-", "_") for name in re.findall(r'"([A-Za-z0-9_.-]+)', block)}
+
+
+def third_party_imports(package=PACKAGE):
+    """Top-level modules that the package imports, less the standard library."""
+    out = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                out.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                out.add(node.module.split(".")[0])
+    return out - set(sys.stdlib_module_names)
+
+
+def test_imports_are_the_declared_dependencies():
+    assert third_party_imports() == declared_dependencies()
+
+
+def test_cli_import_loads_no_schema_engine():
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import fppgeo.cli, sys; assert 'jsonschema' not in sys.modules"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
