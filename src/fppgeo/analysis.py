@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geodesic_graph import backward_stats, components, forward_path
-from .geodesics import HyperplaneTarget, PointTarget, fold_chains, solve
+from .geodesics import HyperplaneTarget, fold_chains, passage_times, solve
 from .lattice import Box
 
 
@@ -91,30 +91,31 @@ class ShapeEstimate:
         return out
 
 
-def _shape_window(points):
-    pts = np.vstack([np.zeros((1, points.shape[1]), dtype=np.int64), points])
-    return Box(tuple(pts.min(axis=0)), tuple(pts.max(axis=0)))
-
-
 def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64, box=None):
     """Passage times T(0, floor(r xi)) over ``n_seeds`` consecutive seeds, for
-    the directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r."""
+    the directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r.
+
+    Each seed's times come from ``passage_times``, whose Dijkstra stops at L,
+    the largest time inside the window spanned by the origin and the points.
+    The window's paths are paths of the solve box, so each point's time in
+    the box is at most L, in floating point too since rounding is monotone,
+    and equals the time of a full solve.
+    """
     r = int(radius)
     if directions is None:
         directions = direction_grid(env.dim, n_directions)
     directions = np.asarray(directions, dtype=np.float64)
     points = np.floor(r * directions).astype(np.int64)
-    window = _shape_window(points)
+    origin = (0,) * env.dim
+    window = Box.hull(np.vstack([origin, points]))
     if box is None:
         box = padded_solve_box(window)
     else:
         check_window(window, box)
 
-    origin = PointTarget((0,) * env.dim)
-    idx = box.indices_of(points)
     samples = np.empty((n_seeds, len(points)))
     for k in range(n_seeds):
-        samples[k] = solve(replace(env, seed=env.seed + k), box, origin).T[idx]
+        samples[k] = passage_times(replace(env, seed=env.seed + k), box, origin, points)
     return ShapeEstimate(radius=r, directions=directions, eval_points=points,
                          T_samples=samples)
 

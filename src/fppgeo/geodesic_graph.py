@@ -24,7 +24,6 @@ class ComponentDecomposition:
     labels: np.ndarray
     sizes: np.ndarray
     n_components: int
-    cycle_edges: int
 
 
 def build_graph(field):
@@ -103,7 +102,6 @@ def components(g):
     n = g.n_vertices
     parent = list(range(n))
     rank = [0] * n
-    cycle_edges = 0
     for x, y in enumerate(g.succ.tolist()):
         if y < 0:
             continue
@@ -113,8 +111,7 @@ def components(g):
         while parent[y] != y:
             parent[y] = parent[parent[y]]
             y = parent[y]
-        if x == y:
-            cycle_edges += 1
+        if x == y:      # already joined: a rank bump here would move the labels
             continue
         if rank[x] < rank[y]:
             x, y = y, x
@@ -127,8 +124,7 @@ def components(g):
     roots = fold_chains(up, np.where(is_root, np.arange(n), -1), np.maximum)
     uniq, labels = np.unique(roots, return_inverse=True)
     sizes = np.bincount(labels, minlength=len(uniq))
-    return ComponentDecomposition(labels=labels, sizes=sizes,
-                                  n_components=len(uniq), cycle_edges=cycle_edges)
+    return ComponentDecomposition(labels=labels, sizes=sizes, n_components=len(uniq))
 
 
 def encounter_points(g, threshold=None):

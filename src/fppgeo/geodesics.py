@@ -12,6 +12,14 @@ fixed-degree CSR graph, and the successor of x is the first slot with the
 least weight(x, y) + T(y), so ties break by that direction order.  On a
 plain box that is the lexicographically smallest tied neighbor.
 
+``passage_times`` reads T(source, p) at a few points p without a forest:
+its Dijkstra stops once every point is settled.  The stop is L, the largest
+time inside the hull (the box spanned by the source and the points).  The
+hull's paths are paths of the box, so T_box(source, p) <= T_hull(source, p)
+<= L at every point; this holds in floating point as well, since rounding is
+monotone.  A Dijkstra that drops every relaxation past L gives each vertex
+with T <= L the value of the unbounded one, so the points' times are exact.
+
 ``DistanceField`` is the only record of a successor forest: the geodesic
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
 distance fields.  ``fold_chains`` (a reduction along every successor chain
@@ -163,7 +171,12 @@ def fold_chains(succ, seed, op):
 
 
 def axis_weights(env, box, edges):
-    """Weights under ``env`` of the per-axis edges ``edges`` of ``box``."""
+    """Weights under ``env`` of the per-axis edges ``edges`` of ``box``.
+
+    Raises if the environment and the box differ in dimension.
+    """
+    if env.dim != box.dim:
+        raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
     coords = box.coords()
     return [env.edge_weights(coords[u], np.full(len(u), axis, dtype=np.int64))
             for axis, (u, _) in enumerate(edges)]
@@ -188,6 +201,25 @@ def _neighbor_table(edges, weights, n):
     return nbr, wt
 
 
+def _shortest_paths(edges, weights, sources, n, limit=np.inf):
+    """Dijkstra from the vertex indices ``sources`` over the lattice graph.
+
+    Returns ``(T, nbr, wt)``: T(x) = min over sources of the passage time,
+    inf past ``limit``, and the neighbor table the search read.  Every
+    vertex with T <= ``limit`` gets the value of an unbounded search, because
+    a relaxation past the limit is never the minimum at such a vertex.
+    """
+    # NaN and inf fail too: either can leave a vertex that is its own successor
+    if not all(np.all((w > 0.0) & (w < np.inf)) for w in weights):
+        raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
+                         "weights must be > 0 and finite")
+    nbr, wt = _neighbor_table(edges, weights, n)
+    indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
+    graph = csr_matrix((wt.ravel(), nbr.ravel(), indptr), shape=(n, n))
+    T = dijkstra(graph, directed=True, indices=sources, min_only=True, limit=limit)
+    return T, nbr, wt
+
+
 def successor_forest(edges, weights, tmask):
     """Passage times to the target mask and the successor of every vertex.
 
@@ -195,15 +227,8 @@ def successor_forest(edges, weights, tmask):
     returned by ``Box.axis_edges`` and ``weights`` the matching weights.
     Returns ``(T, succ)`` with succ = -1 on target vertices.
     """
-    # NaN and inf fail too: either can leave a vertex that is its own successor
-    if not all(np.all((w > 0.0) & (w < np.inf)) for w in weights):
-        raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
-                         "weights must be > 0 and finite")
     n = len(tmask)
-    nbr, wt = _neighbor_table(edges, weights, n)
-    indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
-    graph = csr_matrix((wt.ravel(), nbr.ravel(), indptr), shape=(n, n))
-    T = dijkstra(graph, directed=True, indices=np.flatnonzero(tmask), min_only=True)
+    T, nbr, wt = _shortest_paths(edges, weights, np.flatnonzero(tmask), n)
     wt += T[nbr]        # in place: weight(x, y) + T(y) per slot
     succ = nbr[np.arange(n), np.argmin(wt, axis=1)].astype(np.int64)
     succ[tmask] = -1
@@ -218,8 +243,6 @@ def solve(env, box, target):
     any edge weight is not strictly positive and finite (zero-weight regimes
     are unsupported).
     """
-    if env.dim != box.dim:
-        raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
     tmask = target_mask(target, box)
     if not tmask.any():
         where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
@@ -227,6 +250,23 @@ def solve(env, box, target):
     edges = box.axis_edges()
     T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
+
+
+def passage_times(env, box, source, points):
+    """Passage times T(source, p) inside ``box`` for the rows p of ``points``.
+
+    The hull of the source and the points is solved first, without a limit;
+    its largest time bounds the Dijkstra in ``box`` (see the module
+    docstring), and no successor forest is built.
+    """
+    points = np.asarray(points, dtype=np.int64)
+    idx = box.indices_of(points)
+    hull = Box.hull(np.vstack([source, points]))
+    limit = np.inf if hull == box else passage_times(env, hull, source, points).max(initial=0.0)
+    edges = box.axis_edges()
+    T, _, _ = _shortest_paths(edges, axis_weights(env, box, edges), box.index_of(source),
+                              box.n_vertices, limit)
+    return T[idx]
 
 
 def successor_margin(field):

@@ -43,6 +43,12 @@ class Box:
     def cube(cls, radius, dim):
         return cls((-radius,) * dim, (radius,) * dim)
 
+    @classmethod
+    def hull(cls, points):
+        """Smallest box holding every row of the (m, d) int array ``points``."""
+        points = np.asarray(points, dtype=np.int64)
+        return cls(tuple(points.min(axis=0)), tuple(points.max(axis=0)))
+
     @property
     def dim(self):
         return len(self.lower)

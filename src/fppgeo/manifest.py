@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,12 @@ def export_json(path, obj):
 
 
 def write_manifest(out_path, command, config, seeds, started, finished, outputs, runtime_ms):
-    """Write ``<out>.manifest.json`` next to a result file; returns its path."""
+    """Write ``<out>.manifest.json`` next to a result file; returns its path.
+
+    Each output is keyed by its path relative to the manifest's directory.
+    """
     path = str(Path(out_path).with_suffix("")) + ".manifest.json"
+    where = Path(path).parent
     export_json(path, {
         "tool_version": TOOL_VERSION,
         "command": list(command),
@@ -99,7 +104,7 @@ def write_manifest(out_path, command, config, seeds, started, finished, outputs,
         "seeds": [int(s) for s in seeds],
         "started": started,
         "finished": finished,
-        "outputs": {name: file_digest(name) for name in outputs},
+        "outputs": {os.path.relpath(name, where): file_digest(name) for name in outputs},
         "runtime_ms": float(runtime_ms),
     })
     return path

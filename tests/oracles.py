@@ -11,10 +11,11 @@ import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import inf
+from pathlib import Path
 
 import numpy as np
 
-from fppgeo.environment import WeightEnvironment, override_edges, uniform
+from fppgeo.environment import DistributionSpec, WeightEnvironment, override_edges, uniform
 
 
 def neighbors(v):
@@ -173,7 +174,8 @@ def check_manifest(path):
 
     Each required key must hold a value of its type.  ``config_digest`` must
     be the SHA-256 of ``config`` as sorted compact JSON, and each digest in
-    ``outputs`` the SHA-256 of that file's bytes, both computed here.
+    ``outputs`` the SHA-256 of that file's bytes, both computed here.  An
+    output key is a path relative to the manifest's directory.
     """
     with open(path) as fh:
         manifest = json.load(fh)
@@ -188,9 +190,10 @@ def check_manifest(path):
     if hashlib.sha256(text.encode()).hexdigest() != manifest["config_digest"]:
         raise ValueError("config_digest: not the SHA-256 of config")
     for name, digest in manifest["outputs"].items():
-        with open(name, "rb") as fh:
+        output = Path(path).parent / name
+        with open(output, "rb") as fh:
             if hashlib.sha256(fh.read()).hexdigest() != digest:
-                raise ValueError(f"outputs: {name} does not match its digest")
+                raise ValueError(f"outputs: {output} does not match its digest")
     return manifest
 
 
@@ -415,6 +418,15 @@ def override_box(env, box, value):
 def unit_environment(dim, box, seed=0):
     """Environment whose weights are exactly 1 on every edge of ``box``."""
     return override_box(WeightEnvironment(dim, uniform(0.0, 1.0), seed), box, 1.0)
+
+
+def weight_environment(kind, dim, seed, box):
+    """Uniform or exponential weights, or weights exactly 1 on the edges
+    inside ``box``, so that passage times tie."""
+    if kind == "unit":
+        return unit_environment(dim, replace(box, periodic=False), seed)
+    dist = uniform(0.0, 1.0) if kind == "uniform" else DistributionSpec("exponential", (1.0,))
+    return WeightEnvironment(dim, dist, seed)
 
 
 def truncate(g, inner):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 from fppgeo.analysis import (backward_tail, build_torus_graph, crossing_counts, direction_grid,
                              estimate_busemann_vector, estimate_shape, intersection_radii,
-                             mass_transport_balance)
+                             mass_transport_balance, padded_solve_box)
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve, target_mask
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, solve, target_mask
 from fppgeo.lattice import Box, is_integer_direction
 
-from oracles import override_box, unit_environment
+from oracles import override_box, unit_environment, weight_environment
 
 
 def test_direction_grid_shapes():
@@ -33,6 +34,38 @@ def test_estimate_shape_unit_weights_exact():
     l1 = np.abs(est.eval_points).sum(axis=1)
     assert np.array_equal(est.T_samples[0], l1.astype(float))
     assert np.array_equal(est.g_hat * r, l1.astype(float))
+
+
+@st.composite
+def shape_problems(draw):
+    """An environment, a radius, directions, and the solve box of a shape
+    estimate: either the padded box (given as None) or a box the caller
+    passes, padded unevenly."""
+    dim = draw(st.integers(2, 3))
+    r = draw(st.integers(1, 8 if dim == 2 else 2))
+    directions = direction_grid(dim, draw(st.integers(1, 8)))
+    points = np.floor(r * directions).astype(np.int64)
+    window = Box.hull(np.vstack([np.zeros((1, dim), dtype=np.int64), points]))
+    box = given = None
+    if draw(st.booleans()):
+        box = given = Box(tuple(l - 16 - draw(st.integers(0, 3)) for l in window.lower),
+                          tuple(u + 16 + draw(st.integers(0, 3)) for u in window.upper))
+    else:
+        box = padded_solve_box(window)
+    env = weight_environment(draw(st.sampled_from(["uniform", "exponential", "unit"])),
+                             dim, draw(st.integers(0, 2 ** 16)), box)
+    return env, r, directions, given, box
+
+
+@settings(max_examples=20, deadline=None)
+@given(shape_problems())
+def test_estimate_shape_equals_full_solves(problem):
+    env, r, directions, given, box = problem
+    est = estimate_shape(env, r, n_seeds=2, directions=directions, box=given)
+    idx = box.indices_of(est.eval_points)
+    for k, row in enumerate(est.T_samples):
+        field = solve(replace(env, seed=env.seed + k), box, PointTarget((0,) * env.dim))
+        assert np.array_equal(row, field.T[idx])
 
 
 def test_estimate_shape_lattice_symmetry():

@@ -38,9 +38,20 @@ def test_graph_command_outputs_and_manifest(tmp_path):
     header = out.read_text().splitlines()[0]
     assert header == "x1,x2,dx1,dx2"
     manifest = check_manifest(tmp_path / "g.manifest.json")
-    assert manifest["outputs"].keys() == {str(out), str(tmp_path / "g.summary.json")}
+    assert manifest["outputs"].keys() == {"g.csv", "g.summary.json"}
     summary = json.loads((tmp_path / "g.summary.json").read_text())
     assert summary["n_vertices"] == 15 * 15
+
+
+def test_manifest_of_a_relative_out_checks_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "run").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    assert run_cli(["graph", *_D2, "--box", "9", "--theta", "1,0", "--alpha", "2",
+                    "--out", "g.csv"]) == 0
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    manifest = check_manifest(tmp_path / "run" / "g.manifest.json")
+    assert manifest["outputs"].keys() == {"g.csv", "g.summary.json"}
 
 
 def test_manifest_tool_version_is_the_package_version(tmp_path):

@@ -209,7 +209,6 @@ def test_components_edgeless_and_forest_identity():
     env, box, f = hyper_field(23)
     g = build_graph(f)
     comp = components(g)
-    assert comp.cycle_edges == 0
     assert comp.n_components == g.n_vertices - g.n_edges
     edgeless = truncate(g, Box((0, 0), (0, 0)))
     assert components(edgeless).n_components == g.n_vertices

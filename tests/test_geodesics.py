@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fppgeo import geodesics
+from fppgeo.analysis import estimate_shape
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import forward_path
-from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, successor_margin
+from fppgeo.geodesics import (HyperplaneTarget, PointTarget, _shortest_paths, axis_weights,
+                              passage_times, solve, successor_margin)
 from fppgeo.lattice import Box
 
-from oracles import bellman_ford, min_simple_path_weight, path_weight, unit_environment
+from oracles import (bellman_ford, min_simple_path_weight, path_weight, unit_environment,
+                     weight_environment)
 
 
 def passage_time(f, x):
@@ -194,3 +200,61 @@ def test_infinite_weights_rejected():
     assert env.weight_of(edges[0]) == np.inf
     with pytest.raises(ValueError, match="weights must be > 0 and finite"):
         solve(env, box, PointTarget((0, 0)))
+
+
+@st.composite
+def point_problems(draw):
+    """An environment, a plain or periodic 2-d or 3-d box, a source and points in it."""
+    dim = draw(st.integers(2, 3))
+    periodic = draw(st.booleans())
+    sides = st.integers(3 if periodic else 1, 8 if dim == 2 else 5)
+    lower = tuple(draw(st.integers(-4, 0)) for _ in range(dim))
+    box = Box(lower, tuple(l + draw(sides) - 1 for l in lower), periodic=periodic)
+    env = weight_environment(draw(st.sampled_from(["uniform", "exponential", "unit"])),
+                             dim, draw(st.integers(0, 2 ** 16)), box)
+    vertex = st.integers(0, box.n_vertices - 1).map(box.vertex_at)
+    source = draw(vertex)
+    points = np.array(draw(st.lists(vertex, min_size=1, max_size=6)), dtype=np.int64)
+    return env, box, source, points
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_problems())
+def test_passage_times_equal_the_full_solve(problem):
+    env, box, source, points = problem
+    full = solve(env, box, PointTarget(source)).T[box.indices_of(points)]
+    assert np.array_equal(passage_times(env, box, source, points), full)
+    # the bound: the hull's paths are paths of the box
+    hull = Box.hull(np.vstack([source, points]))
+    assert np.all(passage_times(env, hull, source, points) >= full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_problems(), st.data())
+def test_bounded_dijkstra_is_the_full_one_cut_at_its_limit(problem, data):
+    env, box, source, _ = problem
+    edges = box.axis_edges()
+    args = (edges, axis_weights(env, box, edges), box.index_of(source), box.n_vertices)
+    T = _shortest_paths(*args)[0]
+    # a drawn time, and the farthest one: a cut just below it leaves that vertex at inf
+    for limit in (data.draw(st.sampled_from(sorted(set(T.tolist())))), T.max()):
+        for cut in (limit, np.nextafter(limit, 0.0)):
+            assert np.array_equal(_shortest_paths(*args, limit=cut)[0],
+                                  np.where(T <= cut, T, np.inf))
+
+
+def test_shape_solve_leaves_the_far_box_unsettled(monkeypatch):
+    searches = []
+
+    def recording_dijkstra(*args, **kwargs):
+        T = dijkstra(*args, **kwargs)
+        searches.append(T)
+        return T
+
+    dijkstra = geodesics.dijkstra
+    monkeypatch.setattr(geodesics, "dijkstra", recording_dijkstra)
+    est = estimate_shape(WeightEnvironment(3, uniform(0, 1), 0), 4, n_seeds=1, n_directions=8)
+    hull, box = searches          # the hull, unbounded, then the padded box
+    assert np.isfinite(hull).all()
+    assert np.isinf(box).sum() > box.size // 2
+    assert np.isfinite(est.T_samples).all()
