@@ -4,10 +4,14 @@ Weights are a pure function of (seed, canonical edge id): the canonical id
 of an undirected edge (min endpoint in lexicographic order, axis index) is
 hashed with a SplitMix64-style finalizer, folded to 64 bits, and mapped
 through the inverse CDF of the configured distribution.  Any edge of the
-infinite lattice is addressable in O(1).  A finite override table, the
-sorted ids of the overridden edges and their exact weights, takes precedence
-over the hash; ``override_edges`` is its one writer, and ``edge_arrays``
-turns the endpoint pairs of callers into the (min endpoint, axis) form.
+infinite lattice is addressable in O(1).  The id's two lanes, one over the
+even coordinates and one over the odd coordinates and the axis, broadcast:
+given an open grid of edges, each lane is mixed on its own small grid and
+only the final fold and the seed mix run once per edge.  A finite override
+table, the sorted ids of the overridden edges and their exact weights, takes
+precedence over the hash; ``override_edges`` is its one writer, and
+``edge_arrays`` turns the endpoint pairs of callers into the (min endpoint,
+axis) form.
 """
 
 from __future__ import annotations
@@ -34,21 +38,26 @@ def _mix(z):
 def edge_ids(min_coords, axes):
     """64-bit canonical ids for edges given by (min endpoint, axis).
 
-    Coordinates are packed into two accumulator lanes and folded to one
-    word, so the id depends only on the canonical edge, not on the seed.
+    ``min_coords`` is an (m, d) array of min endpoints, or a tuple of d
+    coordinate columns that broadcast with ``axes``, such as an open grid
+    from ``np.ix_``; the ids take the broadcast shape, (m,) in the first
+    form.  Coordinates are packed into two accumulator lanes, ``lo`` over
+    the even axes and ``hi`` over the odd axes and the edge's axis, and
+    folded to one word, so the id depends only on the canonical edge, not on
+    the seed.  Each lane is mixed at its own broadcast shape: on an open
+    grid only the final fold runs once per edge.
     """
-    min_coords = np.atleast_2d(np.asarray(min_coords, dtype=np.int64))
-    axes = np.asarray(axes, dtype=np.int64)
-    lo = np.zeros(len(min_coords), dtype=np.uint64)
-    hi = np.zeros(len(min_coords), dtype=np.uint64)
+    if not isinstance(min_coords, tuple):
+        min_coords = tuple(np.atleast_2d(np.asarray(min_coords, dtype=np.int64)).T)
+    lo = hi = np.uint64(0)
     with np.errstate(over="ignore"):
-        for i in range(min_coords.shape[1]):
-            lane = min_coords[:, i].astype(np.uint64) * _PHI
+        for i, column in enumerate(min_coords):
+            lane = np.asarray(column, dtype=np.int64).astype(np.uint64) * _PHI
             if i % 2 == 0:
                 lo = _mix(lo ^ lane)
             else:
                 hi = _mix(hi ^ lane)
-        hi = _mix(hi ^ (axes.astype(np.uint64) + _PHI))
+        hi = _mix(hi ^ (np.asarray(axes, dtype=np.int64).astype(np.uint64) + _PHI))
     return _mix(lo ^ hi)
 
 
@@ -143,8 +152,12 @@ class WeightEnvironment:
         return _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) ^ _PHI)
 
     def edge_weights(self, min_coords, axes):
-        """Vectorized weights for edges given as (min endpoint, axis) arrays."""
-        ids = edge_ids(min_coords, axes)
+        """Vectorized weights for edges given as (min endpoint, axis) arrays.
+
+        The arguments are those of :func:`edge_ids`, either form; the result
+        is 1-D, in the C order of their broadcast shape.
+        """
+        ids = edge_ids(min_coords, axes).ravel()
         u = (_mix(ids ^ self._seed_word()) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
         w = self.spec.inverse_cdf(u)
         table, values = self.overrides

@@ -4,13 +4,16 @@
 vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
-``successor_forest`` is the one lattice-graph core behind it.  It turns the
-per-axis edge arrays of ``Box.axis_edges`` and their weights into one
-row-major (n, 2d) neighbor table, whose slots run in the direction order
--e1 < -e2 < ... < -ed < +ed < ... < +e1.  Dijkstra reads that table as a
-fixed-degree CSR graph, and the successor of x is the first slot with the
-least weight(x, y) + T(y), so ties break by that direction order.  On a
-plain box that is the lexicographically smallest tied neighbor.
+``successor_forest`` is the one lattice-graph core behind it.  It works on
+the box grid, not on per-edge arrays: ``axis_weights`` hashes the tails of
+each axis as an open grid and returns their weights in C order (the tails
+order of ``Box.axis_edges``), and the weights fill one row-major (n, 2d)
+neighbor table by slices of the grid, or by ``np.roll`` on a torus.  Its
+slots run in the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
+Dijkstra reads that table as a fixed-degree CSR graph, and the successor of
+x is the first slot with the least weight(x, y) + T(y), so ties break by
+that direction order.  On a plain box that is the lexicographically
+smallest tied neighbor.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -170,65 +173,89 @@ def fold_chains(succ, seed, op):
     raise ValueError("successor cycle")
 
 
-def axis_weights(env, box, edges):
-    """Weights under ``env`` of the per-axis edges ``edges`` of ``box``.
+def axis_weights(env, box):
+    """Weights under ``env`` of the edges of ``box``, one 1-D array per axis.
 
-    Raises if the environment and the box differ in dimension.
+    Entry ``axis`` holds the weights of the edges (u, u + e_axis) in the C
+    order of their tails u, which is the tails order of ``Box.axis_edges``:
+    every vertex on a periodic box, and every vertex off the upper face of
+    the axis on a plain one.  The tails are hashed as an open grid (see
+    ``edge_ids``).  Raises if the environment and the box differ in
+    dimension.
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
-    coords = box.coords()
-    return [env.edge_weights(coords[u], np.full(len(u), axis, dtype=np.int64))
-            for axis, (u, _) in enumerate(edges)]
+    sides = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(box.lower, box.upper)]
+    out = []
+    for axis in range(box.dim):
+        tails = list(sides)
+        if not box.periodic:
+            tails[axis] = tails[axis][:-1]
+        out.append(env.edge_weights(np.ix_(*tails), axis))
+    return out
 
 
-def _neighbor_table(edges, weights, n):
+def _neighbor_table(box, weights):
     """Row-major (n, 2d) neighbor indices and edge weights of the lattice graph.
 
-    Slots follow the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1;
-    a missing neighbor is the vertex itself with weight inf.  Indices are
-    int32 while the table has fewer than 2**31 entries.
+    ``weights`` is as returned by ``axis_weights``.  Slots follow the
+    direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1; a missing
+    neighbor is the vertex itself with weight inf.  Each slot is filled
+    through a (*shape) view of the table: by slices on a plain box, by
+    ``np.roll`` on a periodic one.  Indices are int32 while the table has
+    fewer than 2**31 entries.
     """
-    slots = 2 * len(edges)
-    nbr = np.empty((n, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
-    nbr[:] = np.arange(n, dtype=nbr.dtype)[:, None]
-    wt = np.full((n, slots), np.inf)
-    for axis, ((u, v), w) in enumerate(zip(edges, weights)):
-        nbr[u, slots - 1 - axis] = v
-        wt[u, slots - 1 - axis] = w
-        nbr[v, axis] = u
-        wt[v, axis] = w
-    return nbr, wt
+    shape, n = box.shape, box.n_vertices
+    slots = 2 * box.dim
+    nbr = np.empty((*shape, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
+    wt = np.empty((*shape, slots))
+    idx = np.arange(n, dtype=nbr.dtype).reshape(shape)
+    for axis, w in enumerate(weights):
+        # views with the axis first: its +e and -e slots, the indices, the weights
+        up_nbr, up_wt, down_nbr, down_wt, at, w = (np.moveaxis(a, axis, 0) for a in (
+            nbr[..., slots - 1 - axis], wt[..., slots - 1 - axis], nbr[..., axis],
+            wt[..., axis], idx, w.reshape(shape[:axis] + (-1,) + shape[axis + 1:])))
+        if box.periodic:
+            up_nbr[...], up_wt[...] = np.roll(at, -1, 0), w
+            down_nbr[...], down_wt[...] = np.roll(at, 1, 0), np.roll(w, 1, 0)
+        else:
+            up_nbr[:-1], up_wt[:-1] = at[1:], w
+            up_nbr[-1], up_wt[-1] = at[-1], np.inf
+            down_nbr[1:], down_wt[1:] = at[:-1], w
+            down_nbr[0], down_wt[0] = at[0], np.inf
+    return nbr.reshape(n, slots), wt.reshape(n, slots)
 
 
-def _shortest_paths(edges, weights, sources, n, limit=np.inf):
-    """Dijkstra from the vertex indices ``sources`` over the lattice graph.
+def _shortest_paths(box, weights, sources, limit=np.inf):
+    """Dijkstra from the vertex indices ``sources`` over the lattice graph of ``box``.
 
-    Returns ``(T, nbr, wt)``: T(x) = min over sources of the passage time,
-    inf past ``limit``, and the neighbor table the search read.  Every
-    vertex with T <= ``limit`` gets the value of an unbounded search, because
-    a relaxation past the limit is never the minimum at such a vertex.
+    ``weights`` is as returned by ``axis_weights``.  Returns ``(T, nbr, wt)``:
+    T(x) = min over sources of the passage time, inf past ``limit``, and the
+    neighbor table the search read.  Every vertex with T <= ``limit`` gets
+    the value of an unbounded search, because a relaxation past the limit is
+    never the minimum at such a vertex.
     """
     # NaN and inf fail too: either can leave a vertex that is its own successor
     if not all(np.all((w > 0.0) & (w < np.inf)) for w in weights):
         raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
                          "weights must be > 0 and finite")
-    nbr, wt = _neighbor_table(edges, weights, n)
+    n = box.n_vertices
+    nbr, wt = _neighbor_table(box, weights)
     indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
     graph = csr_matrix((wt.ravel(), nbr.ravel(), indptr), shape=(n, n))
     T = dijkstra(graph, directed=True, indices=sources, min_only=True, limit=limit)
     return T, nbr, wt
 
 
-def successor_forest(edges, weights, tmask):
-    """Passage times to the target mask and the successor of every vertex.
+def successor_forest(box, weights, tmask):
+    """Passage times to the target mask and the successor of every vertex of ``box``.
 
-    ``edges`` holds per-axis (tails, heads = tails + e_axis) index arrays as
-    returned by ``Box.axis_edges`` and ``weights`` the matching weights.
-    Returns ``(T, succ)`` with succ = -1 on target vertices.
+    ``weights`` holds the per-axis edge weights in tails order, as returned
+    by ``axis_weights``, and ``tmask`` is a mask over the vertices in C
+    order.  Returns ``(T, succ)`` with succ = -1 on target vertices.
     """
-    n = len(tmask)
-    T, nbr, wt = _shortest_paths(edges, weights, np.flatnonzero(tmask), n)
+    n = box.n_vertices
+    T, nbr, wt = _shortest_paths(box, weights, np.flatnonzero(tmask))
     wt += T[nbr]        # in place: weight(x, y) + T(y) per slot
     succ = nbr[np.arange(n), np.argmin(wt, axis=1)].astype(np.int64)
     succ[tmask] = -1
@@ -247,8 +274,7 @@ def solve(env, box, target):
     if not tmask.any():
         where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
         raise NoTargetError(f"no target vertex {where}")
-    edges = box.axis_edges()
-    T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
+    T, succ = successor_forest(box, axis_weights(env, box), tmask)
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
 
 
@@ -263,9 +289,7 @@ def passage_times(env, box, source, points):
     idx = box.indices_of(points)
     hull = Box.hull(np.vstack([source, points]))
     limit = np.inf if hull == box else passage_times(env, hull, source, points).max(initial=0.0)
-    edges = box.axis_edges()
-    T, _, _ = _shortest_paths(edges, axis_weights(env, box, edges), box.index_of(source),
-                              box.n_vertices, limit)
+    T, _, _ = _shortest_paths(box, axis_weights(env, box), box.index_of(source), limit)
     return T[idx]
 
 
@@ -275,9 +299,7 @@ def successor_margin(field):
     Near-zero gaps indicate distribution atoms or hash defects; under
     continuous weights the successor is a.s. unique.
     """
-    edges = field.box.axis_edges()
-    nbr, wt = _neighbor_table(edges, axis_weights(field.env, field.box, edges),
-                              field.n_vertices)
+    nbr, wt = _neighbor_table(field.box, axis_weights(field.env, field.box))
     keep = ~field.target_mask
     part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
     return part[:, 1] - part[:, 0]

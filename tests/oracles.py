@@ -408,6 +408,31 @@ def columns_csv_text(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def per_edge_weights(env, box):
+    """Weights of the edges of ``Box.axis_edges``, hashed one (min endpoint, axis) row each."""
+    coords = box.coords()
+    return [env.edge_weights(coords[tails], np.full(len(tails), axis))
+            for axis, (tails, _) in enumerate(box.axis_edges())]
+
+
+def neighbor_table(edges, weights, n):
+    """(n, 2d) neighbor indices and weights, scattered edge by edge from ``Box.axis_edges``.
+
+    Slots run -e1 < ... < -ed < +ed < ... < +e1; a missing neighbor is the
+    vertex itself with weight inf, and indices are int32 below 2**31 entries.
+    """
+    slots = 2 * len(edges)
+    nbr = np.empty((n, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
+    nbr[:] = np.arange(n, dtype=nbr.dtype)[:, None]
+    wt = np.full((n, slots), np.inf)
+    for axis, ((u, v), w) in enumerate(zip(edges, weights)):
+        nbr[u, slots - 1 - axis] = v
+        wt[u, slots - 1 - axis] = w
+        nbr[v, axis] = u
+        wt[v, axis] = w
+    return nbr, wt
+
+
 def override_box(env, box, value):
     """New environment with every edge inside ``box`` set to exactly ``value``."""
     coords = box.coords()

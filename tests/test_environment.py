@@ -4,6 +4,7 @@ from scipy import stats
 
 from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, override_edges,
                                 parse_dist, uniform, with_overrides)
+from fppgeo.geodesics import axis_weights
 from fppgeo.lattice import Box
 
 from oracles import override_box
@@ -150,10 +151,33 @@ def test_weight_of_reads_the_table_that_edge_weights_reads():
     assert len(edges) == 54
     env = override_edges(WeightEnvironment(3, uniform(0, 1), 1), edges,
                          1.0 + np.arange(len(edges)))
+    weights = axis_weights(env, box)
     for axis, (tails, heads) in enumerate(box.axis_edges()):
         table = env.edge_weights(coords[tails], np.full(len(tails), axis))
+        assert np.array_equal(weights[axis], table)
         for u, v, w in zip(coords[tails].tolist(), coords[heads].tolist(), table):
             assert env.weight_of((v, u)) == w
+
+
+# (min endpoint, axis, id): a slip in the lane order or in the packing of a
+# coordinate changes these without any reference to an older implementation
+PINNED_IDS = [((0, 0), 0, 0x48218226FF3CD4BF), ((-3, 5), 1, 0xE186C098956D768F),
+              ((7, -2), 0, 0x48E91ECFF96BFEDB), ((0, 0, 0), 2, 0xE60BBBF6CA094F3C),
+              ((-1, 4, -9), 0, 0x0556486071CD2E46), ((2, -3, 1), 1, 0x04E18155C6E5A7E8)]
+
+
+def test_edge_ids_are_pinned():
+    for coords, axis, expect in PINNED_IDS:
+        assert edge_ids([coords], [axis]).tolist() == [expect]
+    rows = [coords for coords, _, _ in PINNED_IDS[:3]]
+    assert edge_ids(rows, [0, 1, 0]).tolist() == [i for _, _, i in PINNED_IDS[:3]]
+    # the grid form: an open grid of tails, one axis for all
+    assert edge_ids(np.ix_([-2, 3], [-1, 0, 5]), 1).tolist() == [
+        [0x2C3B88A3F83F2BC6, 0xA05F85AB803FDFA1, 0x38E411B9FDCB7D9F],
+        [0x500BF2F5E74AFD9F, 0x0B1F3A78522375A5, 0x0325F4CCD260F8FF]]
+    assert edge_ids(np.ix_([-1, 2], [0], [-4, 3]), 2).tolist() == [
+        [[0x0092FAA86FB848FA, 0xE3D1ADE71070A03C]],
+        [[0x6DC8933AE67C5D08, 0x7409301323E76615]]]
 
 
 def test_override_box_unit_weights():

@@ -233,8 +233,7 @@ def test_passage_times_equal_the_full_solve(problem):
 @given(point_problems(), st.data())
 def test_bounded_dijkstra_is_the_full_one_cut_at_its_limit(problem, data):
     env, box, source, _ = problem
-    edges = box.axis_edges()
-    args = (edges, axis_weights(env, box, edges), box.index_of(source), box.n_vertices)
+    args = (box, axis_weights(env, box), box.index_of(source))
     T = _shortest_paths(*args)[0]
     # a drawn time, and the farthest one: a cut just below it leaves that vertex at inf
     for limit in (data.draw(st.sampled_from(sorted(set(T.tolist())))), T.max()):

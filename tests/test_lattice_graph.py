@@ -1,6 +1,8 @@
 """Property tests of the lattice-graph core against independent oracles.
 
-Edge enumeration is checked against ``oracles.neighbors``; passage times on
+Edge enumeration is checked against ``oracles.neighbors``; the sliced
+neighbor table and the grid-hashed ``axis_weights`` against the per-edge
+scatter and the per-edge hashing of ``oracles``; passage times on
 boxes and tori against a networkx multi-source Dijkstra over a graph built
 edge by edge from ``weight_of``; the successor of every vertex against a
 scan of its neighbors in the documented tie order, under weights 1 and 2 so
@@ -15,11 +17,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fppgeo.analysis import build_torus_graph
-from fppgeo.environment import WeightEnvironment, uniform, with_overrides
-from fppgeo.geodesics import HyperplaneTarget, PointTarget, solve, target_mask
+from fppgeo.environment import (DistributionSpec, WeightEnvironment, override_edges, uniform,
+                                with_overrides)
+from fppgeo.geodesics import (HyperplaneTarget, PointTarget, _neighbor_table, axis_weights, solve,
+                              target_mask)
 from fppgeo.lattice import Box
 
-from oracles import neighbors, override_box
+from oracles import neighbor_table, neighbors, override_box, per_edge_weights
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -66,6 +70,49 @@ def test_periodic_axis_edges_match_wrapped_neighbors(box):
 def test_periodic_axis_edges_reject_short_sides():
     with pytest.raises(ValueError):
         Box((0, 0), (1, 5), periodic=True)
+
+
+@st.composite
+def grid_boxes(draw):
+    """A plain box in d = 2..4, side-1 axes included, or a periodic one."""
+    dim = draw(st.integers(2, 4))
+    periodic = draw(st.booleans())
+    sides = st.integers(3 if periodic else 1, 5 if dim < 4 else 3)
+    lower = tuple(draw(st.integers(-3, 3)) for _ in range(dim))
+    return Box(lower, tuple(l + draw(sides) - 1 for l in lower), periodic=periodic)
+
+
+@SETTINGS
+@given(grid_boxes(), st.integers(0, 2 ** 32))
+def test_sliced_neighbor_table_equals_the_per_edge_scatter(box, seed):
+    edges = box.axis_edges()
+    rng = np.random.default_rng(seed)
+    weights = [rng.uniform(0.5, 2.0, len(tails)) for tails, _ in edges]
+    nbr, wt = _neighbor_table(box, weights)
+    expect_nbr, expect_wt = neighbor_table(edges, weights, box.n_vertices)
+    assert (nbr.dtype, wt.dtype) == (expect_nbr.dtype, expect_wt.dtype)
+    assert np.array_equal(nbr, expect_nbr) and np.array_equal(wt, expect_wt)
+
+
+DISTS = [uniform(0.0, 1.0), DistributionSpec("exponential", (1.5,)),
+         DistributionSpec("uniform_shifted", (0.5, 2.0))]
+
+
+@SETTINGS
+@given(grid_boxes(), st.sampled_from(DISTS), st.integers(0, 2 ** 64 - 1), st.data())
+def test_axis_weights_equal_the_per_edge_hashing(box, dist, seed, data):
+    env = WeightEnvironment(box.dim, dist, seed)
+    # overrides on some edges of the box, wrap edges included: (tail, tail + e_axis)
+    tails = np.repeat(box.coords(), box.dim, axis=0)
+    heads = tails + np.tile(np.eye(box.dim, dtype=np.int64), (box.n_vertices, 1))
+    chosen = data.draw(st.lists(st.integers(0, len(tails) - 1), max_size=6))
+    if chosen:
+        env = override_edges(env, np.stack([tails[chosen], heads[chosen]], axis=1),
+                             1.0 + np.arange(len(chosen)))
+    got, expect = axis_weights(env, box), per_edge_weights(env, box)
+    assert len(got) == box.dim
+    for g, e in zip(got, expect):
+        assert (g.dtype, g.shape) == (e.dtype, e.shape) and np.array_equal(g, e)
 
 
 def _nx_passage_times(env, vertices, head, targets):

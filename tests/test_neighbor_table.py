@@ -72,9 +72,8 @@ def _candidates_in_tie_order(env, box, T, x):
 @given(tied_problems())
 def test_successor_forest_is_first_argmin_of_neighbor_scan(problem):
     env, box, target = problem
-    edges = box.axis_edges()
     tmask = target_mask(target, box)
-    T, succ = successor_forest(edges, axis_weights(env, box, edges), tmask)
+    T, succ = successor_forest(box, axis_weights(env, box), tmask)
     for i in range(box.n_vertices):
         if tmask[i]:
             assert (succ[i], T[i]) == (-1, 0.0)
