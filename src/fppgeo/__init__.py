@@ -5,7 +5,7 @@ from .manifest import TOOL_VERSION as __version__
 from .lattice import Box, normalize_direction, lattice_point_on_level
 from .environment import (DistributionSpec, WeightEnvironment, uniform, edge_arrays,
                           override_edges, with_overrides)
-from .geodesics import PointTarget, HyperplaneTarget, DistanceField, solve
+from .geodesics import HyperplaneTarget, DistanceField, solve
 from .geodesic_graph import (build_graph, forward_path, backward_stats,
                              sample_averaged_graph, components, encounter_points,
                              graph_summary)

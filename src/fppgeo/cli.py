@@ -148,7 +148,7 @@ SETTINGS = {
                  per_axis=True),
     "xi": Setting(_int_list, None, "default: a lattice point on level N", per_axis=True),
     "out": Setting(str, None, "primary output path (default: <command>.csv)"),
-    "jobs": Setting(_int, lambda: os.environ.get("FPPGEO_JOBS") or 1),
+    "jobs": Setting(_int, lambda: os.environ.get("FPPGEO_JOBS") or 1, minimum=1),
 }
 COMMON = ("out", "jobs")
 

@@ -68,7 +68,7 @@ def backward_stats(g):
     n = g.n_vertices
     sizes = np.ones(n, dtype=np.int64)
     depth = np.zeros(n, dtype=np.int64)
-    touch = g.box.boundary_mask().copy()
+    touch = g.box.boundary_mask()
     for gen in g.generations()[:0:-1]:
         s = g.succ[gen]
         np.add.at(sizes, s, sizes[gen])

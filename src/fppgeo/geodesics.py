@@ -6,14 +6,13 @@ successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
 ``successor_forest`` is the one lattice-graph core behind it.  It works on
 the box grid, not on per-edge arrays: ``axis_weights`` hashes the tails of
-each axis as an open grid and returns their weights in C order (the tails
-order of ``Box.axis_edges``), and the weights fill one row-major (n, 2d)
-neighbor table by slices of the grid, or by ``np.roll`` on a torus.  Its
-slots run in the direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1.
-Dijkstra reads that table as a fixed-degree CSR graph, and the successor of
-x is the first slot with the least weight(x, y) + T(y), so ties break by
-that direction order.  On a plain box that is the lexicographically
-smallest tied neighbor.
+each axis as an open grid and returns their weights in the C order of that
+grid, and the weights fill one row-major (n, 2d) neighbor table by slices
+of the grid, or by ``np.roll`` on a torus.  Its slots run in the direction
+order -e1 < -e2 < ... < -ed < +ed < ... < +e1.  Dijkstra reads that table
+as a fixed-degree CSR graph, and the successor of x is the first slot with
+the least weight(x, y) + T(y), so ties break by that direction order.  On a
+plain box that is the lexicographically smallest tied neighbor.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -41,14 +40,6 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .lattice import Box, is_integer_direction
-
-
-@dataclass(frozen=True)
-class PointTarget:
-    vertex: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertex", tuple(int(c) for c in self.vertex))
 
 
 @dataclass(frozen=True)
@@ -88,16 +79,11 @@ class NoTargetError(ValueError):
 
 
 def target_mask(target, box):
-    """Boolean mask over box vertices belonging to the target set.
+    """Boolean mask over the box vertices of a ``HyperplaneTarget``.
 
     On a periodic box an ``exact_lattice`` level is a wrapped level (see
     ``Box.levels``): in [0, gcd_i(theta_i L_i)) on a torus from the origin.
     """
-    if isinstance(target, PointTarget):
-        mask = np.zeros(box.n_vertices, dtype=bool)
-        if box.contains(target.vertex):
-            mask[box.index_of(target.vertex)] = True
-        return mask
     if target.mode == "exact_lattice":
         return box.levels(target.direction) == target.level
     dirs = np.asarray(target.direction, dtype=np.float64)
@@ -177,11 +163,10 @@ def axis_weights(env, box):
     """Weights under ``env`` of the edges of ``box``, one 1-D array per axis.
 
     Entry ``axis`` holds the weights of the edges (u, u + e_axis) in the C
-    order of their tails u, which is the tails order of ``Box.axis_edges``:
-    every vertex on a periodic box, and every vertex off the upper face of
-    the axis on a plain one.  The tails are hashed as an open grid (see
-    ``edge_ids``).  Raises if the environment and the box differ in
-    dimension.
+    order of the open grid of their tails u: every vertex on a periodic box,
+    and every vertex off the upper face of the axis on a plain one.  The
+    tails are hashed as that grid (see ``edge_ids``).  Raises if the
+    environment and the box differ in dimension.
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
@@ -250,9 +235,10 @@ def _shortest_paths(box, weights, sources, limit=np.inf):
 def successor_forest(box, weights, tmask):
     """Passage times to the target mask and the successor of every vertex of ``box``.
 
-    ``weights`` holds the per-axis edge weights in tails order, as returned
-    by ``axis_weights``, and ``tmask`` is a mask over the vertices in C
-    order.  Returns ``(T, succ)`` with succ = -1 on target vertices.
+    ``weights`` holds the per-axis edge weights in the C order of the open
+    grid of tails, as returned by ``axis_weights``, and ``tmask`` is a mask
+    over the vertices in C order.  Returns ``(T, succ)`` with succ = -1 on
+    target vertices.
     """
     n = box.n_vertices
     T, nbr, wt = _shortest_paths(box, weights, np.flatnonzero(tmask))

@@ -1,8 +1,9 @@
-"""Integer-lattice geometry: boxes, their edges, and integer directions.
+"""Integer-lattice geometry: boxes, their vertex levels, and integer directions.
 
 Vertices are plain tuples of ints.  Heavy code paths work on flat numpy
-index arrays keyed to a Box; the tuple API is the boundary for users and
-tests.
+index arrays keyed to a Box, in C order of its grid; the edges along an axis
+are pairs of slices of that grid (see ``geodesics._neighbor_table``).  The
+tuple API is the boundary for users and tests.
 """
 
 from __future__ import annotations
@@ -87,29 +88,6 @@ class Box:
     def coords(self):
         """(n, d) int64 array of all vertices in lexicographic order (read-only, cached)."""
         return _box_coords(self)
-
-    def axis_edges(self):
-        """Per-axis ``(tails, heads)`` flat-index arrays of the box's edges.
-
-        Entry ``axis`` pairs each tail u with its head u + e_axis, tails in
-        increasing order.  On a periodic box the head of a tail on the upper
-        face is the vertex of the lower face across the wrap.
-        """
-        coords = self.coords()
-        n = self.n_vertices
-        out = []
-        stride = n
-        for axis, side in enumerate(self.shape):
-            stride //= side
-            inner = coords[:, axis] < self.upper[axis]
-            if self.periodic:
-                tails = np.arange(n)
-                heads = tails + np.where(inner, stride, -(side - 1) * stride)
-            else:
-                tails = np.flatnonzero(inner)
-                heads = tails + stride
-            out.append((tails, heads))
-        return out
 
     def indices_of(self, coords):
         """Vectorized index_of for an (m, d) int array."""

@@ -84,6 +84,18 @@ def _level_interval(a_u, step, s, low, high):
     return np.clip(kmin, 0, s), np.clip(kmax, 0, s), (kmin <= s) & (kmax >= 0)
 
 
+def _edge_ends(box, axis, values):
+    """(tail, head) views of the per-vertex array ``values`` over the edges
+    (u, u + e_axis) of the plain box ``box``.
+
+    ``values`` is reshaped to ``box.shape`` (its trailing dimensions kept)
+    with the axis moved first; the edges are then the pairs of the views
+    [:-1] and [1:], the slice convention of ``geodesics._neighbor_table``.
+    """
+    grid = np.moveaxis(values.reshape(box.shape + values.shape[1:]), axis, 0)
+    return grid[:-1], grid[1:]
+
+
 @lru_cache(maxsize=16)
 def protected_vertices(box, spec, xi_N):
     """In-box vertices incident to an edge meeting any protected-region condition.
@@ -115,26 +127,28 @@ def protected_vertices(box, spec, xi_N):
     coords = wide.coords()
     dots = coords @ theta
     inside = ((coords >= box.lower) & (coords <= box.upper)).all(axis=1)
+    # an edge of `wide` off the box marks only vertices that `inside` drops
     hit = np.zeros(wide.n_vertices, dtype=bool)
-    for axis, (tails, heads) in enumerate(wide.axis_edges()):
-        near = inside[tails] | inside[heads]
-        tails, heads = tails[near], heads[near]
+    for axis in range(wide.dim):
+        tails, _ = _edge_ends(wide, axis, coords)
+        a_u, _ = _edge_ends(wide, axis, dots)
         step = int(theta[axis])
         s = max(abs(step), 1)
         l1_min = math.ceil(Fraction(spec.M_prime) * s)
         dist_min = math.ceil(Fraction(spec.M) ** 2 * nsq * s * s)
         conditions = (   # level range, and the test on scaled points p
-            (0, 0, lambda p: np.abs(p).sum(axis=1) >= l1_min),
-            (N, N, lambda p: np.abs(p - s * xi).sum(axis=1) >= l1_min),
-            (0, N, lambda p: (p * p).sum(axis=1) * nsq - (p @ theta) ** 2 >= dist_min))
-        meets = np.zeros(len(tails), dtype=bool)
+            (0, 0, lambda p: np.abs(p).sum(axis=-1) >= l1_min),
+            (N, N, lambda p: np.abs(p - s * xi).sum(axis=-1) >= l1_min),
+            (0, N, lambda p: (p * p).sum(axis=-1) * nsq - (p @ theta) ** 2 >= dist_min))
+        meets = np.zeros(a_u.shape, dtype=bool)
         for low, high, far in conditions:
-            lo, hi, ok = _level_interval(dots[tails], step, s, low, high)
+            lo, hi, ok = _level_interval(a_u, step, s, low, high)
             for k in (lo, hi):
-                p = coords[tails] * s
-                p[:, axis] += k
+                p = tails * s
+                p[..., axis] += k
                 meets |= ok & far(p)
-        hit[tails[meets]] = hit[heads[meets]] = True
+        for end in _edge_ends(wide, axis, hit):
+            end |= meets
     # wide.coords() is in lexicographic order, so the result is sorted
     return tuple(tuple(z) for z in coords[hit & inside].tolist())
 
@@ -149,19 +163,18 @@ def eligible_edges(g, spec, kept):
     """
     box = g.box
     coords = box.coords()
-    strip_mask = in_strip(spec, coords)
-    kept_edge_tail = kept & (g.succ >= 0)
-
+    strip = in_strip(spec, coords)
+    kept_succ = np.where(kept, g.succ, -1)      # the out-edge of a kept vertex, else none
+    index = np.arange(box.n_vertices)
     rows = []
-    for tails, heads in box.axis_edges():
-        ok = strip_mask[tails] & strip_mask[heads]
-        tails, heads = tails[ok], heads[ok]
-        on_path = (kept_edge_tail[tails] & (g.succ[tails] == heads)) | \
-                  (kept_edge_tail[heads] & (g.succ[heads] == tails))
-        rows.append(np.stack([coords[tails[~on_path]], coords[heads[~on_path]]], axis=1))
+    for axis in range(box.dim):
+        (tails, heads), (tail_in, head_in), (tail_succ, head_succ) = (
+            _edge_ends(box, axis, a) for a in (index, strip, kept_succ))
+        ok = tail_in & head_in & (tail_succ != heads) & (head_succ != tails)
+        rows.append(np.stack([coords[tails[ok]], coords[heads[ok]]], axis=1))
     edges = np.concatenate(rows)
     # np.lexsort sorts by its last key first: tail coordinates, then head coordinates
-    return edges[np.lexsort(edges.reshape(len(edges), -1).T[::-1])]
+    return edges[np.lexsort(edges.reshape(len(edges), 2 * box.dim).T[::-1])]
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Nothing here shares code with the library's solvers; these exist so tests
 can compare optimized implementations against first-principles computation.
-The environment and truncation helpers at the end build test inputs.
+The environment, point-field and truncation helpers at the end build test
+inputs.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from fppgeo.environment import DistributionSpec, WeightEnvironment, override_edges, uniform
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, axis_weights, solve, successor_forest
 
 
 def neighbors(v):
@@ -209,6 +211,21 @@ def strip_scan(theta, N, M, box_coords):
         if dist_sq <= Fraction(M) ** 2:
             out.append(tuple(int(c) for c in z))
     return out
+
+
+def eligible_edges_scan(box, spec, succ, kept):
+    """Sorted (u, v) pairs, v = u + e_axis, of the strip edges of ``box`` that
+    no kept vertex follows: one edge at a time, with ``strip_scan`` for the strip."""
+    strip = set(strip_scan(spec.theta, spec.N, spec.M, box.coords()))
+    out = []
+    for u in strip:
+        for v in neighbors(u)[::2]:                   # the +e_axis neighbors
+            if v not in strip:
+                continue
+            i, j = box.index_of(u), box.index_of(v)
+            if not (kept[i] and succ[i] == j or kept[j] and succ[j] == i):
+                out.append((u, v))
+    return sorted(out)
 
 
 def _frac_point_l1(u, axis, t, shift=None):
@@ -408,15 +425,39 @@ def columns_csv_text(header, columns):
     return "\n".join(lines) + "\n"
 
 
+def axis_edges(box):
+    """Per-axis ``(tails, heads)`` flat-index arrays of the edges of ``box``.
+
+    Entry ``axis`` pairs each tail u with its head u + e_axis, tails in
+    increasing order.  On a periodic box the head of a tail on the upper
+    face is the vertex of the lower face across the wrap.
+    """
+    coords = box.coords()
+    n = box.n_vertices
+    out = []
+    stride = n
+    for axis, side in enumerate(box.shape):
+        stride //= side
+        inner = coords[:, axis] < box.upper[axis]
+        if box.periodic:
+            tails = np.arange(n)
+            heads = tails + np.where(inner, stride, -(side - 1) * stride)
+        else:
+            tails = np.flatnonzero(inner)
+            heads = tails + stride
+        out.append((tails, heads))
+    return out
+
+
 def per_edge_weights(env, box):
-    """Weights of the edges of ``Box.axis_edges``, hashed one (min endpoint, axis) row each."""
+    """Weights of the edges of ``axis_edges``, hashed one (min endpoint, axis) row each."""
     coords = box.coords()
     return [env.edge_weights(coords[tails], np.full(len(tails), axis))
-            for axis, (tails, _) in enumerate(box.axis_edges())]
+            for axis, (tails, _) in enumerate(axis_edges(box))]
 
 
 def neighbor_table(edges, weights, n):
-    """(n, 2d) neighbor indices and weights, scattered edge by edge from ``Box.axis_edges``.
+    """(n, 2d) neighbor indices and weights, scattered edge by edge from ``axis_edges``.
 
     Slots run -e1 < ... < -ed < +ed < ... < +e1; a missing neighbor is the
     vertex itself with weight inf, and indices are int32 below 2**31 entries.
@@ -437,7 +478,7 @@ def override_box(env, box, value):
     """New environment with every edge inside ``box`` set to exactly ``value``."""
     coords = box.coords()
     return override_edges(env, np.concatenate([np.stack([coords[tails], coords[heads]], axis=1)
-                                               for tails, heads in box.axis_edges()]), value)
+                                               for tails, heads in axis_edges(box)]), value)
 
 
 def unit_environment(dim, box, seed=0):
@@ -452,6 +493,23 @@ def weight_environment(kind, dim, seed, box):
         return unit_environment(dim, replace(box, periodic=False), seed)
     dist = uniform(0.0, 1.0) if kind == "uniform" else DistributionSpec("exponential", (1.0,))
     return WeightEnvironment(dim, dist, seed)
+
+
+def point_field(env, box, p):
+    """Distance field of the one-vertex target {p}: passage times T(x, p) and
+    the successor forest of the point-to-point geodesics, from the library's
+    ``successor_forest``.  Its ``target`` is the vertex p."""
+    mask = np.zeros(box.n_vertices, dtype=bool)
+    mask[box.index_of(p)] = True
+    T, succ = successor_forest(box, axis_weights(env, box), mask)
+    return DistanceField(box=box, target=tuple(p), env=env, T=T, succ=succ, target_mask=mask)
+
+
+def target_field(env, box, target):
+    """``solve`` toward a ``HyperplaneTarget``, or ``point_field`` toward a vertex tuple."""
+    if isinstance(target, HyperplaneTarget):
+        return solve(env, box, target)
+    return point_field(env, box, target)
 
 
 def truncate(g, inner):

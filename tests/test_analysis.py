@@ -12,10 +12,10 @@ from fppgeo.analysis import (backward_tail, build_torus_graph, crossing_counts, 
                              mass_transport_balance, padded_solve_box)
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, solve, target_mask
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve, target_mask
 from fppgeo.lattice import Box, is_integer_direction
 
-from oracles import override_box, unit_environment, weight_environment
+from oracles import override_box, point_field, unit_environment, weight_environment
 
 
 def test_direction_grid_shapes():
@@ -64,7 +64,7 @@ def test_estimate_shape_equals_full_solves(problem):
     est = estimate_shape(env, r, n_seeds=2, directions=directions, box=given)
     idx = box.indices_of(est.eval_points)
     for k, row in enumerate(est.T_samples):
-        field = solve(replace(env, seed=env.seed + k), box, PointTarget((0,) * env.dim))
+        field = point_field(replace(env, seed=env.seed + k), box, (0,) * env.dim)
         assert np.array_equal(row, field.T[idx])
 
 

@@ -445,10 +445,18 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "dist: bad dist 'uniform:0,inf': parameters must be finite"),
     ("shape", ["--radius", "4", "--dist", "exponential:inf"],
      "dist: bad dist 'exponential:inf': parameters must be finite"),
+    ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "4", "--jobs", "0"],
+     "jobs: must be at least 1, got 0"),
+    ("graph", ["FPPGEO_JOBS=0", "--box", "15", "--theta", "1,0", "--alpha", "4"],
+     "jobs: must be at least 1, got 0"),
 ], ids=["samples", "directions", "dims", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
         "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "lam-inf",
-        "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf"])
-def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
+        "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs", "jobs-env"])
+def test_out_of_range_settings_name_key(tmp_path, capsys, monkeypatch, command, args, message):
+    # as on a shell command line, leading NAME=value words set the environment
+    while args and "=" in args[0]:
+        monkeypatch.setenv(*args[0].split("="))
+        args = args[1:]
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
 

@@ -7,7 +7,7 @@ from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, o
 from fppgeo.geodesics import axis_weights
 from fppgeo.lattice import Box
 
-from oracles import override_box
+from oracles import axis_edges, override_box
 
 
 def make_env(seed=0, dist=None):
@@ -147,12 +147,12 @@ def test_weight_of_reads_the_table_that_edge_weights_reads():
     box = Box((0, 0, 0), (2, 2, 2))
     coords = box.coords()
     edges = np.concatenate([np.stack([coords[t], coords[h]], axis=1)
-                            for t, h in box.axis_edges()])
+                            for t, h in axis_edges(box)])
     assert len(edges) == 54
     env = override_edges(WeightEnvironment(3, uniform(0, 1), 1), edges,
                          1.0 + np.arange(len(edges)))
     weights = axis_weights(env, box)
-    for axis, (tails, heads) in enumerate(box.axis_edges()):
+    for axis, (tails, heads) in enumerate(axis_edges(box)):
         table = env.edge_weights(coords[tails], np.full(len(tails), axis))
         assert np.array_equal(weights[axis], table)
         for u, v, w in zip(coords[tails].tolist(), coords[heads].tolist(), table):

@@ -6,11 +6,11 @@ from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import (backward_stats, build_graph, components, encounter_points,
                                    forward_path, graph_summary, sample_averaged_graph,
                                    sample_level)
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, PointTarget, solve
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box
 
 from oracles import (backward_cluster, bellman_ford, connected_components_bfs, path_weight,
-                     reverse_reachable, truncate, unit_environment)
+                     point_field, reverse_reachable, truncate, unit_environment)
 
 
 def hyper_field(seed=0, radius=4, level=2, dist=None, d=2):
@@ -31,7 +31,7 @@ def path_vertices(g, x):
 def test_build_graph_requires_hyperplane_target():
     box = Box.cube(2, 2)
     env = WeightEnvironment(2, uniform(0, 1), 0)
-    f = solve(env, box, PointTarget((0, 0)))
+    f = point_field(env, box, (0, 0))
     with pytest.raises(ValueError):
         build_graph(f)
 
@@ -88,7 +88,7 @@ def test_busemann_bounded_by_T():
     for _ in range(20):
         x = tuple(int(c) for c in rng.integers(-4, 5, size=2))
         y = tuple(int(c) for c in rng.integers(-4, 5, size=2))
-        fy = solve(env, box, PointTarget(y))
+        fy = point_field(env, box, y)
         assert abs(busemann(f, x, y)) <= fy.T[box.index_of(x)] + 1e-9
 
 
@@ -106,7 +106,7 @@ def test_busemann_equals_T_along_graph_order():
     p = path_vertices(g, (-4, -2))
     x = p[0]
     for y in p[1:4]:
-        fy = solve(env, box, PointTarget(y))
+        fy = point_field(env, box, y)
         assert busemann(f, x, y) == pytest.approx(fy.T[box.index_of(x)], abs=1e-9)
 
 
@@ -144,7 +144,7 @@ def test_backward_cluster_leaf_and_oracle():
 def test_indegree_conservation():
     env, box, f = hyper_field(29)
     # the point target makes vertex 0 a root with in-edges
-    for g in (build_graph(f), solve(env, box, PointTarget(box.lower))):
+    for g in (build_graph(f), point_field(env, box, box.lower)):
         n_roots = int((g.succ < 0).sum())
         assert int(g.in_degrees().sum()) == g.n_vertices - n_roots
         heads = [int(s) for s in g.succ if s >= 0]

@@ -7,12 +7,12 @@ from fppgeo import geodesics
 from fppgeo.analysis import estimate_shape
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import forward_path
-from fppgeo.geodesics import (HyperplaneTarget, PointTarget, _shortest_paths, axis_weights,
-                              passage_times, solve, successor_margin)
+from fppgeo.geodesics import (HyperplaneTarget, _shortest_paths, axis_weights, passage_times,
+                              solve, successor_margin)
 from fppgeo.lattice import Box
 
-from oracles import (bellman_ford, min_simple_path_weight, path_weight, unit_environment,
-                     weight_environment)
+from oracles import (bellman_ford, min_simple_path_weight, path_weight, point_field,
+                     unit_environment, weight_environment)
 
 
 def passage_time(f, x):
@@ -29,7 +29,7 @@ def geodesic(f, x):
 def test_unit_weights_point_target_is_l1():
     box = Box.cube(4, 2)
     env = unit_environment(2, box)
-    f = solve(env, box, PointTarget((0, 0)))
+    f = point_field(env, box, (0, 0))
     coords = box.coords()
     assert np.array_equal(f.T, np.abs(coords).sum(axis=1).astype(float))
 
@@ -45,7 +45,7 @@ def test_unit_weights_hyperplane_is_level_distance():
 def test_passage_time_zero_iff_target():
     box = Box.cube(3, 2)
     env = WeightEnvironment(2, uniform(0, 1), 3)
-    f = solve(env, box, PointTarget((1, -1)))
+    f = point_field(env, box, (1, -1))
     assert passage_time(f, (1, -1)) == 0.0
     assert passage_time(f, (0, 0)) > 0.0
     with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ def test_solve_matches_bellman_ford_small_boxes():
     box = Box.cube(2, 2)
     for seed in range(25):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        f = solve(env, box, PointTarget((0, 0)))
+        f = point_field(env, box, (0, 0))
         oracle = bellman_ford(env, box, [(0, 0)])
         for i in range(box.n_vertices):
             v = box.vertex_at(i)
@@ -81,13 +81,13 @@ def test_no_target_in_box_raises():
     with pytest.raises(ValueError):
         solve(env, box, HyperplaneTarget((1, 0), 99))
     with pytest.raises(ValueError):
-        solve(env, box, PointTarget((50, 50)))
+        solve(env, box, HyperplaneTarget((1.0, 0.5), 50.0, mode="halfspace_frontier"))
 
 
 def test_extract_geodesic_trivial_and_forced():
     box = Box.cube(3, 2)
     env = unit_environment(2, box)
-    f = solve(env, box, PointTarget((0, 0)))
+    f = point_field(env, box, (0, 0))
     assert geodesic(f, (0, 0)) == [(0, 0)]
     # deterministic tie-break forces the straight path
     assert geodesic(f, (2, 0)) == [(2, 0), (1, 0), (0, 0)]
@@ -97,7 +97,7 @@ def test_extract_geodesic_weight_and_simplicity():
     box = Box.cube(3, 2)
     for seed in range(20):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        f = solve(env, box, PointTarget((0, 0)))
+        f = point_field(env, box, (0, 0))
         path = geodesic(f, (3, 3))
         assert len(set(path)) == len(path)
         assert path_weight(env, path) == pytest.approx(passage_time(f, (3, 3)), rel=1e-9)
@@ -107,7 +107,7 @@ def test_geodesic_matches_exhaustive_enumeration():
     box = Box((0, 0), (3, 3))
     for seed in range(5):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        f = solve(env, box, PointTarget((0, 0)))
+        f = point_field(env, box, (0, 0))
         path = geodesic(f, (3, 3))
         best = min_simple_path_weight(env, box, (3, 3), (0, 0))
         assert path_weight(env, path) == pytest.approx(best, rel=1e-12)
@@ -118,8 +118,8 @@ def test_point_target_symmetry():
     box = Box.cube(4, 2)
     env = WeightEnvironment(2, uniform(0, 1), 17)
     x, y = (3, -2), (-1, 4)
-    fx = solve(env, box, PointTarget(x))
-    fy = solve(env, box, PointTarget(y))
+    fx = point_field(env, box, x)
+    fy = point_field(env, box, y)
     assert passage_time(fx, y) == pytest.approx(passage_time(fy, x), rel=1e-12)
 
 
@@ -128,7 +128,7 @@ def test_triangle_inequality():
     env = WeightEnvironment(2, uniform(0, 1), 23)
     rng = np.random.default_rng(1)
     pts = [tuple(int(c) for c in rng.integers(-4, 5, size=2)) for _ in range(12)]
-    fields = {p: solve(env, box, PointTarget(p)) for p in pts[:4]}
+    fields = {p: point_field(env, box, p) for p in pts[:4]}
     for y, fy in fields.items():
         for x in pts:
             for z, fz in fields.items():
@@ -141,7 +141,7 @@ def test_successor_uniqueness_surrogate():
     worst = np.inf
     for seed in range(1000):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        f = solve(env, box, PointTarget((0, 0)))
+        f = point_field(env, box, (0, 0))
         worst = min(worst, successor_margin(f).min())
     assert worst > 1e-12
 
@@ -159,17 +159,17 @@ def test_upward_modification_never_decreases_T():
     box = Box.cube(4, 2)
     for seed in range(10):
         env = WeightEnvironment(2, uniform(0, 1), seed)
-        f = solve(env, box, PointTarget((0, 0)))
+        f = point_field(env, box, (0, 0))
         edges = [((0, 0), (1, 0)), ((1, 1), (1, 2)), ((-2, 0), (-2, 1))]
         env2 = with_overrides(env, edges, 0.9)
-        f2 = solve(env2, box, PointTarget((0, 0)))
+        f2 = point_field(env2, box, (0, 0))
         assert np.all(f2.T >= f.T - 1e-12)
 
 
 def test_invariant_T_equals_weight_plus_successor_T():
     box = Box.cube(3, 2)
     env = WeightEnvironment(2, uniform(0, 1), 8)
-    f = solve(env, box, PointTarget((0, 0)))
+    f = point_field(env, box, (0, 0))
     for i in range(box.n_vertices):
         s = f.succ[i]
         if s < 0:
@@ -181,11 +181,11 @@ def test_invariant_T_equals_weight_plus_successor_T():
 def test_zero_weights_rejected():
     env = override_edges(WeightEnvironment(2, uniform(0, 1), 0), [((0, 0), (1, 0))], 0.0)
     with pytest.raises(ValueError, match="weights must be > 0"):
-        solve(env, Box.cube(2, 2), PointTarget((0, 0)))
+        solve(env, Box.cube(2, 2), HyperplaneTarget((1, 0), 0))
     # a NaN weight, written into the table by hand, would leave a successor cycle
     env = WeightEnvironment(2, uniform(0, 1), 0, (edge_ids([[0, 0]], [0]), np.array([np.nan])))
     with pytest.raises(ValueError, match="weights must be > 0"):
-        solve(env, Box.cube(2, 2), PointTarget((0, 0)))
+        solve(env, Box.cube(2, 2), HyperplaneTarget((1, 0), 0))
 
 
 def test_infinite_weights_rejected():
@@ -199,7 +199,7 @@ def test_infinite_weights_rejected():
     env = WeightEnvironment(2, uniform(0, 1), 0, (ids, np.full(4, np.inf)))
     assert env.weight_of(edges[0]) == np.inf
     with pytest.raises(ValueError, match="weights must be > 0 and finite"):
-        solve(env, box, PointTarget((0, 0)))
+        solve(env, box, HyperplaneTarget((1, 0), 0))
 
 
 @st.composite
@@ -222,7 +222,7 @@ def point_problems(draw):
 @given(point_problems())
 def test_passage_times_equal_the_full_solve(problem):
     env, box, source, points = problem
-    full = solve(env, box, PointTarget(source)).T[box.indices_of(points)]
+    full = point_field(env, box, source).T[box.indices_of(points)]
     assert np.array_equal(passage_times(env, box, source, points), full)
     # the bound: the hull's paths are paths of the box
     hull = Box.hull(np.vstack([source, points]))

@@ -1,9 +1,9 @@
 """Property tests of the lattice-graph core against independent oracles.
 
-Edge enumeration is checked against ``oracles.neighbors``; the sliced
-neighbor table and the grid-hashed ``axis_weights`` against the per-edge
-scatter and the per-edge hashing of ``oracles``; passage times on
-boxes and tori against a networkx multi-source Dijkstra over a graph built
+The edge enumeration ``oracles.axis_edges`` is checked against
+``oracles.neighbors``; the sliced neighbor table and the grid-hashed
+``axis_weights`` against the per-edge scatter and the per-edge hashing of
+``oracles``; passage times on boxes and tori against a networkx multi-source Dijkstra over a graph built
 edge by edge from ``weight_of``; the successor of every vertex against a
 scan of its neighbors in the documented tie order, under weights 1 and 2 so
 that ties are common; and the ``halfspace_frontier`` target against its
@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 from fppgeo.analysis import build_torus_graph
 from fppgeo.environment import (DistributionSpec, WeightEnvironment, override_edges, uniform,
                                 with_overrides)
-from fppgeo.geodesics import (HyperplaneTarget, PointTarget, _neighbor_table, axis_weights, solve,
-                              target_mask)
+from fppgeo.geodesics import HyperplaneTarget, _neighbor_table, axis_weights, target_mask
 from fppgeo.lattice import Box
 
-from oracles import neighbor_table, neighbors, override_box, per_edge_weights
+from oracles import (axis_edges, neighbor_table, neighbors, override_box, per_edge_weights,
+                     target_field)
 
 SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -57,14 +57,14 @@ def _pairs(edges):
 @SETTINGS
 @given(boxes())
 def test_axis_edges_match_neighbor_enumeration(box):
-    assert _pairs(box.axis_edges()) == _brute_axis_edges(box, periodic=False)
+    assert _pairs(axis_edges(box)) == _brute_axis_edges(box, periodic=False)
 
 
 @SETTINGS
 @given(boxes(sides=st.integers(3, 5)))
 def test_periodic_axis_edges_match_wrapped_neighbors(box):
     torus = Box(box.lower, box.upper, periodic=True)
-    assert _pairs(torus.axis_edges()) == _brute_axis_edges(box, periodic=True)
+    assert _pairs(axis_edges(torus)) == _brute_axis_edges(box, periodic=True)
 
 
 def test_periodic_axis_edges_reject_short_sides():
@@ -85,7 +85,7 @@ def grid_boxes(draw):
 @SETTINGS
 @given(grid_boxes(), st.integers(0, 2 ** 32))
 def test_sliced_neighbor_table_equals_the_per_edge_scatter(box, seed):
-    edges = box.axis_edges()
+    edges = axis_edges(box)
     rng = np.random.default_rng(seed)
     weights = [rng.uniform(0.5, 2.0, len(tails)) for tails, _ in edges]
     nbr, wt = _neighbor_table(box, weights)
@@ -134,12 +134,12 @@ def test_solve_matches_networkx(box, seed, data):
     vertices = [box.vertex_at(i) for i in range(box.n_vertices)]
     anchor = data.draw(st.sampled_from(vertices))
     if data.draw(st.booleans()):
-        target = PointTarget(anchor)
+        target = anchor
     else:
         theta = data.draw(st.sampled_from([(1,) + (0,) * (box.dim - 1),
                                            (1, -1) + (0,) * (box.dim - 2)]))
         target = HyperplaneTarget(theta, sum(c * t for c, t in zip(anchor, theta)))
-    field = solve(env, box, target)
+    field = target_field(env, box, target)
     targets = [v for v, hit in zip(vertices, field.target_mask) if hit]
     expect = _nx_passage_times(env, vertices, lambda w: w if box.contains(w) else None,
                                targets)
@@ -169,7 +169,7 @@ def _one_or_two_weights(box, seed):
     env = override_box(WeightEnvironment(box.dim, uniform(0.1, 1.0), seed), reach, 1.0)
     points = reach.coords().tolist()
     edges = [(tuple(points[u]), tuple(points[v]))
-             for tails, heads in reach.axis_edges() for u, v in zip(tails, heads)]
+             for tails, heads in axis_edges(reach) for u, v in zip(tails, heads)]
     heavy = np.random.default_rng(seed).random(len(edges)) < 0.5
     return with_overrides(env, [e for e, h in zip(edges, heavy) if h], 2.0)
 
@@ -203,9 +203,9 @@ def test_successor_is_first_argmin_in_direction_order(box, periodic, seed, data)
     box = Box(box.lower, box.upper, periodic=periodic)
     env = _one_or_two_weights(box, seed)
     anchor = box.vertex_at(data.draw(st.integers(0, box.n_vertices - 1)))
-    target = data.draw(st.sampled_from([PointTarget(anchor),
+    target = data.draw(st.sampled_from([anchor,
                                         HyperplaneTarget((1,) + (0,) * (box.dim - 1), anchor[0])]))
-    field = solve(env, box, target)
+    field = target_field(env, box, target)
     for i in range(box.n_vertices):
         if field.target_mask[i]:
             assert field.succ[i] == -1

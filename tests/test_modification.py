@@ -9,11 +9,12 @@ from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_over
 from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction
-from fppgeo.modification import (ParameterError, StripSpec, in_strip, protected_vertices,
-                                 run_modification, verify_severing)
+from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, in_strip,
+                                 protected_vertices, run_modification, verify_severing)
 
-from oracles import (first_attainment, last_attainment, protected_vertices_exact,
-                     reverse_reachable, sort_by_order, strip_scan, unit_environment)
+from oracles import (eligible_edges_scan, first_attainment, last_attainment, neighbors,
+                     protected_vertices_exact, reverse_reachable, sort_by_order, strip_scan,
+                     unit_environment)
 
 
 def strip_list(spec, box):
@@ -155,6 +156,52 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
             if v in strip_set and tuple(sorted((u, v))) not in kept_path_edges:
                 brute.append((u, v))
     assert pairs == sorted(brute)
+
+
+@st.composite
+def eligible_cases(draw):
+    """A plain 2-d or 3-d box, an off-axis strip, a random successor along a
+    lattice edge (or none) at each vertex, with one edge followed both ways,
+    and a random kept mask."""
+    dim = draw(st.integers(2, 3))
+    lower = tuple(draw(st.integers(-3, 1)) for _ in range(dim))
+    box = Box(lower, tuple(l + draw(st.integers(1, 7 if dim == 2 else 4)) - 1 for l in lower))
+    theta = draw(st.sampled_from([(1, 1), (2, -1), (1, 2)]))
+    theta += tuple(draw(st.integers(-1, 1)) for _ in range(dim - 2))
+    spec = StripSpec(theta, draw(st.integers(1, 6)), draw(st.sampled_from([0.5, 1.0, 1.5, 2.5])),
+                     3, 0.1, 0.1)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    succ = np.full(box.n_vertices, -1, dtype=np.int64)
+    for i in range(box.n_vertices):
+        v = neighbors(box.vertex_at(i))[rng.integers(2 * dim)]
+        if box.contains(v) and rng.random() < 0.8:
+            succ[i] = box.index_of(v)
+    i = draw(st.integers(0, box.n_vertices - 1))
+    ups = [v for v in neighbors(box.vertex_at(i))[::2] if box.contains(v)]
+    if ups:                                         # out-edges both ways along one edge
+        j = box.index_of(ups[draw(st.integers(0, len(ups) - 1))])
+        succ[i], succ[j] = j, i
+    kept = rng.random(box.n_vertices) < draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    return box, spec, succ, kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(eligible_cases())
+def test_eligible_edges_match_per_edge_scan(case):
+    box, spec, succ, kept = case
+    g = DistanceField(box=box, target=None, env=None, T=np.zeros(box.n_vertices), succ=succ,
+                      target_mask=succ < 0)
+    edges = eligible_edges(g, spec, kept)
+    assert edges.dtype == np.int64 and edges.shape[1:] == (2, box.dim)
+    assert [tuple(map(tuple, e)) for e in edges.tolist()] == eligible_edges_scan(box, spec,
+                                                                                 succ, kept)
+
+
+def test_strip_without_edges_raises_nothing():
+    # at M = 0.5 the strip of theta = (1, 1) is the diagonal points alone: no edge joins two
+    spec = StripSpec((1, 1), 4, 0.5, 3, 0.1, 0.1)
+    out = run_modification(WeightEnvironment(2, uniform(0, 1), 0), spec, (0, 0), (2, 2))
+    assert out.edge_set.shape == (0, 2, 2)
 
 
 def test_event_passes_on_engineered_fixture():

@@ -14,18 +14,19 @@ from hypothesis import strategies as st
 
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.geodesic_graph import forward_orbit, forward_path
-from fppgeo.geodesics import (DistanceField, HyperplaneTarget, PointTarget, axis_weights,
-                              solve, successor_forest, successor_margin, target_mask)
+from fppgeo.geodesics import (DistanceField, HyperplaneTarget, axis_weights, successor_forest,
+                              successor_margin)
 from fppgeo.lattice import Box
 
-from oracles import neighbors
+from oracles import neighbors, target_field
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
 
 @st.composite
 def tied_problems(draw):
-    """A plain or periodic 2-d or 3-d box, weights 1 or 2 on its edges, and a target."""
+    """A plain or periodic 2-d or 3-d box, weights 1 or 2 on its edges, and a target:
+    a vertex or a hyperplane."""
     dim = draw(st.integers(2, 3))
     periodic = draw(st.booleans())
     sides = st.integers(3 if periodic else 1, 6 if dim == 2 else 4)
@@ -39,7 +40,7 @@ def tied_problems(draw):
                          np.stack([tails, heads], axis=1),
                          rng.integers(1, 3, size=len(tails)).astype(float))
     anchor = box.vertex_at(draw(st.integers(0, box.n_vertices - 1)))
-    target = draw(st.sampled_from([PointTarget(anchor),
+    target = draw(st.sampled_from([anchor,
                                    HyperplaneTarget((1,) + (0,) * (dim - 1), anchor[0])]))
     return env, box, target
 
@@ -72,7 +73,7 @@ def _candidates_in_tie_order(env, box, T, x):
 @given(tied_problems())
 def test_successor_forest_is_first_argmin_of_neighbor_scan(problem):
     env, box, target = problem
-    tmask = target_mask(target, box)
+    tmask = target_field(env, box, target).target_mask
     T, succ = successor_forest(box, axis_weights(env, box), tmask)
     for i in range(box.n_vertices):
         if tmask[i]:
@@ -88,7 +89,7 @@ def test_successor_forest_is_first_argmin_of_neighbor_scan(problem):
 @given(tied_problems())
 def test_successor_margin_is_gap_of_neighbor_scan(problem):
     env, box, target = problem
-    field = solve(env, box, target)
+    field = target_field(env, box, target)
     expect = []
     for i in np.flatnonzero(~field.target_mask):
         costs = sorted(cost for cost, _ in
