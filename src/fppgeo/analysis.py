@@ -268,16 +268,16 @@ def _max_pairwise_l1(pts):
 
 
 def intersection_radii(g, theta, levels, window):
-    """Per-component l1 radius of the window's vertex intersection with each hyperplane."""
+    """Per-component l1 radius of the window's vertex intersection with each hyperplane,
+    as records (level, label, count, radius); labels are ``components`` labels."""
     theta = np.asarray(theta, dtype=np.int64)
-    comp = components(g)
     coords = window.coords()
-    idx = g.box.indices_of(coords)
+    window_labels = components(g)[g.box.indices_of(coords)]
     dots = coords @ theta
     records = []
     for lvl in levels:
         on = dots == int(lvl)
-        labels = comp.labels[idx[on]]
+        labels = window_labels[on]
         pts = coords[on]
         for lab in np.unique(labels):
             sel = pts[labels == lab]

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis, modification
 from .environment import WeightEnvironment, parse_dist
-from .geodesic_graph import build_graph, graph_summary, graph_to_csv
+from .geodesic_graph import graph_summary, graph_to_csv
 from .geodesics import HyperplaneTarget, NoTargetError, solve
 from .lattice import Box, lattice_point_on_level, normalize_direction
 from .manifest import export_csv, export_json, write_manifest
@@ -273,15 +273,14 @@ def _shape_task(arg):
 
 
 def _graph_task(arg):
-    cfg, seed = arg
-    return build_graph(_solve(cfg, seed))
+    return _solve(*arg)
 
 
 def _backward_task(arg):
     cfg, seed = arg
     window = _padded_window(cfg)
     try:
-        report = analysis.backward_tail(build_graph(_solve(cfg, seed)), window)
+        report = analysis.backward_tail(_solve(cfg, seed), window)
     except analysis.CensoredError as exc:
         raise ConfigError("box", f"side {cfg['box']}: {exc}") from None
     return _long_rows(report, seed)
@@ -300,7 +299,7 @@ def _busemann_task(arg):
 def _crossings_task(arg):
     cfg, seed = arg
     coords = _padded_region(cfg).coords()
-    g = build_graph(_solve(cfg, seed))
+    g = _solve(cfg, seed)
     rng = np.random.default_rng(seed)
     pick = rng.choice(len(coords), size=min(cfg["samples"], len(coords)), replace=False)
     samples = [tuple(int(c) for c in coords[i]) for i in sorted(pick)]
@@ -310,7 +309,7 @@ def _crossings_task(arg):
 def _radii_task(arg):
     cfg, seed = arg
     window = _window(cfg, _cube(cfg, "box"), "the box") if cfg["window"] else _padded_region(cfg)
-    g = build_graph(_solve(cfg, seed))
+    g = _solve(cfg, seed)
     return _long_rows(analysis.intersection_radii(g, cfg["theta"], cfg["levels"],
                                                   window=window), seed)
 
@@ -459,6 +458,11 @@ def build_parser():
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        # argparse reads a value such as -5,0 as a flag, and --levels=-5,0 as a value
+        if argv[i - 1][:2] == "--" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         return _run(args)

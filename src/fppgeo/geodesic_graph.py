@@ -11,23 +11,15 @@ vertices grouped by hop count, leaves first or roots first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .geodesics import HyperplaneTarget, fold_chains, solve
 from .manifest import csv_cells
 
 
-@dataclass
-class ComponentDecomposition:
-    labels: np.ndarray
-    sizes: np.ndarray
-    n_components: int
-
-
 def build_graph(field):
-    """Geodesic graph of a hyperplane-target distance field: the field itself."""
+    """Geodesic graph of a hyperplane-target distance field: the field itself, as
+    ``solve`` builds it; the public and benchmark entry point that checks the target."""
     if not isinstance(field.target, HyperplaneTarget):
         raise ValueError("wrong target: geodesic graphs require a hyperplane target")
     return field
@@ -87,17 +79,17 @@ def sample_level(n, rng_seed):
 def sample_averaged_graph(env, n, box, direction, rng_seed):
     """Draw alpha ~ Uniform[0, n] from rng_seed and build the graph at that level."""
     alpha = sample_level(n, rng_seed)
-    field = solve(env, box, HyperplaneTarget(direction, alpha, mode="halfspace_frontier"))
-    return alpha, build_graph(field)
+    return alpha, solve(env, box, HyperplaneTarget(direction, alpha, mode="halfspace_frontier"))
 
 
 def components(g):
-    """Weak components of the forest via union-find over undirected out-edges.
+    """Int64 weak-component label of every vertex, by union-find over the
+    undirected out-edges.
 
     Union by rank with path halving, over Python lists; the final roots come
-    from ``fold_chains`` over the union-find forest.  Labels number the
-    union-by-rank representatives in increasing index order.  That numbering
-    is kept because ``radii.csv`` prints the labels.
+    from ``fold_chains`` over the union-find forest.  Labels 0, 1, ... number
+    the union-by-rank representatives in increasing index order.  That
+    numbering is kept because ``radii.csv`` prints the labels.
     """
     n = g.n_vertices
     parent = list(range(n))
@@ -122,9 +114,7 @@ def components(g):
     is_root = up == np.arange(n)
     up[is_root] = -1
     roots = fold_chains(up, np.where(is_root, np.arange(n), -1), np.maximum)
-    uniq, labels = np.unique(roots, return_inverse=True)
-    sizes = np.bincount(labels, minlength=len(uniq))
-    return ComponentDecomposition(labels=labels, sizes=sizes, n_components=len(uniq))
+    return np.unique(roots, return_inverse=True)[1]
 
 
 def encounter_points(g, threshold=None):

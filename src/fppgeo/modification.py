@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .environment import with_overrides
-from .geodesic_graph import build_graph, forward_orbit, forward_path
+from .geodesic_graph import forward_orbit, forward_path
 from .geodesics import DistanceField, HyperplaneTarget, fold_chains, solve
 from .lattice import Box, is_integer_direction
 
@@ -98,7 +98,8 @@ def _edge_ends(box, axis, values):
 
 @lru_cache(maxsize=16)
 def protected_vertices(box, spec, xi_N):
-    """In-box vertices incident to an edge meeting any protected-region condition.
+    """In-box vertices incident to an edge meeting any protected-region condition,
+    as a read-only, increasing int64 array of flat indices into ``box``.
 
     An edge is protected when a point of it (a) on level 0 lies at l1
     distance >= M' from the origin, (b) on level N lies at l1 distance >= M'
@@ -109,7 +110,7 @@ def protected_vertices(box, spec, xi_N):
     with an exact integer threshold.
 
     Pure geometry (independent of weights), so results are cached per
-    (box, spec, xi_N).
+    (box, spec, xi_N); the array is read-only because the cache shares it.
     """
     xi = np.asarray(xi_N, dtype=np.int64)
     theta = np.asarray(spec.theta, dtype=np.int64)
@@ -126,8 +127,7 @@ def protected_vertices(box, spec, xi_N):
     nsq = int(theta @ theta)
     coords = wide.coords()
     dots = coords @ theta
-    inside = ((coords >= box.lower) & (coords <= box.upper)).all(axis=1)
-    # an edge of `wide` off the box marks only vertices that `inside` drops
+    # an edge of `wide` off the box marks only vertices outside the box
     hit = np.zeros(wide.n_vertices, dtype=bool)
     for axis in range(wide.dim):
         tails, _ = _edge_ends(wide, axis, coords)
@@ -149,8 +149,10 @@ def protected_vertices(box, spec, xi_N):
                 meets |= ok & far(p)
         for end in _edge_ends(wide, axis, hit):
             end |= meets
-    # wide.coords() is in lexicographic order, so the result is sorted
-    return tuple(tuple(z) for z in coords[hit & inside].tolist())
+    # the interior of `wide` is `box`, in the same C order
+    idx = np.flatnonzero(hit.reshape(wide.shape)[(slice(1, -1),) * wide.dim])
+    idx.setflags(write=False)
+    return idx
 
 
 def eligible_edges(g, spec, kept):
@@ -158,8 +160,9 @@ def eligible_edges(g, spec, kept):
 
     ``kept`` masks the vertices whose out-edges stay as they are: the forward
     orbit of the protected vertices and the forward path of y.  Returns an
-    (m, 2, d) int64 array of (tail, head) rows, head = tail + e_axis, in
-    lexicographic order of the rows.
+    (m, 2, d) int64 array of (tail, head) rows, head = tail + e_axis: axis by
+    axis, each axis in the C order of the grid of tails with that axis moved
+    first (``_edge_ends``).
     """
     box = g.box
     coords = box.coords()
@@ -172,9 +175,7 @@ def eligible_edges(g, spec, kept):
             _edge_ends(box, axis, a) for a in (index, strip, kept_succ))
         ok = tail_in & head_in & (tail_succ != heads) & (head_succ != tails)
         rows.append(np.stack([coords[tails[ok]], coords[heads[ok]]], axis=1))
-    edges = np.concatenate(rows)
-    # np.lexsort sorts by its last key first: tail coordinates, then head coordinates
-    return edges[np.lexsort(edges.reshape(len(edges), 2 * box.dim).T[::-1])]
+    return np.concatenate(rows)
 
 
 @dataclass
@@ -370,16 +371,15 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alp
     lam = _checked_lambda(env, spec, y, xi, mode, lam, box)
 
     target = HyperplaneTarget(spec.theta, alpha)
-    g = build_graph(solve(env, box, target))
-    protected = np.array(protected_vertices(box, spec, xi), dtype=np.int64).reshape(-1, box.dim)
-    orbit = forward_orbit(g, box.indices_of(protected))
+    g = solve(env, box, target)
+    orbit = forward_orbit(g, protected_vertices(box, spec, xi))
     y_path, xi_path = forward_path(g, y), forward_path(g, xi)
     kept = orbit.copy()
     kept[y_path] = True
     xi_edges = eligible_edges(g, spec, kept)
     event = check_event_A2prime(g, spec, y_path, xi_path, orbit)
 
-    g_mod = build_graph(solve(with_overrides(env, xi_edges, lam), box, target))
+    g_mod = solve(with_overrides(env, xi_edges, lam), box, target)
     verdict = verify_severing(g_mod, spec, xi)
 
     return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,

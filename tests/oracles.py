@@ -148,6 +148,12 @@ def components_union_find(succ):
     return labels, np.bincount(labels, minlength=len(uniq)), cycle_edges
 
 
+def max_pairwise_l1_scan(points):
+    """The largest l1 distance between two of ``points``, over every pair."""
+    pts = [tuple(int(c) for c in p) for p in points]
+    return max(sum(abs(a - b) for a, b in zip(p, q)) for p in pts for q in pts)
+
+
 def normalize_by_search(rho):
     """Divide a nonzero integer vector by the largest k that divides every component."""
     for k in range(max(abs(c) for c in rho), 0, -1):

@@ -2,20 +2,23 @@ import itertools
 import math
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fppgeo.analysis import (backward_tail, build_torus_graph, crossing_counts, direction_grid,
-                             estimate_busemann_vector, estimate_shape, intersection_radii,
-                             mass_transport_balance, padded_solve_box)
+from fppgeo.analysis import (_max_pairwise_l1, backward_tail, build_torus_graph,
+                             crossing_counts, direction_grid, estimate_busemann_vector,
+                             estimate_shape, intersection_radii, mass_transport_balance,
+                             padded_solve_box)
 from fppgeo.environment import WeightEnvironment, uniform
-from fppgeo.geodesic_graph import backward_stats, build_graph
+from fppgeo.geodesic_graph import backward_stats, build_graph, components
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve, target_mask
 from fppgeo.lattice import Box, is_integer_direction
 
-from oracles import override_box, point_field, unit_environment, weight_environment
+from oracles import (max_pairwise_l1_scan, override_box, point_field, unit_environment,
+                     weight_environment)
 
 
 def test_direction_grid_shapes():
@@ -251,6 +254,64 @@ def test_intersection_radii_level_symmetry():
     pos, neg = np.array(pos, float), np.array(neg, float)
     se = np.sqrt(pos.var(ddof=1) / len(pos) + neg.var(ddof=1) / len(neg))
     assert abs(pos.mean() - neg.mean()) < 3 * se
+
+
+@st.composite
+def radii_cases(draw):
+    """A forest toward an off-axis hyperplane on a small plain 2-d or 3-d box,
+    a random window inside it, and several levels, some off the window."""
+    dim = draw(st.integers(2, 3))
+    lower = tuple(draw(st.integers(-3, 1)) for _ in range(dim))
+    box = Box(lower, tuple(l + draw(st.integers(1, 8 if dim == 2 else 4)) for l in lower))
+    theta = draw(st.sampled_from([(1, 1), (2, -1), (1, 2), (-1, 3)]))
+    theta += tuple(draw(st.integers(-1, 1)) for _ in range(dim - 2))
+    anchor = box.vertex_at(draw(st.integers(0, box.n_vertices - 1)))
+    env = WeightEnvironment(dim, uniform(0.1, 1.0), draw(st.integers(0, 2 ** 32)))
+    g = solve(env, box, HyperplaneTarget(theta, int(np.dot(anchor, theta)),
+                                         draw(st.sampled_from(["exact_lattice",
+                                                               "halfspace_frontier"]))))
+    corners = [box.vertex_at(draw(st.integers(0, box.n_vertices - 1))) for _ in range(2)]
+    window = Box(tuple(map(min, *corners)), tuple(map(max, *corners)))
+    span = window.coords() @ np.asarray(theta)
+    levels = draw(st.lists(st.integers(int(span.min()) - 1, int(span.max()) + 1),
+                           min_size=1, max_size=4, unique=True))
+    return g, theta, levels, window
+
+
+@settings(max_examples=60, deadline=None)
+@given(radii_cases())
+def test_intersection_radii_match_pairwise_scan_of_weak_components(case):
+    g, theta, levels, window = case
+    rep = intersection_radii(g, theta, levels, window=window)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(g.n_vertices))
+    graph.add_edges_from((i, int(s)) for i, s in enumerate(g.succ) if s >= 0)
+    block_of = {i: k for k, block in enumerate(nx.weakly_connected_components(graph))
+                for i in block}
+    expect = {}
+    for lvl in levels:
+        groups = {}
+        for v in map(tuple, window.coords().tolist()):
+            if np.dot(v, theta) == lvl:
+                groups.setdefault(block_of[g.box.index_of(v)], []).append(v)
+        for vs in groups.values():
+            expect[lvl, frozenset(vs)] = max_pairwise_l1_scan(vs)
+    labels = components(g)
+    got = {}
+    for lvl, lab, count, radius in rep.records:
+        vs = frozenset(v for v in map(tuple, window.coords().tolist())
+                       if np.dot(v, theta) == lvl and labels[g.box.index_of(v)] == lab)
+        assert count == len(vs)
+        got[lvl, vs] = radius
+    assert len(got) == len(rep.records)
+    assert got == expect
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-20, 20)] * d), min_size=1, max_size=12)))
+def test_max_pairwise_l1_matches_pair_scan(points):
+    assert _max_pairwise_l1(np.array(points, dtype=np.int64)) == max_pairwise_l1_scan(points)
 
 
 def _manual_torus(dims, succ_pairs, targets):

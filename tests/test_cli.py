@@ -106,6 +106,18 @@ def test_bad_integer_list_names_key(tmp_path, capsys, command, key, args):
     assert capsys.readouterr().err.startswith(f"config error: {key}:")
 
 
+@pytest.mark.parametrize("flag, value, rest", [
+    ("--levels", "-5,0", ["--theta", "1,1"]),
+    ("--theta", "-1,1", ["--levels", "0,4"]),
+], ids=["levels", "theta"])
+def test_list_flag_takes_a_leading_negative_entry(tmp_path, flag, value, rest):
+    radii = ["radii", *_D2, "--box", "41", "--alpha", "10", *rest]
+    spaced, equals = tmp_path / "spaced.csv", tmp_path / "equals.csv"
+    assert run_cli([*radii, flag, value, "--out", str(spaced)]) == 0
+    assert run_cli([*radii, f"{flag}={value}", "--out", str(equals)]) == 0
+    assert spaced.read_bytes() == equals.read_bytes()
+
+
 def test_config_file_integer_lists(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     cfg = {"dim": 2, "dist": "uniform:0,1", "theta": [1, 0], "dims": [8, 8]}
@@ -415,6 +427,7 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "samples: must be at least 1, got -2"),
     ("shape", ["--radius", "4", "--directions", "0"], "directions: must be at least 1, got 0"),
     ("masstransport", ["--dims", "8,2", "--theta", "1,0"], "dims: must be at least 3, got 2"),
+    ("masstransport", ["--dims", "-4,8", "--theta", "1,0"], "dims: must be at least 3, got -4"),
     ("modify", ["--theta", "1,0", "--N-list", "4,0"], "N_list: must be at least 1, got 0"),
     ("modify", ["--theta", "1,0", "--y", "99,99"], "y: (99, 99) is not on level 0 of theta (1, 0)"),
     ("modify", ["--theta", "1,0", "--N-list", "8", "--xi", "5,0"],
@@ -449,7 +462,7 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "jobs: must be at least 1, got 0"),
     ("graph", ["FPPGEO_JOBS=0", "--box", "15", "--theta", "1,0", "--alpha", "4"],
      "jobs: must be at least 1, got 0"),
-], ids=["samples", "directions", "dims", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
+], ids=["samples", "directions", "dims", "dims-negative", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
         "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "lam-inf",
         "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs", "jobs-env"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, monkeypatch, command, args, message):

@@ -27,6 +27,11 @@ def path_vertices(g, x):
     return [g.box.vertex_at(int(i)) for i in forward_path(g, x)]
 
 
+def protected_list(box, spec, xi):
+    """``protected_vertices`` as vertex tuples, in the order of its indices."""
+    return tuple(map(tuple, box.coords()[protected_vertices(box, spec, xi)].tolist()))
+
+
 def succ_map(g):
     vertex = g.box.vertex_at
     return {vertex(i): (vertex(int(s)) if s >= 0 else None) for i, s in enumerate(g.succ)}
@@ -67,7 +72,7 @@ def test_strip_matches_bruteforce_scan():
 
 def test_protected_vertices_geometry():
     xi = (fx.N, 0)
-    prot = set(protected_vertices(fx.BOX, fx.SPEC, xi))
+    prot = set(protected_list(fx.BOX, fx.SPEC, xi))
     # far side of the level-0 hyperplane
     assert (0, 5) in prot
     assert (0, -5) in prot
@@ -78,6 +83,12 @@ def test_protected_vertices_geometry():
     # cylinder boundary inside the slab
     assert (10, 13) in prot
     assert (10, 0) not in prot
+    # the cache shares one read-only array between callers
+    idx = protected_vertices(fx.BOX, fx.SPEC, xi)
+    assert idx.dtype == np.int64
+    with pytest.raises(ValueError):
+        idx[0] = 0
+    assert protected_vertices(fx.BOX, fx.SPEC, xi) is idx
 
 
 @st.composite
@@ -112,7 +123,7 @@ def protected_cases(draw):
 @example((Box((0, -3), (2, -3)), StripSpec((1, -2), 6, 2.0, 5, 0.1, 0.1), (-4, -3)))
 def test_protected_vertices_match_exact_rational_oracle(case):
     box, spec, xi = case
-    assert protected_vertices(box, spec, xi) == protected_vertices_exact(box, spec, xi)
+    assert protected_list(box, spec, xi) == protected_vertices_exact(box, spec, xi)
 
 
 def test_protected_vertices_far_from_origin_and_overflow_guard():
@@ -120,7 +131,7 @@ def test_protected_vertices_far_from_origin_and_overflow_guard():
     box = Box((10 ** 9, -2), (10 ** 9 + 2, 2))
     N = 10 ** 9 + 1
     spec = StripSpec((1, 0), N, 1.5, 2, 0.1, 0.1)
-    prot = protected_vertices(box, spec, (N, 0))
+    prot = protected_list(box, spec, (N, 0))
     assert prot and prot == protected_vertices_exact(box, spec, (N, 0))
     # for theta = (1, 1) at corners near 1.6e9, |p|^2 |theta|^2 reaches
     # 4 * 1.6e9^2 > 2^63: an error, not a wrapped value
@@ -132,7 +143,7 @@ def test_protected_vertices_far_from_origin_and_overflow_guard():
 def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
     out = fx.run_fixture(fx.fixture_env(0))
     g = out.g
-    prot = protected_vertices(fx.BOX, fx.SPEC, fx.XI)
+    prot = protected_list(fx.BOX, fx.SPEC, fx.XI)
     pairs = [tuple(map(tuple, e)) for e in out.edge_set.tolist()]
     edge_set = set(pairs)
 
@@ -155,7 +166,7 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
             v = tuple(v)
             if v in strip_set and tuple(sorted((u, v))) not in kept_path_edges:
                 brute.append((u, v))
-    assert pairs == sorted(brute)
+    assert sorted(pairs) == sorted(brute)
 
 
 @st.composite
@@ -193,8 +204,12 @@ def test_eligible_edges_match_per_edge_scan(case):
                       target_mask=succ < 0)
     edges = eligible_edges(g, spec, kept)
     assert edges.dtype == np.int64 and edges.shape[1:] == (2, box.dim)
-    assert [tuple(map(tuple, e)) for e in edges.tolist()] == eligible_edges_scan(box, spec,
-                                                                                 succ, kept)
+    assert sorted(tuple(map(tuple, e)) for e in edges.tolist()) == eligible_edges_scan(
+        box, spec, succ, kept)
+    # axis by axis, each axis in the C order of the tail grid with the axis moved first
+    axes = np.argmax(edges[:, 1] - edges[:, 0], axis=1).tolist()
+    keys = [(a, t[a], *t[:a], *t[a + 1:]) for a, (t, _) in zip(axes, edges.tolist())]
+    assert keys == sorted(set(keys))
 
 
 def test_strip_without_edges_raises_nothing():
