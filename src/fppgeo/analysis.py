@@ -322,12 +322,11 @@ def mass_transport_balance(g, theta):
     """
     if not g.box.periodic:
         raise ValueError("mass transport balance requires a forest on a periodic box")
-    coords = g.box.coords()
     n = g.n_vertices
     roots = fold_chains(g.succ, np.where(g.succ < 0, np.arange(n), -1), np.maximum)
-    dots = g.box.levels(theta)
-    # rank vertices by (wrapped level, lexicographic coords); progenitor = min rank per tree
-    order = np.lexsort(tuple(coords[:, j] for j in reversed(range(coords.shape[1]))) + (dots,))
+    # rank vertices by (wrapped level, lexicographic coords); progenitor = min rank per tree.
+    # The C order of the box is lexicographic, so a stable sort of the levels breaks ties by it.
+    order = np.argsort(g.box.levels(theta), kind="stable")
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     best = np.full(n, n, dtype=np.int64)

@@ -164,11 +164,15 @@ def graph_summary(g):
 
 
 def graph_to_csv(g, path):
-    """CSV dump: x1..xd, dx1..dxd (out-edge displacement, empty for roots)."""
+    """CSV dump: x1..xd, dx1..dxd (out-edge displacement, empty for roots).
+
+    The file is written in binary mode from the bytes of ``csv_cells``,
+    which formats each distinct value of a column block once, keyed by its bits.
+    """
     d = g.box.dim
     head = [f"x{i+1}" for i in range(d)] + [f"dx{i+1}" for i in range(d)]
     coords = g.box.coords()
     steps = np.ma.masked_array(coords[g.succ] - coords)
     steps[g.succ < 0] = np.ma.masked
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(csv_cells(head, [*coords.T, *steps.T]))

@@ -26,9 +26,12 @@ with T <= L the value of the unbounded one, so the points' times are exact.
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
 distance fields.  ``fold_chains`` (a reduction along every successor chain
 by pointer doubling) is, with ``DistanceField.generations``, the traversal
-core of the forest.  A field derives its generations on first read; the
-forest statistics, the forward paths and the ``graph.csv`` writer are in
-``geodesic_graph``.
+core of the forest.  A field derives its generations on first read, from
+one breadth-first pass down the forest.  ``DistanceField.hops`` stays a
+pointer-doubling fold on purpose: the two traversals are independent, so
+each checks the other (the backward-cluster sizes from the generations sum
+to the chain lengths from the hops).  The forest statistics, the forward
+paths and the ``graph.csv`` writer are in ``geodesic_graph``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import breadth_first_order, dijkstra
 
 from .lattice import Box, is_integer_direction
 
@@ -131,11 +134,27 @@ class DistanceField:
         """Vertex index arrays by hop count, built once per field.
 
         Generation 0 holds the roots, and succ maps generation k + 1 into k.
+        One breadth-first search from a vertex n above every root lists the
+        vertices level by level, so inside a generation the vertices come in
+        breadth-first order, not in index order; every sweep over them is
+        order-free.  A vertex that the search never reaches sits on a cycle
+        or on a chain into one, and that raises ValueError.
         """
         if self._gens is None:
-            hops = self.hops()
-            order = np.argsort(hops, kind="stable")
-            self._gens = np.split(order, np.cumsum(np.bincount(hops))[:-1])
+            n = self.n_vertices
+            up = np.where(self.succ < 0, n, self.succ)
+            tree = csr_matrix((np.ones(n), (up, np.arange(n))), shape=(n + 1, n + 1))
+            order = breadth_first_order(tree, n, return_predecessors=False)
+            if len(order) != n + 1:
+                raise ValueError("successor cycle")
+            # the children of order[:i + 1] are order[1:][:reach[i]], so generation
+            # k + 1 ends where the children of generation k (and of those before) do
+            reach = np.cumsum(np.bincount(up, minlength=n + 1)[order])
+            ends = [0]
+            while ends[-1] < n:
+                ends.append(int(reach[ends[-1]]))
+            # intp indices: the sweeps' ufunc.at calls take them without a cast
+            self._gens = np.split(order[1:].astype(np.intp), ends[1:-1])
         return self._gens
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 TOOL_VERSION = "0.1.0"     # the package version, re-exported as fppgeo.__version__
 
-# rows per block of rendered CSV text: bounds the strings a writer holds at once
+# rows per block of rendered CSV bytes: bounds the buffers a writer holds at once
 CSV_CHUNK_ROWS = 1 << 14
 
 def canonical_json(obj):
@@ -49,30 +49,47 @@ def fmt_value(v):
     return "" if v is None else str(v)
 
 
-def _cells(col):
-    """The cells of a 1-d column block, formatted as in ``fmt_value``.
+def _cells(col, end):
+    """The distinct cells of a 1-d column block, and the index of each entry's cell.
 
-    An integer column is formatted by lookup: one string per distinct value,
-    and an empty one for masked entries.
+    Each cell is the bytes of one distinct value, formatted as in
+    ``fmt_value`` and followed by ``end``; the last is the empty cell of the
+    masked entries.  Values are keyed by their bits, so -0.0 and 0.0 stay
+    apart as their cells do.
     """
-    if col.dtype.kind not in "iu":
-        return map(fmt_value, col.tolist())
-    values, inverse = np.unique(np.ma.getdata(col), return_inverse=True)
-    inverse[np.ma.getmaskarray(col)] = len(values)
-    return np.array([*map(str, values.tolist()), ""], dtype=object)[inverse].tolist()
+    data = np.ma.getdata(col)
+    keys, inverse = np.unique(data.view(f"u{data.itemsize}"), return_inverse=True)
+    inverse[np.ma.getmaskarray(col)] = len(keys)
+    return [*(fmt_value(v).encode() + end for v in keys.view(data.dtype).tolist()), end], inverse
 
 
 def csv_cells(header, columns):
-    """CSV text of ``header`` and the rows of the row-aligned 1-d ``columns``.
+    """CSV bytes of ``header`` and the rows of the row-aligned 1-d ``columns``.
 
-    Yields the header line, then one text block per CSV_CHUNK_ROWS rows.
-    Cells format as in ``fmt_value``; masked entries of a masked array print
-    empty.
+    Yields the header line, then one block per CSV_CHUNK_ROWS rows.  Cells
+    format as in ``fmt_value``, once per distinct value (keyed by its bits)
+    of a column block; masked entries of a masked array print empty.  A
+    block is one uint8 buffer: each cell, with its ``,`` or ``\n``, is
+    copied from the pool of distinct cells to the running sum of the cell
+    lengths before it, row by row.
     """
-    yield ",".join(header) + "\n"
+    yield (",".join(header) + "\n").encode()
+    ends = [b","] * (len(columns) - 1) + [b"\n"]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
-        cells = [_cells(col[start:start + CSV_CHUNK_ROWS]) for col in columns]
-        yield "".join(",".join(row) + "\n" for row in zip(*cells))
+        pool, picks = [], []
+        for col, end in zip(columns, ends):
+            cells, inverse = _cells(col[start:start + CSV_CHUNK_ROWS], end)
+            picks.append(inverse + len(pool))
+            pool += cells
+        lengths = np.array([len(cell) for cell in pool])
+        pick = np.stack(picks, axis=1).ravel()      # the cells in row-major order
+        size = lengths[pick]
+        at = np.cumsum(size) - size                     # each cell's offset in the block
+        src = (np.cumsum(lengths) - lengths)[pick]      # and in the pool
+        # byte i of the block, in cell c, is byte i + src[c] - at[c] of the pool
+        idx = np.repeat(src - at, size)
+        idx += np.arange(len(idx))
+        yield np.frombuffer(b"".join(pool), dtype=np.uint8)[idx].tobytes()
 
 
 def export_csv(path, header, rows):

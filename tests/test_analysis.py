@@ -357,6 +357,21 @@ def test_mass_transport_random_torus_exact():
     assert rep.mean_sent == 1.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.tuples(
+    st.integers(3, 7), st.integers(-3, 3), st.integers(-3, 3))] * d)))
+def test_level_sort_ranks_a_torus_by_the_lexsort_rule(axes):
+    # mass_transport_balance ranks by a stable sort of the levels: the box's C order
+    # must already be lexicographic, as in the (level, x1, ..., xd) lexsort
+    sides, lower, theta = zip(*axes)
+    if not is_integer_direction(theta):
+        theta = (1,) + (0,) * (len(axes) - 1)
+    box = Box(lower, tuple(l + s - 1 for l, s in zip(lower, sides)), periodic=True)
+    levels, coords = box.levels(theta), box.coords()
+    rule = np.lexsort(tuple(coords[:, j] for j in reversed(range(box.dim))) + (levels,))
+    assert np.array_equal(np.argsort(levels, kind="stable"), rule)
+
+
 def test_mass_transport_rejects_non_torus():
     box = Box.cube(10, 2)
     env = WeightEnvironment(2, uniform(0, 1), 0)

@@ -26,16 +26,27 @@ def test_graph_csv_matches_row_oracle_on_truncated_graph(tmp_path):
         assert (tmp_path / "graph.csv").read_bytes() == graph_csv_text(graph).encode()
 
 
-@pytest.mark.parametrize("n", [3, CSV_CHUNK_ROWS + 100])
+@pytest.mark.parametrize("n", [0, 3, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 100])
 def test_csv_cells_match_row_oracle(n):
     rng = np.random.default_rng(n)
     wide = rng.integers(-10 ** 7, 10 ** 7, size=n)
     some_masked = np.ma.masked_array(rng.integers(-12, 12, size=n), mask=rng.random(n) < 0.3)
     all_masked = np.ma.masked_array(rng.integers(-5, 5, size=n), mask=np.ones(n, bool))
     none_masked = np.ma.masked_array(rng.integers(-999, 999, size=n).astype(np.int32))
+    first_chunk_masked = np.ma.masked_array(rng.integers(-50, 50, size=n),
+                                            mask=np.arange(n) < CSV_CHUNK_ROWS)
     unsigned = rng.integers(0, 300, size=n).astype(np.uint16)
+    huge = rng.choice(np.array([0, 7, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1], dtype=np.uint64), n)
     flags = rng.random(n) < 0.5
     floats = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
-    columns = [wide, some_masked, all_masked, none_masked, unsigned, flags, floats]
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.5])
+    special = rng.choice(specials, n)
+    special[:len(specials)] = specials[:n]
+    columns = [wide, some_masked, all_masked, none_masked, first_chunk_masked, unsigned, huge,
+               flags, floats, special]
     header = [f"c{j}" for j in range(len(columns))]
-    assert "".join(csv_cells(header, columns)) == columns_csv_text(header, columns)
+    text = columns_csv_text(header, columns)
+    assert b"".join(csv_cells(header, columns)) == text.encode()
+    if n >= len(specials):      # -0.0 and 0.0 share a value but not their bits or cells
+        last = {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]}
+        assert {"-0", "0", "inf", "-inf", "nan", "4.9406564584124654e-324"} <= last

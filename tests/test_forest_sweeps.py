@@ -9,10 +9,13 @@ weak components.  Branching-process forests add the bushy trees with tied
 subtree heights that small geodesic graphs rarely have.  On tori the two
 sweeps must balance: each vertex lies in the backward cluster of every
 vertex of its forward chain, so the cluster sizes sum to the chain lengths.
+The breadth-first generations are checked against the pointer-doubling hop
+counts, which are built independently of them.
 """
 
 import networkx as nx
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -166,6 +169,38 @@ def test_components_match_union_find_oracle_and_networkx(g):
     assert comp.max() + 1 == len(sizes)
     blocks = {frozenset(np.flatnonzero(comp == k).tolist()) for k in range(comp.max() + 1)}
     assert blocks == set(map(frozenset, nx.weakly_connected_components(_digraph(g))))
+
+
+@SETTINGS
+@given(FORESTS)
+def test_generations_are_the_hop_levels(forest):
+    g, _ = forest
+    gens = g.generations()
+    assert np.array_equal(np.sort(np.concatenate(gens)), np.arange(g.n_vertices))
+    assert np.array_equal(np.sort(gens[0]), np.flatnonzero(g.succ < 0))
+    for gen, deeper in zip(gens, gens[1:]):
+        assert np.isin(g.succ[deeper], gen).all()
+    level = np.empty(g.n_vertices, dtype=np.int64)
+    for k, gen in enumerate(gens):
+        level[gen] = k
+    assert np.array_equal(level, g.hops())
+
+
+def _cycle_on_3x3(*arrows):
+    succ = np.full(9, -1)
+    for i, s in arrows:
+        succ[i] = s
+    return _graph_on(Box.cube(1, 2), succ)
+
+
+@pytest.mark.parametrize("g", [
+    _cycle_on_3x3((4, 4), (5, 4)),
+    _graph_on(Box.cube(1, 2), np.roll(np.arange(9), -1)),
+    _cycle_on_3x3((0, 1), (1, 0), (2, 1)),
+], ids=["self-loop", "no-root", "two-cycle-with-chain"])
+def test_generations_raise_on_a_successor_cycle(g):
+    with pytest.raises(ValueError, match="successor cycle"):
+        g.generations()
 
 
 @SETTINGS
