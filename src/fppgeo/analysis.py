@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geodesic_graph import backward_stats, components, forward_path
-from .geodesics import HyperplaneTarget, fold_chains, passage_times, solve
+from .geodesics import HyperplaneTarget, ParameterError, fold_chains, passage_times, solve
 from .lattice import Box
 
 
@@ -204,10 +204,6 @@ class BackwardTailReport:
         return out
 
 
-class CensoredError(ValueError):
-    """Every backward cluster of the window touches the solve-box boundary."""
-
-
 def _fraction_ge(values, ks):
     """P(values >= k) for each k of the increasing range ``ks`` of non-negative ints.
 
@@ -222,7 +218,8 @@ def backward_tail(g, window):
 
     Clusters touching the solve-box boundary are censored: their sizes are
     only lower bounds, so they are excluded from the tails and reported as
-    a fraction.
+    a fraction.  A window whose clusters are all censored raises
+    ``ParameterError`` named ``box``.
     """
     check_window(window, g.box)
     sizes, depth, touch = backward_stats(g)
@@ -231,7 +228,7 @@ def backward_tail(g, window):
     keep_sizes = sizes[idx][~censored]
     keep_depth = depth[idx][~censored]
     if keep_sizes.size == 0:
-        raise CensoredError("all clusters censored; enlarge the box")
+        raise ParameterError("box", "all clusters censored; enlarge the box")
     k_size = np.arange(1, keep_sizes.max() + 1)
     k_depth = np.arange(0, keep_depth.max() + 2)
     return BackwardTailReport(

@@ -14,8 +14,10 @@ value in place; file keys that a command does not take pass through to the
 manifest untouched.  Each setting a command takes is converted once, and a
 value that does not convert, a number or list entry below its minimum, a
 per-axis list whose length is not ``dim``, or a required setting that is
-missing, exits 2 with ``config error: <key>: ...``; so does a library error
-that only a setting can cause, named by its setting.  Any other exception is
+missing, raises ``ParameterError`` named by its key.  The library raises it
+too, for a parameter that only a setting can cause; the runner renames it
+once, by the command's ``param_keys``.  One that names a setting of the
+command exits 2 with ``config error: <key>: ...``.  Any other exception is
 the program's fault: it exits 3 with ``internal error:`` and the traceback.
 Identical configs produce byte-identical primary outputs; timing lives in
 the manifest only.
@@ -32,7 +34,7 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -42,19 +44,9 @@ import numpy as np
 from . import analysis, modification
 from .environment import WeightEnvironment, parse_dist
 from .geodesic_graph import graph_summary, graph_to_csv
-from .geodesics import HyperplaneTarget, NoTargetError, solve
+from .geodesics import HyperplaneTarget, ParameterError, solve
 from .lattice import Box, lattice_point_on_level, normalize_direction
 from .manifest import export_csv, export_json, write_manifest
-
-
-class ConfigError(Exception):
-    def __init__(self, key, message):
-        # (key, message) as args, so the error pickles back from a --jobs worker
-        super().__init__(key, message)
-        self.key = key
-
-    def __str__(self):
-        return f"config error: {self.args[0]}: {self.args[1]}"
 
 
 # setting types: each converts a flag string or a config-file value, or raises ValueError
@@ -157,14 +149,14 @@ def _convert(key, setting, value):
     try:
         value = setting.type(value)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(key, str(exc)) from None
+        raise ParameterError(key, str(exc)) from None
     if setting.choices and value not in setting.choices:
-        raise ConfigError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
+        raise ParameterError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
     for entry in value if isinstance(value, tuple) else (value,):
         if setting.minimum is not None and not entry >= setting.minimum:    # NaN fails too
-            raise ConfigError(key, f"must be at least {setting.minimum}, got {entry}")
+            raise ParameterError(key, f"must be at least {setting.minimum}, got {entry}")
         if isinstance(entry, float) and not math.isfinite(entry):
-            raise ConfigError(key, f"must be finite, got {entry}")
+            raise ParameterError(key, f"must be finite, got {entry}")
     return value
 
 
@@ -182,9 +174,9 @@ def _merge_config(args, command):
             with open(args.config) as fh:
                 merged = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError("config", str(exc))
+            raise ParameterError("config", str(exc))
         if not isinstance(merged, dict):
-            raise ConfigError("config", "expected a JSON object")
+            raise ParameterError("config", "expected a JSON object")
     merged.update((k, getattr(args, k)) for k in keys if getattr(args, k) is not None)
     cfg = {}
     for key in keys:
@@ -193,11 +185,11 @@ def _merge_config(args, command):
         if value is None and key not in command.optional:
             value = setting.default() if callable(setting.default) else setting.default
             if value is REQUIRED:
-                raise ConfigError(key, "missing required setting")
+                raise ParameterError(key, "missing required setting")
         cfg[key] = None if value is None else _convert(key, setting, value)
     for key in keys:
         if SETTINGS[key].per_axis and cfg[key] is not None and len(cfg[key]) != cfg["dim"]:
-            raise ConfigError(key, f"expected {cfg['dim']} integers, got {len(cfg[key])}")
+            raise ParameterError(key, f"expected {cfg['dim']} integers, got {len(cfg[key])}")
     return merged, cfg
 
 
@@ -225,11 +217,7 @@ def _cube(cfg, key):
 
 def _solve(cfg, seed):
     """The passage-time field toward level alpha in the solve box."""
-    try:
-        return solve(_env(cfg, seed), _cube(cfg, "box"),
-                     HyperplaneTarget(cfg["theta"], cfg["alpha"]))
-    except NoTargetError as exc:
-        raise ConfigError("alpha", str(exc)) from None
+    return solve(_env(cfg, seed), _cube(cfg, "box"), HyperplaneTarget(cfg["theta"], cfg["alpha"]))
 
 
 def _padded_region(cfg):
@@ -239,8 +227,8 @@ def _padded_region(cfg):
     if 2 * pad >= box.shape[0]:
         # every small box gets the floor of the pad rule: the pad of a one-vertex box
         smallest = 2 * analysis.required_pad(Box.cube(0, cfg["dim"])) + 1
-        raise ConfigError("box", f"side {cfg['box']} leaves no vertex inside the analysis "
-                                 f"pad of {pad}; the smallest side accepted is {smallest}")
+        raise ParameterError("box", f"side {cfg['box']} leaves no vertex inside the analysis "
+                                    f"pad of {pad}; the smallest side accepted is {smallest}")
     return box.shrink(pad)
 
 
@@ -248,8 +236,8 @@ def _window(cfg, region, name):
     """The analysis window, which must lie inside ``region`` (called ``name``)."""
     window = _cube(cfg, "window")
     if not region.contains_box(window):
-        raise ConfigError("window", f"side {cfg['window']} does not fit inside {name} "
-                                    f"(side {region.shape[0]})")
+        raise ParameterError("window", f"side {cfg['window']} does not fit inside {name} "
+                                       f"(side {region.shape[0]})")
     return window
 
 
@@ -279,10 +267,11 @@ def _graph_task(arg):
 def _backward_task(arg):
     cfg, seed = arg
     window = _padded_window(cfg)
+    g = _solve(cfg, seed)
     try:
-        report = analysis.backward_tail(_solve(cfg, seed), window)
-    except analysis.CensoredError as exc:
-        raise ConfigError("box", f"side {cfg['box']}: {exc}") from None
+        report = analysis.backward_tail(g, window)
+    except ParameterError as exc:
+        raise ParameterError("box", f"side {cfg['box']}: {exc.message}") from None
     return _long_rows(report, seed)
 
 
@@ -291,8 +280,8 @@ def _busemann_task(arg):
     window = _padded_window(cfg)
     if cfg["window"] < 3:
         # sides 1 and 2 both make a one-vertex cube, which fits no vector
-        raise ConfigError("window", f"side {cfg['window']} holds one vertex; a Busemann "
-                                    "fit needs side 3 or more")
+        raise ParameterError("window", f"side {cfg['window']} holds one vertex; a Busemann "
+                                       "fit needs side 3 or more")
     return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), window), seed)
 
 
@@ -316,15 +305,8 @@ def _radii_task(arg):
 
 def _masstransport_task(arg):
     cfg, seed = arg
-    try:
-        g = analysis.build_torus_graph(_env(cfg, seed), cfg["dims"], cfg["theta"], cfg["level"])
-    except NoTargetError as exc:
-        raise ConfigError("level", str(exc)) from None
+    g = analysis.build_torus_graph(_env(cfg, seed), cfg["dims"], cfg["theta"], cfg["level"])
     return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
-
-
-# the setting of each experiment parameter whose name differs from it
-_MODIFY_KEYS = {"M": "M_rule", "distribution": "dist"}
 
 
 def _modify_task(arg):
@@ -335,11 +317,8 @@ def _modify_task(arg):
     spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
     y = cfg["y"] or _default_y(theta, cfg["dim"])
     xi = cfg["xi"] or lattice_point_on_level(theta, N)
-    try:
-        out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
-                                            lam=cfg["lam"])
-    except modification.ParameterError as exc:
-        raise ConfigError(_MODIFY_KEYS.get(exc.name, exc.name), exc.message) from None
+    out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
+                                        lam=cfg["lam"])
     witness_level = ""
     if out.verdict.witness is not None:
         witness_level = sum(c * t for c, t in zip(out.verdict.witness, theta))
@@ -354,7 +333,7 @@ def _default_y(theta, dim):
         for p in cands:
             if sum(c * t for c, t in zip(p, theta)) == 0:
                 return p
-    raise ConfigError("y", f"no small zero-level vertex found for theta={theta}")
+    raise ParameterError("y", f"no small zero-level vertex found for theta={theta}")
 
 
 LONG_HEADER = ("metric", "seed", "param", "value")
@@ -385,24 +364,28 @@ class Command:
     write: Callable | None = None
     fan_out: str | None = None  # a list setting: one task per seed and item
     optional: tuple = ()        # settings without a default that this command may go without
+    param_keys: dict = field(default_factory=dict)  # library parameter -> setting, if they differ
 
 
 # settings of the commands that study one hyperplane-target field per seed
 _FIELD = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha")
+_ALPHA = {"level": "alpha"}     # solve's name for the target level
 
 COMMANDS = {
     "shape": Command("directional norm estimates", _shape_task, write=_write_shape,
                      settings=("dim", "dist", "seed", "seeds", "radius", "directions", "axis")),
     "graph": Command("geodesic graph CSV dump", _graph_task, write=_write_graph,
-                     settings=("dim", "dist", "seed", "box", "theta", "alpha")),
+                     settings=("dim", "dist", "seed", "box", "theta", "alpha"),
+                     param_keys=_ALPHA),
     "busemann": Command("fit the Busemann direction vector", _busemann_task,
-                        settings=_FIELD + ("window",)),
+                        settings=_FIELD + ("window",), param_keys=_ALPHA),
     "backward": Command("backward-cluster tail statistics", _backward_task,
-                        settings=_FIELD + ("window",)),
+                        settings=_FIELD + ("window",), param_keys=_ALPHA),
     "crossings": Command("halfspace crossing counts of forward paths", _crossings_task,
-                         settings=_FIELD + ("levels", "samples")),
+                         settings=_FIELD + ("levels", "samples"), param_keys=_ALPHA),
     "radii": Command("component intersection radii on hyperplanes", _radii_task,
-                     settings=_FIELD + ("levels", "window"), optional=("window",)),
+                     settings=_FIELD + ("levels", "window"), optional=("window",),
+                     param_keys=_ALPHA),
     "masstransport": Command("progenitor mass-transport balance on a torus",
                              _masstransport_task,
                              settings=("dim", "dist", "seed", "seeds", "dims", "theta", "level")),
@@ -410,7 +393,8 @@ COMMANDS = {
                       header=("seed", "N", "M", "event_pass", "severed", "witness_level"),
                       fan_out="N_list",
                       settings=("dim", "dist", "seed", "seeds", "theta", "N_list", "M_rule",
-                                "M_prime", "epsilon", "delta", "mode", "lam", "y", "xi")),
+                                "M_prime", "epsilon", "delta", "mode", "lam", "y", "xi"),
+                      param_keys={"M": "M_rule", "distribution": "dist"}),
 }
 
 
@@ -427,7 +411,12 @@ def _run(args):
     started = _utcnow()
     t0 = time.perf_counter()
     items = [(x,) for x in cfg[command.fan_out]] if command.fan_out else [()]
-    results = _pmap(command.task, [(cfg, s, *i) for s in seeds for i in items], cfg["jobs"])
+    try:
+        results = _pmap(command.task, [(cfg, s, *i) for s in seeds for i in items], cfg["jobs"])
+    except ParameterError as exc:
+        if exc.name not in command.param_keys:
+            raise
+        raise ParameterError(command.param_keys[exc.name], exc.message) from None
     if command.write:
         outputs = command.write(out, cfg, seeds, results)
     else:
@@ -464,15 +453,16 @@ def main(argv=None):
         if argv[i - 1][:2] == "--" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
+    keys = ("config",) + COMMANDS[args.cmd].settings + COMMON
     try:
         return _run(args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
+        if isinstance(exc, ParameterError) and exc.name in keys:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
         print(f"internal error: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return 3

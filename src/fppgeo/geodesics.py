@@ -77,10 +77,6 @@ class HyperplaneTarget:
                 raise ValueError("direction must be nonzero")
 
 
-class NoTargetError(ValueError):
-    """The target has no vertex in the solve region."""
-
-
 def target_mask(target, box):
     """Boolean mask over the box vertices of a ``HyperplaneTarget``.
 
@@ -267,18 +263,29 @@ def successor_forest(box, weights, tmask):
     return T, succ
 
 
+class ParameterError(ValueError):
+    """A parameter is out of its range; ``name`` names the parameter."""
+
+    def __init__(self, name, message):
+        super().__init__(name, message)     # as args, so that the error pickles
+        self.name, self.message = name, message
+
+    def __str__(self):
+        return f"{self.name}: {self.message}"
+
+
 def solve(env, box, target):
     """Shortest-path distances from every box vertex to the target set.
 
-    Paths are constrained to the box.  Raises if the environment and the
-    box differ in dimension, if the target does not intersect the box, or if
-    any edge weight is not strictly positive and finite (zero-weight regimes
-    are unsupported).
+    Paths are constrained to the box.  A target that does not intersect the
+    box raises ``ParameterError`` named ``level``.  Raises ValueError if the
+    environment and the box differ in dimension, or if any edge weight is
+    not strictly positive and finite (zero-weight regimes are unsupported).
     """
     tmask = target_mask(target, box)
     if not tmask.any():
         where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
-        raise NoTargetError(f"no target vertex {where}")
+        raise ParameterError("level", f"no target vertex {where}")
     T, succ = successor_forest(box, axis_weights(env, box), tmask)
     return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
 

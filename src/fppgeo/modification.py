@@ -1,7 +1,7 @@
 """Strip edge-modification experiment, run in one pass by ``run_modification``.
 
 1. Every parameter is checked before the first solve; one out of its range
-   raises ``ParameterError``, which names it.
+   raises the shared ``geodesics.ParameterError``, which names it.
 2. On the original geodesic graph, the protected vertices (whose geodesics
    the raise keeps), their forward orbit and the forward paths of y and of
    the marked vertex xi_N are computed once each.  The event check reads the
@@ -28,19 +28,8 @@ import numpy as np
 
 from .environment import with_overrides
 from .geodesic_graph import forward_orbit, forward_path
-from .geodesics import DistanceField, HyperplaneTarget, fold_chains, solve
+from .geodesics import DistanceField, HyperplaneTarget, ParameterError, fold_chains, solve
 from .lattice import Box, is_integer_direction
-
-
-class ParameterError(ValueError):
-    """A parameter of the experiment is out of its range; ``name`` names the parameter."""
-
-    def __init__(self, name, message):
-        super().__init__(name, message)     # as args, so that the error pickles
-        self.name, self.message = name, message
-
-    def __str__(self):
-        return f"{self.name}: {self.message}"
 
 
 @dataclass(frozen=True)

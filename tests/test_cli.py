@@ -15,6 +15,7 @@ from fppgeo import cli
 from fppgeo.analysis import estimate_shape
 from fppgeo.cli import main
 from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.geodesics import ParameterError
 from fppgeo.manifest import canonical_json, export_csv, export_json
 
 from oracles import check_manifest
@@ -415,8 +416,14 @@ def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
      "window: side 2 holds one vertex; a Busemann fit needs side 3 or more"),
     ("backward", ["--box", "33", "--theta", "1,0", "--alpha", "-16", "--window", "1"],
      "box: side 33: all clusters censored; enlarge the box"),
+    ("backward", ["--box", "41", "--theta", "1,0", "--alpha", "100", "--window", "9"],
+     "alpha: no target vertex inside box (-20, -20)..(20, 20)"),
+    # raised by the library in a --jobs worker, after every setting converted
+    ("radii", ["--box", "41", "--theta", "1,0", "--alpha", "100", "--seeds", "2", "--jobs", "2"],
+     "alpha: no target vertex inside box (-20, -20)..(20, 20)"),
 ], ids=["alpha", "radii-window", "backward-window", "theta", "dims", "level",
-        "busemann-window-1", "busemann-window-2", "backward-censored"])
+        "busemann-window-1", "busemann-window-2", "backward-censored", "backward-alpha",
+        "radii-alpha-jobs"])
 def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -450,6 +457,8 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "epsilon: must be positive, got 0.0"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--M-rule", "const:0"],
      "M_rule: M = 0 at N = 24 must be positive"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--M-rule", "const:0", "--seeds", "2",
+                "--jobs", "2"], "M_rule: M = 0 at N = 24 must be positive"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "inf"],
      "lam: must be finite, got inf"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--epsilon", "inf"],
@@ -463,8 +472,8 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     ("graph", ["FPPGEO_JOBS=0", "--box", "15", "--theta", "1,0", "--alpha", "4"],
      "jobs: must be at least 1, got 0"),
 ], ids=["samples", "directions", "dims", "dims-negative", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
-        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "lam-inf",
-        "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs", "jobs-env"])
+        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "M_rule-jobs",
+        "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs", "jobs-env"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, monkeypatch, command, args, message):
     # as on a shell command line, leading NAME=value words set the environment
     while args and "=" in args[0]:
@@ -487,7 +496,9 @@ def test_non_finite_setting_stops_before_any_output(tmp_path, capsys, key, value
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("error", [ValueError("a program fault"), KeyError("missing")])
+# a ParameterError that names no setting of the command is a program fault too
+@pytest.mark.parametrize("error", [ValueError("a program fault"), KeyError("missing"),
+                                   ParameterError("nonsense", "not a setting of graph")])
 def test_program_fault_is_internal_error(tmp_path, capsys, monkeypatch, error):
     def task(arg):
         raise error
