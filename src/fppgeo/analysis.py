@@ -91,15 +91,16 @@ class ShapeEstimate:
         return out
 
 
-def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64, box=None):
+def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64):
     """Passage times T(0, floor(r xi)) over ``n_seeds`` consecutive seeds, for
     the directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r.
 
     Each seed's times come from ``passage_times``, whose Dijkstra stops at L,
     the largest time inside the window spanned by the origin and the points.
-    The window's paths are paths of the solve box, so each point's time in
-    the box is at most L, in floating point too since rounding is monotone,
-    and equals the time of a full solve.
+    The solve box is ``padded_solve_box(window)``.  The window's paths are
+    paths of the solve box, so each point's time in the box is at most L, in
+    floating point too since rounding is monotone, and equals the time of a
+    full solve.
     """
     r = int(radius)
     if directions is None:
@@ -107,11 +108,7 @@ def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64, box=N
     directions = np.asarray(directions, dtype=np.float64)
     points = np.floor(r * directions).astype(np.int64)
     origin = (0,) * env.dim
-    window = Box.hull(np.vstack([origin, points]))
-    if box is None:
-        box = padded_solve_box(window)
-    else:
-        check_window(window, box)
+    box = padded_solve_box(Box.hull(np.vstack([origin, points])))
 
     samples = np.empty((n_seeds, len(points)))
     for k in range(n_seeds):

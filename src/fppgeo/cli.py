@@ -198,10 +198,11 @@ def _utcnow():
 
 
 def _pmap(task, arglist, jobs):
-    """Map preserving argument order; processes when jobs > 1."""
+    """Map preserving argument order; processes when jobs > 1, at most one per
+    argument (a fork pool starts all its workers on the first submit)."""
     if jobs <= 1 or len(arglist) <= 1:
         return [task(a) for a in arglist]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arglist))) as pool:
         return list(pool.map(task, arglist))
 
 

@@ -304,15 +304,3 @@ def passage_times(env, box, source, points):
     T, _, _ = _shortest_paths(box, axis_weights(env, box), box.index_of(source), limit)
     return T[idx]
 
-
-def successor_margin(field):
-    """Gap between best and second-best successor candidate per non-target vertex.
-
-    Near-zero gaps indicate distribution atoms or hash defects; under
-    continuous weights the successor is a.s. unique.
-    """
-    nbr, wt = _neighbor_table(field.box, axis_weights(field.env, field.box))
-    keep = ~field.target_mask
-    part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
-    return part[:, 1] - part[:, 0]
-

@@ -304,7 +304,7 @@ class ModificationOutcome:
         return self.verdict.severed
 
 
-def _checked_lambda(env, spec, y, xi, mode, lam, box):
+def _checked_lambda(env, spec, y, xi, mode, lam):
     """The lambda of the raise; ``ParameterError`` on the first parameter out of
     its range (the weight distribution is named ``distribution``)."""
     if not spec.M > 0:
@@ -317,9 +317,6 @@ def _checked_lambda(env, spec, y, xi, mode, lam, box):
             raise ParameterError(name, f"{point} is not on level {level} of theta {spec.theta}")
     if sum(map(abs, y)) > spec.M_prime:
         raise ParameterError("y", f"{y} has l1 norm above M_prime = {spec.M_prime}")
-    for name, point in (("y", y), ("xi", xi)):
-        if not box.contains(point):
-            raise ParameterError(name, f"{point} is outside the box {box.lower}..{box.upper}")
     if mode == "unbounded":
         if lam is None:
             raise ParameterError("lam", "unbounded mode needs a lambda")
@@ -339,25 +336,28 @@ def _checked_lambda(env, spec, y, xi, mode, lam, box):
     return S - delta / 2
 
 
-def run_modification(env, spec, y, xi_N, mode="bounded", lam=None, box=None, alpha=None):
+def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     """Full experiment: check, solve, raise the eligible edges, solve again, verify.
 
     ``bounded`` mode uses lam = S - delta/2 and requires a finite support
     supremum with mean t_e <= S - 2 delta; ``unbounded`` mode takes a caller
     lambda.  Every parameter is checked before the first solve.
+
+    The geometry follows from (theta, N, M): the target is the level
+    alpha = N + max(N // 2, 8), and the box spans [-max(8, N // 3), alpha]
+    along theta's main axis (its largest |theta_i|) and ceil(M) + 4 on each
+    side of 0 along every other axis, widened to hold y and xi_N.
     """
     y, xi = (tuple(int(c) for c in p) for p in (y, xi_N))
-    if alpha is None:
-        alpha = spec.N + max(spec.N // 2, 8)
-    if box is None:
-        margin = int(math.ceil(spec.M)) + 4
-        lo, hi = [-margin] * env.dim, [margin] * env.dim
-        axis = int(np.argmax(np.abs(spec.theta)))
-        lo[axis] = -max(8, spec.N // 3)
-        hi[axis] = int(alpha)
-        # off-axis theta can put y or xi_N outside the slab around the main axis
-        box = Box(tuple(map(min, lo, y, xi)), tuple(map(max, hi, y, xi)))
-    lam = _checked_lambda(env, spec, y, xi, mode, lam, box)
+    lam = _checked_lambda(env, spec, y, xi, mode, lam)
+    alpha = spec.N + max(spec.N // 2, 8)
+    margin = int(math.ceil(spec.M)) + 4
+    lo, hi = [-margin] * env.dim, [margin] * env.dim
+    axis = int(np.argmax(np.abs(spec.theta)))
+    lo[axis] = -max(8, spec.N // 3)
+    hi[axis] = alpha
+    # off-axis theta can put y or xi_N outside the slab around the main axis
+    box = Box(tuple(map(min, lo, y, xi)), tuple(map(max, hi, y, xi)))
 
     target = HyperplaneTarget(spec.theta, alpha)
     g = solve(env, box, target)

@@ -43,4 +43,4 @@ def fixture_env(seed, bridge=False):
 
 def run_fixture(env, **kwargs):
     """``run_modification`` of the fixture geometry under ``env``."""
-    return run_modification(env, SPEC, Y, XI, box=BOX, alpha=ALPHA, **kwargs)
+    return run_modification(env, SPEC, Y, XI, **kwargs)

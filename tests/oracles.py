@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from fppgeo.environment import DistributionSpec, WeightEnvironment, override_edges, uniform
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, axis_weights, solve, successor_forest
+from fppgeo.geodesics import (DistanceField, HyperplaneTarget, _neighbor_table, axis_weights,
+                              solve, successor_forest)
 
 
 def neighbors(v):
@@ -516,6 +517,18 @@ def target_field(env, box, target):
     if isinstance(target, HyperplaneTarget):
         return solve(env, box, target)
     return point_field(env, box, target)
+
+
+def successor_margin(field):
+    """Gap between best and second-best successor candidate per non-target vertex.
+
+    Near-zero gaps indicate distribution atoms or hash defects; under
+    continuous weights the successor is a.s. unique.
+    """
+    nbr, wt = _neighbor_table(field.box, axis_weights(field.env, field.box))
+    keep = ~field.target_mask
+    part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
+    return part[:, 1] - part[:, 0]
 
 
 def truncate(g, inner):

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from fppgeo.analysis import (_max_pairwise_l1, backward_tail, build_torus_graph,
                              crossing_counts, direction_grid, estimate_busemann_vector,
                              estimate_shape, intersection_radii, mass_transport_balance,
-                             padded_solve_box)
+                             padded_solve_box, required_pad)
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph, components
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve, target_mask
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, passage_times, solve, target_mask
 from fppgeo.lattice import Box, is_integer_direction
 
 from oracles import (max_pairwise_l1_scan, override_box, point_field, unit_environment,
@@ -31,9 +31,9 @@ def test_direction_grid_shapes():
 
 def test_estimate_shape_unit_weights_exact():
     r = 12
-    box = Box.cube(r + 16, 2)
+    box = Box.cube(r + 16, 2)      # the padded solve box of the points' hull [-12, 12]^2
     env = unit_environment(2, box, seed=0)
-    est = estimate_shape(env, r, n_seeds=2, n_directions=16, box=box)
+    est = estimate_shape(env, r, n_seeds=2, n_directions=16)
     l1 = np.abs(est.eval_points).sum(axis=1)
     assert np.array_equal(est.T_samples[0], l1.astype(float))
     assert np.array_equal(est.g_hat * r, l1.astype(float))
@@ -41,34 +41,41 @@ def test_estimate_shape_unit_weights_exact():
 
 @st.composite
 def shape_problems(draw):
-    """An environment, a radius, directions, and the solve box of a shape
-    estimate: either the padded box (given as None) or a box the caller
-    passes, padded unevenly."""
+    """An environment, a radius, directions, whether the solve box is padded
+    unevenly, and that box: else it is the padded box of ``estimate_shape``."""
     dim = draw(st.integers(2, 3))
     r = draw(st.integers(1, 8 if dim == 2 else 2))
     directions = direction_grid(dim, draw(st.integers(1, 8)))
     points = np.floor(r * directions).astype(np.int64)
     window = Box.hull(np.vstack([np.zeros((1, dim), dtype=np.int64), points]))
-    box = given = None
-    if draw(st.booleans()):
-        box = given = Box(tuple(l - 16 - draw(st.integers(0, 3)) for l in window.lower),
-                          tuple(u + 16 + draw(st.integers(0, 3)) for u in window.upper))
+    uneven = draw(st.booleans())
+    if uneven:
+        box = Box(tuple(l - 16 - draw(st.integers(0, 3)) for l in window.lower),
+                  tuple(u + 16 + draw(st.integers(0, 3)) for u in window.upper))
     else:
         box = padded_solve_box(window)
     env = weight_environment(draw(st.sampled_from(["uniform", "exponential", "unit"])),
                              dim, draw(st.integers(0, 2 ** 16)), box)
-    return env, r, directions, given, box
+    return env, r, directions, uneven, box
 
 
 @settings(max_examples=20, deadline=None)
 @given(shape_problems())
 def test_estimate_shape_equals_full_solves(problem):
-    env, r, directions, given, box = problem
-    est = estimate_shape(env, r, n_seeds=2, directions=directions, box=given)
-    idx = box.indices_of(est.eval_points)
-    for k, row in enumerate(est.T_samples):
-        field = point_field(replace(env, seed=env.seed + k), box, (0,) * env.dim)
-        assert np.array_equal(row, field.T[idx])
+    env, r, directions, uneven, box = problem
+    points = np.floor(r * directions).astype(np.int64)
+    origin = (0,) * env.dim
+    seeds = [replace(env, seed=env.seed + k) for k in range(2)]
+    if uneven:
+        # the bounded Dijkstra of estimate_shape, in a box it does not pick
+        samples = [passage_times(e, box, origin, points) for e in seeds]
+    else:
+        est = estimate_shape(env, r, n_seeds=2, directions=directions)
+        assert np.array_equal(est.eval_points, points)
+        samples = est.T_samples
+    idx = box.indices_of(points)
+    for e, row in zip(seeds, samples):
+        assert np.array_equal(row, point_field(e, box, origin).T[idx])
 
 
 def test_estimate_shape_lattice_symmetry():
@@ -90,9 +97,13 @@ def test_estimate_shape_mean_bound_small_scale():
 
 
 def test_estimate_shape_box_too_small():
+    """The padded-region raise: the hull of radius-40 points in a box of
+    radius 42, which ``estimate_shape`` no longer accepts, still raises where
+    a window is checked."""
     env = WeightEnvironment(2, uniform(0, 1), 0)
-    with pytest.raises(ValueError):
-        estimate_shape(env, 40, n_seeds=1, n_directions=8, box=Box.cube(42, 2))
+    g = build_graph(solve(env, Box.cube(42, 2), HyperplaneTarget((1, 0), 40)))
+    with pytest.raises(ValueError, match="padded region"):
+        backward_tail(g, Box.cube(40, 2))
 
 
 def test_shape_estimate_moments_and_rows():
@@ -222,8 +233,10 @@ def test_backward_tail_window_precondition():
     box = Box.cube(40, 2)
     env = WeightEnvironment(2, uniform(0, 1), 3)
     g = build_graph(solve(env, box, HyperplaneTarget((1, 0), 15)))
-    with pytest.raises(ValueError):
-        backward_tail(g, Box.cube(39, 2))
+    backward_tail(g, box.shrink(required_pad(box)))
+    for window in (Box.cube(39, 2), Box.cube(21, 2)):
+        with pytest.raises(ValueError, match="padded region"):
+            backward_tail(g, window)
 
 
 def test_intersection_radii_trivial_and_bounded():

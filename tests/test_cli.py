@@ -230,6 +230,35 @@ def test_jobs_parallel_identical_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_jobs_start_at_most_one_worker_per_task(tmp_path, monkeypatch):
+    seen = []
+
+    class SerialPool:
+        """Stands in for the process pool: records its size, maps in this process."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, task, arglist):
+            return map(task, arglist)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    args = ["radii", *_D2, "--box", "41", "--theta", "1,1", "--alpha", "10", "--levels", "0,2",
+            "--seed", "5", "--seeds", "2"]
+    a, b = tmp_path / "j1.csv", tmp_path / "many.csv"
+    assert run_cli(args + ["--out", str(a), "--jobs", "1"]) == 0
+    assert seen == []
+    assert run_cli(args + ["--out", str(b), "--jobs", "1000000"]) == 0
+    assert seen == [2]
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_export_csv_empty_report(tmp_path):
     p = tmp_path / "empty.csv"
     export_csv(p, ("metric", "seed", "param", "value"), [])

@@ -7,12 +7,11 @@ from fppgeo import geodesics
 from fppgeo.analysis import estimate_shape
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import forward_path
-from fppgeo.geodesics import (HyperplaneTarget, _shortest_paths, axis_weights, passage_times,
-                              solve, successor_margin)
+from fppgeo.geodesics import HyperplaneTarget, _shortest_paths, axis_weights, passage_times, solve
 from fppgeo.lattice import Box
 
 from oracles import (bellman_ford, min_simple_path_weight, path_weight, point_field,
-                     unit_environment, weight_environment)
+                     successor_margin, unit_environment, weight_environment)
 
 
 def passage_time(f, x):

@@ -219,6 +219,13 @@ def test_strip_without_edges_raises_nothing():
     assert out.edge_set.shape == (0, 2, 2)
 
 
+def test_fixture_geometry_is_the_derived_one():
+    # fixture_env places its corridor, highways and walls for this box and level
+    g = fx.run_fixture(fx.fixture_env(0)).g
+    assert g.box == fx.BOX
+    assert g.target.level == fx.ALPHA
+
+
 def test_event_passes_on_engineered_fixture():
     for seed in range(5):
         rep = fx.run_fixture(fx.fixture_env(seed)).event
@@ -257,16 +264,14 @@ def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
     ("y", _UNIFORM, fx.SPEC, (1, 1), fx.XI, {}),                  # off level 0
     ("xi", _UNIFORM, fx.SPEC, fx.Y, (fx.N - 1, 0), {}),           # off level N
     ("y", _UNIFORM, fx.SPEC, (0, 9), fx.XI, {}),                  # |y|_1 > M'
-    ("y", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"box": Box((-8, 2), (36, 16))}),
-    ("xi", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"box": Box((-8, -16), (20, 16))}),
     ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded"}),
     ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded", "lam": -1.0}),
     ("mode", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "sideways"}),
     ("distribution", WeightEnvironment(2, parse_dist("exponential:1"), 0), fx.SPEC, fx.Y,
      fx.XI, {}),
     ("delta", _UNIFORM, _spec(delta=0.3), fx.Y, fx.XI, {}),      # mean 0.5 > S - 2 delta
-], ids=["M", "M_prime", "epsilon", "delta", "y-level", "xi-level", "y-l1", "y-box", "xi-box",
-        "lam-missing", "lam-negative", "mode", "distribution", "delta-bounded"])
+], ids=["M", "M_prime", "epsilon", "delta", "y-level", "xi-level", "y-l1", "lam-missing",
+        "lam-negative", "mode", "distribution", "delta-bounded"])
 def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y, xi, kwargs):
     calls = []
 
@@ -284,8 +289,7 @@ def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y
 
 def test_run_modification_lambda_and_weights():
     env = fx.fixture_env(1)
-    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                           box=fx.BOX, alpha=fx.ALPHA)
+    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded")
     assert out.lam == pytest.approx(0.95)
     env_mod = with_overrides(env, out.edge_set, out.lam)
     for e in out.edge_set[::17]:
@@ -294,8 +298,7 @@ def test_run_modification_lambda_and_weights():
 
 def test_run_modification_low_lambda_identity():
     env = fx.fixture_env(2)
-    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="unbounded", lam=0.0,
-                           box=fx.BOX, alpha=fx.ALPHA)
+    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="unbounded", lam=0.0)
     assert graph_summary(out.g) == graph_summary(out.g_mod)
 
 
@@ -314,8 +317,7 @@ def test_run_modification_default_box_contains_y_and_xi():
 def test_severing_on_fixture_true_with_margin():
     for seed in range(5):
         env = fx.fixture_env(seed)
-        out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                               box=fx.BOX, alpha=fx.ALPHA)
+        out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded")
         assert out.event.passed
         assert out.severed
         assert out.verdict.bound_value == pytest.approx(0.925 * fx.N)
@@ -323,8 +325,7 @@ def test_severing_on_fixture_true_with_margin():
 
 def test_severing_false_on_bridge_fixture_with_witness():
     env = fx.fixture_env(0, bridge=True)
-    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                           box=fx.BOX, alpha=fx.ALPHA)
+    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded")
     assert not out.event.passed
     assert not out.severed
     assert out.verdict.witness is not None
@@ -339,8 +340,7 @@ def test_severing_false_on_bridge_fixture_with_witness():
 def test_progenitor_of_severed_component_above_zero():
     # when severing holds, every vertex reaching the xi path sits at level > 0
     env = fx.fixture_env(3)
-    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                           box=fx.BOX, alpha=fx.ALPHA)
+    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded")
     assert out.severed
     env_mod = with_overrides(env, out.edge_set, out.lam)
     field_mod = solve(env_mod, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))
@@ -371,8 +371,7 @@ def test_monotone_severing_with_pinned_reference():
 def test_xi_segment_passage_time_bound():
     # every path segment inside the raised set costs at least lambda per edge
     env = fx.fixture_env(4)
-    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded",
-                           box=fx.BOX, alpha=fx.ALPHA)
+    out = run_modification(env, fx.SPEC, fx.Y, fx.XI, mode="bounded")
     env_mod = with_overrides(env, out.edge_set, out.lam)
     edge_set = {tuple(map(tuple, e)) for e in out.edge_set.tolist()}
     field_mod = solve(env_mod, fx.BOX, HyperplaneTarget((1, 0), fx.ALPHA))

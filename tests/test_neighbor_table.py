@@ -1,9 +1,9 @@
 """Oracle tests of the neighbor-table successor rule and the lazy forest derivatives.
 
-``successor_forest`` and ``successor_margin`` read one (n, 2d) neighbor
-table; here every vertex is checked against a scan of ``oracles.neighbors``
-in the tie order -e1 < ... < -ed < +ed < ... < +e1, under weights 1 and 2
-so that ties are common.  ``Box.boundary_mask`` is checked against the
+``successor_forest`` and the oracle ``oracles.successor_margin`` read one
+(n, 2d) neighbor table; here every vertex is checked against a scan of
+``oracles.neighbors`` in the tie order -e1 < ... < -ed < +ed < ... < +e1,
+under weights 1 and 2 so that ties are common.  ``Box.boundary_mask`` is checked against the
 coordinate comparison it replaced.
 """
 
@@ -14,11 +14,10 @@ from hypothesis import strategies as st
 
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.geodesic_graph import forward_orbit, forward_path
-from fppgeo.geodesics import (DistanceField, HyperplaneTarget, axis_weights, successor_forest,
-                              successor_margin)
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, axis_weights, successor_forest
 from fppgeo.lattice import Box
 
-from oracles import neighbors, target_field
+from oracles import neighbors, successor_margin, target_field
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
