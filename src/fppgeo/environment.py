@@ -11,7 +11,13 @@ only the final fold and the seed mix run once per edge.  A finite override
 table, the sorted ids of the overridden edges and their exact weights, takes
 precedence over the hash; ``override_edges`` is its one writer, and
 ``edge_arrays`` turns the endpoint pairs of callers into the (min endpoint,
-axis) form.
+axis) form.  The table is keyed by edge id, and ids can repeat in d >= 3,
+so an override there also sets every other edge that shares its id.
+
+``with_overrides`` (an upward raise through the table) is public but off
+the run path: ``modification.run_modification`` hashes its box once and
+raises its strip in copies of the solve's own weight arrays, at the places
+of the eligible edges themselves, not by id.
 """
 
 from __future__ import annotations

@@ -12,7 +12,10 @@ of the grid, or by ``np.roll`` on a torus.  Its slots run in the direction
 order -e1 < -e2 < ... < -ed < +ed < ... < +e1.  Dijkstra reads that table
 as a fixed-degree CSR graph, and the successor of x is the first slot with
 the least weight(x, y) + T(y), so ties break by that direction order.  On a
-plain box that is the lexicographically smallest tied neighbor.
+plain box that is the lexicographically smallest tied neighbor.  ``solve``
+is ``axis_weights`` followed by ``successor_forest``; a caller that edits
+the weight arrays between the two (the strip raise of ``modification``)
+calls them itself.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -24,14 +27,16 @@ with T <= L the value of the unbounded one, so the points' times are exact.
 
 ``DistanceField`` is the only record of a successor forest: the geodesic
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
-distance fields.  ``fold_chains`` (a reduction along every successor chain
-by pointer doubling) is, with ``DistanceField.generations``, the traversal
-core of the forest.  A field derives its generations on first read, from
-one breadth-first pass down the forest.  ``DistanceField.hops`` stays a
-pointer-doubling fold on purpose: the two traversals are independent, so
-each checks the other (the backward-cluster sizes from the generations sum
-to the chain lengths from the hops).  The forest statistics, the forward
-paths and the ``graph.csv`` writer are in ``geodesic_graph``.
+distance fields.  A field holds no weight environment, so it cannot name
+weights it was not solved with.  ``fold_chains`` (a reduction along every
+successor chain by pointer doubling) is, with ``DistanceField.generations``,
+the traversal core of the forest.  A field derives its generations on first
+read, from one breadth-first pass down the forest.  ``DistanceField.hops``
+stays a pointer-doubling fold on purpose: the two traversals are
+independent, so each checks the other (the backward-cluster sizes from the
+generations sum to the chain lengths from the hops).  The forest
+statistics, the forward paths and the ``graph.csv`` writer are in
+``geodesic_graph``.
 """
 
 from __future__ import annotations
@@ -97,12 +102,13 @@ class DistanceField:
 
     The forest has one optional out-edge per vertex, to ``succ`` (-1 on
     target vertices and wherever a chain was cut).  ``generations`` are
-    derived from ``succ`` on first read and cached.
+    derived from ``succ`` on first read and cached.  A field names no
+    weight environment: the weights it was solved with may be hashed ones
+    or raised copies of them (``modification.run_modification``).
     """
 
     box: Box
     target: object
-    env: object
     T: np.ndarray
     succ: np.ndarray
     target_mask: np.ndarray
@@ -253,8 +259,11 @@ def successor_forest(box, weights, tmask):
     ``weights`` holds the per-axis edge weights in the C order of the open
     grid of tails, as returned by ``axis_weights``, and ``tmask`` is a mask
     over the vertices in C order.  Returns ``(T, succ)`` with succ = -1 on
-    target vertices.
+    target vertices.  An empty mask raises ``ParameterError`` named ``level``.
     """
+    if not tmask.any():
+        where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
+        raise ParameterError("level", f"no target vertex {where}")
     n = box.n_vertices
     T, nbr, wt = _shortest_paths(box, weights, np.flatnonzero(tmask))
     wt += T[nbr]        # in place: weight(x, y) + T(y) per slot
@@ -283,11 +292,8 @@ def solve(env, box, target):
     not strictly positive and finite (zero-weight regimes are unsupported).
     """
     tmask = target_mask(target, box)
-    if not tmask.any():
-        where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
-        raise ParameterError("level", f"no target vertex {where}")
     T, succ = successor_forest(box, axis_weights(env, box), tmask)
-    return DistanceField(box=box, target=target, env=env, T=T, succ=succ, target_mask=tmask)
+    return DistanceField(box=box, target=target, T=T, succ=succ, target_mask=tmask)
 
 
 def passage_times(env, box, source, points):

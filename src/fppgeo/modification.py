@@ -7,9 +7,12 @@
    the marked vertex xi_N are computed once each.  The event check reads the
    two paths and the orbit; the eligible edges are the strip edges off the
    kept mask, the orbit and the path of y.
-3. The eligible edges are raised and the graph solved again; no geodesic
-   started at or behind the zero-level hyperplane may reach the forward
-   path of xi_N, and a failure names its witness and its strip crossing.
+3. The box is hashed once (``axis_weights``).  The first solve reads those
+   arrays; the second reads copies with max(w, lambda) at the eligible
+   edges alone, each found at its tail's place in its axis's grid of tails.
+   On the raised graph no geodesic started at or behind the zero-level
+   hyperplane may reach the forward path of xi_N, and a failure names its
+   witness and its strip crossing.
 
 Real-point conditions on embedded edges are decided with exact integer
 arithmetic: a unit segment crosses an integer-normal hyperplane at a
@@ -26,9 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .environment import with_overrides
 from .geodesic_graph import forward_orbit, forward_path
-from .geodesics import DistanceField, HyperplaneTarget, ParameterError, fold_chains, solve
+from .geodesics import (DistanceField, HyperplaneTarget, ParameterError, axis_weights,
+                        fold_chains, successor_forest, target_mask)
 from .lattice import Box, is_integer_direction
 
 
@@ -183,9 +186,10 @@ class EventReport:
                 and self.speed_bound and self.protected_disjoint)
 
 
-def check_event_A2prime(g, spec, y_path, xi_path, orbit):
+def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
     """Evaluate the event conditions on the finite graph, from the forward
-    paths of y and xi_N (vertex indices) and the mask of the protected orbit."""
+    paths of y and xi_N (vertex indices), the mask of the protected orbit and
+    the support supremum S of the weights (inf: no speed bound)."""
     theta = np.asarray(spec.theta, dtype=np.int64)
     box = g.box
     coords = box.coords()
@@ -205,7 +209,6 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit):
     if not near.any():
         wit["y_never_near"] = True
 
-    S = g.env.spec.sup_support()
     speed_bound = True                              # vacuous in unbounded mode
     if not math.isinf(S):
         Ty = g.T[y_path[0]] - g.T[y_path]           # passage time from y along its path
@@ -264,15 +267,15 @@ def _strip_crossing(dots, N):
     return k1, int(at_N[0]) if at_N.size else len(dots) - 1
 
 
-def verify_severing(g_mod, spec, xi_N):
+def verify_severing(g_mod, spec, xi_N, S):
     """True iff no z at level <= 0 has a forward path meeting the path of xi_N.
 
     On failure, reports the lexicographically smallest witness z together
     with its strip-crossing segment (v1, v2) and that segment's passage time
-    for comparison against the severing bound.
+    for comparison against the severing bound, which needs a finite support
+    supremum S.
     """
     box = g_mod.box
-    S = g_mod.env.spec.sup_support()
     bound_value = None if math.isinf(S) else (S - 0.75 * spec.delta) * sum(map(abs, xi_N))
 
     violators = violating_sources(g_mod, spec, xi_N)
@@ -307,8 +310,9 @@ class ModificationOutcome:
 def _checked_lambda(env, spec, y, xi, mode, lam):
     """The lambda of the raise; ``ParameterError`` on the first parameter out of
     its range (the weight distribution is named ``distribution``)."""
-    if not spec.M > 0:
-        raise ParameterError("M", f"M = {spec.M:g} at N = {spec.N} must be positive")
+    if not 0 < spec.M < math.inf:
+        need = "finite" if spec.M > 0 else "positive"
+        raise ParameterError("M", f"M = {spec.M:g} at N = {spec.N} must be {need}")
     for name in ("M_prime", "epsilon", "delta"):
         if not getattr(spec, name) > 0:
             raise ParameterError(name, f"must be positive, got {getattr(spec, name)}")
@@ -320,8 +324,8 @@ def _checked_lambda(env, spec, y, xi, mode, lam):
     if mode == "unbounded":
         if lam is None:
             raise ParameterError("lam", "unbounded mode needs a lambda")
-        if not lam >= 0:
-            raise ParameterError("lam", f"must be nonnegative, got {lam}")
+        if not 0 <= lam < math.inf:
+            raise ParameterError("lam", f"must be finite and nonnegative, got {lam}")
         return lam
     if mode != "bounded":
         raise ParameterError("mode", f"unknown mode {mode!r}")
@@ -334,6 +338,27 @@ def _checked_lambda(env, spec, y, xi, mode, lam):
         raise ParameterError("delta", f"{delta:g} is too large for bounded mode: the mean "
                                       f"{dist.mean():g} exceeds S - 2 delta = {S - 2 * delta:g}")
     return S - delta / 2
+
+
+def _raised_weights(box, weights, edges, lam):
+    """Copies of the per-axis ``weights`` of the plain box ``box`` (as from
+    ``axis_weights``) with max(w, lam) on the rows (tail, tail + e_axis) of
+    ``edges`` and on no other edge.
+
+    A row's weight sits at its tail's flat index in the C order of its axis's
+    grid of tails: the box grid one shorter along that axis.
+    """
+    tails = edges[:, 0] - np.asarray(box.lower, dtype=np.int64)
+    axes = np.argmax(edges[:, 1] - edges[:, 0], axis=1)
+    out = []
+    for axis, w in enumerate(weights):
+        grid = list(box.shape)
+        grid[axis] -= 1
+        pos = np.ravel_multi_index(tuple(tails[axes == axis].T), grid)
+        w = w.copy()
+        w[pos] = np.maximum(w[pos], lam)
+        out.append(w)
+    return out
 
 
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
@@ -360,16 +385,20 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     box = Box(tuple(map(min, lo, y, xi)), tuple(map(max, hi, y, xi)))
 
     target = HyperplaneTarget(spec.theta, alpha)
-    g = solve(env, box, target)
+    tmask = target_mask(target, box)
+    weights = axis_weights(env, box)
+    g = DistanceField(box, target, *successor_forest(box, weights, tmask), tmask)
     orbit = forward_orbit(g, protected_vertices(box, spec, xi))
     y_path, xi_path = forward_path(g, y), forward_path(g, xi)
     kept = orbit.copy()
     kept[y_path] = True
     xi_edges = eligible_edges(g, spec, kept)
-    event = check_event_A2prime(g, spec, y_path, xi_path, orbit)
+    S = env.spec.sup_support()
+    event = check_event_A2prime(g, spec, y_path, xi_path, orbit, S)
 
-    g_mod = solve(with_overrides(env, xi_edges, lam), box, target)
-    verdict = verify_severing(g_mod, spec, xi)
+    raised = _raised_weights(box, weights, xi_edges, lam)
+    g_mod = DistanceField(box, target, *successor_forest(box, raised, tmask), tmask)
+    verdict = verify_severing(g_mod, spec, xi, S)
 
     return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
                                verdict=verdict, g=g, g_mod=g_mod)

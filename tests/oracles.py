@@ -509,7 +509,7 @@ def point_field(env, box, p):
     mask = np.zeros(box.n_vertices, dtype=bool)
     mask[box.index_of(p)] = True
     T, succ = successor_forest(box, axis_weights(env, box), mask)
-    return DistanceField(box=box, target=tuple(p), env=env, T=T, succ=succ, target_mask=mask)
+    return DistanceField(box=box, target=tuple(p), T=T, succ=succ, target_mask=mask)
 
 
 def target_field(env, box, target):
@@ -519,13 +519,14 @@ def target_field(env, box, target):
     return point_field(env, box, target)
 
 
-def successor_margin(field):
-    """Gap between best and second-best successor candidate per non-target vertex.
+def successor_margin(env, field):
+    """Gap between best and second-best successor candidate per non-target vertex
+    of ``field``, solved under ``env``.
 
     Near-zero gaps indicate distribution atoms or hash defects; under
     continuous weights the successor is a.s. unique.
     """
-    nbr, wt = _neighbor_table(field.box, axis_weights(field.env, field.box))
+    nbr, wt = _neighbor_table(field.box, axis_weights(env, field.box))
     keep = ~field.target_mask
     part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
     return part[:, 1] - part[:, 0]

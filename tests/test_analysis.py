@@ -341,7 +341,7 @@ def _manual_torus(dims, succ_pairs, targets):
     for t in targets:
         tmask[idx(t)] = True
     box = Box((0, 0), tuple(L - 1 for L in dims), periodic=True)
-    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
+    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), T=T,
                          succ=succ, target_mask=tmask)
 
 

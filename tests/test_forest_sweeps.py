@@ -76,7 +76,7 @@ def branching_forests(draw):
 def _graph_on(box, succ):
     n = box.n_vertices
     return DistanceField(box=box, target=HyperplaneTarget((1,) + (0,) * (box.dim - 1), 0),
-                         env=None, T=np.zeros(n), succ=succ, target_mask=succ < 0)
+                         T=np.zeros(n), succ=succ, target_mask=succ < 0)
 
 
 FORESTS = st.one_of(forests(), branching_forests())

@@ -247,7 +247,7 @@ def _manual_graph(box, succ_pairs, target):
                 changed = True
     tmask = np.zeros(n, dtype=bool)
     tmask[box.index_of(target)] = True
-    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None, T=T,
+    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), T=T,
                          succ=succ, target_mask=tmask)
 
 

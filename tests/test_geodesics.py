@@ -141,7 +141,7 @@ def test_successor_uniqueness_surrogate():
     for seed in range(1000):
         env = WeightEnvironment(2, uniform(0, 1), seed)
         f = point_field(env, box, (0, 0))
-        worst = min(worst, successor_margin(f).min())
+        worst = min(worst, successor_margin(env, f).min())
     assert worst > 1e-12
 
 

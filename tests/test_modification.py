@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +10,13 @@ from fppgeo import modification
 from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_overrides
 from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
-from fppgeo.lattice import Box, is_integer_direction
+from fppgeo.lattice import Box, is_integer_direction, lattice_point_on_level
 from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, in_strip,
                                  protected_vertices, run_modification, verify_severing)
 
-from oracles import (eligible_edges_scan, first_attainment, last_attainment, neighbors,
-                     protected_vertices_exact, reverse_reachable, sort_by_order, strip_scan,
-                     unit_environment)
+from oracles import (axis_edges, eligible_edges_scan, first_attainment, last_attainment,
+                     neighbor_table, neighbors, per_edge_weights, protected_vertices_exact,
+                     reverse_reachable, sort_by_order, strip_scan, unit_environment)
 
 
 def strip_list(spec, box):
@@ -200,7 +202,7 @@ def eligible_cases(draw):
 @given(eligible_cases())
 def test_eligible_edges_match_per_edge_scan(case):
     box, spec, succ, kept = case
-    g = DistanceField(box=box, target=None, env=None, T=np.zeros(box.n_vertices), succ=succ,
+    g = DistanceField(box=box, target=None, T=np.zeros(box.n_vertices), succ=succ,
                       target_mask=succ < 0)
     edges = eligible_edges(g, spec, kept)
     assert edges.dtype == np.int64 and edges.shape[1:] == (2, box.dim)
@@ -258,6 +260,8 @@ def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
 
 @pytest.mark.parametrize("name, env, spec, y, xi, kwargs", [
     ("M", _UNIFORM, _spec(M=0.0), fx.Y, fx.XI, {}),
+    ("M", _UNIFORM, _spec(M=math.inf), fx.Y, fx.XI, {}),
+    ("M", _UNIFORM, _spec(M=math.nan), fx.Y, fx.XI, {}),
     ("M_prime", _UNIFORM, _spec(M_prime=0), (0, 0), fx.XI, {}),
     ("epsilon", _UNIFORM, _spec(epsilon=0.0), fx.Y, fx.XI, {}),
     ("delta", _UNIFORM, _spec(delta=-0.1), fx.Y, fx.XI, {}),
@@ -266,25 +270,95 @@ def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
     ("y", _UNIFORM, fx.SPEC, (0, 9), fx.XI, {}),                  # |y|_1 > M'
     ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded"}),
     ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded", "lam": -1.0}),
+    ("lam", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "unbounded", "lam": math.inf}),
     ("mode", _UNIFORM, fx.SPEC, fx.Y, fx.XI, {"mode": "sideways"}),
     ("distribution", WeightEnvironment(2, parse_dist("exponential:1"), 0), fx.SPEC, fx.Y,
      fx.XI, {}),
     ("delta", _UNIFORM, _spec(delta=0.3), fx.Y, fx.XI, {}),      # mean 0.5 > S - 2 delta
-], ids=["M", "M_prime", "epsilon", "delta", "y-level", "xi-level", "y-l1", "lam-missing",
-        "lam-negative", "mode", "distribution", "delta-bounded"])
+], ids=["M", "M-inf", "M-nan", "M_prime", "epsilon", "delta", "y-level", "xi-level", "y-l1",
+        "lam-missing", "lam-negative", "lam-inf", "mode", "distribution", "delta-bounded"])
 def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y, xi, kwargs):
     calls = []
+    for attr in ("axis_weights", "successor_forest"):      # the hash and the solve of the run
+        def counting(*args, fn=getattr(modification, attr)):
+            calls.append(args)
+            return fn(*args)
 
-    def counting_solve(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(modification, "solve", counting_solve)
+        monkeypatch.setattr(modification, attr, counting)
     with pytest.raises(ParameterError) as exc:
         run_modification(env, spec, y, xi, **kwargs)
     assert exc.value.name == name
     assert str(exc.value).startswith(f"{name}: ")
     assert calls == []
+
+
+def test_run_modification_hashes_the_box_once(monkeypatch):
+    hashed = []
+    edge_weights = WeightEnvironment.edge_weights
+
+    def counting(self, *args):
+        w = edge_weights(self, *args)
+        hashed.append(len(w))
+        return w
+
+    monkeypatch.setattr(WeightEnvironment, "edge_weights", counting)
+    out = fx.run_fixture(fx.fixture_env(0))
+    assert len(out.edge_set) > 0
+    # one open-grid hash per axis, each edge of the box once: no second solve's
+    # hash and no per-row hash of the raised edges
+    lengths = [fx.BOX.n_vertices // side * (side - 1) for side in fx.BOX.shape]
+    assert hashed == lengths
+
+
+_DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(1, 30), st.sampled_from(_DIRECTIONS_2D),
+       st.sampled_from([0.5, 1.0, 2.5, None]),
+       st.sampled_from([("bounded", None), ("unbounded", 0.0), ("unbounded", 0.3)]))
+def test_raise_equals_a_solve_under_the_override_table_2d(seed, N, theta, M, mode):
+    # in 2-d edge ids do not repeat, so the override table raises exactly the
+    # eligible edges, and the solve under it is the raise's oracle bit for bit
+    env = WeightEnvironment(2, uniform(0, 1), seed)
+    M = 0.25 * N + 1 if M is None else M
+    y = (-theta[1], theta[0])
+    spec = StripSpec(theta, N, M, sum(map(abs, y)) + 2, 0.1, 0.1)
+    out = run_modification(env, spec, y, lattice_point_on_level(theta, N), mode=mode[0],
+                           lam=mode[1])
+    expect = solve(with_overrides(env, out.edge_set, out.lam), out.g.box, out.g.target)
+    assert out.g_mod.T.tobytes() == expect.T.tobytes()
+    assert out.g_mod.succ.tobytes() == expect.succ.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2 ** 16), st.integers(2, 10), st.sampled_from([(1, 0, 0), (1, 1, 0),
+                                                                     (0, 1, -1), (1, 1, 1)]),
+       st.sampled_from([0.5, 1.0, 2.0]))
+def test_raise_touches_only_the_eligible_edges_3d(seed, N, theta, M):
+    # in d >= 3 edge ids repeat, so no override table is an oracle here; the
+    # raised weights are built edge by edge, and the raised field must solve
+    # the Bellman equations under them exactly
+    env = WeightEnvironment(3, uniform(0, 1), seed)
+    y = (-theta[1], theta[0], 0)
+    spec = StripSpec(theta, N, M, sum(map(abs, y)) + 2, 0.1, 0.1)
+    out = run_modification(env, spec, y, lattice_point_on_level(theta, N))
+    g = out.g_mod
+    box = g.box
+    edges = axis_edges(box)
+    weights = per_edge_weights(env, box)
+    rows = out.edge_set
+    axes = np.argmax(rows[:, 1] - rows[:, 0], axis=1)
+    for axis, ((tails, _), w) in enumerate(zip(edges, weights)):
+        at = np.searchsorted(tails, box.indices_of(rows[axes == axis, 0]))
+        w[at] = np.maximum(w[at], out.lam)
+    nbr, wt = neighbor_table(edges, weights, box.n_vertices)
+    x = np.flatnonzero(~g.target_mask)
+    cost = wt[x] + g.T[nbr[x]]
+    assert (g.T[g.target_mask] == 0).all()
+    slot = cost.argmin(axis=1)          # the first least slot is the successor's
+    assert (nbr[x, slot] == g.succ[x]).all()
+    assert (g.T[x] == cost[np.arange(len(x)), slot]).all()      # T(x) = w'(x, succ x) + T(succ x)
 
 
 def test_run_modification_lambda_and_weights():
@@ -405,11 +479,10 @@ def test_severing_crossing_matches_attainment_oracles(levels, N):
     chain = box.indices_of(list(enumerate(levels)))
     succ = np.full(box.n_vertices, -1)
     succ[chain[:-1]] = chain[1:]
-    g = DistanceField(box=box, target=HyperplaneTarget((0, 1), N),
-                      env=WeightEnvironment(2, uniform(0, 1), 0), T=np.zeros(box.n_vertices),
+    g = DistanceField(box=box, target=HyperplaneTarget((0, 1), N), T=np.zeros(box.n_vertices),
                       succ=succ, target_mask=succ < 0)
     xi = (len(levels) - 1, levels[-1])
-    verdict = verify_severing(g, StripSpec((0, 1), N, 1.0, 1, 0.1, 0.1), xi)
+    verdict = verify_severing(g, StripSpec((0, 1), N, 1.0, 1, 0.1, 0.1), xi, 1.0)
     low = [k for k, level in enumerate(levels) if level <= 0]
     assert verdict.severed == (not low)
     if not low:

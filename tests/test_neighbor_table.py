@@ -94,7 +94,7 @@ def test_successor_margin_is_gap_of_neighbor_scan(problem):
         costs = sorted(cost for cost, _ in
                        _candidates_in_tie_order(env, box, field.T, box.vertex_at(i)))
         expect.append(costs[1] - costs[0])
-    np.testing.assert_array_equal(successor_margin(field), expect)
+    np.testing.assert_array_equal(successor_margin(env, field), expect)
 
 
 @SETTINGS
@@ -113,7 +113,7 @@ def _two_cycle():
     succ = np.full(box.n_vertices, -1)
     succ[[0, 1]] = [1, 0]
     succ[2] = 1                         # a chain that runs into the cycle
-    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None,
+    return DistanceField(box=box, target=HyperplaneTarget((1, 0), 0),
                          T=np.zeros(box.n_vertices), succ=succ, target_mask=succ < 0)
 
 
@@ -131,6 +131,6 @@ def test_forward_path_runs_a_chain_through_every_vertex():
     # the longest chain of a forest holds all n vertices, and it is no cycle
     box = Box((0, 0), (3, 0))
     succ = np.array([-1, 0, 1, 2])
-    field = DistanceField(box=box, target=HyperplaneTarget((1, 0), 0), env=None,
+    field = DistanceField(box=box, target=HyperplaneTarget((1, 0), 0),
                           T=np.zeros(4), succ=succ, target_mask=succ < 0)
     assert forward_path(field, (3, 0)).tolist() == [3, 2, 1, 0]
