@@ -31,7 +31,9 @@ distance fields.  A field holds no weight environment, so it cannot name
 weights it was not solved with.  ``fold_chains`` (a reduction along every
 successor chain by pointer doubling) is, with ``DistanceField.generations``,
 the traversal core of the forest.  A field derives its generations on first
-read, from one breadth-first pass down the forest.  ``DistanceField.hops``
+read, from one breadth-first pass down the ``reversed_forest`` (the CSR
+matrix of the edges succ -> child); ``modification`` searches the same
+matrix from a single root.  ``DistanceField.hops``
 stays a pointer-doubling fold on purpose: the two traversals are
 independent, so each checks the other (the backward-cluster sizes from the
 generations sum to the chain lengths from the hops).  The forest
@@ -144,20 +146,29 @@ class DistanceField:
         """
         if self._gens is None:
             n = self.n_vertices
-            up = np.where(self.succ < 0, n, self.succ)
-            tree = csr_matrix((np.ones(n), (up, np.arange(n))), shape=(n + 1, n + 1))
+            tree = reversed_forest(self.succ)
             order = breadth_first_order(tree, n, return_predecessors=False)
             if len(order) != n + 1:
                 raise ValueError("successor cycle")
             # the children of order[:i + 1] are order[1:][:reach[i]], so generation
             # k + 1 ends where the children of generation k (and of those before) do
-            reach = np.cumsum(np.bincount(up, minlength=n + 1)[order])
+            reach = np.cumsum(np.diff(tree.indptr)[order])
             ends = [0]
             while ends[-1] < n:
                 ends.append(int(reach[ends[-1]]))
             # intp indices: the sweeps' ufunc.at calls take them without a cast
             self._gens = np.split(order[1:].astype(np.intp), ends[1:-1])
         return self._gens
+
+
+def reversed_forest(succ):
+    """The forest of ``succ`` turned around, as an (n + 1)-square CSR matrix:
+    row x lists the vertices whose successor is x, and row n, above every
+    root, lists the roots.  A breadth-first search from a row visits the
+    vertices whose chains run through it."""
+    n = len(succ)
+    up = np.where(succ < 0, n, succ)
+    return csr_matrix((np.ones(n), (up, np.arange(n))), shape=(n + 1, n + 1))
 
 
 def fold_chains(succ, seed, op):

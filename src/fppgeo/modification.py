@@ -5,19 +5,23 @@
 2. On the original geodesic graph, the protected vertices (whose geodesics
    the raise keeps), their forward orbit and the forward paths of y and of
    the marked vertex xi_N are computed once each.  The event check reads the
-   two paths and the orbit; the eligible edges are the strip edges off the
-   kept mask, the orbit and the path of y.
+   two paths and the orbit.  The eligible edges are the strip edges off the
+   kept mask, the orbit and the path of y: one boolean mask per axis over
+   that axis's grid of tails, from which ``edge_set`` is read once.
 3. The box is hashed once (``axis_weights``).  The first solve reads those
-   arrays; the second reads copies with max(w, lambda) at the eligible
-   edges alone, each found at its tail's place in its axis's grid of tails.
-   On the raised graph no geodesic started at or behind the zero-level
-   hyperplane may reach the forward path of xi_N, and a failure names its
-   witness and its strip crossing.
+   arrays; the second reads copies with max(w, lambda) applied through the
+   masks, which are laid out like the weights.  On the raised graph no
+   geodesic started at or behind the zero-level hyperplane may reach the
+   forward path of xi_N.  In a forest two forward paths meet exactly when
+   they end at one root, so the check is one breadth-first search down the
+   tree of xi_N's root; a failure names its witness and its strip crossing.
 
 Real-point conditions on embedded edges are decided with exact integer
 arithmetic: a unit segment crosses an integer-normal hyperplane at a
 rational parameter k / |step|, so scaling by |step| turns every test into an
-int64 comparison and no floating tolerance is involved.
+int64 comparison and no floating tolerance is involved.  Levels and
+distances are sums over the d coordinate columns: on an (n, d) array a
+reduction along the short last axis costs several times more.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse.csgraph import breadth_first_order
 
 from .geodesic_graph import forward_orbit, forward_path
 from .geodesics import (DistanceField, HyperplaneTarget, ParameterError, axis_weights,
-                        fold_chains, successor_forest, target_mask)
+                        reversed_forest, successor_forest, target_mask)
 from .lattice import Box, is_integer_direction
 
 
@@ -55,36 +60,45 @@ class StripSpec:
             raise ValueError("N >= 1 required")
 
 
+def _levels(columns, theta):
+    """Levels p . theta of points given by their d int64 coordinate columns."""
+    return sum(t * c for t, c in zip(theta, columns))
+
+
 def in_strip(spec, coords):
-    """Mask of points inside the strip: level in [0, N], within M of the axis line."""
-    coords = np.atleast_2d(np.asarray(coords, dtype=np.int64))
-    theta = np.asarray(spec.theta, dtype=np.int64)
-    dots = coords @ theta
-    nsq = int(theta @ theta)
-    # squared distance to the line R*theta, times |theta|^2 (integer exact)
-    dist_sq_scaled = (coords ** 2).sum(axis=1) * nsq - dots ** 2
-    return (dots >= 0) & (dots <= spec.N) & (dist_sq_scaled <= spec.M ** 2 * nsq)
+    """Mask of points inside the strip: level in [0, N], within M of the axis line.
+
+    The squared distance to the line R*theta, times |theta|^2, is an integer,
+    so it is compared with the floor of the exact rational M^2 |theta|^2.
+    """
+    cols = np.atleast_2d(np.asarray(coords, dtype=np.int64)).T
+    dots = _levels(cols, spec.theta)
+    nsq = sum(t * t for t in spec.theta)
+    dist_sq_scaled = sum(c * c for c in cols) * nsq - dots ** 2
+    return ((dots >= 0) & (dots <= spec.N)
+            & (dist_sq_scaled <= math.floor(Fraction(spec.M) ** 2 * nsq)))
 
 
-def _level_interval(a_u, step, s, low, high):
-    """Ends k_lo, k_hi (t = k / s) of the part of each edge (u, u + e_axis) with
-    level in [low, high], where a_u = u . theta, and where that part is nonempty."""
+def _level_range(a_u, step, s, low, high):
+    """Mask of the edges (u, u + e_axis), a_u = u . theta, with a point of level
+    in [low, high], and the ends k_lo, k_hi (t = k / s) of that part of each
+    masked edge, in mask order."""
     if step == 0:
-        return 0, 1, (a_u >= low) & (a_u <= high)
-    k0, k1 = (np.sign(step) * (level - a_u) for level in (low, high))
-    kmin, kmax = np.minimum(k0, k1), np.maximum(k0, k1)
-    return np.clip(kmin, 0, s), np.clip(kmax, 0, s), (kmin <= s) & (kmax >= 0)
+        return (a_u >= low) & (a_u <= high), (0, 1)
+    k0, k1 = (low - a_u, high - a_u) if step > 0 else (a_u - high, a_u - low)
+    ok = (k0 <= s) & (k1 >= 0)
+    return ok, (np.clip(k0[ok], 0, s), np.clip(k1[ok], 0, s))
 
 
 def _edge_ends(box, axis, values):
     """(tail, head) views of the per-vertex array ``values`` over the edges
     (u, u + e_axis) of the plain box ``box``.
 
-    ``values`` is reshaped to ``box.shape`` (its trailing dimensions kept)
-    with the axis moved first; the edges are then the pairs of the views
-    [:-1] and [1:], the slice convention of ``geodesics._neighbor_table``.
+    ``values`` is reshaped to ``box.shape`` with the axis moved first; the
+    edges are then the pairs of the views [:-1] and [1:], the slice
+    convention of ``geodesics._neighbor_table``.
     """
-    grid = np.moveaxis(values.reshape(box.shape + values.shape[1:]), axis, 0)
+    grid = np.moveaxis(values.reshape(box.shape), axis, 0)
     return grid[:-1], grid[1:]
 
 
@@ -97,54 +111,81 @@ def protected_vertices(box, spec, xi_N):
     distance >= M' from the origin, (b) on level N lies at l1 distance >= M'
     from xi_N, or (c) in the slab 0 <= level <= N lies at distance >= M from
     the axis line.  Both distances are convex along the edge, so only the
-    ends of each level range are tested; scaled by s = max(|theta[axis]|, 1)
-    those ends are integer points, and each test is an int64 comparison
-    with an exact integer threshold.
+    ends of each level range are tested, on the edges whose range is
+    nonempty; scaled by s = max(|theta[axis]|, 1) those ends are integer
+    points, and each test is an int64 comparison with an exact integer
+    threshold.
 
     Pure geometry (independent of weights), so results are cached per
     (box, spec, xi_N); the array is read-only because the cache shares it.
     """
-    xi = np.asarray(xi_N, dtype=np.int64)
-    theta = np.asarray(spec.theta, dtype=np.int64)
-    N = spec.N
+    theta, N = spec.theta, spec.N
     wide = box.expand(1)
     # points w of edges of `wide` have |w_j| <= reach, so the scaled points
     # p = s w (s <= max |theta_j|) give |p|^2 |theta|^2 <= bound and
     # (p . theta)^2 <= bound; the l1 sums and level offsets are smaller still
     reach = int(max(*map(abs, wide.lower + wide.upper), *map(abs, xi_N), N))
-    bound = (len(theta) * int(np.abs(theta).max()) ** 2 * reach) ** 2
+    bound = (len(theta) * max(map(abs, theta)) ** 2 * reach) ** 2
     if bound >= 2 ** 63:
         raise ValueError(f"protected-region geometry exceeds int64: box "
                          f"{box.lower}..{box.upper}, theta {spec.theta}, N {N}")
-    nsq = int(theta @ theta)
-    coords = wide.coords()
-    dots = coords @ theta
+    nsq = sum(t * t for t in theta)
+    dots = _levels(wide.coords().T, theta)
     # an edge of `wide` off the box marks only vertices outside the box
     hit = np.zeros(wide.n_vertices, dtype=bool)
     for axis in range(wide.dim):
-        tails, _ = _edge_ends(wide, axis, coords)
-        a_u, _ = _edge_ends(wide, axis, dots)
-        step = int(theta[axis])
+        # the tails' levels with the axis back in place, so that the grid
+        # positions from np.nonzero are the tails' coordinates minus the corner
+        a_u = np.moveaxis(_edge_ends(wide, axis, dots)[0], 0, axis)
+        step = theta[axis]
         s = max(abs(step), 1)
         l1_min = math.ceil(Fraction(spec.M_prime) * s)
         dist_min = math.ceil(Fraction(spec.M) ** 2 * nsq * s * s)
-        conditions = (   # level range, and the test on scaled points p
-            (0, 0, lambda p: np.abs(p).sum(axis=-1) >= l1_min),
-            (N, N, lambda p: np.abs(p - s * xi).sum(axis=-1) >= l1_min),
-            (0, N, lambda p: (p * p).sum(axis=-1) * nsq - (p @ theta) ** 2 >= dist_min))
+        conditions = (   # level range, and the test on the columns p of scaled points
+            (0, 0, lambda p: sum(np.abs(c) for c in p) >= l1_min),
+            (N, N, lambda p: sum(np.abs(c - s * x) for c, x in zip(p, xi_N)) >= l1_min),
+            (0, N, lambda p: sum(c * c for c in p) * nsq - _levels(p, theta) ** 2 >= dist_min))
         meets = np.zeros(a_u.shape, dtype=bool)
         for low, high, far in conditions:
-            lo, hi, ok = _level_interval(a_u, step, s, low, high)
-            for k in (lo, hi):
-                p = tails * s
-                p[..., axis] += k
-                meets |= ok & far(p)
+            ok, ends = _level_range(a_u, step, s, low, high)
+            p = [s * (i + c) for i, c in zip(np.nonzero(ok), wide.lower)]
+            far_end = np.zeros(len(p[0]), dtype=bool)
+            for k in ends:
+                far_end |= far([*p[:axis], p[axis] + k, *p[axis + 1:]])
+            meets[ok] |= far_end
         for end in _edge_ends(wide, axis, hit):
-            end |= meets
+            end |= np.moveaxis(meets, axis, 0)
     # the interior of `wide` is `box`, in the same C order
     idx = np.flatnonzero(hit.reshape(wide.shape)[(slice(1, -1),) * wide.dim])
     idx.setflags(write=False)
     return idx
+
+
+def _eligible_masks(g, spec, kept):
+    """Per axis, the mask of the eligible edges (u, u + e_axis) over the grid of
+    their tails u with that axis moved first (``_edge_ends``): both ends in the
+    strip, and neither end a kept vertex whose out-edge is this edge."""
+    box = g.box
+    strip = in_strip(spec, box.coords())
+    kept_succ = np.where(kept, g.succ, -1)      # the out-edge of a kept vertex, else none
+    index = np.arange(box.n_vertices)
+    masks = []
+    for axis in range(box.dim):
+        (tails, heads), (tail_in, head_in), (tail_succ, head_succ) = (
+            _edge_ends(box, axis, a) for a in (index, strip, kept_succ))
+        masks.append(tail_in & head_in & (tail_succ != heads) & (head_succ != tails))
+    return masks
+
+
+def _edge_rows(box, masks):
+    """(m, 2, d) int64 (tail, head) rows of the edges that ``masks`` (as from
+    ``_eligible_masks``) select: axis by axis, each in the C order of its mask."""
+    index = np.arange(box.n_vertices)
+    tails = box.coords()[np.concatenate(
+        [_edge_ends(box, axis, index)[0][mask] for axis, mask in enumerate(masks)])]
+    steps = np.repeat(np.eye(box.dim, dtype=np.int64), list(map(np.count_nonzero, masks)),
+                      axis=0)
+    return np.stack([tails, tails + steps], axis=1)
 
 
 def eligible_edges(g, spec, kept):
@@ -154,20 +195,10 @@ def eligible_edges(g, spec, kept):
     orbit of the protected vertices and the forward path of y.  Returns an
     (m, 2, d) int64 array of (tail, head) rows, head = tail + e_axis: axis by
     axis, each axis in the C order of the grid of tails with that axis moved
-    first (``_edge_ends``).
+    first (``_edge_ends``).  This is the rows view of the per-axis masks that
+    ``run_modification`` raises through; the run reads the masks themselves.
     """
-    box = g.box
-    coords = box.coords()
-    strip = in_strip(spec, coords)
-    kept_succ = np.where(kept, g.succ, -1)      # the out-edge of a kept vertex, else none
-    index = np.arange(box.n_vertices)
-    rows = []
-    for axis in range(box.dim):
-        (tails, heads), (tail_in, head_in), (tail_succ, head_succ) = (
-            _edge_ends(box, axis, a) for a in (index, strip, kept_succ))
-        ok = tail_in & head_in & (tail_succ != heads) & (head_succ != tails)
-        rows.append(np.stack([coords[tails[ok]], coords[heads[ok]]], axis=1))
-    return np.concatenate(rows)
+    return _edge_rows(g.box, _eligible_masks(g, spec, kept))
 
 
 @dataclass
@@ -238,12 +269,18 @@ class SeveringVerdict:
 
 def violating_sources(g_mod, spec, xi_N):
     """Sorted int64 indices of the vertices at level <= 0 whose forward path meets
-    the path of xi_N: the backward closure of that path, cut to the halfspace."""
-    mark = np.zeros(g_mod.n_vertices, dtype=bool)
-    mark[forward_path(g_mod, xi_N)] = True
-    mark = fold_chains(g_mod.succ, mark, np.logical_or)
-    dots = g_mod.box.coords() @ np.asarray(spec.theta, dtype=np.int64)
-    return np.flatnonzero(mark & (dots <= 0))
+    the path of xi_N.
+
+    In a forest two forward paths meet exactly when they end at one root, so
+    these are the vertices at level <= 0 of the tree of the root of xi_N: one
+    breadth-first search down the ``reversed_forest``.  A cycle on the path
+    of xi_N raises ValueError (``forward_path``); a cycle off it is never
+    reached, and changes nothing.
+    """
+    root = forward_path(g_mod, xi_N)[-1]
+    tree = breadth_first_order(reversed_forest(g_mod.succ), root, return_predecessors=False)
+    levels = _levels(g_mod.box.coords()[tree].T, spec.theta)
+    return np.sort(tree[levels <= 0]).astype(np.int64)
 
 
 def _strip_crossing(dots, N):
@@ -285,7 +322,7 @@ def verify_severing(g_mod, spec, xi_N, S):
 
     witness = box.vertex_at(int(violators[0]))
     path = forward_path(g_mod, witness)
-    dots = box.coords()[path] @ np.asarray(spec.theta, dtype=np.int64)
+    dots = _levels(box.coords()[path].T, spec.theta)
     v1, v2 = (int(path[k]) for k in _strip_crossing(dots, spec.N))
     return SeveringVerdict(severed=False, witness=witness,
                            crossing=(box.vertex_at(v1), box.vertex_at(v2)),
@@ -340,23 +377,19 @@ def _checked_lambda(env, spec, y, xi, mode, lam):
     return S - delta / 2
 
 
-def _raised_weights(box, weights, edges, lam):
-    """Copies of the per-axis ``weights`` of the plain box ``box`` (as from
-    ``axis_weights``) with max(w, lam) on the rows (tail, tail + e_axis) of
-    ``edges`` and on no other edge.
+def _raised_weights(weights, masks, lam):
+    """Copies of the per-axis ``weights`` of a plain box (as from
+    ``axis_weights``) with max(w, lam) on the edges that ``masks`` (as from
+    ``_eligible_masks``) select and on no other edge.
 
-    A row's weight sits at its tail's flat index in the C order of its axis's
-    grid of tails: the box grid one shorter along that axis.
+    Both lie on the grid of an axis's tails, the box grid one shorter along
+    that axis: the weights in its C order, the mask with the axis moved
+    first.  Moved back, the mask's C order is the weights' order.
     """
-    tails = edges[:, 0] - np.asarray(box.lower, dtype=np.int64)
-    axes = np.argmax(edges[:, 1] - edges[:, 0], axis=1)
     out = []
-    for axis, w in enumerate(weights):
-        grid = list(box.shape)
-        grid[axis] -= 1
-        pos = np.ravel_multi_index(tuple(tails[axes == axis].T), grid)
+    for axis, (w, mask) in enumerate(zip(weights, masks)):
         w = w.copy()
-        w[pos] = np.maximum(w[pos], lam)
+        np.maximum(w, lam, out=w, where=np.moveaxis(mask, 0, axis).ravel())
         out.append(w)
     return out
 
@@ -392,13 +425,13 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     y_path, xi_path = forward_path(g, y), forward_path(g, xi)
     kept = orbit.copy()
     kept[y_path] = True
-    xi_edges = eligible_edges(g, spec, kept)
+    masks = _eligible_masks(g, spec, kept)
     S = env.spec.sup_support()
     event = check_event_A2prime(g, spec, y_path, xi_path, orbit, S)
 
-    raised = _raised_weights(box, weights, xi_edges, lam)
+    raised = _raised_weights(weights, masks, lam)
     g_mod = DistanceField(box, target, *successor_forest(box, raised, tmask), tmask)
     verdict = verify_severing(g_mod, spec, xi, S)
 
-    return ModificationOutcome(edge_set=xi_edges, lam=float(lam), event=event,
+    return ModificationOutcome(edge_set=_edge_rows(box, masks), lam=float(lam), event=event,
                                verdict=verdict, g=g, g_mod=g_mod)

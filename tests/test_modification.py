@@ -12,7 +12,8 @@ from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction, lattice_point_on_level
 from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, in_strip,
-                                 protected_vertices, run_modification, verify_severing)
+                                 protected_vertices, run_modification, verify_severing,
+                                 violating_sources)
 
 from oracles import (axis_edges, eligible_edges_scan, first_attainment, last_attainment,
                      neighbor_table, neighbors, per_edge_weights, protected_vertices_exact,
@@ -66,9 +67,15 @@ def test_strip_contains_origin_and_excludes_far_points():
 
 
 def test_strip_matches_bruteforce_scan():
-    for theta, N, M in [((1, 0), 8, 2.5), ((1, 2), 6, 3.0), ((2, -1), 7, 2.0)]:
+    for theta, N, M, box in [
+            ((1, 0), 8, 2.5, Box.cube(10, 2)), ((1, 2), 6, 3.0, Box.cube(10, 2)),
+            ((2, -1), 7, 2.0, Box.cube(10, 2)),
+            # float M just below the root of an integer: in floating point M^2 |theta|^2
+            # rounds up to the squared distance of (0, 1), resp. (0, -5, -4), which
+            # the exact square misses
+            ((3, 1), 2, 0.9486832980505138, Box.cube(3, 2)),
+            ((1, 0, 0), 6, 6.4031242374328485, Box.cube(6, 3))]:
         spec = StripSpec(theta, N, M, 2, 0.1, 0.1)
-        box = Box.cube(10, 2)
         assert strip_list(spec, box) == strip_scan(theta, N, M, box.coords())
 
 
@@ -317,6 +324,7 @@ _DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)]
 @given(st.integers(0, 2 ** 16), st.integers(1, 30), st.sampled_from(_DIRECTIONS_2D),
        st.sampled_from([0.5, 1.0, 2.5, None]),
        st.sampled_from([("bounded", None), ("unbounded", 0.0), ("unbounded", 0.3)]))
+@example(5, 96, (1, 1), None, ("bounded", None))        # the raise at a benchmark size
 def test_raise_equals_a_solve_under_the_override_table_2d(seed, N, theta, M, mode):
     # in 2-d edge ids do not repeat, so the override table raises exactly the
     # eligible edges, and the solve under it is the raise's oracle bit for bit
@@ -422,6 +430,28 @@ def test_progenitor_of_severed_component_above_zero():
     members = reverse_reachable(succ_map(g_mod), path_vertices(g_mod, fx.XI))
     prog = sort_by_order(members, fx.SPEC.theta)[0]
     assert sum(c * t for c, t in zip(prog, fx.SPEC.theta)) > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_violating_sources_ignore_a_cycle_off_the_xi_path(seed):
+    # a forward path meets the path of xi_N exactly when it ends at the root of
+    # xi_N, so a cycle between two vertices of other trees changes nothing; a
+    # fold over every chain of the box (``DistanceField.hops``) raises on it
+    g = fx.run_fixture(fx.fixture_env(seed, bridge=True)).g_mod
+    closure = reverse_reachable(succ_map(g), path_vertices(g, fx.XI))
+    u = next(v for v in map(g.box.vertex_at, range(g.n_vertices))
+             if {v, (v[0], v[1] + 1)}.isdisjoint(closure) and g.box.contains((v[0], v[1] + 1)))
+    i, j = g.box.index_of(u), g.box.index_of((u[0], u[1] + 1))
+    succ = g.succ.copy()
+    succ[i], succ[j] = j, i
+    field = DistanceField(g.box, g.target, g.T, succ, g.target_mask)
+    with pytest.raises(ValueError, match="successor cycle"):
+        field.hops()
+    assert reverse_reachable(succ_map(field), path_vertices(field, fx.XI)) == closure
+    expect = sorted(z for z in closure if z[0] <= 0)       # theta = e1
+    assert expect                                           # the bridge leaks
+    got = violating_sources(field, fx.SPEC, fx.XI)
+    assert [field.box.vertex_at(int(k)) for k in got] == expect
 
 
 def test_monotone_severing_with_pinned_reference():

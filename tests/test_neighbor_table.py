@@ -16,6 +16,7 @@ from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.geodesic_graph import forward_orbit, forward_path
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, axis_weights, successor_forest
 from fppgeo.lattice import Box
+from fppgeo.modification import StripSpec, violating_sources
 
 from oracles import neighbors, successor_margin, target_field
 
@@ -119,8 +120,12 @@ def _two_cycle():
 
 @pytest.mark.parametrize("read", [lambda f: f.hops(), lambda f: f.generations(),
                                   lambda f: forward_orbit(f, [2]),
-                                  lambda f: forward_path(f, (-1, 1))],
-                         ids=["hops", "generations", "forward_orbit", "forward_path"])
+                                  lambda f: forward_path(f, (-1, 1)),
+                                  # xi_N = (-1, 1) chains into the cycle
+                                  lambda f: violating_sources(
+                                      f, StripSpec((1, 0), 1, 1.0, 1, 0.1, 0.1), (-1, 1))],
+                         ids=["hops", "generations", "forward_orbit", "forward_path",
+                              "violating_sources"])
 def test_successor_cycle_raises(read):
     with pytest.raises(ValueError, match="successor cycle"):
         read(_two_cycle())
