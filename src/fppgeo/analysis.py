@@ -167,15 +167,14 @@ def crossing_counts(g, theta, levels, sample_vertices):
     """Visits of each forward path to the open lower halfspaces {z . theta < level}."""
     pad = required_pad(g.box)
     inner = g.box.shrink(pad)
-    theta = np.asarray(theta, dtype=np.int64)
     counts = np.zeros((len(sample_vertices), len(levels)), dtype=np.int64)
     lengths = np.zeros(len(sample_vertices), dtype=np.int64)
-    coords = g.box.coords()
+    box_levels = g.box.levels(theta)
     for i, x in enumerate(sample_vertices):
         if not inner.contains(x):
             raise ValueError(f"sample vertex {tuple(x)} outside padded region")
         path = forward_path(g, x)
-        dots = coords[path] @ theta
+        dots = box_levels[path]
         lengths[i] = len(path)
         for j, a in enumerate(levels):
             counts[i, j] = int((dots < a).sum())
@@ -264,10 +263,9 @@ def _max_pairwise_l1(pts):
 def intersection_radii(g, theta, levels, window):
     """Per-component l1 radius of the window's vertex intersection with each hyperplane,
     as records (level, label, count, radius); labels are ``components`` labels."""
-    theta = np.asarray(theta, dtype=np.int64)
     coords = window.coords()
     window_labels = components(g)[g.box.indices_of(coords)]
-    dots = coords @ theta
+    dots = window.levels(theta)
     records = []
     for lvl in levels:
         on = dots == int(lvl)

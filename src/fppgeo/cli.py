@@ -29,7 +29,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 import time
 import traceback
@@ -104,7 +103,7 @@ REQUIRED = object()     # default of a setting that must be given
 @dataclass(frozen=True)
 class Setting:
     type: Callable
-    default: object = REQUIRED      # a callable default is called when the setting is read
+    default: object = REQUIRED
     help: str | None = None
     flag: str | None = None         # when not --<name with - for _>
     choices: tuple | None = None
@@ -140,7 +139,7 @@ SETTINGS = {
                  per_axis=True),
     "xi": Setting(_int_list, None, "default: a lattice point on level N", per_axis=True),
     "out": Setting(str, None, "primary output path (default: <command>.csv)"),
-    "jobs": Setting(_int, lambda: os.environ.get("FPPGEO_JOBS") or 1, minimum=1),
+    "jobs": Setting(_int, 1, minimum=1),
 }
 COMMON = ("out", "jobs")
 
@@ -183,7 +182,7 @@ def _merge_config(args, command):
         setting = SETTINGS[key]
         value = merged.get(key)
         if value is None and key not in command.optional:
-            value = setting.default() if callable(setting.default) else setting.default
+            value = setting.default
             if value is REQUIRED:
                 raise ParameterError(key, "missing required setting")
         cfg[key] = None if value is None else _convert(key, setting, value)

@@ -7,15 +7,16 @@ weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
 ``successor_forest`` is the one lattice-graph core behind it.  It works on
 the box grid, not on per-edge arrays: ``axis_weights`` hashes the tails of
 each axis as an open grid and returns their weights in the C order of that
-grid, and the weights fill one row-major (n, 2d) neighbor table by slices
-of the grid, or by ``np.roll`` on a torus.  Its slots run in the direction
-order -e1 < -e2 < ... < -ed < +ed < ... < +e1.  Dijkstra reads that table
-as a fixed-degree CSR graph, and the successor of x is the first slot with
-the least weight(x, y) + T(y), so ties break by that direction order.  On a
-plain box that is the lexicographically smallest tied neighbor.  ``solve``
-is ``axis_weights`` followed by ``successor_forest``; a caller that edits
-the weight arrays between the two (the strip raise of ``modification``)
-calls them itself.
+grid (the order of ``Box.edge_ends``), and the weights fill one row-major
+(n, 2d) neighbor table by slices of the grid, or by ``np.roll`` on a torus.
+Its slots run in the direction order -e1 < -e2 < ... < -ed < +ed < ... <
++e1.  Dijkstra reads that table as a fixed-degree CSR graph, and the
+successor of x is the first slot with the least weight(x, y) + T(y), so
+ties break by that direction order.  On a plain box that is the
+lexicographically smallest tied neighbor.  The target mask reads
+``Box.levels``: a solve builds no (n, d) coordinate table.  ``solve`` is
+``axis_weights`` then ``successor_forest``; a caller that edits the weight
+arrays between the two (the strip raise of ``modification``) calls them.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -93,7 +94,7 @@ def target_mask(target, box):
     if target.mode == "exact_lattice":
         return box.levels(target.direction) == target.level
     dirs = np.asarray(target.direction, dtype=np.float64)
-    dots = box.coords() @ dirs
+    dots = box.coords() @ dirs      # a float matmul: a sum over the sides can round otherwise
     step = np.abs(dirs).max()
     return (dots >= target.level) & (dots - step < target.level)
 

@@ -1,16 +1,15 @@
 """Integer-lattice geometry: boxes, their vertex levels, and integer directions.
 
-Vertices are plain tuples of ints.  Heavy code paths work on flat numpy
-index arrays keyed to a Box, in C order of its grid; the edges along an axis
-are pairs of slices of that grid (see ``geodesics._neighbor_table``).  The
-tuple API is the boundary for users and tests.
+Vertices are plain tuples of ints; the tuple API is the boundary for users
+and tests.  Heavy code paths work on flat numpy arrays keyed to a Box, in the
+C order of its grid: ``Box.levels`` and ``Box.edge_ends`` (two views of the
+grid per axis) read no (n, d) table of ``Box.coords``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -62,7 +61,17 @@ class Box:
     def n_vertices(self):
         return int(np.prod(self.shape))
 
+    def _check_dim(self, d, what):
+        if d != self.dim:
+            raise ValueError(f"a {d}-d {what} on a {self.dim}-d box")
+
+    def _sides(self):
+        """Per axis, the coordinates along that side, shaped to broadcast over the grid."""
+        return [np.arange(l, u + 1, dtype=np.int64).reshape((-1,) + (1,) * (self.dim - 1 - axis))
+                for axis, (l, u) in enumerate(zip(self.lower, self.upper))]
+
     def contains(self, v):
+        self._check_dim(len(v), "point")
         return all(l <= c <= u for c, l, u in zip(v, self.lower, self.upper))
 
     def contains_box(self, other):
@@ -86,12 +95,16 @@ class Box:
         return tuple(c + l for c, l in zip(reversed(coords), self.lower))
 
     def coords(self):
-        """(n, d) int64 array of all vertices in lexicographic order (read-only, cached)."""
-        return _box_coords(self)
+        """(n, d) int64 array of all vertices in lexicographic order, built per call."""
+        out = np.empty((*self.shape, self.dim), dtype=np.int64)
+        for axis, side in enumerate(self._sides()):
+            out[..., axis] = side
+        return out.reshape(-1, self.dim)
 
     def indices_of(self, coords):
         """Vectorized index_of for an (m, d) int array."""
         coords = np.asarray(coords, dtype=np.int64)
+        self._check_dim(coords.shape[-1], "point")
         offs = coords - np.asarray(self.lower, dtype=np.int64)
         if np.any(offs < 0) or np.any(offs >= np.asarray(self.shape)):
             raise ValueError("coordinates outside box")
@@ -104,13 +117,29 @@ class Box:
         of z . theta around every axis, so that a level set is a closed
         hyperplane.  The wrapped level of z is the one in [b, b + m), where b
         is the level of the lower corner: [0, m) on a torus from the origin.
+
+        The levels are a sum of theta_i times side i, broadcast over the grid; a
+        theta whose length is not the box's dimension raises ValueError.
         """
-        dots = self.coords() @ np.asarray(theta, dtype=np.int64)
+        theta = tuple(int(t) for t in theta)
+        self._check_dim(len(theta), "direction")
+        dots = sum(t * side for t, side in zip(theta, self._sides())).ravel()
         if self.periodic:
-            m = math.gcd(*(int(t) * L for t, L in zip(theta, self.shape)))
-            base = int(np.dot(self.lower, theta))
+            m = math.gcd(*(t * L for t, L in zip(theta, self.shape)))
+            base = sum(t * l for t, l in zip(theta, self.lower))
             dots = base + (dots - base) % m
         return dots
+
+    def edge_ends(self, axis, values):
+        """(tail, head) views of the C-contiguous per-vertex array ``values`` over
+        the edges (u, u + e_axis) of a plain box: its grid's [:-1] and [1:] along
+        the axis, which stays in place.  Both are laid out as the grid of tails,
+        in the C order of ``geodesics.axis_weights``; a torus's edges wrap, so it raises."""
+        if self.periodic:
+            raise ValueError("edge_ends takes a plain box; the edges of a torus wrap")
+        grid = values.reshape(self.shape)
+        lead = (slice(None),) * axis
+        return grid[lead + (slice(None, -1),)], grid[lead + (slice(1, None),)]
 
     def boundary_mask(self):
         """Boolean mask of vertices lying on a face of the box (none if periodic)."""
@@ -125,15 +154,6 @@ class Box:
 
     def shrink(self, k):
         return Box(tuple(l + k for l in self.lower), tuple(u - k for u in self.upper))
-
-
-@lru_cache(maxsize=32)
-def _box_coords(box):
-    grids = np.meshgrid(*(np.arange(l, u + 1, dtype=np.int64)
-                          for l, u in zip(box.lower, box.upper)), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    coords.setflags(write=False)
-    return coords
 
 
 def is_integer_direction(theta):

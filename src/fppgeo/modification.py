@@ -7,10 +7,11 @@
    the marked vertex xi_N are computed once each.  The event check reads the
    two paths and the orbit.  The eligible edges are the strip edges off the
    kept mask, the orbit and the path of y: one boolean mask per axis over
-   that axis's grid of tails, from which ``edge_set`` is read once.
+   that axis's grid of tails (``Box.edge_ends``), from which ``edge_set`` is
+   read once.
 3. The box is hashed once (``axis_weights``).  The first solve reads those
    arrays; the second reads copies with max(w, lambda) applied through the
-   masks, which are laid out like the weights.  On the raised graph no
+   masks, whose C order is the weights' order.  On the raised graph no
    geodesic started at or behind the zero-level hyperplane may reach the
    forward path of xi_N.  In a forest two forward paths meet exactly when
    they end at one root, so the check is one breadth-first search down the
@@ -19,7 +20,9 @@
 Real-point conditions on embedded edges are decided with exact integer
 arithmetic: a unit segment crosses an integer-normal hyperplane at a
 rational parameter k / |step|, so scaling by |step| turns every test into an
-int64 comparison and no floating tolerance is involved.  Levels and
+int64 comparison and no floating tolerance is involved.  The level of a box
+vertex is read from ``Box.levels``.  Levels of other points (the arguments
+of ``in_strip``, the scaled edge points of the protected region) and
 distances are sums over the d coordinate columns: on an (n, d) array a
 reduction along the short last axis costs several times more.
 """
@@ -90,18 +93,6 @@ def _level_range(a_u, step, s, low, high):
     return ok, (np.clip(k0[ok], 0, s), np.clip(k1[ok], 0, s))
 
 
-def _edge_ends(box, axis, values):
-    """(tail, head) views of the per-vertex array ``values`` over the edges
-    (u, u + e_axis) of the plain box ``box``.
-
-    ``values`` is reshaped to ``box.shape`` with the axis moved first; the
-    edges are then the pairs of the views [:-1] and [1:], the slice
-    convention of ``geodesics._neighbor_table``.
-    """
-    grid = np.moveaxis(values.reshape(box.shape), axis, 0)
-    return grid[:-1], grid[1:]
-
-
 @lru_cache(maxsize=16)
 def protected_vertices(box, spec, xi_N):
     """In-box vertices incident to an edge meeting any protected-region condition,
@@ -130,13 +121,12 @@ def protected_vertices(box, spec, xi_N):
         raise ValueError(f"protected-region geometry exceeds int64: box "
                          f"{box.lower}..{box.upper}, theta {spec.theta}, N {N}")
     nsq = sum(t * t for t in theta)
-    dots = _levels(wide.coords().T, theta)
+    dots = wide.levels(theta)
     # an edge of `wide` off the box marks only vertices outside the box
     hit = np.zeros(wide.n_vertices, dtype=bool)
     for axis in range(wide.dim):
-        # the tails' levels with the axis back in place, so that the grid
-        # positions from np.nonzero are the tails' coordinates minus the corner
-        a_u = np.moveaxis(_edge_ends(wide, axis, dots)[0], 0, axis)
+        # on the grid of tails, np.nonzero positions are coordinates minus the corner
+        a_u = wide.edge_ends(axis, dots)[0]
         step = theta[axis]
         s = max(abs(step), 1)
         l1_min = math.ceil(Fraction(spec.M_prime) * s)
@@ -153,8 +143,8 @@ def protected_vertices(box, spec, xi_N):
             for k in ends:
                 far_end |= far([*p[:axis], p[axis] + k, *p[axis + 1:]])
             meets[ok] |= far_end
-        for end in _edge_ends(wide, axis, hit):
-            end |= np.moveaxis(meets, axis, 0)
+        for end in wide.edge_ends(axis, hit):
+            end |= meets
     # the interior of `wide` is `box`, in the same C order
     idx = np.flatnonzero(hit.reshape(wide.shape)[(slice(1, -1),) * wide.dim])
     idx.setflags(write=False)
@@ -163,8 +153,8 @@ def protected_vertices(box, spec, xi_N):
 
 def _eligible_masks(g, spec, kept):
     """Per axis, the mask of the eligible edges (u, u + e_axis) over the grid of
-    their tails u with that axis moved first (``_edge_ends``): both ends in the
-    strip, and neither end a kept vertex whose out-edge is this edge."""
+    their tails u (``Box.edge_ends``): both ends in the strip, and neither end
+    a kept vertex whose out-edge is this edge."""
     box = g.box
     strip = in_strip(spec, box.coords())
     kept_succ = np.where(kept, g.succ, -1)      # the out-edge of a kept vertex, else none
@@ -172,19 +162,17 @@ def _eligible_masks(g, spec, kept):
     masks = []
     for axis in range(box.dim):
         (tails, heads), (tail_in, head_in), (tail_succ, head_succ) = (
-            _edge_ends(box, axis, a) for a in (index, strip, kept_succ))
+            box.edge_ends(axis, a) for a in (index, strip, kept_succ))
         masks.append(tail_in & head_in & (tail_succ != heads) & (head_succ != tails))
     return masks
 
 
 def _edge_rows(box, masks):
     """(m, 2, d) int64 (tail, head) rows of the edges that ``masks`` (as from
-    ``_eligible_masks``) select: axis by axis, each in the C order of its mask."""
-    index = np.arange(box.n_vertices)
-    tails = box.coords()[np.concatenate(
-        [_edge_ends(box, axis, index)[0][mask] for axis, mask in enumerate(masks)])]
-    steps = np.repeat(np.eye(box.dim, dtype=np.int64), list(map(np.count_nonzero, masks)),
-                      axis=0)
+    ``_eligible_masks``) select: axis by axis, each in the C order of its mask.
+    A mask's positions are its tails' coordinates minus the lower corner."""
+    tails = np.concatenate([np.argwhere(mask) for mask in masks]) + box.lower
+    steps = np.repeat(np.eye(box.dim, dtype=np.int64), [m.sum() for m in masks], axis=0)
     return np.stack([tails, tails + steps], axis=1)
 
 
@@ -194,9 +182,9 @@ def eligible_edges(g, spec, kept):
     ``kept`` masks the vertices whose out-edges stay as they are: the forward
     orbit of the protected vertices and the forward path of y.  Returns an
     (m, 2, d) int64 array of (tail, head) rows, head = tail + e_axis: axis by
-    axis, each axis in the C order of the grid of tails with that axis moved
-    first (``_edge_ends``).  This is the rows view of the per-axis masks that
-    ``run_modification`` raises through; the run reads the masks themselves.
+    axis, each axis in the C order of its grid of tails (``Box.edge_ends``).
+    This is the rows view of the per-axis masks that ``run_modification``
+    raises through; the run reads the masks themselves.
     """
     return _edge_rows(g.box, _eligible_masks(g, spec, kept))
 
@@ -221,18 +209,17 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
     """Evaluate the event conditions on the finite graph, from the forward
     paths of y and xi_N (vertex indices), the mask of the protected orbit and
     the support supremum S of the weights (inf: no speed bound)."""
-    theta = np.asarray(spec.theta, dtype=np.int64)
     box = g.box
-    coords = box.coords()
-    y, xi = coords[y_path[0]], coords[xi_path[0]]
+    y_points = np.stack(np.unravel_index(y_path, box.shape), axis=1) + box.lower
+    y, xi = y_points[0], np.asarray(box.vertex_at(int(xi_path[0])))
     wit = {}
 
-    bad = np.flatnonzero(coords[xi_path[1:]] @ theta <= spec.N)
+    bad = np.flatnonzero(box.levels(spec.theta)[xi_path[1:]] <= spec.N)
     exit_and_stay = bad.size == 0
     if not exit_and_stay:
         wit["slab_reentry"] = box.vertex_at(int(xi_path[1 + bad[0]]))
 
-    near = np.abs(coords[y_path] - xi).sum(axis=1) <= spec.epsilon * np.abs(xi).sum()
+    near = np.abs(y_points - xi).sum(axis=1) <= spec.epsilon * np.abs(xi).sum()
     meets = y_path[np.isin(y_path, xi_path)]
     approach_but_disjoint = bool(near.any()) and meets.size == 0
     if meets.size:
@@ -243,7 +230,7 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
     speed_bound = True                              # vacuous in unbounded mode
     if not math.isinf(S):
         Ty = g.T[y_path[0]] - g.T[y_path]           # passage time from y along its path
-        l1_from_y = np.abs(coords[y_path] - y).sum(axis=1)
+        l1_from_y = np.abs(y_points - y).sum(axis=1)
         viol = near & (l1_from_y >= spec.M_prime) & (Ty > l1_from_y * (S - spec.delta))
         speed_bound = not viol.any()
         if not speed_bound:
@@ -279,8 +266,7 @@ def violating_sources(g_mod, spec, xi_N):
     """
     root = forward_path(g_mod, xi_N)[-1]
     tree = breadth_first_order(reversed_forest(g_mod.succ), root, return_predecessors=False)
-    levels = _levels(g_mod.box.coords()[tree].T, spec.theta)
-    return np.sort(tree[levels <= 0]).astype(np.int64)
+    return np.sort(tree[g_mod.box.levels(spec.theta)[tree] <= 0]).astype(np.int64)
 
 
 def _strip_crossing(dots, N):
@@ -322,8 +308,7 @@ def verify_severing(g_mod, spec, xi_N, S):
 
     witness = box.vertex_at(int(violators[0]))
     path = forward_path(g_mod, witness)
-    dots = _levels(box.coords()[path].T, spec.theta)
-    v1, v2 = (int(path[k]) for k in _strip_crossing(dots, spec.N))
+    v1, v2 = (int(path[k]) for k in _strip_crossing(box.levels(spec.theta)[path], spec.N))
     return SeveringVerdict(severed=False, witness=witness,
                            crossing=(box.vertex_at(v1), box.vertex_at(v2)),
                            crossing_time=float(g_mod.T[v1] - g_mod.T[v2]),
@@ -383,15 +368,10 @@ def _raised_weights(weights, masks, lam):
     ``_eligible_masks``) select and on no other edge.
 
     Both lie on the grid of an axis's tails, the box grid one shorter along
-    that axis: the weights in its C order, the mask with the axis moved
-    first.  Moved back, the mask's C order is the weights' order.
+    that axis (``Box.edge_ends``), so the flattened mask selects the weights
+    in their own C order.
     """
-    out = []
-    for axis, (w, mask) in enumerate(zip(weights, masks)):
-        w = w.copy()
-        np.maximum(w, lam, out=w, where=np.moveaxis(mask, 0, axis).ravel())
-        out.append(w)
-    return out
+    return [np.where(mask.ravel(), np.maximum(w, lam), w) for w, mask in zip(weights, masks)]
 
 
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):

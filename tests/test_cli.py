@@ -410,7 +410,7 @@ def test_box_too_small_for_analysis_pad_names_key(tmp_path, capsys, command, arg
         assert capsys.readouterr().err.startswith("config error: window: side 1 ")
 
 
-def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
+def test_config_file_integers_are_strict(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     out = ["--out", str(tmp_path / "s.csv")]
     for value, shown in ((4.7, "4.7"), (True, "True"), ("4x", "'4x'")):
@@ -419,8 +419,7 @@ def test_config_file_integers_are_strict(tmp_path, capsys, monkeypatch):
         assert capsys.readouterr().err == f"config error: radius: expected an integer, got {shown}\n"
     # integral numbers and digit strings convert; a flag keeps argparse's message
     cfgfile.write_text(json.dumps({"dim": 2.0, "dist": "uniform:0,1", "radius": "4"}))
-    monkeypatch.setenv("FPPGEO_JOBS", "2")
-    assert run_cli(["shape", "--config", str(cfgfile), "--seeds", "2", *out]) == 0
+    assert run_cli(["shape", "--config", str(cfgfile), "--seeds", "2", "--jobs", "2", *out]) == 0
     with pytest.raises(SystemExit) as exc:
         run_cli(["shape", *_D2, "--radius", "4.7", *out])
     assert exc.value.code == 2
@@ -498,16 +497,10 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "dist: bad dist 'exponential:inf': parameters must be finite"),
     ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "4", "--jobs", "0"],
      "jobs: must be at least 1, got 0"),
-    ("graph", ["FPPGEO_JOBS=0", "--box", "15", "--theta", "1,0", "--alpha", "4"],
-     "jobs: must be at least 1, got 0"),
 ], ids=["samples", "directions", "dims", "dims-negative", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
         "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "M_rule-jobs",
-        "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs", "jobs-env"])
-def test_out_of_range_settings_name_key(tmp_path, capsys, monkeypatch, command, args, message):
-    # as on a shell command line, leading NAME=value words set the environment
-    while args and "=" in args[0]:
-        monkeypatch.setenv(*args[0].split("="))
-        args = args[1:]
+        "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs"])
+def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
 

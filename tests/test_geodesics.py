@@ -74,6 +74,21 @@ def test_solve_hyperplane_matches_bellman_ford():
             assert f.T[i] == pytest.approx(oracle[box.vertex_at(i)], rel=1e-12)
 
 
+@pytest.mark.parametrize("box, theta, level", [
+    (Box((-4, -3, -5), (3, 4, 2)), (1, 2, -1), 3),
+    (Box((0, 0, 0), (3, 4, 5), periodic=True), (1, 2, 3), 1),
+], ids=["plain", "torus"])
+def test_solve_builds_no_coordinate_table(monkeypatch, box, theta, level):
+    expect = solve(WeightEnvironment(3, uniform(0, 1), 0), box, HyperplaneTarget(theta, level))
+
+    def coords(self):
+        raise AssertionError("solve built the coordinate table")
+
+    monkeypatch.setattr(Box, "coords", coords)
+    g = solve(WeightEnvironment(3, uniform(0, 1), 0), box, HyperplaneTarget(theta, level))
+    assert g.T.tobytes() == expect.T.tobytes() and g.succ.tobytes() == expect.succ.tobytes()
+
+
 def test_no_target_in_box_raises():
     box = Box.cube(2, 2)
     env = WeightEnvironment(2, uniform(0, 1), 0)

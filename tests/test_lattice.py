@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fppgeo.geodesics import HyperplaneTarget, target_mask
+from fppgeo.environment import WeightEnvironment, uniform
+from fppgeo.geodesic_graph import forward_path
+from fppgeo.geodesics import HyperplaneTarget, solve, target_mask
 from fppgeo.lattice import Box, lattice_point_on_level, normalize_direction
 
-from oracles import levels_with_lattice_points, neighbors, normalize_by_search
+from oracles import axis_edges, levels_with_lattice_points, neighbors, normalize_by_search
 
 
 def hyperplane_vertices(theta, n, box):
@@ -44,6 +48,78 @@ def test_box_validation_and_indexing():
         Box((1, 0), (0, 0))
     with pytest.raises(ValueError):
         box.index_of((9, 9))
+
+
+@pytest.mark.parametrize("call", [
+    lambda box: box.contains((1,)),
+    lambda box: box.index_of((1,)),
+    lambda box: box.index_of((1, 0, 99)),
+    lambda box: box.indices_of([[1], [2]]),
+    lambda box: box.indices_of([[1, 0, 0]]),
+    lambda box: box.levels((1, 0, 0)),
+], ids=["contains", "index_of-short", "index_of-long", "indices_of-short", "indices_of-long",
+        "levels"])
+def test_points_of_the_wrong_dimension_raise(call):
+    with pytest.raises(ValueError, match="on a 2-d box"):
+        call(Box.cube(2, 2))
+
+
+def test_forward_path_from_a_short_point_raises():
+    box = Box.cube(3, 2)
+    g = solve(WeightEnvironment(2, uniform(0, 1), 0), box, HyperplaneTarget((1, 0), 3))
+    with pytest.raises(ValueError, match="a 1-d point on a 2-d box"):
+        forward_path(g, (1,))
+
+
+@st.composite
+def boxes(draw, periodic=st.booleans()):
+    """Plain or periodic boxes, d = 2..4, with corners on both sides of the origin."""
+    d = draw(st.integers(2, 4))
+    periodic = draw(periodic)
+    lower = draw(st.lists(st.integers(-6, 3), min_size=d, max_size=d))
+    sides = draw(st.lists(st.integers(3 if periodic else 1, 7 if d < 4 else 4),
+                          min_size=d, max_size=d))
+    return Box(tuple(lower), tuple(l + s - 1 for l, s in zip(lower, sides)), periodic)
+
+
+@settings(max_examples=60, deadline=None)
+@given(box=boxes(), data=st.data())
+def test_levels_match_a_per_vertex_scan(box, data):
+    theta = data.draw(st.lists(st.integers(-3, 3), min_size=box.dim, max_size=box.dim)
+                      .filter(any))
+    # the wrap of the docstring: mod m = gcd_i(theta_i L_i), into [b, b + m)
+    m = math.gcd(*(t * L for t, L in zip(theta, box.shape)))
+    base = sum(t * l for t, l in zip(theta, box.lower))
+    expect = []
+    for i in range(box.n_vertices):
+        level = sum(t * c for t, c in zip(theta, box.vertex_at(i)))
+        expect.append(base + (level - base) % m if box.periodic else level)
+    levels = box.levels(theta)
+    assert levels.dtype == np.int64 and levels.tolist() == expect
+    with pytest.raises(ValueError, match=f"a {box.dim + 1}-d direction on a {box.dim}-d box"):
+        box.levels((*theta, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(box=boxes(periodic=st.just(False)))
+def test_edge_ends_pair_the_tails_with_their_heads(box):
+    index = np.arange(box.n_vertices)
+    for axis, (tails, heads) in enumerate(axis_edges(box)):
+        got = box.edge_ends(axis, index)
+        assert [end.ravel().tolist() for end in got] == [tails.tolist(), heads.tolist()]
+        # writing through the views writes the per-vertex array
+        values, expect = np.zeros(box.n_vertices, dtype=np.int64), np.zeros(box.n_vertices)
+        tail, head = box.edge_ends(axis, values)
+        tail += 1
+        head += 10
+        np.add.at(expect, tails, 1)
+        np.add.at(expect, heads, 10)
+        assert values.tolist() == expect.tolist()
+
+
+def test_edge_ends_reject_a_torus():
+    with pytest.raises(ValueError, match="torus"):
+        Box((0, 0), (2, 2), periodic=True).edge_ends(0, np.arange(9))
 
 
 def test_normalize_direction_examples():

@@ -215,9 +215,9 @@ def test_eligible_edges_match_per_edge_scan(case):
     assert edges.dtype == np.int64 and edges.shape[1:] == (2, box.dim)
     assert sorted(tuple(map(tuple, e)) for e in edges.tolist()) == eligible_edges_scan(
         box, spec, succ, kept)
-    # axis by axis, each axis in the C order of the tail grid with the axis moved first
+    # axis by axis, each axis in the C order of its grid of tails
     axes = np.argmax(edges[:, 1] - edges[:, 0], axis=1).tolist()
-    keys = [(a, t[a], *t[:a], *t[a + 1:]) for a, (t, _) in zip(axes, edges.tolist())]
+    keys = [(a, *t) for a, (t, _) in zip(axes, edges.tolist())]
     assert keys == sorted(set(keys))
 
 
