@@ -9,6 +9,7 @@ grid per axis) read no (n, d) table of ``Box.coords``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,13 @@ class Box:
         return idx
 
     def vertex_at(self, idx):
-        coords = []
+        """The vertex of flat index ``idx``, an integer in [0, n), as a tuple of ints."""
+        coords, rest = [], operator.index(idx)
         for s in reversed(self.shape):
-            coords.append(idx % s)
-            idx //= s
+            rest, c = divmod(rest, s)
+            coords.append(c)
+        if rest != 0:                   # idx < 0 leaves -1, idx >= n leaves idx // n
+            raise ValueError(f"index {idx} outside box {self.lower}..{self.upper}")
         return tuple(c + l for c, l in zip(reversed(coords), self.lower))
 
     def coords(self):
@@ -102,9 +106,11 @@ class Box:
         return out.reshape(-1, self.dim)
 
     def indices_of(self, coords):
-        """Vectorized index_of for an (m, d) int array."""
+        """Vectorized index_of for an (m, d) int array; other shapes raise ValueError."""
         coords = np.asarray(coords, dtype=np.int64)
-        self._check_dim(coords.shape[-1], "point")
+        if coords.ndim != 2:
+            raise ValueError(f"a {coords.ndim}-axis array of points on a {self.dim}-d box")
+        self._check_dim(coords.shape[1], "point")
         offs = coords - np.asarray(self.lower, dtype=np.int64)
         if np.any(offs < 0) or np.any(offs >= np.asarray(self.shape)):
             raise ValueError("coordinates outside box")

@@ -17,14 +17,12 @@
    they end at one root, so the check is one breadth-first search down the
    tree of xi_N's root; a failure names its witness and its strip crossing.
 
-Real-point conditions on embedded edges are decided with exact integer
-arithmetic: a unit segment crosses an integer-normal hyperplane at a
-rational parameter k / |step|, so scaling by |step| turns every test into an
-int64 comparison and no floating tolerance is involved.  The level of a box
-vertex is read from ``Box.levels``.  Levels of other points (the arguments
-of ``in_strip``, the scaled edge points of the protected region) and
-distances are sums over the d coordinate columns: on an (n, d) array a
-reduction along the short last axis costs several times more.
+The strip and the protected region are decided with exact integer
+arithmetic on ``Box.levels`` alone: the coordinate z_i of a vertex is its
+level under e_i.  A pass over the vertices gives the strip, and another the
+protected tests at edge endpoints.  Only an edge crossing level 0 or N
+strictly inside, at the rational parameter k / |theta_axis|, is tested
+again, scaled by |theta_axis| to integers; no floating tolerance is involved.
 """
 
 from __future__ import annotations
@@ -63,36 +61,6 @@ class StripSpec:
             raise ValueError("N >= 1 required")
 
 
-def _levels(columns, theta):
-    """Levels p . theta of points given by their d int64 coordinate columns."""
-    return sum(t * c for t, c in zip(theta, columns))
-
-
-def in_strip(spec, coords):
-    """Mask of points inside the strip: level in [0, N], within M of the axis line.
-
-    The squared distance to the line R*theta, times |theta|^2, is an integer,
-    so it is compared with the floor of the exact rational M^2 |theta|^2.
-    """
-    cols = np.atleast_2d(np.asarray(coords, dtype=np.int64)).T
-    dots = _levels(cols, spec.theta)
-    nsq = sum(t * t for t in spec.theta)
-    dist_sq_scaled = sum(c * c for c in cols) * nsq - dots ** 2
-    return ((dots >= 0) & (dots <= spec.N)
-            & (dist_sq_scaled <= math.floor(Fraction(spec.M) ** 2 * nsq)))
-
-
-def _level_range(a_u, step, s, low, high):
-    """Mask of the edges (u, u + e_axis), a_u = u . theta, with a point of level
-    in [low, high], and the ends k_lo, k_hi (t = k / s) of that part of each
-    masked edge, in mask order."""
-    if step == 0:
-        return (a_u >= low) & (a_u <= high), (0, 1)
-    k0, k1 = (low - a_u, high - a_u) if step > 0 else (a_u - high, a_u - low)
-    ok = (k0 <= s) & (k1 >= 0)
-    return ok, (np.clip(k0[ok], 0, s), np.clip(k1[ok], 0, s))
-
-
 @lru_cache(maxsize=16)
 def protected_vertices(box, spec, xi_N):
     """In-box vertices incident to an edge meeting any protected-region condition,
@@ -101,11 +69,12 @@ def protected_vertices(box, spec, xi_N):
     An edge is protected when a point of it (a) on level 0 lies at l1
     distance >= M' from the origin, (b) on level N lies at l1 distance >= M'
     from xi_N, or (c) in the slab 0 <= level <= N lies at distance >= M from
-    the axis line.  Both distances are convex along the edge, so only the
-    ends of each level range are tested, on the edges whose range is
-    nonempty; scaled by s = max(|theta[axis]|, 1) those ends are integer
-    points, and each test is an int64 comparison with an exact integer
-    threshold.
+    the axis line.  Both distances are convex along the edge, so they peak at
+    the ends of its part on level 0, level N or the slab: its endpoints, or
+    where it crosses level 0 or N strictly inside.  One pass over the
+    vertices tests the endpoints; a crossing, on an edge (u, u + e_axis) with
+    s = |theta[axis]| > 0, is the point u + (k / s) e_axis, 0 < k < s, tested
+    scaled by s.  Each test is an int64 comparison with an exact threshold.
 
     Pure geometry (independent of weights), so results are cached per
     (box, spec, xi_N); the array is read-only because the cache shares it.
@@ -121,28 +90,32 @@ def protected_vertices(box, spec, xi_N):
         raise ValueError(f"protected-region geometry exceeds int64: box "
                          f"{box.lower}..{box.upper}, theta {spec.theta}, N {N}")
     nsq = sum(t * t for t in theta)
+
+    def far(p, dots, s):
+        """Mask of the points p / s meeting (a), (b) or (c), for p given by its
+        int64 columns and its levels dots = p . theta."""
+        l1_min = math.ceil(Fraction(spec.M_prime) * s)
+        l1, l1_xi = sum(np.abs(c) for c in p), sum(np.abs(c - s * x) for c, x in zip(p, xi_N))
+        dist = sum(c * c for c in p) * nsq - dots ** 2
+        return (((dots == 0) & (l1 >= l1_min)) | ((dots == s * N) & (l1_xi >= l1_min))
+                | ((dots >= 0) & (dots <= s * N)
+                   & (dist >= math.ceil(Fraction(spec.M) ** 2 * nsq * s * s))))
+
     dots = wide.levels(theta)
+    far_vertex = far(list(map(wide.levels, np.eye(wide.dim, dtype=np.int64))), dots, 1)
     # an edge of `wide` off the box marks only vertices outside the box
     hit = np.zeros(wide.n_vertices, dtype=bool)
-    for axis in range(wide.dim):
-        # on the grid of tails, np.nonzero positions are coordinates minus the corner
+    for axis, step in enumerate(theta):
+        meets = np.logical_or(*wide.edge_ends(axis, far_vertex))
         a_u = wide.edge_ends(axis, dots)[0]
-        step = theta[axis]
-        s = max(abs(step), 1)
-        l1_min = math.ceil(Fraction(spec.M_prime) * s)
-        dist_min = math.ceil(Fraction(spec.M) ** 2 * nsq * s * s)
-        conditions = (   # level range, and the test on the columns p of scaled points
-            (0, 0, lambda p: sum(np.abs(c) for c in p) >= l1_min),
-            (N, N, lambda p: sum(np.abs(c - s * x) for c, x in zip(p, xi_N)) >= l1_min),
-            (0, N, lambda p: sum(c * c for c in p) * nsq - _levels(p, theta) ** 2 >= dist_min))
-        meets = np.zeros(a_u.shape, dtype=bool)
-        for low, high, far in conditions:
-            ok, ends = _level_range(a_u, step, s, low, high)
-            p = [s * (i + c) for i, c in zip(np.nonzero(ok), wide.lower)]
-            far_end = np.zeros(len(p[0]), dtype=bool)
-            for k in ends:
-                far_end |= far([*p[:axis], p[axis] + k, *p[axis + 1:]])
-            meets[ok] |= far_end
+        s = abs(step)
+        for level in (0, N):
+            k = (level - a_u) * np.sign(step)           # level a_u + k step / s, at t = k / s
+            cross = (k > 0) & (k < s)
+            # on the grid of tails, np.nonzero positions are coordinates minus the corner
+            p = [s * (i + c) for i, c in zip(np.nonzero(cross), wide.lower)]
+            p[axis] = p[axis] + k[cross]
+            meets[cross] |= far(p, s * level, s)
         for end in wide.edge_ends(axis, hit):
             end |= meets
     # the interior of `wide` is `box`, in the same C order
@@ -154,9 +127,17 @@ def protected_vertices(box, spec, xi_N):
 def _eligible_masks(g, spec, kept):
     """Per axis, the mask of the eligible edges (u, u + e_axis) over the grid of
     their tails u (``Box.edge_ends``): both ends in the strip, and neither end
-    a kept vertex whose out-edge is this edge."""
+    a kept vertex whose out-edge is this edge.
+
+    The strip holds the vertices z with level in [0, N] within M of the axis
+    line: |z|^2 |theta|^2 - (z . theta)^2, an integer, is at most the floor of
+    the exact rational M^2 |theta|^2.
+    """
     box = g.box
-    strip = in_strip(spec, box.coords())
+    dots = box.levels(spec.theta)
+    nsq = sum(t * t for t in spec.theta)
+    dist = sum(c * c for c in map(box.levels, np.eye(box.dim, dtype=np.int64))) * nsq - dots ** 2
+    strip = (dots >= 0) & (dots <= spec.N) & (dist <= math.floor(Fraction(spec.M) ** 2 * nsq))
     kept_succ = np.where(kept, g.succ, -1)      # the out-edge of a kept vertex, else none
     index = np.arange(box.n_vertices)
     masks = []
@@ -211,19 +192,19 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
     the support supremum S of the weights (inf: no speed bound)."""
     box = g.box
     y_points = np.stack(np.unravel_index(y_path, box.shape), axis=1) + box.lower
-    y, xi = y_points[0], np.asarray(box.vertex_at(int(xi_path[0])))
+    y, xi = y_points[0], np.asarray(box.vertex_at(xi_path[0]))
     wit = {}
 
     bad = np.flatnonzero(box.levels(spec.theta)[xi_path[1:]] <= spec.N)
     exit_and_stay = bad.size == 0
     if not exit_and_stay:
-        wit["slab_reentry"] = box.vertex_at(int(xi_path[1 + bad[0]]))
+        wit["slab_reentry"] = box.vertex_at(xi_path[1 + bad[0]])
 
     near = np.abs(y_points - xi).sum(axis=1) <= spec.epsilon * np.abs(xi).sum()
     meets = y_path[np.isin(y_path, xi_path)]
     approach_but_disjoint = bool(near.any()) and meets.size == 0
     if meets.size:
-        wit["y_meets_xi_path"] = box.vertex_at(int(meets[0]))
+        wit["y_meets_xi_path"] = box.vertex_at(meets[0])
     if not near.any():
         wit["y_never_near"] = True
 
@@ -234,12 +215,12 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
         viol = near & (l1_from_y >= spec.M_prime) & (Ty > l1_from_y * (S - spec.delta))
         speed_bound = not viol.any()
         if not speed_bound:
-            wit["speed_violation"] = box.vertex_at(int(y_path[np.flatnonzero(viol)[0]]))
+            wit["speed_violation"] = box.vertex_at(y_path[np.flatnonzero(viol)[0]])
 
     inter = xi_path[orbit[xi_path]]
     protected_disjoint = inter.size == 0
     if inter.size:
-        wit["protected_meets_xi_path"] = box.vertex_at(int(inter[0]))
+        wit["protected_meets_xi_path"] = box.vertex_at(inter[0])
 
     return EventReport(exit_and_stay, approach_but_disjoint, speed_bound, protected_disjoint,
                        witnesses=wit)
@@ -306,7 +287,7 @@ def verify_severing(g_mod, spec, xi_N, S):
         return SeveringVerdict(severed=True, witness=None, crossing=None,
                                crossing_time=None, bound_value=bound_value)
 
-    witness = box.vertex_at(int(violators[0]))
+    witness = box.vertex_at(violators[0])
     path = forward_path(g_mod, witness)
     v1, v2 = (int(path[k]) for k in _strip_crossing(box.levels(spec.theta)[path], spec.N))
     return SeveringVerdict(severed=False, witness=witness,

@@ -344,6 +344,10 @@ _D2 = ["--dim", "2", "--dist", "uniform:0,1"]
                 "--M-prime", "2", "--epsilon", "0.2", "--y", "0,1", "--seed", "0",
                 "--seeds", "2", "--jobs", "2"],
      {"modify.csv": "db4a6b54afa18c071866dfa708173361d9a793e509057c4214fb22ae56eae391"}),
+    # off-axis theta: edges cross level 0 and level N strictly inside them
+    ("modify", [*_D2, "--theta", "2,-1", "--N-list", "6,10,15", "--M-rule", "const:3",
+                "--seeds", "3"],
+     {"modify.csv": "b69d689c0403ba0ed2d2ac2a826d1dd281d28f0d9e52bb62a35cedf4c98d4f6e"}),
 ])
 def test_primary_output_bytes_pinned(tmp_path, command, args, digests):
     first = next(iter(digests))

@@ -156,7 +156,9 @@ def test_encounter_points_match_arm_search(forest):
     g, _ = forest
     for threshold in range(7):
         expect = [g.box.vertex_at(i) for i in encounter_indices(g.succ, threshold)]
-        assert encounter_points(g, threshold) == expect
+        found = encounter_points(g, threshold)
+        assert found == expect
+        assert all(type(c) is int for z in found for c in z)     # not np.int64
 
 
 @settings(max_examples=100, deadline=None)

@@ -56,12 +56,28 @@ def test_box_validation_and_indexing():
     lambda box: box.index_of((1, 0, 99)),
     lambda box: box.indices_of([[1], [2]]),
     lambda box: box.indices_of([[1, 0, 0]]),
+    lambda box: box.indices_of([1, 0]),         # one point, not an (m, d) array
     lambda box: box.levels((1, 0, 0)),
 ], ids=["contains", "index_of-short", "index_of-long", "indices_of-short", "indices_of-long",
-        "levels"])
+        "indices_of-flat", "levels"])
 def test_points_of_the_wrong_dimension_raise(call):
     with pytest.raises(ValueError, match="on a 2-d box"):
         call(Box.cube(2, 2))
+
+
+@pytest.mark.parametrize("idx", [9, -1, np.int64(9), np.int64(-1)])
+def test_vertex_at_rejects_an_index_outside_the_box(idx):
+    with pytest.raises(ValueError, match="outside box"):
+        Box.cube(1, 2).vertex_at(idx)
+
+
+def test_vertex_at_returns_python_ints():
+    box = Box.cube(1, 2)
+    for idx in (7, np.int64(7), np.intp(7)):
+        v = box.vertex_at(idx)
+        assert v == (1, 0) and all(type(c) is int for c in v)
+    with pytest.raises(TypeError):
+        box.vertex_at(7.0)
 
 
 def test_forward_path_from_a_short_point_raises():

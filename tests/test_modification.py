@@ -11,19 +11,27 @@ from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_over
 from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction, lattice_point_on_level
-from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, in_strip,
-                                 protected_vertices, run_modification, verify_severing,
-                                 violating_sources)
+from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, protected_vertices,
+                                 run_modification, verify_severing, violating_sources)
 
 from oracles import (axis_edges, eligible_edges_scan, first_attainment, last_attainment,
                      neighbor_table, neighbors, per_edge_weights, protected_vertices_exact,
                      reverse_reachable, sort_by_order, strip_scan, unit_environment)
 
 
-def strip_list(spec, box):
-    """The box vertices inside the strip, in lexicographic order."""
-    coords = box.coords()
-    return [tuple(int(c) for c in row) for row in coords[in_strip(spec, coords)]]
+def _nothing_kept(box, spec):
+    """An ``eligible_cases`` case with no successor and no kept vertex."""
+    return box, spec, np.full(box.n_vertices, -1), np.zeros(box.n_vertices, dtype=bool)
+
+
+def strip_edges(spec, box):
+    """``eligible_edges`` with nothing kept: the edges of ``box`` with both ends in
+    the strip, as sorted (u, v) pairs, and ``oracles.eligible_edges_scan``'s pairs."""
+    _, _, succ, kept = _nothing_kept(box, spec)
+    g = DistanceField(box=box, target=None, T=np.zeros(box.n_vertices), succ=succ,
+                      target_mask=~kept)
+    edges = sorted(tuple(map(tuple, e)) for e in eligible_edges(g, spec, kept).tolist())
+    return edges, eligible_edges_scan(box, spec, succ, kept)
 
 
 def path_vertices(g, x):
@@ -53,30 +61,24 @@ def test_strip_spec_validation():
 
 def test_strip_contains_origin_and_excludes_far_points():
     spec = StripSpec((1, 0), 10, 3.0, 2, 0.1, 0.1)
-    box = Box.cube(12, 2)
-
-    def pred(z):
-        return bool(in_strip(spec, [z])[0])
-
-    assert pred((0, 0))
-    assert (0, 0) in strip_list(spec, box)
-    for k in range(0, 10):
-        assert not pred((k, 4))  # distance M+1 off the axis
-    assert not pred((-1, 0))
-    assert not pred((11, 0))
+    edges, expect = strip_edges(spec, Box.cube(12, 2))
+    assert edges == expect
+    ends = {v for e in edges for v in e}
+    assert ((0, 0), (1, 0)) in edges and ((0, 0), (0, 1)) in edges
+    for k in range(0, 11):
+        assert (k, 3) in ends           # distance M off the axis: inside
+        assert (k, 4) not in ends       # distance M+1 off the axis
+    assert (-1, 0) not in ends
+    assert (11, 0) not in ends
 
 
 def test_strip_matches_bruteforce_scan():
+    # the float-M boundary cases are examples of test_eligible_edges_match_per_edge_scan
     for theta, N, M, box in [
             ((1, 0), 8, 2.5, Box.cube(10, 2)), ((1, 2), 6, 3.0, Box.cube(10, 2)),
-            ((2, -1), 7, 2.0, Box.cube(10, 2)),
-            # float M just below the root of an integer: in floating point M^2 |theta|^2
-            # rounds up to the squared distance of (0, 1), resp. (0, -5, -4), which
-            # the exact square misses
-            ((3, 1), 2, 0.9486832980505138, Box.cube(3, 2)),
-            ((1, 0, 0), 6, 6.4031242374328485, Box.cube(6, 3))]:
-        spec = StripSpec(theta, N, M, 2, 0.1, 0.1)
-        assert strip_list(spec, box) == strip_scan(theta, N, M, box.coords())
+            ((2, -1), 7, 2.0, Box.cube(10, 2)), ((1, 1, -1), 4, 1.5, Box.cube(4, 3))]:
+        edges, expect = strip_edges(StripSpec(theta, N, M, 2, 0.1, 0.1), box)
+        assert edges and edges == expect
 
 
 def test_protected_vertices_geometry():
@@ -104,12 +106,12 @@ def test_protected_vertices_geometry():
 def protected_cases(draw):
     """Small boxes and strips: coprime theta with zero and negative entries,
     non-dyadic M, and xi_N inside or outside the box."""
-    dim = draw(st.integers(2, 3))
+    dim = draw(st.integers(2, 4))
     theta = draw(st.tuples(*[st.integers(-3, 3)] * dim).filter(is_integer_direction))
     N = draw(st.integers(1, 12))
     M = draw(st.sampled_from([0.1 * N, 1 / 3, 0.5, 2.0, 0.25 * N + 1]))
     spec = StripSpec(theta, N, M, draw(st.integers(1, 5)), 0.1, 0.1)
-    side = 9 if dim == 2 else 4
+    side = {2: 9, 3: 4, 4: 2}[dim]
     lower = tuple(draw(st.integers(-6, 3)) for _ in range(dim))
     box = Box(lower, tuple(l + draw(st.integers(0, side)) for l in lower))
     if draw(st.booleans()):
@@ -130,6 +132,8 @@ def protected_cases(draw):
 @example((Box((0, -1), (0, 0)), StripSpec((-1, -1), 3, 1.75, 2, 0.1, 0.1), (0, 3)))
 # level N crossed at t = 1/2, far from xi_N
 @example((Box((0, -3), (2, -3)), StripSpec((1, -2), 6, 2.0, 5, 0.1, 0.1), (-4, -3)))
+# theta_1 = 0: edges along axis 1 lie in a level, here level 0, at l1 distance M' and more
+@example((Box((-1, 2, -1), (1, 3, 0)), StripSpec((1, 0, -1), 2, 1.5, 3, 0.1, 0.1), (2, 0, 0)))
 def test_protected_vertices_match_exact_rational_oracle(case):
     box, spec, xi = case
     assert protected_list(box, spec, xi) == protected_vertices_exact(box, spec, xi)
@@ -161,7 +165,7 @@ def test_eligible_edges_exclude_kept_paths_and_match_bruteforce():
         assert ((k, 1), (k + 1, 1)) not in edge_set
 
     # brute-force filter: strip edges minus edges on kept forward paths
-    verts = strip_list(fx.SPEC, fx.BOX)
+    verts = strip_scan(fx.SPEC.theta, fx.SPEC.N, fx.SPEC.M, fx.BOX.coords())
     kept_path_edges = set()
     for z in list(prot) + [fx.Y]:
         p = path_vertices(g, z)
@@ -207,6 +211,11 @@ def eligible_cases(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(eligible_cases())
+# float M just below the root of an integer: in floating point M^2 |theta|^2 rounds
+# up to the squared distance of (0, 1), resp. (0, -5, -4), which the exact square
+# misses, so the edge to (0, 0), resp. (0, -5, -3), is not a strip edge
+@example(_nothing_kept(Box.cube(3, 2), StripSpec((3, 1), 2, 0.9486832980505138, 3, 0.1, 0.1)))
+@example(_nothing_kept(Box.cube(6, 3), StripSpec((1, 0, 0), 6, 6.4031242374328485, 3, 0.1, 0.1)))
 def test_eligible_edges_match_per_edge_scan(case):
     box, spec, succ, kept = case
     g = DistanceField(box=box, target=None, T=np.zeros(box.n_vertices), succ=succ,
@@ -219,6 +228,19 @@ def test_eligible_edges_match_per_edge_scan(case):
     axes = np.argmax(edges[:, 1] - edges[:, 0], axis=1).tolist()
     keys = [(a, *t) for a, (t, _) in zip(axes, edges.tolist())]
     assert keys == sorted(set(keys))
+
+
+def test_run_modification_builds_no_coordinate_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Box.coords called")
+
+    monkeypatch.setattr(Box, "coords", refuse)
+    protected_vertices.cache_clear()            # the run computes its protected set anew
+    out = fx.run_fixture(fx.fixture_env(0))
+    assert len(out.edge_set) > 0
+    spec = StripSpec((2, -1, 1), 6, 2.0, 4, 0.1, 0.1)     # off-axis, in 3-d
+    out = run_modification(WeightEnvironment(3, uniform(0, 1), 0), spec, (0, 1, 1), (3, 0, 0))
+    assert len(out.edge_set) > 0
 
 
 def test_strip_without_edges_raises_nothing():
