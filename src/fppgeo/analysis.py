@@ -12,7 +12,7 @@ successor rule with one tie-break, and every forest traversal serves both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,7 @@ def check_window(window, box):
             f"(pad {pad}) of box {box.lower}..{box.upper}")
 
 
-def direction_grid(dim, count=64):
+def direction_grid(dim, count):
     """Unit direction samples: uniform angles (d=2), Fibonacci spiral (d=3)."""
     if dim == 2:
         ang = 2.0 * np.pi * np.arange(count) / count
@@ -65,7 +65,7 @@ class ShapeEstimate:
     radius: int
     directions: np.ndarray       # (m, d) unit vectors
     eval_points: np.ndarray      # (m, d) lattice points floor(r * xi)
-    T_samples: np.ndarray        # (n_seeds, m) passage times T(0, point)
+    T_samples: np.ndarray        # (seeds, m) passage times T(0, point)
 
     @property
     def g_hat(self):
@@ -91,41 +91,37 @@ class ShapeEstimate:
         return out
 
 
-def estimate_shape(env, radius, n_seeds, directions=None, n_directions=64):
-    """Passage times T(0, floor(r xi)) over ``n_seeds`` consecutive seeds, for
-    the directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r.
+def estimate_shape(env, radius, directions):
+    """Passage times T(0, floor(r xi)) of the one seed of ``env``, for the
+    directional norm estimates g_hat(xi) = mean T(0, floor(r xi)) / r.
 
-    Each seed's times come from ``passage_times``, whose Dijkstra stops at L,
-    the largest time inside the window spanned by the origin and the points.
+    ``T_samples`` has one row.  A multi-seed estimate stacks the rows of one
+    call per seed into the ``T_samples`` of the first, as the CLI does.
+
+    The times come from ``passage_times``, whose Dijkstra stops at L, the
+    largest time inside the window spanned by the origin and the points.
     The solve box is ``padded_solve_box(window)``.  The window's paths are
     paths of the solve box, so each point's time in the box is at most L, in
     floating point too since rounding is monotone, and equals the time of a
     full solve.
     """
     r = int(radius)
-    if directions is None:
-        directions = direction_grid(env.dim, n_directions)
     directions = np.asarray(directions, dtype=np.float64)
     points = np.floor(r * directions).astype(np.int64)
     origin = (0,) * env.dim
     box = padded_solve_box(Box.hull(np.vstack([origin, points])))
-
-    samples = np.empty((n_seeds, len(points)))
-    for k in range(n_seeds):
-        samples[k] = passage_times(replace(env, seed=env.seed + k), box, origin, points)
     return ShapeEstimate(radius=r, directions=directions, eval_points=points,
-                         T_samples=samples)
+                         T_samples=passage_times(env, box, origin, points)[np.newaxis])
 
 
 @dataclass
 class BusemannVectorEstimate:
     rho_fit: np.ndarray
     residual_rms: float
-    window: Box
 
     def rows(self):
-        out = [("rho_fit", "", i, v) for i, v in enumerate(self.rho_fit)]
-        out.append(("residual_rms", "", "", self.residual_rms))
+        out = [("rho_fit", i, v) for i, v in enumerate(self.rho_fit)]
+        out.append(("residual_rms", "", self.residual_rms))
         return out
 
 
@@ -142,8 +138,7 @@ def estimate_busemann_vector(field, window):
     rho, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = b - A @ rho
     return BusemannVectorEstimate(rho_fit=rho,
-                                  residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                                  window=window)
+                                  residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
 
 @dataclass
@@ -155,11 +150,13 @@ class CrossingReport:
     max_count: int
 
     def rows(self):
+        """One crossings row per sample vertex and level, its param ``x1;...;xd/level``."""
         out = []
         for i, x in enumerate(self.samples):
+            vertex = ";".join(map(str, x))
             for j, a in enumerate(self.levels):
-                out.append(("crossings", repr(x), a, int(self.counts[i, j])))
-        out.append(("max_count", "", "", self.max_count))
+                out.append(("crossings", f"{vertex}/{a}", int(self.counts[i, j])))
+        out.append(("max_count", "", self.max_count))
         return out
 
 
@@ -194,9 +191,9 @@ class BackwardTailReport:
     mean_depth: float
 
     def rows(self):
-        out = [("p_size_ge", "", int(k), p) for k, p in zip(self.k_size, self.p_size_ge)]
-        out += [("p_depth_ge", "", int(k), p) for k, p in zip(self.k_depth, self.p_depth_ge)]
-        out.append(("censored_fraction", "", "", self.censored_fraction))
+        out = [("p_size_ge", int(k), p) for k, p in zip(self.k_size, self.p_size_ge)]
+        out += [("p_depth_ge", int(k), p) for k, p in zip(self.k_depth, self.p_depth_ge)]
+        out.append(("censored_fraction", "", self.censored_fraction))
         return out
 
 
@@ -240,7 +237,7 @@ class IntersectionRadiusReport:
     records: list   # (level, component_label, n_vertices, radius)
 
     def rows(self):
-        return [("radius", "", f"{lvl}/{lab}", float(r))
+        return [("radius", f"{lvl}/{lab}", float(r))
                 for lvl, lab, _, r in self.records]
 
 
@@ -290,7 +287,6 @@ def build_torus_graph(env, dims, direction, level=0):
 
 @dataclass
 class MassTransportReport:
-    dims: tuple
     n_vertices: int
     n_components: int
     total_sent: int
@@ -300,9 +296,9 @@ class MassTransportReport:
     difference: int
 
     def rows(self):
-        return [("total_sent", "", "", self.total_sent),
-                ("total_received", "", "", self.total_received),
-                ("difference", "", "", self.difference)]
+        return [("total_sent", "", self.total_sent),
+                ("total_received", "", self.total_received),
+                ("difference", "", self.difference)]
 
 
 def mass_transport_balance(g, theta):
@@ -330,7 +326,7 @@ def mass_transport_balance(g, theta):
     np.add.at(received, prog_index, 1)
     total_received = int(received.sum())
     return MassTransportReport(
-        dims=g.box.shape, n_vertices=n, n_components=int((g.succ < 0).sum()),
+        n_vertices=n, n_components=int((g.succ < 0).sum()),
         total_sent=int(sent), total_received=total_received,
         mean_sent=sent / n, mean_received=total_received / n,
         difference=int(sent - total_received))

@@ -6,7 +6,9 @@ its type, default, help and (when it is not ``--<name>``) its flag.
 per-seed task and its CSV header or writer.  The parser is built from the
 two tables, and one runner serves all subcommands: merge the settings, list
 the seeds, map the task over them (in processes when ``--jobs`` > 1), write
-the primary outputs, then the manifest.
+the primary outputs, then the manifest.  A task takes one seed: the runner
+alone loops over seeds and writes the seed column, by ``_long_rows`` (or,
+for the one multi-seed report, by the shape writer).
 
 A setting takes its value from its flag, else from the ``--config`` JSON
 file, else from its default.  A flag that is not given leaves the file's
@@ -106,7 +108,6 @@ class Setting:
     default: object = REQUIRED
     help: str | None = None
     flag: str | None = None         # when not --<name with - for _>
-    choices: tuple | None = None
     minimum: int | None = None      # of the value, or of each entry of a list
     per_axis: bool = False          # a list with one entry per axis (``dim`` of them)
 
@@ -133,7 +134,7 @@ SETTINGS = {
     "M_prime": Setting(_int, 3, minimum=1),
     "epsilon": Setting(float, 0.1),
     "delta": Setting(float, 0.1),
-    "mode": Setting(str, "bounded", choices=("bounded", "unbounded")),
+    "mode": Setting(str, "bounded", "bounded, or unbounded with --lambda"),
     "lam": Setting(float, None, flag="--lambda", minimum=0),
     "y": Setting(_int_list, None, "default: the first smallest nonzero vertex on level 0",
                  per_axis=True),
@@ -149,8 +150,6 @@ def _convert(key, setting, value):
         value = setting.type(value)
     except (TypeError, ValueError) as exc:
         raise ParameterError(key, str(exc)) from None
-    if setting.choices and value not in setting.choices:
-        raise ParameterError(key, f"expected one of {', '.join(setting.choices)}, got {value!r}")
     for entry in value if isinstance(value, tuple) else (value,):
         if setting.minimum is not None and not entry >= setting.minimum:    # NaN fails too
             raise ParameterError(key, f"must be at least {setting.minimum}, got {entry}")
@@ -247,17 +246,15 @@ def _padded_window(cfg):
 
 
 def _long_rows(report, seed):
-    return [(m, seed, p, v) for (m, _, p, v) in report.rows()]
+    """The report's (metric, param, value) rows, each with its seed."""
+    return [(m, seed, p, v) for (m, p, v) in report.rows()]
 
 
 def _shape_task(arg):
     cfg, seed = arg
-    directions = None
-    if cfg["axis"]:
-        directions = np.zeros((1, cfg["dim"]))
-        directions[0, 0] = 1.0
-    return analysis.estimate_shape(_env(cfg, seed), cfg["radius"], n_seeds=1,
-                                   directions=directions, n_directions=cfg["directions"])
+    dim = cfg["dim"]
+    directions = np.eye(1, dim) if cfg["axis"] else analysis.direction_grid(dim, cfg["directions"])
+    return analysis.estimate_shape(_env(cfg, seed), cfg["radius"], directions)
 
 
 def _graph_task(arg):
@@ -441,7 +438,7 @@ def build_parser():
             else:
                 # numbers are checked by argparse, with its own messages; other
                 # types by _merge_config, so that the error names the key
-                kind = dict(type={_int: int, float: float}.get(s.type), choices=s.choices)
+                kind = dict(type={_int: int, float: float}.get(s.type))
             p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key, help=s.help, **kind)
     return root
 

@@ -3,7 +3,7 @@
 Nothing here shares code with the library's solvers; these exist so tests
 can compare optimized implementations against first-principles computation.
 The environment, point-field and truncation helpers at the end build test
-inputs.
+inputs, and ``shape_over_seeds`` stacks shape estimates over seeds.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fppgeo.analysis import estimate_shape
 from fppgeo.environment import DistributionSpec, WeightEnvironment, override_edges, uniform
 from fppgeo.geodesics import (DistanceField, HyperplaneTarget, _neighbor_table, axis_weights,
                               solve, successor_forest)
@@ -517,6 +518,15 @@ def target_field(env, box, target):
     if isinstance(target, HyperplaneTarget):
         return solve(env, box, target)
     return point_field(env, box, target)
+
+
+def shape_over_seeds(env, radius, directions, n_seeds):
+    """``estimate_shape`` at ``n_seeds`` consecutive seeds from ``env.seed``,
+    stacked as the shape CLI stacks its seeds: the first estimate, with one
+    ``T_samples`` row per seed."""
+    ests = [estimate_shape(replace(env, seed=env.seed + k), radius, directions)
+            for k in range(n_seeds)]
+    return replace(ests[0], T_samples=np.vstack([e.T_samples for e in ests]))
 
 
 def successor_margin(env, field):

@@ -17,8 +17,8 @@ from fppgeo.geodesic_graph import backward_stats, build_graph, components
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, passage_times, solve, target_mask
 from fppgeo.lattice import Box, is_integer_direction
 
-from oracles import (max_pairwise_l1_scan, override_box, point_field, unit_environment,
-                     weight_environment)
+from oracles import (max_pairwise_l1_scan, override_box, point_field, shape_over_seeds,
+                     unit_environment, weight_environment)
 
 
 def test_direction_grid_shapes():
@@ -33,9 +33,9 @@ def test_estimate_shape_unit_weights_exact():
     r = 12
     box = Box.cube(r + 16, 2)      # the padded solve box of the points' hull [-12, 12]^2
     env = unit_environment(2, box, seed=0)
-    est = estimate_shape(env, r, n_seeds=2, n_directions=16)
+    est = shape_over_seeds(env, r, direction_grid(2, 16), 2)
     l1 = np.abs(est.eval_points).sum(axis=1)
-    assert np.array_equal(est.T_samples[0], l1.astype(float))
+    assert np.array_equal(est.T_samples, np.tile(l1.astype(float), (2, 1)))
     assert np.array_equal(est.g_hat * r, l1.astype(float))
 
 
@@ -70,7 +70,7 @@ def test_estimate_shape_equals_full_solves(problem):
         # the bounded Dijkstra of estimate_shape, in a box it does not pick
         samples = [passage_times(e, box, origin, points) for e in seeds]
     else:
-        est = estimate_shape(env, r, n_seeds=2, directions=directions)
+        est = shape_over_seeds(env, r, directions, 2)
         assert np.array_equal(est.eval_points, points)
         samples = est.T_samples
     idx = box.indices_of(points)
@@ -83,8 +83,8 @@ def test_estimate_shape_lattice_symmetry():
     e1 = np.array([[1.0, 0.0]])
     e2 = np.array([[0.0, 1.0]])
     r = 30
-    a = estimate_shape(env, r, n_seeds=12, directions=e1)
-    b = estimate_shape(env, r, n_seeds=12, directions=e2)
+    a = shape_over_seeds(env, r, e1, 12)
+    b = shape_over_seeds(env, r, e2, 12)
     pooled = np.sqrt(a.g_stderr[0] ** 2 + b.g_stderr[0] ** 2)
     assert abs(a.g_hat[0] - b.g_hat[0]) < 3 * pooled
 
@@ -92,7 +92,7 @@ def test_estimate_shape_lattice_symmetry():
 def test_estimate_shape_mean_bound_small_scale():
     # deterministic-path upper bound: g(e1) <= E t_e
     env = WeightEnvironment(2, uniform(0, 1), 0)
-    est = estimate_shape(env, 40, n_seeds=10, directions=np.array([[1.0, 0.0]]))
+    est = shape_over_seeds(env, 40, np.array([[1.0, 0.0]]), 10)
     assert est.g_hat[0] <= 0.5 + 3 * est.g_stderr[0]
 
 
@@ -108,7 +108,7 @@ def test_estimate_shape_box_too_small():
 
 def test_shape_estimate_moments_and_rows():
     env = WeightEnvironment(2, uniform(0, 1), 4)
-    est = estimate_shape(env, 10, n_seeds=3, n_directions=5)
+    est = shape_over_seeds(env, 10, direction_grid(2, 5), 3)
     T = est.T_samples
     assert T.shape == (3, 5)
     assert est.g_hat.tolist() == [T[:, i].mean() / 10 for i in range(5)]
@@ -117,7 +117,7 @@ def test_shape_estimate_moments_and_rows():
     assert rows[:5] == [("T_over_r", 7, i, T[0, i] / 10) for i in range(5)]
     assert rows[15:] == [row for i in range(5) for row in (("g_hat", "", i, est.g_hat[i]),
                                                            ("g_stderr", "", i, est.g_stderr[i]))]
-    one = estimate_shape(env, 10, n_seeds=1, n_directions=5)
+    one = estimate_shape(env, 10, direction_grid(2, 5))
     assert one.T_samples.tolist() == T[:1].tolist()
     assert one.g_stderr.tolist() == [0.0] * 5
 

@@ -12,13 +12,14 @@ import pytest
 
 import fppgeo
 from fppgeo import cli
-from fppgeo.analysis import estimate_shape
+from fppgeo.analysis import crossing_counts, direction_grid
 from fppgeo.cli import main
 from fppgeo.environment import WeightEnvironment, uniform
-from fppgeo.geodesics import ParameterError
+from fppgeo.geodesics import HyperplaneTarget, ParameterError, solve
+from fppgeo.lattice import Box
 from fppgeo.manifest import canonical_json, export_csv, export_json
 
-from oracles import check_manifest
+from oracles import check_manifest, shape_over_seeds
 
 
 def run_cli(args):
@@ -176,12 +177,11 @@ def test_shape_command(tmp_path):
 
 
 def test_shape_rows_match_estimate_shape(tmp_path):
-    # the CLI runs one solve per seed and stacks them; the library runs the seeds in one call
+    # the CLI runs one estimate_shape per seed and stacks their rows, as the helper does
     out = tmp_path / "s.csv"
     assert run_cli(["shape", "--dim", "2", "--dist", "uniform:0,1", "--radius", "9",
                     "--directions", "6", "--seed", "5", "--seeds", "3", "--out", str(out)]) == 0
-    est = estimate_shape(WeightEnvironment(2, uniform(0.0, 1.0), 5), 9, n_seeds=3,
-                         n_directions=6)
+    est = shape_over_seeds(WeightEnvironment(2, uniform(0.0, 1.0), 5), 9, direction_grid(2, 6), 3)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     for metric, values in (("g_hat", est.g_hat), ("g_stderr", est.g_stderr)):
         got = [float(value) for name, _, _, value in rows if name == metric]
@@ -209,6 +209,25 @@ def test_busemann_backward_crossings_radii_masstransport(tmp_path):
     assert all(row.split(",")[3] == "0" for row in mt[1:] if row.startswith("difference"))
 
 
+def test_crossings_rows_name_their_vertex(tmp_path):
+    out = tmp_path / "c.csv"
+    assert run_cli(["crossings", "--dim", "2", "--dist", "uniform:0,1", "--box", "41",
+                    "--theta", "1,1", "--alpha", "10", "--levels=-3,0,3", "--samples", "4",
+                    "--seed", "4", "--out", str(out)]) == 0
+    g = solve(WeightEnvironment(2, uniform(0.0, 1.0), 4), Box.cube(20, 2),
+              HyperplaneTarget((1, 1), 10))
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    named = set()
+    for metric, seed, param, value in rows[:-1]:
+        vertex, level = param.split("/")
+        x = tuple(int(c) for c in vertex.split(";"))
+        report = crossing_counts(g, (1, 1), [int(level)], [x])
+        assert (metric, seed, value) == ("crossings", "4", str(report.counts[0, 0]))
+        named.add((x, int(level)))
+    assert len(named) == len(rows) - 1 == 4 * 3
+    assert rows[-1][:3] == ["max_count", "4", ""]
+
+
 def test_modify_command_schema(tmp_path):
     out = tmp_path / "mod.csv"
     rc = run_cli(["modify", "--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0",
@@ -222,12 +241,14 @@ def test_modify_command_schema(tmp_path):
 
 
 def test_jobs_parallel_identical_output(tmp_path):
-    args = ["masstransport", "--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0",
-            "--dims", "8,8", "--level", "0", "--seed", "0", "--seeds", "4"]
-    a, b = tmp_path / "j1.csv", tmp_path / "j2.csv"
-    assert run_cli(args + ["--out", str(a), "--jobs", "1"]) == 0
-    assert run_cli(args + ["--out", str(b), "--jobs", "2"]) == 0
-    assert a.read_bytes() == b.read_bytes()
+    for args in (["masstransport", "--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0",
+                  "--dims", "8,8", "--level", "0", "--seed", "0", "--seeds", "4"],
+                 ["shape", "--dim", "2", "--dist", "uniform:0,1", "--radius", "7",
+                  "--directions", "5", "--seed", "1", "--seeds", "4"]):
+        a, b = tmp_path / f"{args[0]}1.csv", tmp_path / f"{args[0]}2.csv"
+        assert run_cli(args + ["--out", str(a), "--jobs", "1"]) == 0
+        assert run_cli(args + ["--out", str(b), "--jobs", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_jobs_start_at_most_one_worker_per_task(tmp_path, monkeypatch):
@@ -333,7 +354,7 @@ _D2 = ["--dim", "2", "--dist", "uniform:0,1"]
      {"backward.csv": "b084b3ee31f28e00e9491f051c6ef9034689ee5c8c7a28ff25ee0b3684c3397e"}),
     ("crossings", [*_D2, "--box", "41", "--theta", "1,0", "--alpha", "10", "--levels=-3,0,3",
                    "--samples", "5", "--seed", "4", "--seeds", "2"],
-     {"crossings.csv": "3650de942731a7c0c35fa48e1c1f27bba91bb93bc16230d8c3dc38683c94b319"}),
+     {"crossings.csv": "c32a0fcecaf78b0acf482c5e95fc16e48ba4004ebfcb41e88d19bebfa4ff6aac"}),
     ("radii", [*_D2, "--box", "41", "--theta", "1,1", "--alpha", "10", "--levels", "0,2",
                "--seed", "5", "--seeds", "2"],
      {"radii.csv": "56203ec025a6f93741a234f31817b27e5e0750dd539d31280fcd6549ebcbfa81"}),
@@ -348,6 +369,10 @@ _D2 = ["--dim", "2", "--dist", "uniform:0,1"]
     ("modify", [*_D2, "--theta", "2,-1", "--N-list", "6,10,15", "--M-rule", "const:3",
                 "--seeds", "3"],
      {"modify.csv": "b69d689c0403ba0ed2d2ac2a826d1dd281d28f0d9e52bb62a35cedf4c98d4f6e"}),
+    # the --axis branch of shape: one direction, e1, in 3-d
+    ("shape", ["--dim", "3", "--dist", "uniform:0,1", "--radius", "6", "--axis",
+               "--seed", "2", "--seeds", "3"],
+     {"shape.csv": "bdd1ef4887f9b92fec88826132e8285e25efb016b8db85bb16668159dce22dde"}),
 ])
 def test_primary_output_bytes_pinned(tmp_path, command, args, digests):
     first = next(iter(digests))
@@ -477,6 +502,8 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "delta: 0.4 is too large for bounded mode: the mean 0.5 exceeds S - 2 delta = 0.2"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded"],
      "lam: unbounded mode needs a lambda"),
+    ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "sideways"],
+     "mode: unknown mode 'sideways'"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "-1"],
      "lam: must be at least 0, got -1.0"),
     ("modify", ["--theta", "1,0", "--N-list", "24", "--mode", "unbounded", "--lambda", "nan"],
@@ -502,11 +529,18 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
     ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "4", "--jobs", "0"],
      "jobs: must be at least 1, got 0"),
 ], ids=["samples", "directions", "dims", "dims-negative", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
-        "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "M_rule-jobs",
+        "mode", "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "M_rule-jobs",
         "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_modify_help_names_both_modes(capsys):
+    with pytest.raises(SystemExit):
+        main(["modify", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--mode MODE bounded, or unbounded with --lambda" in text
 
 
 @pytest.mark.parametrize("key, value", [("lam", "inf"), ("epsilon", "inf"), ("delta", "-inf"),

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppgeo import geodesics
-from fppgeo.analysis import estimate_shape
+from fppgeo.analysis import direction_grid, estimate_shape
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import forward_path
 from fppgeo.geodesics import HyperplaneTarget, _shortest_paths, axis_weights, passage_times, solve
@@ -266,7 +266,7 @@ def test_shape_solve_leaves_the_far_box_unsettled(monkeypatch):
 
     dijkstra = geodesics.dijkstra
     monkeypatch.setattr(geodesics, "dijkstra", recording_dijkstra)
-    est = estimate_shape(WeightEnvironment(3, uniform(0, 1), 0), 4, n_seeds=1, n_directions=8)
+    est = estimate_shape(WeightEnvironment(3, uniform(0, 1), 0), 4, direction_grid(3, 8))
     hull, box = searches          # the hull, unbounded, then the padded box
     assert np.isfinite(hull).all()
     assert np.isinf(box).sum() > box.size // 2
