@@ -16,8 +16,8 @@ so an override there also sets every other edge that shares its id.
 
 ``with_overrides`` (an upward raise through the table) is public but off
 the run path: ``modification.run_modification`` hashes its box once and
-raises its strip in copies of the solve's own weight arrays, at the places
-of the eligible edges themselves, not by id.
+raises its strip in the solve's own neighbor table, at the slots of the
+eligible edges themselves, not by id.
 """
 
 from __future__ import annotations

@@ -42,12 +42,28 @@ def forward_path(g, x):
 
 
 def forward_orbit(g, source_indices):
-    """Mask of vertices lying on the forward path of any source."""
-    mark = np.zeros(g.n_vertices, dtype=bool)
-    mark[np.asarray(source_indices, dtype=np.int64)] = True
-    for gen in g.generations()[:0:-1]:
-        mark[g.succ[gen[mark[gen]]]] = True
-    return mark
+    """Mask of vertices lying on the forward path of any source.
+
+    A frontier walk: each source's walker marks its chain as its own until
+    it reaches a root or a marked vertex, whose owner it joins.  A cycle in
+    the orbit is a cycle of joins, on which ``fold_chains`` raises ValueError.
+    """
+    succ, n = g.succ, g.n_vertices
+    front = np.asarray(source_indices, dtype=np.int64).ravel()
+    walker = np.arange(len(front))
+    # entry n, read at index -1 (past a root), is owned by walker len(front),
+    # which joins nothing: a walker off a root stops there and joins it
+    owner = np.full(n + 1, -1, dtype=np.int64)
+    owner[n] = len(front)
+    joins = np.full(len(front) + 1, -1, dtype=np.int64)
+    while front.size:
+        new = owner[front] < 0
+        owner[front[new]] = walker[new]
+        mine = new & (owner[front] == walker)      # of two walkers onto one vertex, one owns it
+        joins[walker[~mine]] = owner[front[~mine]]
+        front, walker = succ[front[mine]], walker[mine]
+    fold_chains(joins, np.zeros(len(joins), dtype=np.int8), np.maximum)
+    return owner[:n] >= 0
 
 
 def backward_stats(g):
@@ -65,7 +81,7 @@ def backward_stats(g):
         s = g.succ[gen]
         np.add.at(sizes, s, sizes[gen])
         np.maximum.at(depth, s, depth[gen] + 1)
-        np.logical_or.at(touch, s, touch[gen])
+        touch[s[touch[gen]]] = True     # an OR of True values: repeats do no harm
     return sizes, depth, touch
 
 
@@ -128,7 +144,9 @@ def encounter_points(g, threshold=None):
         radius = min(u - l for l, u in zip(g.box.lower, g.box.upper)) // 2
         threshold = max(2, radius // 2)
     n = g.n_vertices
-    _, down, _ = backward_stats(g)       # height of the backward subtree
+    down = np.zeros(n, dtype=np.int64)  # height of the backward subtree
+    for gen in g.generations()[:0:-1]:
+        np.maximum.at(down, g.succ[gen], down[gen] + 1)
     child = np.flatnonzero(g.succ >= 0)
     par = g.succ[child]
     # highest sibling subtree of each child: the highest child subtree of its

@@ -5,18 +5,19 @@ vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
 ``successor_forest`` is the one lattice-graph core behind it.  It works on
-the box grid, not on per-edge arrays: ``axis_weights`` hashes the tails of
-each axis as an open grid and returns their weights in the C order of that
-grid (the order of ``Box.edge_ends``), and the weights fill one row-major
-(n, 2d) neighbor table by slices of the grid, or by ``np.roll`` on a torus.
-Its slots run in the direction order -e1 < -e2 < ... < -ed < +ed < ... <
-+e1.  Dijkstra reads that table as a fixed-degree CSR graph, and the
+one row-major (n, 2d) neighbor table, whose slots run in the direction order
+-e1 < -e2 < ... < -ed < +ed < ... < +e1.  ``_neighbor_table`` builds it for
+box and torus alike: it hashes each axis's grid of tails in slabs and writes
+each slab straight into the table, so no per-axis weight array outlives a
+slab.  Dijkstra reads the table as a fixed-degree CSR graph, and the
 successor of x is the first slot with the least weight(x, y) + T(y), so
 ties break by that direction order.  On a plain box that is the
 lexicographically smallest tied neighbor.  The target mask reads
 ``Box.levels``: a solve builds no (n, d) coordinate table.  ``solve`` is
-``axis_weights`` then ``successor_forest``; a caller that edits the weight
-arrays between the two (the strip raise of ``modification``) calls them.
+``_neighbor_table`` then ``successor_forest``, which reads the table and
+never writes it; a caller that solves twice on edited weights (the strip
+raise of ``modification``) builds the table once, edits it in place between
+the two solves, and calls them.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -44,6 +45,7 @@ statistics, the forward paths and the ``graph.csv`` writer are in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,7 +109,7 @@ class DistanceField:
     target vertices and wherever a chain was cut).  ``generations`` are
     derived from ``succ`` on first read and cached.  A field names no
     weight environment: the weights it was solved with may be hashed ones
-    or raised copies of them (``modification.run_modification``).
+    or a raise of them (``modification.run_modification``).
     """
 
     box: Box
@@ -192,94 +194,94 @@ def fold_chains(succ, seed, op):
     raise ValueError("successor cycle")
 
 
-def axis_weights(env, box):
-    """Weights under ``env`` of the edges of ``box``, one 1-D array per axis.
+# edges of one hashing slab, and table entries of one successor block: bounds
+# the temporaries of a table build or a successor pass, whatever the box
+SLAB_EDGES = 1 << 15
 
-    Entry ``axis`` holds the weights of the edges (u, u + e_axis) in the C
-    order of the open grid of their tails u: every vertex on a periodic box,
-    and every vertex off the upper face of the axis on a plain one.  The
-    tails are hashed as that grid (see ``edge_ids``).  Raises if the
-    environment and the box differ in dimension.
+
+def _neighbor_table(env, box):
+    """Row-major (n, 2d) neighbor indices and edge weights of ``box`` under ``env``.
+
+    Slots run -e1 < ... < -ed < +ed < ... < +e1; a missing neighbor is the
+    vertex itself with weight inf, and indices are int32 below 2**31 entries.
+    The tails of the edges (u, u + e_axis) are hashed as an open grid (see
+    ``edge_ids``), in slabs of about ``SLAB_EDGES`` edges along its first
+    axis; a slab is checked, then written into the +e slots of its tails and
+    the -e slots of its heads.  Raises ValueError on a dimension mismatch or
+    on a weight that is not > 0 and finite.
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
-    sides = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(box.lower, box.upper)]
-    out = []
-    for axis in range(box.dim):
-        tails = list(sides)
-        if not box.periodic:
-            tails[axis] = tails[axis][:-1]
-        out.append(env.edge_weights(np.ix_(*tails), axis))
-    return out
-
-
-def _neighbor_table(box, weights):
-    """Row-major (n, 2d) neighbor indices and edge weights of the lattice graph.
-
-    ``weights`` is as returned by ``axis_weights``.  Slots follow the
-    direction order -e1 < -e2 < ... < -ed < +ed < ... < +e1; a missing
-    neighbor is the vertex itself with weight inf.  Each slot is filled
-    through a (*shape) view of the table: by slices on a plain box, by
-    ``np.roll`` on a periodic one.  Indices are int32 while the table has
-    fewer than 2**31 entries.
-    """
     shape, n = box.shape, box.n_vertices
     slots = 2 * box.dim
     nbr = np.empty((*shape, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
     wt = np.empty((*shape, slots))
     idx = np.arange(n, dtype=nbr.dtype).reshape(shape)
-    for axis, w in enumerate(weights):
-        # views with the axis first: its +e and -e slots, the indices, the weights
-        up_nbr, up_wt, down_nbr, down_wt, at, w = (np.moveaxis(a, axis, 0) for a in (
-            nbr[..., slots - 1 - axis], wt[..., slots - 1 - axis], nbr[..., axis],
-            wt[..., axis], idx, w.reshape(shape[:axis] + (-1,) + shape[axis + 1:])))
-        if box.periodic:
-            up_nbr[...], up_wt[...] = np.roll(at, -1, 0), w
-            down_nbr[...], down_wt[...] = np.roll(at, 1, 0), np.roll(w, 1, 0)
-        else:
-            up_nbr[:-1], up_wt[:-1] = at[1:], w
-            up_nbr[-1], up_wt[-1] = at[-1], np.inf
-            down_nbr[1:], down_wt[1:] = at[:-1], w
-            down_nbr[0], down_wt[0] = at[0], np.inf
+    sides = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(box.lower, box.upper)]
+    for axis in range(box.dim):
+        up, down = slots - 1 - axis, axis
+        # views with the axis first: the +e and -e index slots, the indices
+        up_nbr, down_nbr, at = (np.moveaxis(a, axis, 0) for a in (nbr[..., up], nbr[..., down], idx))
+        up_nbr[:-1], down_nbr[1:] = at[1:], at[:-1]
+        up_nbr[-1], down_nbr[0] = (at[0], at[-1]) if box.periodic else (at[-1], at[0])
+        tails = list(sides)
+        if not box.periodic:
+            tails[axis] = tails[axis][:-1]
+            np.moveaxis(wt[..., up], axis, 0)[-1] = np.inf
+            np.moveaxis(wt[..., down], axis, 0)[0] = np.inf
+        rest = [len(t) for t in tails[1:]]
+        rows = max(1, SLAB_EDGES // max(1, math.prod(rest)))
+        for r0 in range(0, len(tails[0]), rows):
+            r1 = min(r0 + rows, len(tails[0]))
+            w = env.edge_weights(np.ix_(tails[0][r0:r1], *tails[1:]), axis)
+            # NaN and inf fail too: either can leave a vertex that is its own successor
+            if not np.all((w > 0.0) & (w < np.inf)):
+                raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
+                                 "weights must be > 0 and finite")
+            w = np.moveaxis(w.reshape(r1 - r0, *rest), axis, 0)
+            np.moveaxis(wt[r0:r1, ..., up], axis, 0)[:len(w)] = w
+            # the heads, one step on along the axis: rows r0 + 1.. of the box
+            # when the axis is the first, else the slab's own rows
+            heads, off = (wt[..., down], r0) if axis == 0 else (wt[r0:r1, ..., down], 0)
+            heads = np.moveaxis(heads, axis, 0)
+            heads[off + 1:off + 1 + len(w)] = w[:len(heads) - off - 1]
+            if off + len(w) == len(heads):      # a torus: the last tail wraps to the first head
+                heads[0] = w[-1]
     return nbr.reshape(n, slots), wt.reshape(n, slots)
 
 
-def _shortest_paths(box, weights, sources, limit=np.inf):
-    """Dijkstra from the vertex indices ``sources`` over the lattice graph of ``box``.
-
-    ``weights`` is as returned by ``axis_weights``.  Returns ``(T, nbr, wt)``:
-    T(x) = min over sources of the passage time, inf past ``limit``, and the
-    neighbor table the search read.  Every vertex with T <= ``limit`` gets
-    the value of an unbounded search, because a relaxation past the limit is
-    never the minimum at such a vertex.
-    """
-    # NaN and inf fail too: either can leave a vertex that is its own successor
-    if not all(np.all((w > 0.0) & (w < np.inf)) for w in weights):
-        raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
-                         "weights must be > 0 and finite")
-    n = box.n_vertices
-    nbr, wt = _neighbor_table(box, weights)
+def _shortest_paths(table, sources, limit=np.inf):
+    """T(x) = min over the vertex indices ``sources`` of the passage time over the
+    neighbor table ``(nbr, wt)``, inf past ``limit``.  Every vertex with
+    T <= ``limit`` gets the value of an unbounded search, because a
+    relaxation past the limit is never the minimum at such a vertex."""
+    nbr, wt = table
+    n = len(nbr)
     indptr = np.arange(0, nbr.size + 1, nbr.shape[1], dtype=nbr.dtype)
     graph = csr_matrix((wt.ravel(), nbr.ravel(), indptr), shape=(n, n))
-    T = dijkstra(graph, directed=True, indices=sources, min_only=True, limit=limit)
-    return T, nbr, wt
+    return dijkstra(graph, directed=True, indices=sources, min_only=True, limit=limit)
 
 
-def successor_forest(box, weights, tmask):
+def successor_forest(box, table, tmask):
     """Passage times to the target mask and the successor of every vertex of ``box``.
 
-    ``weights`` holds the per-axis edge weights in the C order of the open
-    grid of tails, as returned by ``axis_weights``, and ``tmask`` is a mask
-    over the vertices in C order.  Returns ``(T, succ)`` with succ = -1 on
-    target vertices.  An empty mask raises ``ParameterError`` named ``level``.
+    ``table`` is the neighbor table ``(nbr, wt)`` of ``box`` and ``tmask`` a
+    mask over the vertices in C order; the table is read, in row blocks, and
+    never written.  Returns ``(T, succ)`` with succ = -1 on target vertices.
+    An empty mask raises ``ParameterError`` named ``level``.
     """
     if not tmask.any():
         where = f"on torus {box.shape}" if box.periodic else f"inside box {box.lower}..{box.upper}"
         raise ParameterError("level", f"no target vertex {where}")
-    n = box.n_vertices
-    T, nbr, wt = _shortest_paths(box, weights, np.flatnonzero(tmask))
-    wt += T[nbr]        # in place: weight(x, y) + T(y) per slot
-    succ = nbr[np.arange(n), np.argmin(wt, axis=1)].astype(np.int64)
+    nbr, wt = table
+    T = _shortest_paths(table, np.flatnonzero(tmask))
+    succ = np.empty(box.n_vertices, dtype=np.int64)
+    rows = max(1, SLAB_EDGES // nbr.shape[1])
+    for r0 in range(0, len(succ), rows):
+        block = slice(r0, r0 + rows)
+        cost = T[nbr[block]]
+        cost += wt[block]       # weight(x, y) + T(y) per slot
+        succ[block] = np.take_along_axis(nbr[block], cost.argmin(axis=1)[:, None], 1)[:, 0]
     succ[tmask] = -1
     return T, succ
 
@@ -304,7 +306,7 @@ def solve(env, box, target):
     not strictly positive and finite (zero-weight regimes are unsupported).
     """
     tmask = target_mask(target, box)
-    T, succ = successor_forest(box, axis_weights(env, box), tmask)
+    T, succ = successor_forest(box, _neighbor_table(env, box), tmask)
     return DistanceField(box=box, target=target, T=T, succ=succ, target_mask=tmask)
 
 
@@ -319,6 +321,5 @@ def passage_times(env, box, source, points):
     idx = box.indices_of(points)
     hull = Box.hull(np.vstack([source, points]))
     limit = np.inf if hull == box else passage_times(env, hull, source, points).max(initial=0.0)
-    T, _, _ = _shortest_paths(box, axis_weights(env, box), box.index_of(source), limit)
-    return T[idx]
+    return _shortest_paths(_neighbor_table(env, box), box.index_of(source), limit)[idx]
 

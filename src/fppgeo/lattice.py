@@ -137,10 +137,10 @@ class Box:
         return dots
 
     def edge_ends(self, axis, values):
-        """(tail, head) views of the C-contiguous per-vertex array ``values`` over
-        the edges (u, u + e_axis) of a plain box: its grid's [:-1] and [1:] along
-        the axis, which stays in place.  Both are laid out as the grid of tails,
-        in the C order of ``geodesics.axis_weights``; a torus's edges wrap, so it raises."""
+        """(tail, head) views of the 1-D per-vertex array ``values`` (a slot column
+        of the neighbor table too) over the edges (u, u + e_axis) of a plain box:
+        its grid's [:-1] and [1:] along the axis, laid out as the grid of tails
+        that ``geodesics._neighbor_table`` hashes.  A torus's edges wrap, so it raises."""
         if self.periodic:
             raise ValueError("edge_ends takes a plain box; the edges of a torus wrap")
         grid = values.reshape(self.shape)

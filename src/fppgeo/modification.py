@@ -9,9 +9,11 @@
    kept mask, the orbit and the path of y: one boolean mask per axis over
    that axis's grid of tails (``Box.edge_ends``), from which ``edge_set`` is
    read once.
-3. The box is hashed once (``axis_weights``).  The first solve reads those
-   arrays; the second reads copies with max(w, lambda) applied through the
-   masks, whose C order is the weights' order.  On the raised graph no
+3. The box is hashed once, into one neighbor table (``geodesics``).  The
+   first solve reads it; then both slots of each eligible edge, +e_axis at
+   its tail and -e_axis at its head, are raised to max(w, lambda) in place,
+   through the masks (``Box.edge_ends`` of the slot's column), and the
+   second solve reads the raised table.  On the raised graph no
    geodesic started at or behind the zero-level hyperplane may reach the
    forward path of xi_N.  In a forest two forward paths meet exactly when
    they end at one root, so the check is one breadth-first search down the
@@ -36,7 +38,7 @@ import numpy as np
 from scipy.sparse.csgraph import breadth_first_order
 
 from .geodesic_graph import forward_orbit, forward_path
-from .geodesics import (DistanceField, HyperplaneTarget, ParameterError, axis_weights,
+from .geodesics import (DistanceField, HyperplaneTarget, ParameterError, _neighbor_table,
                         reversed_forest, successor_forest, target_mask)
 from .lattice import Box, is_integer_direction
 
@@ -343,18 +345,6 @@ def _checked_lambda(env, spec, y, xi, mode, lam):
     return S - delta / 2
 
 
-def _raised_weights(weights, masks, lam):
-    """Copies of the per-axis ``weights`` of a plain box (as from
-    ``axis_weights``) with max(w, lam) on the edges that ``masks`` (as from
-    ``_eligible_masks``) select and on no other edge.
-
-    Both lie on the grid of an axis's tails, the box grid one shorter along
-    that axis (``Box.edge_ends``), so the flattened mask selects the weights
-    in their own C order.
-    """
-    return [np.where(mask.ravel(), np.maximum(w, lam), w) for w, mask in zip(weights, masks)]
-
-
 def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     """Full experiment: check, solve, raise the eligible edges, solve again, verify.
 
@@ -380,8 +370,8 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
 
     target = HyperplaneTarget(spec.theta, alpha)
     tmask = target_mask(target, box)
-    weights = axis_weights(env, box)
-    g = DistanceField(box, target, *successor_forest(box, weights, tmask), tmask)
+    table = _neighbor_table(env, box)
+    g = DistanceField(box, target, *successor_forest(box, table, tmask), tmask)
     orbit = forward_orbit(g, protected_vertices(box, spec, xi))
     y_path, xi_path = forward_path(g, y), forward_path(g, xi)
     kept = orbit.copy()
@@ -390,8 +380,11 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     S = env.spec.sup_support()
     event = check_event_A2prime(g, spec, y_path, xi_path, orbit, S)
 
-    raised = _raised_weights(weights, masks, lam)
-    g_mod = DistanceField(box, target, *successor_forest(box, raised, tmask), tmask)
+    for axis, mask in enumerate(masks):     # the +e_axis slot at the tail, -e_axis at the head
+        for slot, end in ((2 * box.dim - 1 - axis, 0), (axis, 1)):
+            raised = box.edge_ends(axis, table[1][:, slot])[end]
+            np.maximum(raised, lam, out=raised, where=mask)
+    g_mod = DistanceField(box, target, *successor_forest(box, table, tmask), tmask)
     verdict = verify_severing(g_mod, spec, xi, S)
 
     return ModificationOutcome(edge_set=_edge_rows(box, masks), lam=float(lam), event=event,

@@ -18,8 +18,8 @@ import numpy as np
 
 from fppgeo.analysis import estimate_shape
 from fppgeo.environment import DistributionSpec, WeightEnvironment, override_edges, uniform
-from fppgeo.geodesics import (DistanceField, HyperplaneTarget, _neighbor_table, axis_weights,
-                              solve, successor_forest)
+from fppgeo.geodesics import (DistanceField, HyperplaneTarget, _neighbor_table, solve,
+                              successor_forest)
 
 
 def neighbors(v):
@@ -509,7 +509,7 @@ def point_field(env, box, p):
     ``successor_forest``.  Its ``target`` is the vertex p."""
     mask = np.zeros(box.n_vertices, dtype=bool)
     mask[box.index_of(p)] = True
-    T, succ = successor_forest(box, axis_weights(env, box), mask)
+    T, succ = successor_forest(box, _neighbor_table(env, box), mask)
     return DistanceField(box=box, target=tuple(p), T=T, succ=succ, target_mask=mask)
 
 
@@ -536,7 +536,7 @@ def successor_margin(env, field):
     Near-zero gaps indicate distribution atoms or hash defects; under
     continuous weights the successor is a.s. unique.
     """
-    nbr, wt = _neighbor_table(field.box, axis_weights(env, field.box))
+    nbr, wt = _neighbor_table(env, field.box)
     keep = ~field.target_mask
     part = np.partition(wt[keep] + field.T[nbr[keep]], 1, axis=1)
     return part[:, 1] - part[:, 0]

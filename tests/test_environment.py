@@ -4,7 +4,7 @@ from scipy import stats
 
 from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, override_edges,
                                 parse_dist, uniform, with_overrides)
-from fppgeo.geodesics import axis_weights
+from fppgeo.geodesics import _neighbor_table
 from fppgeo.lattice import Box
 
 from oracles import axis_edges, override_box
@@ -151,10 +151,11 @@ def test_weight_of_reads_the_table_that_edge_weights_reads():
     assert len(edges) == 54
     env = override_edges(WeightEnvironment(3, uniform(0, 1), 1), edges,
                          1.0 + np.arange(len(edges)))
-    weights = axis_weights(env, box)
+    _, wt = _neighbor_table(env, box)
     for axis, (tails, heads) in enumerate(axis_edges(box)):
         table = env.edge_weights(coords[tails], np.full(len(tails), axis))
-        assert np.array_equal(weights[axis], table)
+        # the +e_axis slot of the tail and the -e_axis slot of the head
+        assert np.array_equal(wt[tails, 5 - axis], table) and np.array_equal(wt[heads, axis], table)
         for u, v, w in zip(coords[tails].tolist(), coords[heads].tolist(), table):
             assert env.weight_of((v, u)) == w
 

@@ -1,7 +1,8 @@
 """Property tests of the successor-forest traversals against independent oracles.
 
 Backward statistics and forward orbits are checked against networkx
-ancestors, descendants and path lengths on the successor DiGraph; the
+ancestors, descendants and path lengths on the successor DiGraph, and the
+orbits also against a walk along each chain, cycles included; the
 severing closure against ``oracles.reverse_reachable``; encounter points
 against removing each vertex and searching every arm of the forest;
 component labels against ``oracles.components_union_find`` and networkx
@@ -130,6 +131,35 @@ def test_forward_orbit_is_union_of_descendants(forest, data):
     sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=4))
     expect = set(sources).union(*(nx.descendants(graph, s) for s in sources))
     assert set(np.flatnonzero(forward_orbit(g, sources)).tolist()) == expect
+
+
+def _chain_walk(succ, sources):
+    """The vertices of the forward chains of ``sources``, one chain at a time;
+    None if a chain runs into a cycle."""
+    seen = set()
+    for x in sources:
+        chain = set()
+        while x >= 0:
+            if x in chain:
+                return None
+            chain.add(x)
+            x = succ[x]
+        seen |= chain
+    return seen
+
+
+@SETTINGS
+@given(st.one_of(FORESTS.map(lambda forest: forest[0]), successor_arrays()), st.data())
+def test_forward_orbit_matches_a_chain_walk(g, data):
+    # many sources, repeats and sources on each other's chains included; on a
+    # graph with cycles the orbit raises exactly when a chain runs into one
+    sources = data.draw(st.lists(st.integers(0, g.n_vertices - 1), max_size=3 * g.n_vertices))
+    expect = _chain_walk(g.succ.tolist(), sources)
+    if expect is None:
+        with pytest.raises(ValueError, match="successor cycle"):
+            forward_orbit(g, sources)
+    else:
+        assert set(np.flatnonzero(forward_orbit(g, sources)).tolist()) == expect
 
 
 @SETTINGS

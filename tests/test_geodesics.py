@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from fppgeo import geodesics
 from fppgeo.analysis import direction_grid, estimate_shape
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import forward_path
-from fppgeo.geodesics import HyperplaneTarget, _shortest_paths, axis_weights, passage_times, solve
+from fppgeo.geodesics import (HyperplaneTarget, _neighbor_table, _shortest_paths, passage_times,
+                              solve)
 from fppgeo.lattice import Box
 
 from oracles import (bellman_ford, min_simple_path_weight, path_weight, point_field,
@@ -247,12 +250,12 @@ def test_passage_times_equal_the_full_solve(problem):
 @given(point_problems(), st.data())
 def test_bounded_dijkstra_is_the_full_one_cut_at_its_limit(problem, data):
     env, box, source, _ = problem
-    args = (box, axis_weights(env, box), box.index_of(source))
-    T = _shortest_paths(*args)[0]
+    args = (_neighbor_table(env, box), box.index_of(source))
+    T = _shortest_paths(*args)
     # a drawn time, and the farthest one: a cut just below it leaves that vertex at inf
     for limit in (data.draw(st.sampled_from(sorted(set(T.tolist())))), T.max()):
         for cut in (limit, np.nextafter(limit, 0.0)):
-            assert np.array_equal(_shortest_paths(*args, limit=cut)[0],
+            assert np.array_equal(_shortest_paths(*args, limit=cut),
                                   np.where(T <= cut, T, np.inf))
 
 
@@ -271,3 +274,35 @@ def test_shape_solve_leaves_the_far_box_unsettled(monkeypatch):
     assert np.isfinite(hull).all()
     assert np.isinf(box).sum() > box.size // 2
     assert np.isfinite(est.T_samples).all()
+
+
+def _traced_peak(fn):
+    """Bytes that ``fn()`` holds at its peak, above what was held before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_solve_and_passage_times_peak_bytes_per_vertex():
+    # The neighbor table is 72 B/vertex in 3-d (int32 indices, float64
+    # weights, 6 slots); the peak may add T, succ and the Dijkstra's own
+    # arrays, not a second table's worth of temporaries.  Measured with
+    # numpy 2.4 and scipy 1.17: 94.2 (solve) and 86.7 (passage_times)
+    # B/vertex; the bounds leave about 11% over them.  The old build, with
+    # whole-axis weight arrays and a full T[nbr] temporary, read 153.3 and 107.6.
+    env = WeightEnvironment(3, uniform(0, 1), 0)
+    box = Box.cube(24, 3)       # n = 117,649: fixed overheads stay near 4 B/vertex
+    n = box.n_vertices
+    solve_peak = _traced_peak(lambda: solve(env, box, HyperplaneTarget((1, 0, 0), 0))) / n
+    points = [[12, 0, 0], [0, -12, 5]]      # a hull inside the box: a bounded search
+    times_peak = _traced_peak(lambda: passage_times(env, box, (0, 0, 0), points)) / n
+    assert solve_peak <= 105.0, solve_peak
+    assert times_peak <= 96.0, times_peak

@@ -1,14 +1,16 @@
 """Property tests of the lattice-graph core against independent oracles.
 
 The edge enumeration ``oracles.axis_edges`` is checked against
-``oracles.neighbors``; the sliced neighbor table and the grid-hashed
-``axis_weights`` against the per-edge scatter and the per-edge hashing of
-``oracles``; passage times on boxes and tori against a networkx multi-source Dijkstra over a graph built
+``oracles.neighbors``; the neighbor table, hashed slab by slab, against the
+per-edge scatter of the per-edge hashing of ``oracles``; passage times on
+boxes and tori against a networkx multi-source Dijkstra over a graph built
 edge by edge from ``weight_of``; the successor of every vertex against a
 scan of its neighbors in the documented tie order, under weights 1 and 2 so
 that ties are common; and the ``halfspace_frontier`` target against its
 definition, on directions and levels exact in binary.
 """
+
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fppgeo import geodesics
 from fppgeo.analysis import build_torus_graph
 from fppgeo.environment import (DistributionSpec, WeightEnvironment, override_edges, uniform,
                                 with_overrides)
-from fppgeo.geodesics import HyperplaneTarget, _neighbor_table, axis_weights, target_mask
+from fppgeo.geodesics import HyperplaneTarget, _neighbor_table, target_mask
 from fppgeo.lattice import Box
 
 from oracles import (axis_edges, neighbor_table, neighbors, override_box, per_edge_weights,
@@ -82,25 +85,15 @@ def grid_boxes(draw):
     return Box(lower, tuple(l + draw(sides) - 1 for l in lower), periodic=periodic)
 
 
-@SETTINGS
-@given(grid_boxes(), st.integers(0, 2 ** 32))
-def test_sliced_neighbor_table_equals_the_per_edge_scatter(box, seed):
-    edges = axis_edges(box)
-    rng = np.random.default_rng(seed)
-    weights = [rng.uniform(0.5, 2.0, len(tails)) for tails, _ in edges]
-    nbr, wt = _neighbor_table(box, weights)
-    expect_nbr, expect_wt = neighbor_table(edges, weights, box.n_vertices)
-    assert (nbr.dtype, wt.dtype) == (expect_nbr.dtype, expect_wt.dtype)
-    assert np.array_equal(nbr, expect_nbr) and np.array_equal(wt, expect_wt)
-
-
 DISTS = [uniform(0.0, 1.0), DistributionSpec("exponential", (1.5,)),
          DistributionSpec("uniform_shifted", (0.5, 2.0))]
 
 
 @SETTINGS
-@given(grid_boxes(), st.sampled_from(DISTS), st.integers(0, 2 ** 64 - 1), st.data())
-def test_axis_weights_equal_the_per_edge_hashing(box, dist, seed, data):
+@given(grid_boxes(), st.sampled_from(DISTS), st.integers(0, 2 ** 64 - 1), st.integers(1, 12),
+       st.data())
+def test_neighbor_table_equals_the_per_edge_scatter_of_the_per_edge_hashing(box, dist, seed,
+                                                                            slab, data):
     env = WeightEnvironment(box.dim, dist, seed)
     # overrides on some edges of the box, wrap edges included: (tail, tail + e_axis)
     tails = np.repeat(box.coords(), box.dim, axis=0)
@@ -109,10 +102,14 @@ def test_axis_weights_equal_the_per_edge_hashing(box, dist, seed, data):
     if chosen:
         env = override_edges(env, np.stack([tails[chosen], heads[chosen]], axis=1),
                              1.0 + np.arange(len(chosen)))
-    got, expect = axis_weights(env, box), per_edge_weights(env, box)
-    assert len(got) == box.dim
-    for g, e in zip(got, expect):
-        assert (g.dtype, g.shape) == (e.dtype, e.shape) and np.array_equal(g, e)
+    # slabs of a few edges, so that every seam, the torus wrap from the last
+    # slab included, falls inside the box
+    with mock.patch.object(geodesics, "SLAB_EDGES", slab):
+        nbr, wt = _neighbor_table(env, box)
+    expect_nbr, expect_wt = neighbor_table(axis_edges(box), per_edge_weights(env, box),
+                                           box.n_vertices)
+    assert (nbr.dtype, wt.dtype) == (expect_nbr.dtype, expect_wt.dtype)
+    assert np.array_equal(nbr, expect_nbr) and np.array_equal(wt, expect_wt)
 
 
 def _nx_passage_times(env, vertices, head, targets):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
         "lam-missing", "lam-negative", "lam-inf", "mode", "distribution", "delta-bounded"])
 def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y, xi, kwargs):
     calls = []
-    for attr in ("axis_weights", "successor_forest"):      # the hash and the solve of the run
+    for attr in ("_neighbor_table", "successor_forest"):   # the hash and the solve of the run
         def counting(*args, fn=getattr(modification, attr)):
             calls.append(args)
             return fn(*args)
@@ -389,6 +390,35 @@ def test_raise_touches_only_the_eligible_edges_3d(seed, N, theta, M):
     slot = cost.argmin(axis=1)          # the first least slot is the successor's
     assert (nbr[x, slot] == g.succ[x]).all()
     assert (g.T[x] == cost[np.arange(len(x)), slot]).all()      # T(x) = w'(x, succ x) + T(succ x)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from([(1, 0), (2, -1), (1, 0, 0), (1, 1, 0)]),
+       st.integers(2, 12))
+def test_raise_changes_exactly_the_two_slots_of_each_eligible_edge(seed, theta, N):
+    tables = []
+
+    def recording(box, table, tmask):
+        tables.append((table, [a.copy() for a in table]))
+        return successor_forest(box, table, tmask)
+
+    successor_forest = modification.successor_forest
+    dim = len(theta)
+    y = (-theta[1], theta[0]) + (0,) * (dim - 2)
+    spec = StripSpec(theta, N, 0.25 * N + 1, sum(map(abs, y)) + 2, 0.1, 0.1)
+    with mock.patch.object(modification, "successor_forest", recording):
+        out = run_modification(WeightEnvironment(dim, uniform(0, 1), seed), spec, y,
+                               lattice_point_on_level(theta, N))
+    (table, (nbr, wt)), (again, (nbr_mod, wt_mod)) = tables
+    assert again is table                   # one table, raised in place
+    assert nbr_mod.tobytes() == nbr.tobytes()
+    box, rows = out.g.box, out.edge_set
+    tails, heads = box.indices_of(rows[:, 0]), box.indices_of(rows[:, 1])
+    axes = np.argmax(rows[:, 1] - rows[:, 0], axis=1)
+    expect = wt.copy()
+    for at, slot in ((tails, 2 * dim - 1 - axes), (heads, axes)):
+        expect[at, slot] = np.maximum(wt[at, slot], out.lam)
+    assert wt_mod.tobytes() == expect.tobytes()
 
 
 def test_run_modification_lambda_and_weights():

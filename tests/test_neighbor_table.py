@@ -3,18 +3,22 @@
 ``successor_forest`` and the oracle ``oracles.successor_margin`` read one
 (n, 2d) neighbor table; here every vertex is checked against a scan of
 ``oracles.neighbors`` in the tie order -e1 < ... < -ed < +ed < ... < +e1,
-under weights 1 and 2 so that ties are common.  ``Box.boundary_mask`` is checked against the
+under weights 1 and 2 so that ties are common, and the successor pass,
+block by block, must leave the table as it found it.  ``Box.boundary_mask`` is checked against the
 coordinate comparison it replaced.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fppgeo import geodesics
 from fppgeo.environment import WeightEnvironment, override_edges, uniform
 from fppgeo.geodesic_graph import forward_orbit, forward_path
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, axis_weights, successor_forest
+from fppgeo.geodesics import DistanceField, HyperplaneTarget, _neighbor_table, successor_forest
 from fppgeo.lattice import Box
 from fppgeo.modification import StripSpec, violating_sources
 
@@ -74,7 +78,7 @@ def _candidates_in_tie_order(env, box, T, x):
 def test_successor_forest_is_first_argmin_of_neighbor_scan(problem):
     env, box, target = problem
     tmask = target_field(env, box, target).target_mask
-    T, succ = successor_forest(box, axis_weights(env, box), tmask)
+    T, succ = successor_forest(box, _neighbor_table(env, box), tmask)
     for i in range(box.n_vertices):
         if tmask[i]:
             assert (succ[i], T[i]) == (-1, 0.0)
@@ -83,6 +87,21 @@ def test_successor_forest_is_first_argmin_of_neighbor_scan(problem):
         best = min(cost for cost, _ in cands)
         assert T[i] == best
         assert succ[i] == next(j for cost, j in cands if cost == best)
+
+
+@SETTINGS
+@given(tied_problems(), st.integers(1, 12))
+def test_successor_forest_reads_the_table_in_blocks_and_leaves_it_as_it_was(problem, block):
+    env, box, target = problem
+    tmask = target_field(env, box, target).target_mask
+    table = _neighbor_table(env, box)
+    expect = successor_forest(box, table, tmask)
+    before = [a.tobytes() for a in table]
+    # row blocks of a few table entries: every block seam falls inside the box
+    with mock.patch.object(geodesics, "SLAB_EDGES", block):
+        T, succ = successor_forest(box, table, tmask)
+    assert [a.tobytes() for a in table] == before
+    assert T.tobytes() == expect[0].tobytes() and succ.tobytes() == expect[1].tobytes()
 
 
 @SETTINGS
