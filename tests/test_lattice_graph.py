@@ -2,7 +2,8 @@
 
 The edge enumeration ``oracles.axis_edges`` is checked against
 ``oracles.neighbors``; the neighbor table, hashed slab by slab, against the
-per-edge scatter of the per-edge hashing of ``oracles``; passage times on
+per-edge scatter of ``oracles``, and the axis weights it holds against the
+per-edge hashing of ``oracles``, overrides included; passage times on
 boxes and tori against a networkx multi-source Dijkstra over a graph built
 edge by edge from ``weight_of``; the successor of every vertex against a
 scan of its neighbors in the documented tie order, under weights 1 and 2 so
@@ -89,11 +90,31 @@ DISTS = [uniform(0.0, 1.0), DistributionSpec("exponential", (1.5,)),
          DistributionSpec("uniform_shifted", (0.5, 2.0))]
 
 
+def _sliced_table(env, box, slab):
+    """The neighbor table of ``box`` under ``env``, hashed in slabs of about ``slab`` edges.
+
+    Slabs of a few edges put every seam, the torus wrap from the last slab
+    included, inside the box.
+    """
+    with mock.patch.object(geodesics, "SLAB_EDGES", slab):
+        return _neighbor_table(env, box)
+
+
+@SETTINGS
+@given(grid_boxes(), st.integers(0, 2 ** 64 - 1), st.integers(1, 12))
+def test_sliced_neighbor_table_equals_the_per_edge_scatter(box, seed, slab):
+    env = WeightEnvironment(box.dim, uniform(0.5, 2.0), seed)
+    nbr, wt = _sliced_table(env, box, slab)
+    expect_nbr, expect_wt = neighbor_table(axis_edges(box), per_edge_weights(env, box),
+                                           box.n_vertices)
+    assert (nbr.dtype, wt.dtype) == (expect_nbr.dtype, expect_wt.dtype)
+    assert np.array_equal(nbr, expect_nbr) and np.array_equal(wt, expect_wt)
+
+
 @SETTINGS
 @given(grid_boxes(), st.sampled_from(DISTS), st.integers(0, 2 ** 64 - 1), st.integers(1, 12),
        st.data())
-def test_neighbor_table_equals_the_per_edge_scatter_of_the_per_edge_hashing(box, dist, seed,
-                                                                            slab, data):
+def test_axis_weights_equal_the_per_edge_hashing(box, dist, seed, slab, data):
     env = WeightEnvironment(box.dim, dist, seed)
     # overrides on some edges of the box, wrap edges included: (tail, tail + e_axis)
     tails = np.repeat(box.coords(), box.dim, axis=0)
@@ -102,14 +123,14 @@ def test_neighbor_table_equals_the_per_edge_scatter_of_the_per_edge_hashing(box,
     if chosen:
         env = override_edges(env, np.stack([tails[chosen], heads[chosen]], axis=1),
                              1.0 + np.arange(len(chosen)))
-    # slabs of a few edges, so that every seam, the torus wrap from the last
-    # slab included, falls inside the box
-    with mock.patch.object(geodesics, "SLAB_EDGES", slab):
-        nbr, wt = _neighbor_table(env, box)
-    expect_nbr, expect_wt = neighbor_table(axis_edges(box), per_edge_weights(env, box),
-                                           box.n_vertices)
-    assert (nbr.dtype, wt.dtype) == (expect_nbr.dtype, expect_wt.dtype)
-    assert np.array_equal(nbr, expect_nbr) and np.array_equal(wt, expect_wt)
+    _, wt = _sliced_table(env, box, slab)
+    # the weights of each axis, read off the +e slots of the tails and the
+    # -e slots of the heads
+    slots = 2 * box.dim
+    for axis, ((u, v), expect) in enumerate(zip(axis_edges(box), per_edge_weights(env, box))):
+        for got in (wt[u, slots - 1 - axis], wt[v, axis]):
+            assert (got.dtype, got.shape) == (expect.dtype, expect.shape)
+            assert np.array_equal(got, expect)
 
 
 def _nx_passage_times(env, vertices, head, targets):
