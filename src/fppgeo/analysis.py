@@ -5,6 +5,11 @@ surrogates: padded windows guard against truncation bias, censored
 observations are labeled rather than dropped silently, and Monte Carlo
 gates are parameters owned by the caller.
 
+The analysis region of a solve box, the box less ``required_pad`` on every
+face (``analysis_region``), is the default window of every windowed analysis,
+and holds every explicit window (a radii window need only lie in the box).
+A box whose region is empty raises ``ParameterError`` named ``box``.
+
 The torus forest of the mass-transport check is the ``solve`` of a
 periodic ``Box``, so box and torus forests are one record, built by one
 successor rule with one tie-break, and every forest traversal serves both.
@@ -35,12 +40,24 @@ def padded_solve_box(window):
     return window.expand(required_pad(window))
 
 
-def check_window(window, box):
+def analysis_region(box):
+    """The box less ``required_pad(box)`` on every face, which must keep a vertex."""
     pad = required_pad(box)
-    if not box.shrink(pad).contains_box(window):
-        raise ValueError(
-            f"window {window.lower}..{window.upper} not inside the padded region "
-            f"(pad {pad}) of box {box.lower}..{box.upper}")
+    if 2 * pad >= min(box.shape):
+        smallest = 2 * required_pad(Box.cube(0, box.dim)) + 1     # the pad rule's floor
+        raise ParameterError("box", f"{box.lower}..{box.upper} leaves no vertex inside its "
+                                    f"analysis pad of {pad}; the smallest side accepted is "
+                                    f"{smallest}")
+    return box.shrink(pad)
+
+
+def check_window(window, box):
+    """The window, by default the analysis region of ``box``, which must hold it."""
+    region = analysis_region(box)
+    if window is not None and not region.contains_box(window):
+        raise ParameterError("window", f"{window.lower}..{window.upper} is not inside the analysis "
+                                       f"region {region.lower}..{region.upper} of its box")
+    return region if window is None else window
 
 
 def direction_grid(dim, count):
@@ -125,16 +142,18 @@ class BusemannVectorEstimate:
         return out
 
 
-def estimate_busemann_vector(field, window):
-    """Least-squares rho with B(0, x) ~ rho . x over the window vertices."""
-    check_window(window, field.box)
+def estimate_busemann_vector(field, window=None):
+    """Least-squares rho with B(0, x) ~ rho . x over the window vertices (by
+    default the analysis region), which must span all d dimensions."""
+    window = check_window(window, field.box)
     coords = window.coords()
     idx = field.box.indices_of(coords)
     origin = (0,) * field.box.dim
     b = field.T[field.box.index_of(origin)] - field.T[idx]
     A = coords.astype(np.float64)
     if np.linalg.matrix_rank(A) < field.box.dim:
-        raise ValueError("degenerate window: rank-deficient design")
+        raise ParameterError("window", f"{window.lower}..{window.upper} spans fewer than "
+                                       f"{field.box.dim} dimensions; it fits no Busemann vector")
     rho, *_ = np.linalg.lstsq(A, b, rcond=None)
     resid = b - A @ rho
     return BusemannVectorEstimate(rho_fit=rho,
@@ -161,15 +180,16 @@ class CrossingReport:
 
 
 def crossing_counts(g, theta, levels, sample_vertices):
-    """Visits of each forward path to the open lower halfspaces {z . theta < level}."""
-    pad = required_pad(g.box)
-    inner = g.box.shrink(pad)
+    """Visits of the forward path of each sample vertex, which must lie in the
+    analysis region, to the open lower halfspaces {z . theta < level}."""
+    region = analysis_region(g.box)
     counts = np.zeros((len(sample_vertices), len(levels)), dtype=np.int64)
     lengths = np.zeros(len(sample_vertices), dtype=np.int64)
     box_levels = g.box.levels(theta)
     for i, x in enumerate(sample_vertices):
-        if not inner.contains(x):
-            raise ValueError(f"sample vertex {tuple(x)} outside padded region")
+        if not region.contains(x):
+            raise ParameterError("sample_vertices", f"{tuple(x)} is outside the analysis region "
+                                                    f"{region.lower}..{region.upper}")
         path = forward_path(g, x)
         dots = box_levels[path]
         lengths[i] = len(path)
@@ -206,22 +226,24 @@ def _fraction_ge(values, ks):
     return at_least[ks] / len(values)
 
 
-def backward_tail(g, window):
-    """Empirical tails of backward-cluster size and depth over a window.
+def backward_tail(g, window=None):
+    """Empirical tails of backward-cluster size and depth over a window (by
+    default the analysis region).
 
     Clusters touching the solve-box boundary are censored: their sizes are
     only lower bounds, so they are excluded from the tails and reported as
     a fraction.  A window whose clusters are all censored raises
     ``ParameterError`` named ``box``.
     """
-    check_window(window, g.box)
+    window = check_window(window, g.box)
     sizes, depth, touch = backward_stats(g)
     idx = g.box.indices_of(window.coords())
     censored = touch[idx]
     keep_sizes = sizes[idx][~censored]
     keep_depth = depth[idx][~censored]
     if keep_sizes.size == 0:
-        raise ParameterError("box", "all clusters censored; enlarge the box")
+        raise ParameterError("box", f"{g.box.lower}..{g.box.upper}: all clusters censored; "
+                                    "enlarge the box")
     k_size = np.arange(1, keep_sizes.max() + 1)
     k_depth = np.arange(0, keep_depth.max() + 2)
     return BackwardTailReport(
@@ -257,9 +279,15 @@ def _max_pairwise_l1(pts):
     return best
 
 
-def intersection_radii(g, theta, levels, window):
+def intersection_radii(g, theta, levels, window=None):
     """Per-component l1 radius of the window's vertex intersection with each hyperplane,
-    as records (level, label, count, radius); labels are ``components`` labels."""
+    as records (level, label, count, radius); labels are ``components`` labels.  The
+    window lies in the box; by default it is the analysis region."""
+    if window is None:
+        window = analysis_region(g.box)
+    elif not g.box.contains_box(window):
+        raise ParameterError("window", f"{window.lower}..{window.upper} is not inside its box "
+                                       f"{g.box.lower}..{g.box.upper}")
     coords = window.coords()
     window_labels = components(g)[g.box.indices_of(coords)]
     dots = window.levels(theta)

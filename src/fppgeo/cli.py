@@ -17,10 +17,11 @@ manifest untouched.  Each setting a command takes is converted once, and a
 value that does not convert, a number or list entry below its minimum, a
 per-axis list whose length is not ``dim``, or a required setting that is
 missing, raises ``ParameterError`` named by its key.  The library raises it
-too, for a parameter that only a setting can cause; the runner renames it
-once, by the command's ``param_keys``.  One that names a setting of the
-command exits 2 with ``config error: <key>: ...``.  Any other exception is
-the program's fault: it exits 3 with ``internal error:`` and the traceback.
+too, for a parameter that only a setting can cause (``analysis`` checks
+every analysis window and pad); the runner renames it once, by the command's
+``param_keys``.  One that names a setting of the command exits 2 with
+``config error: <key>: ...``.  Any other exception is the program's fault:
+it exits 3 with ``internal error:`` and the traceback.
 Identical configs produce byte-identical primary outputs; timing lives in
 the manifest only.
 """
@@ -81,6 +82,14 @@ def _direction(value):
     return normalize_direction(_int_list(value))
 
 
+def _side(value):
+    """An odd integer, the side of a cube around the origin."""
+    side = _int(value)
+    if side % 2 == 0:
+        raise ValueError(f"side {side} is even; a cube around the origin has an odd side")
+    return side
+
+
 def _dist(value):
     return parse_dist(str(value))
 
@@ -117,11 +126,11 @@ SETTINGS = {
     "dist": Setting(_dist, help="e.g. uniform:0,1  exponential:1  uniform-shifted:0.5,1"),
     "seed": Setting(_int, 0),
     "seeds": Setting(_int, 1, "number of consecutive seeds", minimum=1),
-    "box": Setting(_int, help="box side length (cube around origin)", minimum=3),
+    "box": Setting(_side, help="odd side of the box (cube around origin)", minimum=3),
     "theta": Setting(_direction, help="integer direction, e.g. 1,0", per_axis=True),
     "alpha": Setting(_int, help="target hyperplane level"),
-    "window": Setting(_int, help="analysis window side length (cube around origin); "
-                                 "radii defaults to the box less its analysis pad", minimum=1),
+    "window": Setting(_side, None, "odd side of the analysis window (cube around origin); "
+                                   "default: the box less its analysis pad", minimum=1),
     "levels": Setting(_int_list, "0", "hyperplane levels, e.g. 0,-50"),
     "samples": Setting(_int, 20, "number of sampled start vertices", minimum=1),
     "radius": Setting(_int, minimum=1),
@@ -180,7 +189,7 @@ def _merge_config(args, command):
     for key in keys:
         setting = SETTINGS[key]
         value = merged.get(key)
-        if value is None and key not in command.optional:
+        if value is None:
             value = setting.default
             if value is REQUIRED:
                 raise ParameterError(key, "missing required setting")
@@ -211,38 +220,13 @@ def _env(cfg, seed):
 
 
 def _cube(cfg, key):
-    return Box.cube((cfg[key] - 1) // 2, cfg["dim"])
+    """The cube around the origin whose side is setting ``key``, or None without one."""
+    return None if cfg[key] is None else Box.cube(cfg[key] // 2, cfg["dim"])
 
 
 def _solve(cfg, seed):
     """The passage-time field toward level alpha in the solve box."""
     return solve(_env(cfg, seed), _cube(cfg, "box"), HyperplaneTarget(cfg["theta"], cfg["alpha"]))
-
-
-def _padded_region(cfg):
-    """The solve box less the analysis pad on every face, which must leave a vertex."""
-    box = _cube(cfg, "box")
-    pad = analysis.required_pad(box)
-    if 2 * pad >= box.shape[0]:
-        # every small box gets the floor of the pad rule: the pad of a one-vertex box
-        smallest = 2 * analysis.required_pad(Box.cube(0, cfg["dim"])) + 1
-        raise ParameterError("box", f"side {cfg['box']} leaves no vertex inside the analysis "
-                                    f"pad of {pad}; the smallest side accepted is {smallest}")
-    return box.shrink(pad)
-
-
-def _window(cfg, region, name):
-    """The analysis window, which must lie inside ``region`` (called ``name``)."""
-    window = _cube(cfg, "window")
-    if not region.contains_box(window):
-        raise ParameterError("window", f"side {cfg['window']} does not fit inside {name} "
-                                       f"(side {region.shape[0]})")
-    return window
-
-
-def _padded_window(cfg):
-    """The analysis window, inside the solve box less its analysis pad."""
-    return _window(cfg, _padded_region(cfg), "the box less its analysis pad")
 
 
 def _long_rows(report, seed):
@@ -263,41 +247,30 @@ def _graph_task(arg):
 
 def _backward_task(arg):
     cfg, seed = arg
-    window = _padded_window(cfg)
-    g = _solve(cfg, seed)
-    try:
-        report = analysis.backward_tail(g, window)
-    except ParameterError as exc:
-        raise ParameterError("box", f"side {cfg['box']}: {exc.message}") from None
-    return _long_rows(report, seed)
+    return _long_rows(analysis.backward_tail(_solve(cfg, seed), _cube(cfg, "window")), seed)
 
 
 def _busemann_task(arg):
     cfg, seed = arg
-    window = _padded_window(cfg)
-    if cfg["window"] < 3:
-        # sides 1 and 2 both make a one-vertex cube, which fits no vector
-        raise ParameterError("window", f"side {cfg['window']} holds one vertex; a Busemann "
-                                       "fit needs side 3 or more")
-    return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), window), seed)
+    return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), _cube(cfg, "window")),
+                      seed)
 
 
 def _crossings_task(arg):
     cfg, seed = arg
-    coords = _padded_region(cfg).coords()
+    region = analysis.analysis_region(_cube(cfg, "box"))
     g = _solve(cfg, seed)
     rng = np.random.default_rng(seed)
-    pick = rng.choice(len(coords), size=min(cfg["samples"], len(coords)), replace=False)
-    samples = [tuple(int(c) for c in coords[i]) for i in sorted(pick)]
+    n = region.n_vertices
+    pick = rng.choice(n, size=min(cfg["samples"], n), replace=False)
+    samples = [region.vertex_at(i) for i in sorted(pick)]
     return _long_rows(analysis.crossing_counts(g, cfg["theta"], cfg["levels"], samples), seed)
 
 
 def _radii_task(arg):
     cfg, seed = arg
-    window = _window(cfg, _cube(cfg, "box"), "the box") if cfg["window"] else _padded_region(cfg)
-    g = _solve(cfg, seed)
-    return _long_rows(analysis.intersection_radii(g, cfg["theta"], cfg["levels"],
-                                                  window=window), seed)
+    return _long_rows(analysis.intersection_radii(_solve(cfg, seed), cfg["theta"], cfg["levels"],
+                                                  window=_cube(cfg, "window")), seed)
 
 
 def _masstransport_task(arg):
@@ -360,7 +333,6 @@ class Command:
     header: tuple = LONG_HEADER
     write: Callable | None = None
     fan_out: str | None = None  # a list setting: one task per seed and item
-    optional: tuple = ()        # settings without a default that this command may go without
     param_keys: dict = field(default_factory=dict)  # library parameter -> setting, if they differ
 
 
@@ -381,8 +353,7 @@ COMMANDS = {
     "crossings": Command("halfspace crossing counts of forward paths", _crossings_task,
                          settings=_FIELD + ("levels", "samples"), param_keys=_ALPHA),
     "radii": Command("component intersection radii on hyperplanes", _radii_task,
-                     settings=_FIELD + ("levels", "window"), optional=("window",),
-                     param_keys=_ALPHA),
+                     settings=_FIELD + ("levels", "window"), param_keys=_ALPHA),
     "masstransport": Command("progenitor mass-transport balance on a torus",
                              _masstransport_task,
                              settings=("dim", "dist", "seed", "seeds", "dims", "theta", "level")),
@@ -438,7 +409,7 @@ def build_parser():
             else:
                 # numbers are checked by argparse, with its own messages; other
                 # types by _merge_config, so that the error names the key
-                kind = dict(type={_int: int, float: float}.get(s.type))
+                kind = dict(type={_int: int, _side: int, float: float}.get(s.type))
             p.add_argument(s.flag or "--" + key.replace("_", "-"), dest=key, help=s.help, **kind)
     return root
 

@@ -14,7 +14,8 @@ from fppgeo.analysis import (_max_pairwise_l1, backward_tail, build_torus_graph,
                              padded_solve_box, required_pad)
 from fppgeo.environment import WeightEnvironment, uniform
 from fppgeo.geodesic_graph import backward_stats, build_graph, components
-from fppgeo.geodesics import DistanceField, HyperplaneTarget, passage_times, solve, target_mask
+from fppgeo.geodesics import (DistanceField, HyperplaneTarget, ParameterError, passage_times,
+                              solve, target_mask)
 from fppgeo.lattice import Box, is_integer_direction
 
 from oracles import (max_pairwise_l1_scan, override_box, point_field, shape_over_seeds,
@@ -102,7 +103,7 @@ def test_estimate_shape_box_too_small():
     a window is checked."""
     env = WeightEnvironment(2, uniform(0, 1), 0)
     g = build_graph(solve(env, Box.cube(42, 2), HyperplaneTarget((1, 0), 40)))
-    with pytest.raises(ValueError, match="padded region"):
+    with pytest.raises(ValueError, match="not inside the analysis region"):
         backward_tail(g, Box.cube(40, 2))
 
 
@@ -235,8 +236,43 @@ def test_backward_tail_window_precondition():
     g = build_graph(solve(env, box, HyperplaneTarget((1, 0), 15)))
     backward_tail(g, box.shrink(required_pad(box)))
     for window in (Box.cube(39, 2), Box.cube(21, 2)):
-        with pytest.raises(ValueError, match="padded region"):
+        with pytest.raises(ValueError, match="not inside the analysis region"):
             backward_tail(g, window)
+
+
+def test_windowed_analyses_raise_parameter_errors_by_name():
+    """A box whose analysis region is empty names ``box`` for each windowed
+    analysis; a window outside its region, or one that fits no Busemann
+    vector, names ``window``; a window whose clusters are all censored names
+    ``box``."""
+    env = WeightEnvironment(2, uniform(0, 1), 0)
+    small = solve(env, Box.cube(15, 2), HyperplaneTarget((1, 0), 4))      # side 31, pad 16
+    f = solve(env, Box.cube(20, 2), HyperplaneTarget((1, 0), 10))         # region cube(4)
+    edge = solve(env, Box.cube(16, 2), HyperplaneTarget((1, 0), -16))     # region: the origin
+    cases = [
+        ("box", lambda: backward_tail(small)),
+        ("box", lambda: estimate_busemann_vector(small)),
+        ("box", lambda: intersection_radii(small, (1, 0), [0])),
+        ("box", lambda: crossing_counts(small, (1, 0), [0], [(0, 0)])),
+        ("window", lambda: backward_tail(f, Box.cube(5, 2))),
+        ("window", lambda: estimate_busemann_vector(f, Box((0, 0), (5, 1)))),
+        ("window", lambda: intersection_radii(f, (1, 0), [0], window=Box.cube(21, 2))),
+        ("window", lambda: estimate_busemann_vector(f, Box((-3, 0), (3, 0)))),
+        ("box", lambda: backward_tail(edge)),
+        ("sample_vertices", lambda: crossing_counts(f, (1, 0), [0], [(0, 0), (5, 0)])),
+    ]
+    for name, call in cases:
+        with pytest.raises(ParameterError) as exc:
+            call()
+        assert exc.value.name == name, exc.value
+
+
+def test_windowed_analyses_default_to_the_analysis_region():
+    f = solve(WeightEnvironment(2, uniform(0, 1), 1), Box.cube(20, 2), HyperplaneTarget((1, 1), 6))
+    region = Box.cube(4, 2)
+    assert backward_tail(f).rows() == backward_tail(f, region).rows()
+    assert intersection_radii(f, (1, 1), [0, 2]) == intersection_radii(f, (1, 1), [0, 2], region)
+    assert estimate_busemann_vector(f).rows() == estimate_busemann_vector(f, region).rows()
 
 
 def test_intersection_radii_trivial_and_bounded():

@@ -430,13 +430,42 @@ def test_box_too_small_for_analysis_pad_names_key(tmp_path, capsys, command, arg
             "--jobs", "2", "--out", str(tmp_path / "x.csv")]
     assert run_cli(argv + ["--box", "31"]) == 2
     assert capsys.readouterr().err.strip() == (
-        "config error: box: side 31 leaves no vertex inside the analysis pad of 16; "
+        "config error: box: (-15, -15)..(15, 15) leaves no vertex inside its analysis pad of 16; "
         "the smallest side accepted is 33")
     if command != "busemann":
         assert run_cli(argv + ["--box", "33"]) == 0
     else:                           # a one-vertex window fits no Busemann vector
         assert run_cli(argv + ["--box", "33"]) == 2
-        assert capsys.readouterr().err.startswith("config error: window: side 1 ")
+        assert capsys.readouterr().err.startswith("config error: window: (0, 0)..(0, 0) ")
+
+
+@pytest.mark.parametrize("command", ["backward", "busemann", "radii"])
+def test_default_window_is_the_box_less_its_analysis_pad(tmp_path, command):
+    # box 41 has pad 16 on each face, which leaves a cube of side 9
+    argv = [command, *_D2, "--box", "41", "--theta", "1,0", "--alpha", "10", "--seeds", "2"]
+    assert run_cli(argv + ["--out", str(tmp_path / "default.csv")]) == 0
+    assert run_cli(argv + ["--window", "9", "--out", str(tmp_path / "nine.csv")]) == 0
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "nine.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command, key, side, args", [
+    ("graph", "box", 40, []),
+    ("backward", "box", -4, ["--window", "9"]),
+    ("radii", "window", 2, ["--box", "41"]),
+])
+def test_even_side_is_rejected_before_any_solve(tmp_path, capsys, monkeypatch, command, key,
+                                                side, args):
+    def no_solve(*a):
+        raise AssertionError("solved")
+    monkeypatch.setattr(cli, "solve", no_solve)
+    argv = [command, *_D2, "--theta", "1,0", "--alpha", "0", *args,
+            "--out", str(tmp_path / "x.csv")]
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: side}))
+    for extra in ([f"--{key}={side}"], ["--config", str(cfgfile)]):
+        assert run_cli(argv + extra) == 2
+        assert capsys.readouterr().err == (f"config error: {key}: side {side} is even; "
+                                           "a cube around the origin has an odd side\n")
 
 
 def test_config_file_integers_are_strict(tmp_path, capsys):
@@ -459,20 +488,21 @@ def test_config_file_integers_are_strict(tmp_path, capsys):
     ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "100"],
      "alpha: no target vertex inside box (-7, -7)..(7, 7)"),
     ("radii", ["--box", "41", "--theta", "1,0", "--alpha", "4", "--window", "99"],
-     "window: side 99 does not fit inside the box (side 41)"),
+     "window: (-49, -49)..(49, 49) is not inside its box (-20, -20)..(20, 20)"),
     ("backward", ["--box", "41", "--theta", "1,0", "--alpha", "4", "--window", "11"],
-     "window: side 11 does not fit inside the box less its analysis pad (side 9)"),
+     "window: (-5, -5)..(5, 5) is not inside the analysis region (-4, -4)..(4, 4) "
+     "of its box"),
     ("graph", ["--box", "15", "--theta", "1,0,0", "--alpha", "4"],
      "theta: expected 2 integers, got 3"),
     ("masstransport", ["--dims", "8,8,8", "--theta", "1,0"], "dims: expected 2 integers, got 3"),
     ("masstransport", ["--dims", "8,8", "--theta", "1,0", "--level", "8"],
      "level: no target vertex on torus (8, 8)"),
     ("busemann", ["--box", "33", "--theta", "1,0", "--alpha", "4", "--window", "1"],
-     "window: side 1 holds one vertex; a Busemann fit needs side 3 or more"),
+     "window: (0, 0)..(0, 0) spans fewer than 2 dimensions; it fits no Busemann vector"),
     ("busemann", ["--box", "33", "--theta", "1,0", "--alpha", "4", "--window", "2"],
-     "window: side 2 holds one vertex; a Busemann fit needs side 3 or more"),
+     "window: side 2 is even; a cube around the origin has an odd side"),
     ("backward", ["--box", "33", "--theta", "1,0", "--alpha", "-16", "--window", "1"],
-     "box: side 33: all clusters censored; enlarge the box"),
+     "box: (-16, -16)..(16, 16): all clusters censored; enlarge the box"),
     ("backward", ["--box", "41", "--theta", "1,0", "--alpha", "100", "--window", "9"],
      "alpha: no target vertex inside box (-20, -20)..(20, 20)"),
     # raised by the library in a --jobs worker, after every setting converted
