@@ -165,7 +165,8 @@ def encounter_points(g, threshold=None):
         up[gen] = np.maximum(up[g.succ[gen]] + 1, sibling[gen] + 2)
 
     long_arms = (up >= threshold).astype(np.int64)
-    np.add.at(long_arms, par, down[child] + 1 >= threshold)
+    # int64 counts, not bools: ufunc.at takes its fast path only without a cast
+    np.add.at(long_arms, par, (down[child] + 1 >= threshold).astype(np.int64))
     return [g.box.vertex_at(i) for i in np.flatnonzero(long_arms >= 3)]
 
 

@@ -4,20 +4,16 @@
 vertex, which yields T(x, target) for the whole box together with the
 successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
-``successor_forest`` is the one lattice-graph core behind it.  It works on
-one row-major (n, 2d) neighbor table, whose slots run in the direction order
--e1 < -e2 < ... < -ed < +ed < ... < +e1.  ``_neighbor_table`` builds it for
-box and torus alike: it hashes each axis's grid of tails in slabs and writes
-each slab straight into the table, so no per-axis weight array outlives a
-slab.  Dijkstra reads the table as a fixed-degree CSR graph, and the
-successor of x is the first slot with the least weight(x, y) + T(y), so
-ties break by that direction order.  On a plain box that is the
-lexicographically smallest tied neighbor.  The target mask reads
-``Box.levels``: a solve builds no (n, d) coordinate table.  ``solve`` is
-``_neighbor_table`` then ``successor_forest``, which reads the table and
-never writes it; a caller that solves twice on edited weights (the strip
-raise of ``modification``) builds the table once, edits it in place between
-the two solves, and calls them.
+Only this module knows the layout of the row-major (n, 2d) neighbor table,
+whose slots run -e1 < -e2 < ... < -ed < +ed < ... < +e1: ``_neighbor_table``
+and the strip raise ``raise_edges`` write each axis's edges through the
+``Box.edge_ends`` views of ``_slot_views``.  Dijkstra reads the table as a
+fixed-degree CSR graph, and the successor of x is the first slot with the
+least weight(x, y) + T(y), so ties break by that direction order: on a plain
+box, the lexicographically smallest tied neighbor.  ``distance_field``, the
+one maker of a ``DistanceField``, solves a table for a target (its mask read
+off ``Box.levels``) and never writes it, so ``modification`` solves one table
+before and after raising it.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
@@ -35,12 +31,11 @@ successor chain by pointer doubling) is, with ``DistanceField.generations``,
 the traversal core of the forest.  A field derives its generations on first
 read, from one breadth-first pass down the ``reversed_forest`` (the CSR
 matrix of the edges succ -> child); ``modification`` searches the same
-matrix from a single root.  ``DistanceField.hops``
-stays a pointer-doubling fold on purpose: the two traversals are
-independent, so each checks the other (the backward-cluster sizes from the
-generations sum to the chain lengths from the hops).  The forest
-statistics, the forward paths and the ``graph.csv`` writer are in
-``geodesic_graph``.
+matrix from a single root.  ``DistanceField.hops`` stays a pointer-doubling
+fold on purpose: the two traversals are independent, so each checks the
+other (the backward-cluster sizes from the generations sum to the chain
+lengths from the hops).  The forest statistics, the forward paths and the
+``graph.csv`` writer are in ``geodesic_graph``.
 """
 
 from __future__ import annotations
@@ -199,55 +194,54 @@ def fold_chains(succ, seed, op):
 SLAB_EDGES = 1 << 15
 
 
+def _slot_views(box, a, axis):
+    """The +e_axis slot column of the (n, 2d) table array ``a`` at the tails and its
+    -e_axis column at the heads, laid out as the grid of tails: of the plain box's
+    edges (the ``Box.edge_ends`` views; a torus reads its plain twin), then of the
+    last layer to the first (a torus's wrap edges; a plain box's missing neighbors)."""
+    up, down = a[:, a.shape[1] - 1 - axis], a[:, axis]
+    plain, lead = Box(box.lower, box.upper), (slice(None),) * axis
+    return ((plain.edge_ends(axis, up)[0], plain.edge_ends(axis, down)[1]),
+            (up.reshape(box.shape)[lead + (slice(-1, None),)],
+             down.reshape(box.shape)[lead + (slice(1),)]))
+
+
 def _neighbor_table(env, box):
     """Row-major (n, 2d) neighbor indices and edge weights of ``box`` under ``env``.
 
     Slots run -e1 < ... < -ed < +ed < ... < +e1; a missing neighbor is the
     vertex itself with weight inf, and indices are int32 below 2**31 entries.
-    The tails of the edges (u, u + e_axis) are hashed as an open grid (see
-    ``edge_ids``), in slabs of about ``SLAB_EDGES`` edges along its first
-    axis; a slab is checked, then written into the +e slots of its tails and
-    the -e slots of its heads.  Raises ValueError on a dimension mismatch or
-    on a weight that is not > 0 and finite.
+    Each axis's edges, and a torus's wrap layer, are hashed as open grids of
+    tails (``edge_ids``) in slabs of about ``SLAB_EDGES`` edges along the first
+    axis, and written, once checked, into the same rows of both ``_slot_views``.
+    Raises ValueError on a dimension mismatch or a weight that is not > 0 and finite.
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
-    shape, n = box.shape, box.n_vertices
-    slots = 2 * box.dim
-    nbr = np.empty((*shape, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
-    wt = np.empty((*shape, slots))
-    idx = np.arange(n, dtype=nbr.dtype).reshape(shape)
+    n, slots = box.n_vertices, 2 * box.dim
+    nbr = np.empty((n, slots), dtype=np.int32 if n * slots < 2 ** 31 else np.int64)
+    wt = np.empty((n, slots))
+    own = np.broadcast_to(np.arange(n, dtype=nbr.dtype)[:, None], nbr.shape)
     sides = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(box.lower, box.upper)]
     for axis in range(box.dim):
-        up, down = slots - 1 - axis, axis
-        # views with the axis first: the +e and -e index slots, the indices
-        up_nbr, down_nbr, at = (np.moveaxis(a, axis, 0) for a in (nbr[..., up], nbr[..., down], idx))
-        up_nbr[:-1], down_nbr[1:] = at[1:], at[:-1]
-        up_nbr[-1], down_nbr[0] = (at[0], at[-1]) if box.periodic else (at[-1], at[0])
-        tails = list(sides)
-        if not box.periodic:
-            tails[axis] = tails[axis][:-1]
-            np.moveaxis(wt[..., up], axis, 0)[-1] = np.inf
-            np.moveaxis(wt[..., down], axis, 0)[0] = np.inf
-        rest = [len(t) for t in tails[1:]]
-        rows = max(1, SLAB_EDGES // max(1, math.prod(rest)))
-        for r0 in range(0, len(tails[0]), rows):
-            r1 = min(r0 + rows, len(tails[0]))
-            w = env.edge_weights(np.ix_(tails[0][r0:r1], *tails[1:]), axis)
-            # NaN and inf fail too: either can leave a vertex that is its own successor
-            if not np.all((w > 0.0) & (w < np.inf)):
-                raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
-                                 "weights must be > 0 and finite")
-            w = np.moveaxis(w.reshape(r1 - r0, *rest), axis, 0)
-            np.moveaxis(wt[r0:r1, ..., up], axis, 0)[:len(w)] = w
-            # the heads, one step on along the axis: rows r0 + 1.. of the box
-            # when the axis is the first, else the slab's own rows
-            heads, off = (wt[..., down], r0) if axis == 0 else (wt[r0:r1, ..., down], 0)
-            heads = np.moveaxis(heads, axis, 0)
-            heads[off + 1:off + 1 + len(w)] = w[:len(heads) - off - 1]
-            if off + len(w) == len(heads):      # a torus: the last tail wraps to the first head
-                heads[0] = w[-1]
-    return nbr.reshape(n, slots), wt.reshape(n, slots)
+        (up, down), (up_end, down_end) = _slot_views(box, nbr, axis)
+        (tails, heads), (last, first) = _slot_views(box, own, axis)
+        up[...], down[...] = heads, tails
+        up_end[...], down_end[...] = (first, last) if box.periodic else (last, first)
+        edges, ends = _slot_views(box, wt, axis)
+        ends[0][...] = ends[1][...] = np.inf     # no neighbor; a torus hashes its wrap over it
+        for views, layers in [(edges, slice(-1)), (ends, slice(-1, None))][:1 + box.periodic]:
+            grid = sides[:axis] + [sides[axis][layers]] + sides[axis + 1:]
+            rows = max(1, SLAB_EDGES // max(1, math.prod(map(len, grid[1:]))))
+            for r0 in range(0, len(grid[0]), rows):
+                w = env.edge_weights(np.ix_(grid[0][r0:r0 + rows], *grid[1:]), axis)
+                # NaN and inf fail too: either can leave a vertex that is its own successor
+                if not np.all((w > 0.0) & (w < np.inf)):
+                    raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
+                                     "weights must be > 0 and finite")
+                for view in views:
+                    view[r0:r0 + rows] = w.reshape(view[r0:r0 + rows].shape)
+    return nbr, wt
 
 
 def _shortest_paths(table, sources, limit=np.inf):
@@ -286,6 +280,20 @@ def successor_forest(box, table, tmask):
     return T, succ
 
 
+def distance_field(box, table, target):
+    """The ``DistanceField`` of ``target`` on the neighbor table ``table`` of ``box``."""
+    tmask = target_mask(target, box)
+    return DistanceField(box, target, *successor_forest(box, table, tmask), tmask)
+
+
+def raise_edges(box, table, masks, lam):
+    """Raise to max(w, lam), in place, both slots (+e_axis at the tail, -e_axis at the
+    head) of the edges that ``masks`` select, one mask per axis over its grid of tails."""
+    for axis, mask in enumerate(masks):
+        for raised in _slot_views(box, table[1], axis)[0]:
+            np.maximum(raised, lam, out=raised, where=mask)
+
+
 class ParameterError(ValueError):
     """A parameter is out of its range; ``name`` names the parameter."""
 
@@ -305,9 +313,7 @@ def solve(env, box, target):
     environment and the box differ in dimension, or if any edge weight is
     not strictly positive and finite (zero-weight regimes are unsupported).
     """
-    tmask = target_mask(target, box)
-    T, succ = successor_forest(box, _neighbor_table(env, box), tmask)
-    return DistanceField(box=box, target=target, T=T, succ=succ, target_mask=tmask)
+    return distance_field(box, _neighbor_table(env, box), target)
 
 
 def passage_times(env, box, source, points):

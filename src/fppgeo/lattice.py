@@ -76,7 +76,7 @@ class Box:
         return all(l <= c <= u for c, l, u in zip(v, self.lower, self.upper))
 
     def contains_box(self, other):
-        return all(l <= ol and ou <= u for l, u, ol, ou in
+        return self.dim == other.dim and all(l <= ol and ou <= u for l, u, ol, ou in
                    zip(self.lower, self.upper, other.lower, other.upper))
 
     def index_of(self, v):
@@ -137,10 +137,10 @@ class Box:
         return dots
 
     def edge_ends(self, axis, values):
-        """(tail, head) views of the 1-D per-vertex array ``values`` (a slot column
-        of the neighbor table too) over the edges (u, u + e_axis) of a plain box:
-        its grid's [:-1] and [1:] along the axis, laid out as the grid of tails
-        that ``geodesics._neighbor_table`` hashes.  A torus's edges wrap, so it raises."""
+        """(tail, head) views of the 1-D per-vertex array ``values`` (a neighbor-table
+        slot column too, through which ``geodesics`` writes) over the edges (u, u + e_axis)
+        of a plain box: its grid's [:-1] and [1:] along the axis, laid out as the grid
+        of tails.  A torus's edges wrap, so it raises."""
         if self.periodic:
             raise ValueError("edge_ends takes a plain box; the edges of a torus wrap")
         grid = values.reshape(self.shape)
@@ -149,10 +149,8 @@ class Box:
 
     def boundary_mask(self):
         """Boolean mask of vertices lying on a face of the box (none if periodic)."""
-        mask = np.zeros(self.shape, dtype=bool)
-        if not self.periodic:
-            for axis in range(self.dim):
-                np.moveaxis(mask, axis, 0)[[0, -1]] = True
+        mask = np.full(self.shape, not self.periodic)
+        mask[(slice(1, -1),) * self.dim] = False
         return mask.ravel()
 
     def expand(self, k):

@@ -9,15 +9,14 @@
    kept mask, the orbit and the path of y: one boolean mask per axis over
    that axis's grid of tails (``Box.edge_ends``), from which ``edge_set`` is
    read once.
-3. The box is hashed once, into one neighbor table (``geodesics``).  The
-   first solve reads it; then both slots of each eligible edge, +e_axis at
-   its tail and -e_axis at its head, are raised to max(w, lambda) in place,
-   through the masks (``Box.edge_ends`` of the slot's column), and the
-   second solve reads the raised table.  On the raised graph no
-   geodesic started at or behind the zero-level hyperplane may reach the
-   forward path of xi_N.  In a forest two forward paths meet exactly when
-   they end at one root, so the check is one breadth-first search down the
-   tree of xi_N's root; a failure names its witness and its strip crossing.
+3. The box is hashed once, into one neighbor table (``geodesics``), which
+   is solved, raised to max(w, lambda) in place on the eligible edges by
+   ``geodesics.raise_edges`` through the masks, and solved again.  On the
+   raised graph no geodesic started at or behind the zero-level hyperplane
+   may reach the forward path of xi_N.  In a forest two forward paths meet
+   exactly when they end at one root, so the check is one breadth-first
+   search down the tree of xi_N's root; a failure names its witness and its
+   strip crossing.
 
 The strip and the protected region are decided with exact integer
 arithmetic on ``Box.levels`` alone: the coordinate z_i of a vertex is its
@@ -39,7 +38,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .geodesic_graph import forward_orbit, forward_path
 from .geodesics import (DistanceField, HyperplaneTarget, ParameterError, _neighbor_table,
-                        reversed_forest, successor_forest, target_mask)
+                        distance_field, raise_edges, reversed_forest)
 from .lattice import Box, is_integer_direction
 
 
@@ -368,10 +367,8 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     # off-axis theta can put y or xi_N outside the slab around the main axis
     box = Box(tuple(map(min, lo, y, xi)), tuple(map(max, hi, y, xi)))
 
-    target = HyperplaneTarget(spec.theta, alpha)
-    tmask = target_mask(target, box)
     table = _neighbor_table(env, box)
-    g = DistanceField(box, target, *successor_forest(box, table, tmask), tmask)
+    g = distance_field(box, table, HyperplaneTarget(spec.theta, alpha))
     orbit = forward_orbit(g, protected_vertices(box, spec, xi))
     y_path, xi_path = forward_path(g, y), forward_path(g, xi)
     kept = orbit.copy()
@@ -380,11 +377,8 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     S = env.spec.sup_support()
     event = check_event_A2prime(g, spec, y_path, xi_path, orbit, S)
 
-    for axis, mask in enumerate(masks):     # the +e_axis slot at the tail, -e_axis at the head
-        for slot, end in ((2 * box.dim - 1 - axis, 0), (axis, 1)):
-            raised = box.edge_ends(axis, table[1][:, slot])[end]
-            np.maximum(raised, lam, out=raised, where=mask)
-    g_mod = DistanceField(box, target, *successor_forest(box, table, tmask), tmask)
+    raise_edges(box, table, masks, lam)
+    g_mod = distance_field(box, table, g.target)
     verdict = verify_severing(g_mod, spec, xi, S)
 
     return ModificationOutcome(edge_set=_edge_rows(box, masks), lam=float(lam), event=event,

@@ -242,9 +242,9 @@ def test_backward_tail_window_precondition():
 
 def test_windowed_analyses_raise_parameter_errors_by_name():
     """A box whose analysis region is empty names ``box`` for each windowed
-    analysis; a window outside its region, or one that fits no Busemann
-    vector, names ``window``; a window whose clusters are all censored names
-    ``box``."""
+    analysis; a window outside its region, of another dimension, or one
+    that fits no Busemann vector, names ``window``; a window whose clusters
+    are all censored names ``box``."""
     env = WeightEnvironment(2, uniform(0, 1), 0)
     small = solve(env, Box.cube(15, 2), HyperplaneTarget((1, 0), 4))      # side 31, pad 16
     f = solve(env, Box.cube(20, 2), HyperplaneTarget((1, 0), 10))         # region cube(4)
@@ -258,6 +258,9 @@ def test_windowed_analyses_raise_parameter_errors_by_name():
         ("window", lambda: estimate_busemann_vector(f, Box((0, 0), (5, 1)))),
         ("window", lambda: intersection_radii(f, (1, 0), [0], window=Box.cube(21, 2))),
         ("window", lambda: estimate_busemann_vector(f, Box((-3, 0), (3, 0)))),
+        ("window", lambda: backward_tail(f, Box.cube(1, 3))),                 # a 3-d window
+        ("window", lambda: estimate_busemann_vector(f, Box.cube(1, 3))),
+        ("window", lambda: intersection_radii(f, (1, 0), [0], window=Box.cube(1, 3))),
         ("box", lambda: backward_tail(edge)),
         ("sample_vertices", lambda: crossing_counts(f, (1, 0), [0], [(0, 0), (5, 0)])),
     ]

@@ -65,6 +65,12 @@ def test_points_of_the_wrong_dimension_raise(call):
         call(Box.cube(2, 2))
 
 
+def test_no_box_contains_a_box_of_another_dimension():
+    assert Box.cube(4, 2).contains_box(Box.cube(1, 2))
+    assert not Box.cube(4, 2).contains_box(Box.cube(1, 3))
+    assert not Box.cube(4, 3).contains_box(Box.cube(1, 2))
+
+
 @pytest.mark.parametrize("idx", [9, -1, np.int64(9), np.int64(-1)])
 def test_vertex_at_rejects_an_index_outside_the_box(idx):
     with pytest.raises(ValueError, match="outside box"):

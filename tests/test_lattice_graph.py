@@ -16,7 +16,7 @@ from unittest import mock
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fppgeo import geodesics
@@ -93,8 +93,8 @@ DISTS = [uniform(0.0, 1.0), DistributionSpec("exponential", (1.5,)),
 def _sliced_table(env, box, slab):
     """The neighbor table of ``box`` under ``env``, hashed in slabs of about ``slab`` edges.
 
-    Slabs of a few edges put every seam, the torus wrap from the last slab
-    included, inside the box.
+    Slabs of a few edges put every seam inside the box, and split a torus's
+    wrap layer too.
     """
     with mock.patch.object(geodesics, "SLAB_EDGES", slab):
         return _neighbor_table(env, box)
@@ -102,6 +102,8 @@ def _sliced_table(env, box, slab):
 
 @SETTINGS
 @given(grid_boxes(), st.integers(0, 2 ** 64 - 1), st.integers(1, 12))
+@example(Box((0,) * 4, (2,) * 4, periodic=True), 5, 1)     # one edge per slab, every wrap layer
+@example(Box((-1, 0, 2), (2, 0, 4)), 6, 4)                  # a side-1 axis has no edges
 def test_sliced_neighbor_table_equals_the_per_edge_scatter(box, seed, slab):
     env = WeightEnvironment(box.dim, uniform(0.5, 2.0), seed)
     nbr, wt = _sliced_table(env, box, slab)

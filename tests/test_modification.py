@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fixtures_mod as fx
-from fppgeo import modification
+from fppgeo import geodesics, modification
 from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_overrides
 from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
@@ -309,12 +309,13 @@ def _spec(M=12.0, M_prime=3, epsilon=0.1, delta=0.1):
         "lam-missing", "lam-negative", "lam-inf", "mode", "distribution", "delta-bounded"])
 def test_parameter_errors_raise_before_any_solve(monkeypatch, name, env, spec, y, xi, kwargs):
     calls = []
-    for attr in ("_neighbor_table", "successor_forest"):   # the hash and the solve of the run
-        def counting(*args, fn=getattr(modification, attr)):
+    # the hash of the run, and the solve behind its ``distance_field`` calls
+    for module, attr in ((modification, "_neighbor_table"), (geodesics, "successor_forest")):
+        def counting(*args, fn=getattr(module, attr)):
             calls.append(args)
             return fn(*args)
 
-        monkeypatch.setattr(modification, attr, counting)
+        monkeypatch.setattr(module, attr, counting)
     with pytest.raises(ParameterError) as exc:
         run_modification(env, spec, y, xi, **kwargs)
     assert exc.value.name == name
@@ -402,11 +403,11 @@ def test_raise_changes_exactly_the_two_slots_of_each_eligible_edge(seed, theta, 
         tables.append((table, [a.copy() for a in table]))
         return successor_forest(box, table, tmask)
 
-    successor_forest = modification.successor_forest
+    successor_forest = geodesics.successor_forest
     dim = len(theta)
     y = (-theta[1], theta[0]) + (0,) * (dim - 2)
     spec = StripSpec(theta, N, 0.25 * N + 1, sum(map(abs, y)) + 2, 0.1, 0.1)
-    with mock.patch.object(modification, "successor_forest", recording):
+    with mock.patch.object(geodesics, "successor_forest", recording):
         out = run_modification(WeightEnvironment(dim, uniform(0, 1), seed), spec, y,
                                lattice_point_on_level(theta, N))
     (table, (nbr, wt)), (again, (nbr_mod, wt_mod)) = tables
