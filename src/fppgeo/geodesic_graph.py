@@ -12,6 +12,8 @@ vertices grouped by hop count, leaves first or roots first.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .geodesics import HyperplaneTarget, fold_chains, solve
 from .manifest import csv_cells
@@ -99,38 +101,61 @@ def sample_averaged_graph(env, n, box, direction, rng_seed):
 
 
 def components(g):
-    """Int64 weak-component label of every vertex, by union-find over the
-    undirected out-edges.
+    """Int64 weak-component label of every vertex: labels 0, 1, ... number the
+    roots of union by rank over the out-edges x -> succ[x] in increasing x, a
+    tie going to the root of x, in increasing index order.  That numbering is
+    kept because ``radii.csv`` prints the labels.
 
-    Union by rank with path halving, over Python lists; the final roots come
-    from ``fold_chains`` over the union-find forest.  Labels 0, 1, ... number
-    the union-by-rank representatives in increasing index order.  That
-    numbering is kept because ``radii.csv`` prints the labels.
+    The unions run level by level, with no loop over edges.  The nodes of a
+    level all have one rank: at level 0 they are the vertices, at rank 0.  An
+    edge whose ends lie in one node is dropped (union-find's skip).  An edge is
+    fresh when it is the earliest edge, by tail index, at one of its ends; a
+    node first touched by it still has the level's rank, and every other node
+    a higher one.  So a fresh edge never moves a root: with both ends fresh
+    the ranks tie and the tail's node wins, and a node fresh at one end joins
+    the other end's component.  The fresh edges make trees (the atoms), each
+    of whose edges is first at one end, and the earliest at both: that edge's
+    tail node is the atom's root, at the next rank.  The atoms are the next
+    level's nodes, and the other edges join them.  Each level drops its
+    earliest edge at least, and halves the nodes that have edges.
     """
     n = g.n_vertices
-    parent = list(range(n))
-    rank = [0] * n
-    for x, y in enumerate(g.succ.tolist()):
-        if y < 0:
-            continue
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        while parent[y] != y:
-            parent[y] = parent[parent[y]]
-            y = parent[y]
-        if x == y:      # already joined: a rank bump here would move the labels
-            continue
-        if rank[x] < rank[y]:
-            x, y = y, x
-        parent[y] = x
-        if rank[x] == rank[y]:
-            rank[x] += 1
-    up = np.array(parent, dtype=np.int64)
-    is_root = up == np.arange(n)
-    up[is_root] = -1
-    roots = fold_chains(up, np.where(is_root, np.arange(n), -1), np.maximum)
-    return np.unique(roots, return_inverse=True)[1]
+    t = np.flatnonzero(g.succ >= 0)     # each edge's time: the turn of its union
+    a, b = t, g.succ[t]                 # the nodes of its ends: vertices at level 0
+    roots, ups = [np.arange(n)], []     # each level's root vertex of a node, and its atom
+    while True:
+        keep = a != b                   # union-find's skip
+        if not keep.all():              # a forest drops none at level 0: no copies
+            t, a, b = t[keep], a[keep], b[keep]
+        if not t.size:
+            break
+        m = len(roots[-1])
+        first = np.full(m, n)
+        np.minimum.at(first, a, t)
+        np.minimum.at(first, b, t)
+        fresh_a, fresh_b = first[a] == t, first[b] == t
+        del first, keep                 # freed before scipy builds its graph
+        # compress, not a mask index: several times faster on a mixed mask
+        fresh = fresh_a | fresh_b
+        joins = csr_matrix((np.ones(np.count_nonzero(fresh)),
+                            (a.compress(fresh), b.compress(fresh))), shape=(m, m))
+        atom = connected_components(joins, connection="weak")[1]
+        del joins
+        multi = np.bincount(atom) > 1   # the atoms: a node with an edge has a fresh one
+        up = np.where(multi, np.cumsum(multi) - 1, -1)[atom]
+        tie = a[fresh_a & fresh_b]
+        root = np.empty(multi.sum(), dtype=np.int64)
+        root[up[tie]] = roots[-1][tie]
+        roots.append(root)
+        ups.append(up)
+        stale = ~fresh
+        t, a, b = t.compress(stale), up[a.compress(stale)], up[b.compress(stale)]
+    root = roots.pop()
+    for up, level_root in zip(ups[::-1], roots[::-1]):
+        root = np.where(up >= 0, root[up], level_root)
+    is_root = np.zeros(n, dtype=bool)
+    is_root[root] = True
+    return (np.cumsum(is_root) - 1)[root]
 
 
 def encounter_points(g, threshold=None):

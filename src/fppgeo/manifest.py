@@ -55,12 +55,23 @@ def _cells(col, end):
     Each cell is the bytes of one distinct value, formatted as in
     ``fmt_value`` and followed by ``end``; the last is the empty cell of the
     masked entries.  Values are keyed by their bits, so -0.0 and 0.0 stay
-    apart as their cells do.
+    apart as their cells do.  A signed-integer block whose values span at most
+    its length is pooled without a sort: each entry's cell is its offset from
+    the least value, counted over the values present.
     """
     data = np.ma.getdata(col)
-    keys, inverse = np.unique(data.view(f"u{data.itemsize}"), return_inverse=True)
+    low = int(data.min()) if data.dtype.kind == "i" else None
+    if low is not None and int(data.max()) - low <= data.size:
+        offset = data - low         # at most the block's length: no entry overflows
+        present = np.zeros(data.size + 1, dtype=bool)
+        present[offset] = True
+        keys = np.flatnonzero(present) + low
+        inverse = (np.cumsum(present) - 1)[offset]
+    else:
+        keys, inverse = np.unique(data.view(f"u{data.itemsize}"), return_inverse=True)
+        keys = keys.view(data.dtype)
     inverse[np.ma.getmaskarray(col)] = len(keys)
-    return [*(fmt_value(v).encode() + end for v in keys.view(data.dtype).tolist()), end], inverse
+    return [*(fmt_value(v).encode() + end for v in keys.tolist()), end], inverse
 
 
 def csv_cells(header, columns):

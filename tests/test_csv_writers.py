@@ -26,6 +26,17 @@ def test_graph_csv_matches_row_oracle_on_truncated_graph(tmp_path):
         assert (tmp_path / "graph.csv").read_bytes() == graph_csv_text(graph).encode()
 
 
+def spanning_blocks(rng, n, extra):
+    """Ints whose every CSV block spans its own length plus ``extra``, both ends held."""
+    col = np.empty(n, dtype=np.int64)
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        block = col[start:start + CSV_CHUNK_ROWS]
+        span = len(block) + extra
+        block[:] = rng.integers(0, span + 1, size=len(block)) - span // 2
+        block[:2] = -(span // 2), span - span // 2
+    return col
+
+
 @pytest.mark.parametrize("n", [0, 3, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 100])
 def test_csv_cells_match_row_oracle(n):
     rng = np.random.default_rng(n)
@@ -35,6 +46,9 @@ def test_csv_cells_match_row_oracle(n):
     none_masked = np.ma.masked_array(rng.integers(-999, 999, size=n).astype(np.int32))
     first_chunk_masked = np.ma.masked_array(rng.integers(-50, 50, size=n),
                                             mask=np.arange(n) < CSV_CHUNK_ROWS)
+    # a signed block spanning at most its length is pooled by offset, one more by np.unique
+    offset_edge = np.ma.masked_array(spanning_blocks(rng, n, 0), mask=rng.random(n) < 0.3)
+    unique_edge = spanning_blocks(rng, n, 1)
     unsigned = rng.integers(0, 300, size=n).astype(np.uint16)
     huge = rng.choice(np.array([0, 7, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1], dtype=np.uint64), n)
     flags = rng.random(n) < 0.5
@@ -42,8 +56,8 @@ def test_csv_cells_match_row_oracle(n):
     specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.5])
     special = rng.choice(specials, n)
     special[:len(specials)] = specials[:n]
-    columns = [wide, some_masked, all_masked, none_masked, first_chunk_masked, unsigned, huge,
-               flags, floats, special]
+    columns = [wide, some_masked, all_masked, none_masked, first_chunk_masked, offset_edge,
+               unique_edge, unsigned, huge, flags, floats, special]
     header = [f"c{j}" for j in range(len(columns))]
     text = columns_csv_text(header, columns)
     assert b"".join(csv_cells(header, columns)) == text.encode()

@@ -17,8 +17,10 @@ counts, which are built independently of them.
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from fppgeo.analysis import build_torus_graph, mass_transport_balance
 from fppgeo.environment import WeightEnvironment, uniform
@@ -191,8 +193,44 @@ def test_encounter_points_match_arm_search(forest):
         assert all(type(c) is int for z in found for c in z)     # not np.int64
 
 
+def _doubling_forest(box):
+    """A forest on 2**k vertices whose union by rank reaches rank k, one rank per level.
+
+    Stage s joins pairs of blocks of 2**s vertices from each block's one free
+    vertex; the vertices are numbered in stage order, so every tie of a stage
+    is met before the stage above it."""
+    k = box.n_vertices.bit_length() - 1
+    assert box.n_vertices == 2 ** k
+    order = [(2 * j + 1 << s) - 1 for s in range(k) for j in range(2 ** (k - s - 1))]
+    number = {v: i for i, v in enumerate(order + [2 ** k - 1])}
+    succ = np.full(2 ** k, -1)
+    for v in order:
+        # v + 1 = (2j + 1) 2**s, and v + 2**s is the free vertex of the next block
+        succ[number[v]] = number[v + ((v + 1) & -(v + 1))]
+    return _graph_on(box, succ)
+
+
+# the union-by-rank roots 1 of {1, 2}, 3 of {3} and 4 of {0, 4, 5} run in another
+# order than the least indices 1, 3 and 0, which number scipy's labels
+ROOTS_OUT_OF_INDEX_ORDER = _graph_on(Box.cube(1, 2), np.array([-1, 2, -1, -1, 5, 0, -1, -1, -1]))
+
+
+def test_union_by_rank_labels_are_not_scipy_labels():
+    g = ROOTS_OUT_OF_INDEX_ORDER
+    up = np.where(g.succ >= 0, g.succ, np.arange(g.n_vertices))
+    graph = csr_matrix((np.ones(g.n_vertices), (np.arange(g.n_vertices), up)))
+    scipy_labels = connected_components(graph, connection="weak")[1]
+    labels = components_union_find(g.succ)[0]
+    assert labels.tolist() == [2, 0, 0, 1, 2, 2, 3, 4, 5]
+    assert scipy_labels.tolist() != labels.tolist()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(FORESTS.map(lambda forest: forest[0]), torus_forests(), successor_arrays()))
+@example(_doubling_forest(Box((0, 0), (7, 7))))        # rank 6: six levels of unions
+@example(ROOTS_OUT_OF_INDEX_ORDER)
+# a 2-cycle 0 <-> 1 with a tree 2 -> 1, 3 -> 2 off it, and a self-loop 4 with a leaf 5
+@example(_graph_on(Box.cube(1, 2), np.array([1, 0, 1, 2, 4, 4, -1, 8, -1])))
 def test_components_match_union_find_oracle_and_networkx(g):
     comp = components(g)
     labels, sizes, _ = components_union_find(g.succ)

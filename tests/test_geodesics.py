@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fppgeo import geodesics
-from fppgeo.analysis import direction_grid, estimate_shape
+from fppgeo.analysis import direction_grid, estimate_shape, intersection_radii
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
-from fppgeo.geodesic_graph import forward_path
+from fppgeo.geodesic_graph import components, forward_path
 from fppgeo.geodesics import (HyperplaneTarget, _neighbor_table, _shortest_paths, passage_times,
                               solve)
 from fppgeo.lattice import Box
@@ -306,3 +306,19 @@ def test_solve_and_passage_times_peak_bytes_per_vertex():
     times_peak = _traced_peak(lambda: passage_times(env, box, (0, 0, 0), points)) / n
     assert solve_peak <= 105.0, solve_peak
     assert times_peak <= 96.0, times_peak
+
+
+def test_components_and_intersection_radii_peak_bytes_per_vertex():
+    # The level sweeps of components hold the edge times and end nodes, a
+    # node array or two per level and scipy's graph of the fresh edges, and
+    # the radii only add the window on top.  Measured with numpy 2.4 and
+    # scipy 1.17: 65.0 (components) and 66.0 (intersection_radii) B/vertex;
+    # the bounds leave about 10% over them, below the solve's 105.  The
+    # union-find over Python lists read 93.5 and 94.5.
+    box = Box.cube(24, 3)
+    n = box.n_vertices
+    g = solve(WeightEnvironment(3, uniform(0, 1), 0), box, HyperplaneTarget((1, 0, 0), 0))
+    labels_peak = _traced_peak(lambda: components(g)) / n
+    radii_peak = _traced_peak(lambda: intersection_radii(g, (1, 0, 0), [0, -3])) / n
+    assert labels_peak <= 72.0, labels_peak
+    assert radii_peak <= 73.0, radii_peak
