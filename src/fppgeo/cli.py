@@ -395,11 +395,16 @@ def _run(args):
     return 0
 
 
-def build_parser():
+def build_parser(only=None):
+    """The parser of every command, or of command ``only`` alone: its usage lists every
+    command, so it reads that command's arguments and prints its help and errors as the
+    full one does (no error about the command argument itself, which names it, can arise)."""
     root = argparse.ArgumentParser(prog="fppgeo",
                                    description="first-passage percolation geodesic toolkit")
-    sub = root.add_subparsers(dest="cmd", required=True)
-    for name, command in COMMANDS.items():
+    alone = only in COMMANDS
+    sub = root.add_subparsers(dest="cmd", required=True,
+                              metavar="{" + ",".join(COMMANDS) + "}" if alone else None)
+    for name, command in [(only, COMMANDS[only])] if alone else COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", help="JSON config file (flags override)")
         for key in command.settings + COMMON:
@@ -420,7 +425,7 @@ def main(argv=None):
         # argparse reads a value such as -5,0 as a flag, and --levels=-5,0 as a value
         if argv[i - 1][:2] == "--" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     keys = ("config",) + COMMANDS[args.cmd].settings + COMMON
     try:
         return _run(args)

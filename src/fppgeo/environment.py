@@ -30,15 +30,15 @@ import numpy as np
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _PHI = np.uint64(0x9E3779B97F4A7C15)
-_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_U64 = 0xFFFFFFFFFFFFFFFF
+_S11, _S27, _S30, _S31 = map(np.uint64, (11, 27, 30, 31))
 
 
 def _mix(z):
-    """SplitMix64 finalizer, elementwise on uint64 arrays (wrapping multiply)."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on uint64 arrays (not scalars, whose overflow numpy reports)."""
+    z = (z ^ (z >> _S30)) * _M1
+    z = (z ^ (z >> _S27)) * _M2
+    return z ^ (z >> _S31)
 
 
 def edge_ids(min_coords, axes):
@@ -55,16 +55,15 @@ def edge_ids(min_coords, axes):
     """
     if not isinstance(min_coords, tuple):
         min_coords = tuple(np.atleast_2d(np.asarray(min_coords, dtype=np.int64)).T)
-    lo = hi = np.uint64(0)
-    with np.errstate(over="ignore"):
-        for i, column in enumerate(min_coords):
-            lane = np.asarray(column, dtype=np.int64).astype(np.uint64) * _PHI
-            if i % 2 == 0:
-                lo = _mix(lo ^ lane)
-            else:
-                hi = _mix(hi ^ lane)
-        hi = _mix(hi ^ (np.asarray(axes, dtype=np.int64).astype(np.uint64) + _PHI))
-    return _mix(lo ^ hi)
+    lo = hi = np.zeros(1, dtype=np.uint64)      # keeps 0-d inputs off numpy's scalar math
+    for i, column in enumerate(min_coords):
+        lane = np.asarray(column, dtype=np.int64).astype(np.uint64) * _PHI
+        if i % 2 == 0:
+            lo = _mix(lo ^ lane)
+        else:
+            hi = _mix(hi ^ lane)
+    hi = _mix(hi ^ (np.asarray(axes, dtype=np.int64).astype(np.uint64) + _PHI))
+    return _mix(lo ^ hi).reshape(np.broadcast(axes, *min_coords).shape)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,10 @@ class WeightEnvironment:
             raise ValueError("d >= 2 required")
 
     def _seed_word(self):
-        return _mix(np.uint64(self.seed & 0xFFFFFFFFFFFFFFFF) ^ _PHI)
+        z = (self.seed ^ int(_PHI)) & _U64      # ``_mix`` in Python ints, masked to 64 bits
+        for shift, factor in ((30, _M1), (27, _M2)):
+            z = (z ^ (z >> shift)) * int(factor) & _U64
+        return np.uint64(z ^ (z >> 31))
 
     def edge_weights(self, min_coords, axes):
         """Vectorized weights for edges given as (min endpoint, axis) arrays.
@@ -164,7 +166,7 @@ class WeightEnvironment:
         is 1-D, in the C order of their broadcast shape.
         """
         ids = edge_ids(min_coords, axes).ravel()
-        u = (_mix(ids ^ self._seed_word()) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        u = (_mix(ids ^ self._seed_word()) >> _S11).astype(np.float64) * 2.0 ** -53
         w = self.spec.inverse_cdf(u)
         table, values = self.overrides
         if len(table):

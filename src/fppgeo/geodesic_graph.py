@@ -34,38 +34,38 @@ def forward_path(g, x):
     A chain of a forest holds at most n vertices, so a longer one runs into
     a cycle, and that raises ValueError.
     """
-    succ = g.succ
-    chain = [g.box.index_of(x)]
-    while succ[chain[-1]] >= 0:
-        if len(chain) == len(succ):
-            raise ValueError("successor cycle")
-        chain.append(int(succ[chain[-1]]))
-    return np.asarray(chain, dtype=np.int64)
+    step, v = g.succ.item, g.box.index_of(x)
+    chain = [v]
+    for _ in range(len(g.succ)):    # a forest's chain has at most n - 1 steps before its root
+        v = step(v)
+        if v < 0:
+            return np.asarray(chain, dtype=np.int64)
+        chain.append(v)
+    raise ValueError("successor cycle")
 
 
 def forward_orbit(g, source_indices):
     """Mask of vertices lying on the forward path of any source.
 
-    A frontier walk: each source's walker marks its chain as its own until
-    it reaches a root or a marked vertex, whose owner it joins.  A cycle in
-    the orbit is a cycle of joins, on which ``fold_chains`` raises ValueError.
+    A frontier walk marks the chains of the sources, each walker stopping at a
+    root or a marked vertex.  The marked set then holds the successor of each
+    of its vertices, so a chain that runs into a cycle leaves the cycle in it,
+    and ``fold_chains`` over the marked vertices raises ValueError.
     """
     succ, n = g.succ, g.n_vertices
+    mark = np.zeros(n + 1, dtype=bool)
+    mark[n] = True                  # entry n, read at index -1, stops a walker off a root
     front = np.asarray(source_indices, dtype=np.int64).ravel()
-    walker = np.arange(len(front))
-    # entry n, read at index -1 (past a root), is owned by walker len(front),
-    # which joins nothing: a walker off a root stops there and joins it
-    owner = np.full(n + 1, -1, dtype=np.int64)
-    owner[n] = len(front)
-    joins = np.full(len(front) + 1, -1, dtype=np.int64)
     while front.size:
-        new = owner[front] < 0
-        owner[front[new]] = walker[new]
-        mine = new & (owner[front] == walker)      # of two walkers onto one vertex, one owns it
-        joins[walker[~mine]] = owner[front[~mine]]
-        front, walker = succ[front[mine]], walker[mine]
-    fold_chains(joins, np.zeros(len(joins), dtype=np.int8), np.maximum)
-    return owner[:n] >= 0
+        mark[front] = True
+        front = succ[front]
+        front = front[~mark[front]]
+    orbit = np.flatnonzero(mark[:n])
+    nxt = succ[orbit]
+    local = np.cumsum(mark) - 1     # the position of each marked vertex in ``orbit``
+    fold_chains(np.where(nxt >= 0, local[nxt], -1), np.zeros(len(orbit), dtype=np.int8),
+                np.maximum)
+    return mark[:n]
 
 
 def backward_stats(g):

@@ -165,8 +165,10 @@ def reversed_forest(succ):
     root, lists the roots.  A breadth-first search from a row visits the
     vertices whose chains run through it."""
     n = len(succ)
-    up = np.where(succ < 0, n, succ)
-    return csr_matrix((np.ones(n), (up, np.arange(n))), shape=(n + 1, n + 1))
+    up = np.where(succ < 0, n, succ).astype(np.int32 if n < 2 ** 31 - 1 else np.int64)
+    # row x holds the parent of x, so the rows of the transpose list the children
+    indptr = np.minimum(np.arange(n + 2, dtype=up.dtype), n)     # one entry per row x < n
+    return csr_matrix((np.ones(n), up, indptr), shape=(n + 1, n + 1)).T.tocsr()
 
 
 def fold_chains(succ, seed, op):
@@ -200,7 +202,7 @@ def _slot_views(box, a, axis):
     edges (the ``Box.edge_ends`` views; a torus reads its plain twin), then of the
     last layer to the first (a torus's wrap edges; a plain box's missing neighbors)."""
     up, down = a[:, a.shape[1] - 1 - axis], a[:, axis]
-    plain, lead = Box(box.lower, box.upper), (slice(None),) * axis
+    plain, lead = Box(box.lower, box.upper) if box.periodic else box, (slice(None),) * axis
     return ((plain.edge_ends(axis, up)[0], plain.edge_ends(axis, down)[1]),
             (up.reshape(box.shape)[lead + (slice(-1, None),)],
              down.reshape(box.shape)[lead + (slice(1),)]))
@@ -275,7 +277,8 @@ def successor_forest(box, table, tmask):
         block = slice(r0, r0 + rows)
         cost = T[nbr[block]]
         cost += wt[block]       # weight(x, y) + T(y) per slot
-        succ[block] = np.take_along_axis(nbr[block], cost.argmin(axis=1)[:, None], 1)[:, 0]
+        least = cost.argmin(axis=1) + np.arange(0, cost.size, cost.shape[1])    # flat slots
+        succ[block] = nbr[block].ravel()[least]
     succ[tmask] = -1
     return T, succ
 

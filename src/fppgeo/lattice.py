@@ -22,6 +22,7 @@ class Box:
     A ``periodic`` box is a torus: every axis wraps around, so its edges
     join each upper face to the opposite lower face and it has no boundary.
     Its sides must be at least 3, so that no two vertices share two edges.
+    ``shape`` (the sides) and ``n_vertices`` are computed once, at construction.
     """
 
     lower: tuple
@@ -37,6 +38,8 @@ class Box:
             raise ValueError("d >= 2 required")
         if any(l > u for l, u in zip(self.lower, self.upper)):
             raise ValueError("lower corner must be <= upper corner componentwise")
+        object.__setattr__(self, "shape", tuple(u - l + 1 for l, u in zip(self.lower, self.upper)))
+        object.__setattr__(self, "n_vertices", math.prod(self.shape))
         if self.periodic and min(self.shape) < 3:
             raise ValueError("periodic axes need side >= 3")
 
@@ -53,14 +56,6 @@ class Box:
     @property
     def dim(self):
         return len(self.lower)
-
-    @property
-    def shape(self):
-        return tuple(u - l + 1 for l, u in zip(self.lower, self.upper))
-
-    @property
-    def n_vertices(self):
-        return int(np.prod(self.shape))
 
     def _check_dim(self, d, what):
         if d != self.dim:
@@ -127,9 +122,14 @@ class Box:
         The levels are a sum of theta_i times side i, broadcast over the grid; a
         theta whose length is not the box's dimension raises ValueError.
         """
-        theta = tuple(int(t) for t in theta)
+        theta = tuple(map(int, theta))
         self._check_dim(len(theta), "direction")
-        dots = sum(t * side for t, side in zip(theta, self._sides())).ravel()
+        dots = np.zeros(self.shape, dtype=np.int64)
+        for axis, (t, l, u) in enumerate(zip(theta, self.lower, self.upper)):
+            if t:           # theta_i times side i, added in place: one grid-sized array in all
+                side = np.arange(t * l, t * (u + 1), t)
+                dots += side.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+        dots = dots.ravel()
         if self.periodic:
             m = math.gcd(*(t * L for t, L in zip(theta, self.shape)))
             base = sum(t * l for t, l in zip(theta, self.lower))

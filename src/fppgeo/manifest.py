@@ -49,29 +49,35 @@ def fmt_value(v):
     return "" if v is None else str(v)
 
 
-def _cells(col, end):
-    """The distinct cells of a 1-d column block, and the index of each entry's cell.
+def _pools(col, end):
+    """A map from a slice of the 1-d column ``col`` to its pool of distinct cells and the
+    index of each of the slice's entries' cells in that pool.
 
-    Each cell is the bytes of one distinct value, formatted as in
-    ``fmt_value`` and followed by ``end``; the last is the empty cell of the
-    masked entries.  Values are keyed by their bits, so -0.0 and 0.0 stay
-    apart as their cells do.  A signed-integer block whose values span at most
-    its length is pooled without a sort: each entry's cell is its offset from
-    the least value, counted over the values present.
+    Each cell is the bytes of one distinct value, formatted as in ``fmt_value``
+    and followed by ``end``; the last is the empty cell of the masked entries.
+    Values are keyed by their bits, so -0.0 and 0.0 stay apart as their cells
+    do.  A signed-integer column whose values span at most ``CSV_CHUNK_ROWS`` is
+    pooled once per write and without a sort: an entry's cell is its offset from
+    the least value, counted over the values present.  Any other column is pooled
+    slice by slice, so that no pool outgrows a slice.
     """
-    data = np.ma.getdata(col)
-    low = int(data.min()) if data.dtype.kind == "i" else None
-    if low is not None and int(data.max()) - low <= data.size:
-        offset = data - low         # at most the block's length: no entry overflows
-        present = np.zeros(data.size + 1, dtype=bool)
-        present[offset] = True
-        keys = np.flatnonzero(present) + low
-        inverse = (np.cumsum(present) - 1)[offset]
-    else:
-        keys, inverse = np.unique(data.view(f"u{data.itemsize}"), return_inverse=True)
-        keys = keys.view(data.dtype)
-    inverse[np.ma.getmaskarray(col)] = len(keys)
-    return [*(fmt_value(v).encode() + end for v in keys.tolist()), end], inverse
+    data, mask = np.ma.getdata(col), np.ma.getmaskarray(col)
+    low = int(data.min()) if data.dtype.kind == "i" and data.size else None
+
+    def cells(keys):
+        return [*(fmt_value(v).encode() + end for v in keys.tolist()), end]
+
+    if low is not None and int(data.max()) - low <= CSV_CHUNK_ROWS:
+        present = np.zeros(int(data.max()) - low + 1, dtype=bool)
+        present[data - low] = True
+        pool, rank = cells(np.flatnonzero(present) + low), np.cumsum(present) - 1
+        return lambda rows: (pool, np.where(mask[rows], len(pool) - 1, rank[data[rows] - low]))
+
+    def by_slice(rows):
+        keys, inverse = np.unique(data[rows].view(f"u{data.itemsize}"), return_inverse=True)
+        inverse[mask[rows]] = len(keys)
+        return cells(keys.view(data.dtype)), inverse
+    return by_slice
 
 
 def csv_cells(header, columns):
@@ -79,17 +85,17 @@ def csv_cells(header, columns):
 
     Yields the header line, then one block per CSV_CHUNK_ROWS rows.  Cells
     format as in ``fmt_value``, once per distinct value (keyed by its bits)
-    of a column block; masked entries of a masked array print empty.  A
-    block is one uint8 buffer: each cell, with its ``,`` or ``\n``, is
-    copied from the pool of distinct cells to the running sum of the cell
-    lengths before it, row by row.
+    of a column, or of a column block (``_pools``); masked entries of a masked
+    array print empty.  A block is one uint8 buffer: each cell, with its ``,``
+    or ``\n``, is copied from the pool of distinct cells to the running sum of
+    the cell lengths before it, row by row.
     """
     yield (",".join(header) + "\n").encode()
     ends = [b","] * (len(columns) - 1) + [b"\n"]
+    pools = [_pools(col, end) for col, end in zip(columns, ends)]
     for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
         pool, picks = [], []
-        for col, end in zip(columns, ends):
-            cells, inverse = _cells(col[start:start + CSV_CHUNK_ROWS], end)
+        for cells, inverse in (column(slice(start, start + CSV_CHUNK_ROWS)) for column in pools):
             picks.append(inverse + len(pool))
             pool += cells
         lengths = np.array([len(cell) for cell in pool])

@@ -7,8 +7,8 @@
    the marked vertex xi_N are computed once each.  The event check reads the
    two paths and the orbit.  The eligible edges are the strip edges off the
    kept mask, the orbit and the path of y: one boolean mask per axis over
-   that axis's grid of tails (``Box.edge_ends``), from which ``edge_set`` is
-   read once.
+   that axis's grid of tails (``Box.edge_ends``), from which the outcome's
+   ``edge_set`` is read when it is asked for.
 3. The box is hashed once, into one neighbor table (``geodesics``), which
    is solved, raised to max(w, lambda) in place on the eligible edges by
    ``geodesics.raise_edges`` through the masks, and solved again.  On the
@@ -91,16 +91,16 @@ def protected_vertices(box, spec, xi_N):
         raise ValueError(f"protected-region geometry exceeds int64: box "
                          f"{box.lower}..{box.upper}, theta {spec.theta}, N {N}")
     nsq = sum(t * t for t in theta)
+    l1_far, dist_far = Fraction(spec.M_prime), Fraction(spec.M) ** 2 * nsq   # exact, at s = 1
 
     def far(p, dots, s):
         """Mask of the points p / s meeting (a), (b) or (c), for p given by its
         int64 columns and its levels dots = p . theta."""
-        l1_min = math.ceil(Fraction(spec.M_prime) * s)
+        l1_min = math.ceil(l1_far * s)
         l1, l1_xi = sum(np.abs(c) for c in p), sum(np.abs(c - s * x) for c, x in zip(p, xi_N))
         dist = sum(c * c for c in p) * nsq - dots ** 2
         return (((dots == 0) & (l1 >= l1_min)) | ((dots == s * N) & (l1_xi >= l1_min))
-                | ((dots >= 0) & (dots <= s * N)
-                   & (dist >= math.ceil(Fraction(spec.M) ** 2 * nsq * s * s))))
+                | ((dots >= 0) & (dots <= s * N) & (dist >= math.ceil(dist_far * s * s))))
 
     dots = wide.levels(theta)
     far_vertex = far(list(map(wide.levels, np.eye(wide.dim, dtype=np.int64))), dots, 1)
@@ -108,9 +108,8 @@ def protected_vertices(box, spec, xi_N):
     hit = np.zeros(wide.n_vertices, dtype=bool)
     for axis, step in enumerate(theta):
         meets = np.logical_or(*wide.edge_ends(axis, far_vertex))
-        a_u = wide.edge_ends(axis, dots)[0]
-        s = abs(step)
-        for level in (0, N):
+        a_u, s = wide.edge_ends(axis, dots)[0], abs(step)
+        for level in (0, N) if s > 1 else ():   # a crossing strictly inside has 0 < k < s
             k = (level - a_u) * np.sign(step)           # level a_u + k step / s, at t = k / s
             cross = (k > 0) & (k < s)
             # on the grid of tails, np.nonzero positions are coordinates minus the corner
@@ -202,7 +201,7 @@ def check_event_A2prime(g, spec, y_path, xi_path, orbit, S):
         wit["slab_reentry"] = box.vertex_at(xi_path[1 + bad[0]])
 
     near = np.abs(y_points - xi).sum(axis=1) <= spec.epsilon * np.abs(xi).sum()
-    meets = y_path[np.isin(y_path, xi_path)]
+    meets = y_path[np.bincount(xi_path, minlength=box.n_vertices)[y_path] > 0]
     approach_but_disjoint = bool(near.any()) and meets.size == 0
     if meets.size:
         wit["y_meets_xi_path"] = box.vertex_at(meets[0])
@@ -299,7 +298,7 @@ def verify_severing(g_mod, spec, xi_N, S):
 
 @dataclass
 class ModificationOutcome:
-    edge_set: np.ndarray           # (m, 2, d) rows (tail, head) of the raised edges
+    masks: list                    # per axis, the raised edges over their grid of tails
     lam: float
     event: EventReport
     verdict: SeveringVerdict
@@ -309,6 +308,11 @@ class ModificationOutcome:
     @property
     def severed(self):
         return self.verdict.severed
+
+    @property
+    def edge_set(self):
+        """(m, 2, d) rows (tail, head) of the raised edges, as ``eligible_edges`` gives them."""
+        return _edge_rows(self.g.box, self.masks)
 
 
 def _checked_lambda(env, spec, y, xi, mode, lam):
@@ -361,7 +365,7 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     alpha = spec.N + max(spec.N // 2, 8)
     margin = int(math.ceil(spec.M)) + 4
     lo, hi = [-margin] * env.dim, [margin] * env.dim
-    axis = int(np.argmax(np.abs(spec.theta)))
+    axis = max(range(env.dim), key=lambda i: abs(spec.theta[i]))     # the first largest
     lo[axis] = -max(8, spec.N // 3)
     hi[axis] = alpha
     # off-axis theta can put y or xi_N outside the slab around the main axis
@@ -381,5 +385,5 @@ def run_modification(env, spec, y, xi_N, mode="bounded", lam=None):
     g_mod = distance_field(box, table, g.target)
     verdict = verify_severing(g_mod, spec, xi, S)
 
-    return ModificationOutcome(edge_set=_edge_rows(box, masks), lam=float(lam), event=event,
-                               verdict=verdict, g=g, g_mod=g_mod)
+    return ModificationOutcome(masks=masks, lam=float(lam), event=event, verdict=verdict,
+                               g=g, g_mod=g_mod)

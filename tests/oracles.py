@@ -398,6 +398,35 @@ def encounter_indices(succ, threshold):
     return out
 
 
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def splitmix64(z):
+    """The SplitMix64 finalizer of the Python int z, taken mod 2**64."""
+    z &= _MASK64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def edge_id(min_endpoint, axis):
+    """The canonical id of the edge (min_endpoint, min_endpoint + e_axis), one int at a
+    time: the even coordinates fold into one lane, the odd ones and the axis into another."""
+    lanes = [0, 0]
+    for i, c in enumerate(min_endpoint):
+        lanes[i % 2] = splitmix64(lanes[i % 2] ^ (c * _GOLDEN & _MASK64))
+    lanes[1] = splitmix64(lanes[1] ^ (axis + _GOLDEN))
+    return splitmix64(lanes[0] ^ lanes[1])
+
+
+def edge_uniform(seed, min_endpoint, axis):
+    """The uniform variate of an edge in [0, 1): the top 53 bits of its id mixed with
+    the seed's word, the SplitMix64 of the seed's low 64 bits xor the golden ratio."""
+    mixed = splitmix64(edge_id(min_endpoint, axis) ^ splitmix64(seed ^ _GOLDEN))
+    return (mixed >> 11) * 2.0 ** -53
+
+
 def _step_cells(coords, succ, i):
     if succ[i] >= 0:
         return [str(int(c)) for c in (coords[succ[i]] - coords[i])]

@@ -566,6 +566,32 @@ def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
+def _exit_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as stop:
+        parse(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "modify"]]
+                         + [[name, "--help"] for name in cli.COMMANDS]
+                         + [["frob"], ["modify", "--no-such-flag"], ["graph", "--dim", "x"], []])
+def test_main_parses_as_the_parser_of_every_command(capsys, argv):
+    # main builds the invoked command's parser alone; its help, usage and errors are
+    # those of the parser that holds every command's flags
+    full = _exit_output(capsys, cli.build_parser().parse_args, argv)
+    assert _exit_output(capsys, main, argv) == full
+    code, out, err = full
+    if argv[-1:] == ["--help"] and argv[0] in cli.COMMANDS:
+        text = " ".join(out.split())
+        for key in cli.COMMANDS[argv[0]].settings + cli.COMMON:
+            setting = cli.SETTINGS[key]
+            flag = setting.flag or "--" + key.replace("_", "-")
+            assert flag in text and " ".join((setting.help or "").split()) in text
+    elif argv == ["frob"]:
+        assert code == 2 and "argument cmd: invalid choice: 'frob'" in err
+
+
 def test_modify_help_names_both_modes(capsys):
     with pytest.raises(SystemExit):
         main(["modify", "--help"])

@@ -46,9 +46,15 @@ def test_csv_cells_match_row_oracle(n):
     none_masked = np.ma.masked_array(rng.integers(-999, 999, size=n).astype(np.int32))
     first_chunk_masked = np.ma.masked_array(rng.integers(-50, 50, size=n),
                                             mask=np.arange(n) < CSV_CHUNK_ROWS)
-    # a signed block spanning at most its length is pooled by offset, one more by np.unique
+    # a signed column spanning at most CSV_CHUNK_ROWS is pooled by offset once per write;
+    # at n = CSV_CHUNK_ROWS + 100 the first block spans it, and one more goes by np.unique
     offset_edge = np.ma.masked_array(spanning_blocks(rng, n, 0), mask=rng.random(n) < 0.3)
     unique_edge = spanning_blocks(rng, n, 1)
+    # the same values, a float and an int, and a masked entry in every block
+    float_repeats = np.ma.masked_array(np.resize([0.1, -7.25, 0.1], n),
+                                       mask=np.resize([False, False, True], n))
+    int_repeats = np.ma.masked_array(np.resize([3, -2, 3, 0], n),
+                                     mask=np.resize([False, True, False, False, False], n))
     unsigned = rng.integers(0, 300, size=n).astype(np.uint16)
     huge = rng.choice(np.array([0, 7, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1], dtype=np.uint64), n)
     flags = rng.random(n) < 0.5
@@ -57,7 +63,7 @@ def test_csv_cells_match_row_oracle(n):
     special = rng.choice(specials, n)
     special[:len(specials)] = specials[:n]
     columns = [wide, some_masked, all_masked, none_masked, first_chunk_masked, offset_edge,
-               unique_edge, unsigned, huge, flags, floats, special]
+               unique_edge, float_repeats, int_repeats, unsigned, huge, flags, floats, special]
     header = [f"c{j}" for j in range(len(columns))]
     text = columns_csv_text(header, columns)
     assert b"".join(csv_cells(header, columns)) == text.encode()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,7 +9,7 @@ from fppgeo.environment import (DistributionSpec, WeightEnvironment, edge_ids, o
 from fppgeo.geodesics import _neighbor_table
 from fppgeo.lattice import Box
 
-from oracles import axis_edges, override_box
+from oracles import axis_edges, edge_id, edge_uniform, override_box
 
 
 def make_env(seed=0, dist=None):
@@ -179,6 +181,27 @@ def test_edge_ids_are_pinned():
     assert edge_ids(np.ix_([-1, 2], [0], [-4, 3]), 2).tolist() == [
         [[0x0092FAA86FB848FA, 0xE3D1ADE71070A03C]],
         [[0x6DC8933AE67C5D08, 0x7409301323E76615]]]
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2 ** 63, 2 ** 64 - 1, 2 ** 70])
+def test_edge_hash_matches_splitmix64_oracle_without_warnings(seed):
+    # every input form, at seeds that wrap around 64 bits: no overflow warning from the
+    # wrapping uint64 arithmetic, and the ids and weights of the pure-Python reference
+    a, b = 0.5, 2.25
+    env = WeightEnvironment(3, uniform(a, b), seed)
+    rows = np.array([[0, 0, 0], [-5, 3, 2 ** 40], [7, -9, 1], [-2 ** 62, 2 ** 62, -1]])
+    grid = np.ix_([-2, 3], [-1, 0, 5], [4, -7])
+    point = (np.int64(3), -2, 5)
+    cases = [(rows, [0, 1, 2, 1], [(tuple(r), k) for r, k in zip(rows.tolist(), [0, 1, 2, 1])]),
+             (grid, 1, [((i, j, k), 1) for i in (-2, 3) for j in (-1, 0, 5) for k in (4, -7)]),
+             (point, 2, [((3, -2, 5), 2)])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for min_coords, axes, edges in cases:
+            ids, weights = edge_ids(min_coords, axes), env.edge_weights(min_coords, axes)
+            assert ids.ravel().tolist() == [edge_id(p, k) for p, k in edges]
+            assert weights.tolist() == [a + (b - a) * edge_uniform(seed, p, k) for p, k in edges]
+        assert np.shape(edge_ids(point, 2)) == () and ids.dtype == np.uint64
 
 
 def test_override_box_unit_weights():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fixtures_mod as fx
 from fppgeo import geodesics, modification
 from fppgeo.environment import WeightEnvironment, parse_dist, uniform, with_overrides
-from fppgeo.geodesic_graph import build_graph, forward_path, graph_summary
+from fppgeo.geodesic_graph import build_graph, forward_orbit, forward_path, graph_summary
 from fppgeo.geodesics import DistanceField, HyperplaneTarget, solve
 from fppgeo.lattice import Box, is_integer_direction, lattice_point_on_level
 from fppgeo.modification import (ParameterError, StripSpec, eligible_edges, protected_vertices,
@@ -249,6 +249,40 @@ def test_strip_without_edges_raises_nothing():
     spec = StripSpec((1, 1), 4, 0.5, 3, 0.1, 0.1)
     out = run_modification(WeightEnvironment(2, uniform(0, 1), 0), spec, (0, 0), (2, 2))
     assert out.edge_set.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("env, spec, y, xi", [
+    # here the path of y keeps 8 strip edges that the protected orbit does not
+    (WeightEnvironment(2, uniform(0, 1), 1), StripSpec((1, 0), 24, 6.0, 3, 0.1, 0.1), (0, -1),
+     (24, 0)),
+    # the strip of theta = (1, 1) at M = 0.5 holds no edge (``modify --theta 1,1 --M-rule
+    # const:0.5``): the rows of no edge
+    (WeightEnvironment(2, uniform(0, 1), 0), StripSpec((1, 1), 4, 0.5, 3, 0.1, 0.1), (0, 0),
+     (2, 2))], ids=["N24", "no-strip-edge"])
+def test_edge_set_is_read_off_the_run(env, spec, y, xi):
+    # edge_set is computed when read, from the masks the run raised: the eligible edges
+    # of the same run, those off the protected orbit and the path of y
+    out = run_modification(env, spec, y, xi)
+    g = out.g
+    kept = forward_orbit(g, protected_vertices(g.box, spec, xi))
+    kept[forward_path(g, y)] = True
+    expect = eligible_edges(g, spec, kept)
+    assert out.edge_set.dtype == np.int64 and out.edge_set.shape == expect.shape
+    assert np.array_equal(out.edge_set, expect)
+    assert out.edge_set.shape == (0, 2, 2) if spec.M < 1 else len(expect) > 0
+
+
+def test_forward_path_from_a_cycle_raises():
+    # a walk that starts on a 2-cycle, not only one that runs into it
+    box = Box.cube(1, 2)
+    succ = np.full(box.n_vertices, -1)
+    succ[[0, 1]] = [1, 0]
+    g = DistanceField(box=box, target=None, T=np.zeros(box.n_vertices), succ=succ,
+                      target_mask=succ < 0)
+    for start in (box.vertex_at(0), box.vertex_at(1)):
+        with pytest.raises(ValueError, match="successor cycle"):
+            forward_path(g, start)
+    assert forward_path(g, box.vertex_at(2)).tolist() == [2]
 
 
 def test_fixture_geometry_is_the_derived_one():
