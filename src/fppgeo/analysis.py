@@ -116,11 +116,14 @@ def estimate_shape(env, radius, directions):
     call per seed into the ``T_samples`` of the first, as the CLI does.
 
     The times come from ``passage_times``, whose Dijkstra stops at L, the
-    largest time inside the window spanned by the origin and the points.
-    The solve box is ``padded_solve_box(window)``.  The window's paths are
-    paths of the solve box, so each point's time in the box is at most L, in
-    floating point too since rounding is monotone, and equals the time of a
-    full solve.
+    largest time at a point inside the window spanned by the origin and the
+    points.  The solve box is ``padded_solve_box(window)``.  The window's
+    paths are paths of the solve box, so each point's time in the box is at
+    most L, in floating point too since rounding is monotone, and equals the
+    time of a full solve.  Unless the window is flat (``--axis``), the search
+    hashes and settles only a sub-box of the solve box, the window with a
+    margin on each face, widened until no path of time <= L leaves it; the
+    times are those of the whole box.
     """
     r = int(radius)
     directions = np.asarray(directions, dtype=np.float64)

@@ -6,8 +6,9 @@ successor forest (the union of all point-to-target geodesics under unique
 weights).  A periodic ``Box`` is a torus, and ``solve`` serves it unchanged.
 Only this module knows the layout of the row-major (n, 2d) neighbor table,
 whose slots run -e1 < -e2 < ... < -ed < +ed < ... < +e1: ``_neighbor_table``
-and the strip raise ``raise_edges`` write each axis's edges through the
-``Box.edge_ends`` views of ``_slot_views``.  Dijkstra reads the table as a
+(which hashes a slab's every axis into the +e slots at once) and the strip
+raise ``raise_edges`` write each axis's edges through the ``Box.edge_ends``
+views of ``_slot_views``.  Dijkstra reads the table as a
 fixed-degree CSR graph, and the successor of x is the first slot with the
 least weight(x, y) + T(y), so ties break by that direction order: on a plain
 box, the lexicographically smallest tied neighbor.  ``distance_field``, the
@@ -17,11 +18,23 @@ before and after raising it.
 
 ``passage_times`` reads T(source, p) at a few points p without a forest:
 its Dijkstra stops once every point is settled.  The stop is L, the largest
-time inside the hull (the box spanned by the source and the points).  The
-hull's paths are paths of the box, so T_box(source, p) <= T_hull(source, p)
-<= L at every point; this holds in floating point as well, since rounding is
-monotone.  A Dijkstra that drops every relaxation past L gives each vertex
-with T <= L the value of the unbounded one, so the points' times are exact.
+time at a point inside the hull (the box spanned by the source and the
+points).  The hull's paths are paths of the box, so T_box(source, p) <=
+T_hull(source, p) <= L at every point; this holds in floating point as well,
+since rounding is monotone.  A Dijkstra that drops every relaxation past L
+gives each vertex with T <= L the value of the unbounded one, so the points'
+times are exact.  On a plain box the bounded search runs on a sub-box B, the
+hull widened face by face (``MARGIN_FACTOR``).  B is certified when no
+vertex on a face of B that is not a face of the box has a finite time: a
+box path of time <= L that leaves B first passes such a vertex, along a
+prefix inside B whose sum is at most the path's (adding a positive weight
+in floating point never lowers a sum), so the search would have settled
+it.  Then every point's time in B is its time in the box.  Otherwise each
+face that the search reached moves out to the box face and the search runs
+again, at most 2d more times.  A torus has no faces to certify, and a flat
+hull (one vertex thick along some axis) has the times of a lattice of fewer
+dimensions, so far above the box's that its margins would fail: both search
+the whole box.
 
 ``DistanceField`` is the only record of a successor forest: the geodesic
 graphs of ``geodesic_graph`` and the torus forests of ``analysis`` are
@@ -191,6 +204,16 @@ def fold_chains(succ, seed, op):
     raise ValueError("successor cycle")
 
 
+# The margin of a face F of the hull, in steps, in the sub-box of ``passage_times``:
+# k_F = ceil(MARGIN_FACTOR (L - min_F T_hull) s / L) + 1, where s is the farthest
+# l-inf reach of a point from the source, so L / s is the hull's mean time per
+# step.  Past F a path has at most L - min_F T_hull to spend, but the lightest
+# edges out there run well below the mean, and a face that the search reaches
+# costs a whole search more; twice the mean's reach left no retry at r = 15 in
+# 3-d.  The factor sets only how much is hashed and searched, never a time: the
+# certificate decides every time.
+MARGIN_FACTOR = 2
+
 # edges of one hashing slab, and table entries of one successor block: bounds
 # the temporaries of a table build or a successor pass, whatever the box
 SLAB_EDGES = 1 << 15
@@ -213,10 +236,14 @@ def _neighbor_table(env, box):
 
     Slots run -e1 < ... < -ed < +ed < ... < +e1; a missing neighbor is the
     vertex itself with weight inf, and indices are int32 below 2**31 entries.
-    Each axis's edges, and a torus's wrap layer, are hashed as open grids of
-    tails (``edge_ids``) in slabs of about ``SLAB_EDGES`` edges along the first
-    axis, and written, once checked, into the same rows of both ``_slot_views``.
-    Raises ValueError on a dimension mismatch or a weight that is not > 0 and finite.
+    The edges (u, u + e_axis) of every vertex u and every axis are hashed in
+    one ``env.edge_weights`` call per slab of about ``SLAB_EDGES`` edges along
+    the first axis, the axis one more dimension of the open grid (``edge_ids``),
+    and written, once checked, into the +e slots; the -e slots copy them through
+    ``_slot_views``.  A plain box discards the last layer along each axis (it
+    has no neighbor there), and on a torus that layer is the wrap edges.
+    Raises ValueError on a dimension mismatch or a kept weight that is not > 0
+    and finite.
     """
     if env.dim != box.dim:
         raise ValueError(f"a {env.dim}-d environment on a {box.dim}-d box")
@@ -225,24 +252,31 @@ def _neighbor_table(env, box):
     wt = np.empty((n, slots))
     own = np.broadcast_to(np.arange(n, dtype=nbr.dtype)[:, None], nbr.shape)
     sides = [np.arange(l, u + 1, dtype=np.int64) for l, u in zip(box.lower, box.upper)]
-    for axis in range(box.dim):
+    ups = [wt[:, slots - 1 - axis].reshape(box.shape) for axis in range(box.dim)]
+    views = [_slot_views(box, wt, axis) for axis in range(box.dim)]
+    rows = max(1, SLAB_EDGES // max(1, box.dim * math.prod(box.shape[1:])))
+    for r0 in range(0, box.shape[0], rows):
+        axes, *grid = np.ix_(range(box.dim), sides[0][r0:r0 + rows], *sides[1:])
+        w = env.edge_weights(tuple(grid), axes).reshape((box.dim, -1) + box.shape[1:])
+        for axis, (up, ((tails, heads), _), wa) in enumerate(zip(ups, views, w)):
+            # the layers along the axis that keep their weight: the slab's first row is r0
+            kept = wa if box.periodic else wa[(slice(None),) * axis + (
+                slice(box.shape[axis] - 1 - (r0 if axis == 0 else 0)),)]
+            # NaN and inf fail too: either can leave a vertex that is its own successor
+            if not np.all((kept > 0.0) & (kept < np.inf)):
+                raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
+                                 "weights must be > 0 and finite")
+            up[r0:r0 + rows] = wa
+            heads[r0:r0 + rows] = tails[r0:r0 + rows]       # rows this slab has written
+    for axis, (_, (up_end, down_end)) in enumerate(views):
+        if box.periodic:
+            down_end[...] = up_end
+        else:
+            up_end[...] = down_end[...] = np.inf
         (up, down), (up_end, down_end) = _slot_views(box, nbr, axis)
         (tails, heads), (last, first) = _slot_views(box, own, axis)
         up[...], down[...] = heads, tails
         up_end[...], down_end[...] = (first, last) if box.periodic else (last, first)
-        edges, ends = _slot_views(box, wt, axis)
-        ends[0][...] = ends[1][...] = np.inf     # no neighbor; a torus hashes its wrap over it
-        for views, layers in [(edges, slice(-1)), (ends, slice(-1, None))][:1 + box.periodic]:
-            grid = sides[:axis] + [sides[axis][layers]] + sides[axis + 1:]
-            rows = max(1, SLAB_EDGES // max(1, math.prod(map(len, grid[1:]))))
-            for r0 in range(0, len(grid[0]), rows):
-                w = env.edge_weights(np.ix_(grid[0][r0:r0 + rows], *grid[1:]), axis)
-                # NaN and inf fail too: either can leave a vertex that is its own successor
-                if not np.all((w > 0.0) & (w < np.inf)):
-                    raise ValueError("nonpositive, infinite or NaN edge weight encountered; "
-                                     "weights must be > 0 and finite")
-                for view in views:
-                    view[r0:r0 + rows] = w.reshape(view[r0:r0 + rows].shape)
     return nbr, wt
 
 
@@ -323,12 +357,38 @@ def passage_times(env, box, source, points):
     """Passage times T(source, p) inside ``box`` for the rows p of ``points``.
 
     The hull of the source and the points is solved first, without a limit;
-    its largest time bounds the Dijkstra in ``box`` (see the module
-    docstring), and no successor forest is built.
+    its largest time at a point bounds the Dijkstra in ``box`` (see the module
+    docstring), and no successor forest is built.  On a plain box around a
+    hull that is not flat, that search runs on a sub-box, the hull with a
+    margin on each face read off the hull's times (``MARGIN_FACTOR``), and
+    widened until it is certified.
     """
     points = np.asarray(points, dtype=np.int64)
-    idx = box.indices_of(points)
+    idx, start = box.indices_of(points), box.index_of(source)
     hull = Box.hull(np.vstack([source, points]))
-    limit = np.inf if hull == box else passage_times(env, hull, source, points).max(initial=0.0)
-    return _shortest_paths(_neighbor_table(env, box), box.index_of(source), limit)[idx]
+    T = _shortest_paths(_neighbor_table(env, hull), hull.index_of(source))
+    if hull == box:
+        return T[idx]
+    limit = T[hull.indices_of(points)].max(initial=0.0)
+    if box.periodic or min(hull.shape) == 1:      # see the module docstring
+        return _shortest_paths(_neighbor_table(env, box), start, limit)[idx]
+    T, steps = T.reshape(hull.shape), np.abs(points - source).max()
 
+    def margin(axis, end):
+        # every face holds the source or a point, so its least time is at most L > 0
+        slack = limit - T.take(end, axis=axis).min()
+        return 1 + math.ceil(MARGIN_FACTOR * slack * steps / limit)
+
+    lower = [max(b, h - margin(a, 0)) for a, (b, h) in enumerate(zip(box.lower, hull.lower))]
+    upper = [min(b, h + margin(a, -1)) for a, (b, h) in enumerate(zip(box.upper, hull.upper))]
+    faces = [(lower, box.lower, 0), (upper, box.upper, -1)]
+    while True:
+        sub = Box(lower, upper)
+        T = _shortest_paths(_neighbor_table(env, sub), sub.index_of(source), limit)
+        T = T.reshape(sub.shape)
+        hit = [(side, bound, axis) for side, bound, end in faces for axis in range(box.dim)
+               if side[axis] != bound[axis] and np.isfinite(T.take(end, axis=axis)).any()]
+        if not hit:
+            return T.ravel()[sub.indices_of(points)]
+        for side, bound, axis in hit:      # at most 2d rounds: each moves a face to the box's
+            side[axis] = bound[axis]

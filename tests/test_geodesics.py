@@ -2,11 +2,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fppgeo import geodesics
-from fppgeo.analysis import direction_grid, estimate_shape, intersection_radii
+from fppgeo.analysis import direction_grid, estimate_shape, intersection_radii, padded_solve_box
 from fppgeo.environment import WeightEnvironment, edge_ids, override_edges, uniform, with_overrides
 from fppgeo.geodesic_graph import components, forward_path
 from fppgeo.geodesics import (HyperplaneTarget, _neighbor_table, _shortest_paths, passage_times,
@@ -235,8 +235,20 @@ def point_problems(draw):
     return env, box, source, points
 
 
+def _point_problem(kind, seed, box, source, points):
+    return (weight_environment(kind, box.dim, seed, box), box, source,
+            np.array(points, dtype=np.int64))
+
+
 @settings(max_examples=60, deadline=None)
 @given(point_problems())
+# the hull shares two faces with the box, and the margins of the other two are capped
+@example(_point_problem("uniform", 1, Box((0, 0), (7, 4)), (0, 0), [[3, 2]]))
+@example(_point_problem("exponential", 2, Box((-1, 0, 0), (4, 3, 3)), (0, 1, 1), [[3, 3, 1], [4, 2, 0]]))
+# a flat hull, and a torus, search the whole box: on 3 x 3 a wrap edge is a short cut
+@example(_point_problem("uniform", 5, Box((-2, -2), (8, 3)), (0, 0), [[6, 0]]))
+@example(_point_problem("uniform", 3, Box((0, 0), (2, 2), periodic=True), (0, 0), [[1, 1]]))
+@example(_point_problem("exponential", 4, Box((-2, -2), (2, 2), periodic=True), (0, 0), [[2, 2], [-1, 1]]))
 def test_passage_times_equal_the_full_solve(problem):
     env, box, source, points = problem
     full = point_field(env, box, source).T[box.indices_of(points)]
@@ -259,21 +271,71 @@ def test_bounded_dijkstra_is_the_full_one_cut_at_its_limit(problem, data):
                                   np.where(T <= cut, T, np.inf))
 
 
-def test_shape_solve_leaves_the_far_box_unsettled(monkeypatch):
-    searches = []
+def _record_searches(monkeypatch):
+    """Lists that fill with the box of every neighbor table that ``geodesics``
+    builds and the times of every Dijkstra that it runs, in call order."""
+    boxes, searches = [], []
+    neighbor_table, dijkstra = geodesics._neighbor_table, geodesics.dijkstra
+
+    def recording_table(env, box):
+        boxes.append(box)
+        return neighbor_table(env, box)
 
     def recording_dijkstra(*args, **kwargs):
-        T = dijkstra(*args, **kwargs)
-        searches.append(T)
-        return T
+        searches.append(dijkstra(*args, **kwargs))
+        return searches[-1]
 
-    dijkstra = geodesics.dijkstra
+    monkeypatch.setattr(geodesics, "_neighbor_table", recording_table)
     monkeypatch.setattr(geodesics, "dijkstra", recording_dijkstra)
-    est = estimate_shape(WeightEnvironment(3, uniform(0, 1), 0), 4, direction_grid(3, 8))
-    hull, box = searches          # the hull, unbounded, then the padded box
-    assert np.isfinite(hull).all()
-    assert np.isinf(box).sum() > box.size // 2
-    assert np.isfinite(est.T_samples).all()
+    return boxes, searches
+
+
+def _inner_faces(sub, box):
+    """(end, axis) of each face of ``sub`` that is not a face of ``box``, for ``take``."""
+    return [(end, axis) for axis in range(box.dim)
+            for end, own, outer in ((0, sub.lower, box.lower), (-1, sub.upper, box.upper))
+            if own[axis] != outer[axis]]
+
+
+def test_shape_solve_leaves_the_far_box_unsettled(monkeypatch):
+    boxes, searches = _record_searches(monkeypatch)
+    env = WeightEnvironment(3, uniform(0, 1), 0)
+    est = estimate_shape(env, 4, direction_grid(3, 8))
+    monkeypatch.undo()
+    origin = (0, 0, 0)
+    hull = Box.hull(np.vstack([origin, est.eval_points]))
+    padded = padded_solve_box(hull)
+    assert boxes[0] == hull
+    assert np.isfinite(searches[0]).all()       # the hull, unbounded
+    sub, T = boxes[-1], searches[-1].reshape(boxes[-1].shape)
+    assert padded.contains_box(sub) and not sub.periodic
+    assert sub.n_vertices < padded.n_vertices
+    # the certificate: no path of time <= L leaves the last sub-box
+    inner = _inner_faces(sub, padded)
+    assert inner and not any(np.isfinite(T.take(end, axis=axis)).any() for end, axis in inner)
+    full = point_field(env, padded, origin).T[padded.indices_of(est.eval_points)]
+    assert np.array_equal(est.T_samples[0], full)
+
+
+def test_passage_times_grow_a_face_that_a_light_corridor_leaves_by(monkeypatch):
+    # Unit weights, but a corridor of weight 1e-3 from the source up past the
+    # first sub-box's upper face, across, down and into the point from outside
+    # the hull: the point's box time (0.039) is far below its hull time (7).
+    box, source, point = Box((-2, -2), (9, 16)), (0, 1), (6, 0)
+    corridor = ([(0, y) for y in range(1, 17)] + [(x, 16) for x in range(1, 8)]
+                + [(7, y) for y in range(15, -1, -1)] + [point])
+    env = override_edges(unit_environment(2, box), list(zip(corridor, corridor[1:])), 1e-3)
+    boxes, searches = _record_searches(monkeypatch)
+    T = passage_times(env, box, source, [point])
+    monkeypatch.undo()
+    # margins 13 on the faces whose least hull time is 0 (the source's), 12 on the
+    # -y face (least time 1) and 3 on the +x face (6): all but the +y face are capped
+    first = Box((-2, -2), (9, 14))
+    assert boxes == [Box((0, 0), (6, 1)), first, box]
+    assert np.isfinite(searches[0]).all()
+    assert np.isfinite(searches[1].reshape(first.shape)[:, -1]).any()    # the certificate fails
+    assert np.array_equal(T, point_field(env, box, source).T[[box.index_of(point)]])
+    assert np.isclose(T[0], 0.039)
 
 
 def _traced_peak(fn):
@@ -294,18 +356,20 @@ def _traced_peak(fn):
 def test_solve_and_passage_times_peak_bytes_per_vertex():
     # The neighbor table is 72 B/vertex in 3-d (int32 indices, float64
     # weights, 6 slots); the peak may add T, succ and the Dijkstra's own
-    # arrays, not a second table's worth of temporaries.  Measured with
-    # numpy 2.4 and scipy 1.17: 94.2 (solve) and 86.7 (passage_times)
-    # B/vertex; the bounds leave about 11% over them.  The old build, with
+    # arrays, not a second table's worth of temporaries.  passage_times
+    # hashes only its certified sub-box, so it holds less than one table of
+    # the box.  Measured with numpy 2.4 and scipy 1.17: 94.6 (solve) and
+    # 70.5 (passage_times) B/vertex; the bounds leave about 11% over them.
+    # Hashing the whole box read 86.7 for passage_times; the old build, with
     # whole-axis weight arrays and a full T[nbr] temporary, read 153.3 and 107.6.
     env = WeightEnvironment(3, uniform(0, 1), 0)
     box = Box.cube(24, 3)       # n = 117,649: fixed overheads stay near 4 B/vertex
     n = box.n_vertices
     solve_peak = _traced_peak(lambda: solve(env, box, HyperplaneTarget((1, 0, 0), 0))) / n
-    points = [[12, 0, 0], [0, -12, 5]]      # a hull inside the box: a bounded search
+    points = [[12, 0, 0], [0, -12, 5]]      # a hull inside the box: a sub-box search
     times_peak = _traced_peak(lambda: passage_times(env, box, (0, 0, 0), points)) / n
     assert solve_peak <= 105.0, solve_peak
-    assert times_peak <= 96.0, times_peak
+    assert times_peak <= 78.0, times_peak
 
 
 def test_components_and_intersection_radii_peak_bytes_per_vertex():

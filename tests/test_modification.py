@@ -369,10 +369,10 @@ def test_run_modification_hashes_the_box_once(monkeypatch):
     monkeypatch.setattr(WeightEnvironment, "edge_weights", counting)
     out = fx.run_fixture(fx.fixture_env(0))
     assert len(out.edge_set) > 0
-    # one open-grid hash per axis, each edge of the box once: no second solve's
-    # hash and no per-row hash of the raised edges
-    lengths = [fx.BOX.n_vertices // side * (side - 1) for side in fx.BOX.shape]
-    assert hashed == lengths
+    # one open-grid hash of every vertex's edge along every axis (one slab; the
+    # last layer of each axis is discarded): no second solve's hash and no
+    # per-row hash of the raised edges
+    assert hashed == [fx.BOX.n_vertices * fx.BOX.dim]
 
 
 _DIRECTIONS_2D = [(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 2)]
