@@ -335,9 +335,12 @@ class MassTransportReport:
 def mass_transport_balance(g, theta):
     """Exact double-count check: unit mass from every vertex to its component progenitor.
 
-    Sent mass is counted over all vertices, received mass progenitor by
-    progenitor; on a torus the two totals agree as integers in every
-    realization.  A component is the tree of one forest root.
+    Sent mass is counted over all vertices, by the roots that ``fold_chains``
+    finds.  Received mass is counted progenitor by progenitor, as the
+    backward-cluster size of its root, from the generations sweep of
+    ``backward_stats``, which shares no code with that fold.  On a torus the
+    two totals agree as integers in every realization, unless one of the two
+    traversals is wrong.  A component is the tree of one forest root.
     """
     if not g.box.periodic:
         raise ValueError("mass transport balance requires a forest on a periodic box")
@@ -353,9 +356,8 @@ def mass_transport_balance(g, theta):
     prog_index = order[best[roots]]     # vertex index of each vertex's progenitor
 
     sent = int((prog_index >= 0).sum())
-    received = np.zeros(n, dtype=np.int64)
-    np.add.at(received, prog_index, 1)
-    total_received = int(received.sum())
+    # the progenitor of each root's tree receives the root's backward cluster
+    total_received = int(backward_stats(g)[0][roots[prog_index[g.succ < 0]]].sum())
     return MassTransportReport(
         n_vertices=n, n_components=int((g.succ < 0).sum()),
         total_sent=int(sent), total_received=total_received,

@@ -3,12 +3,14 @@
 Two tables drive every subcommand.  ``SETTINGS`` declares each setting once:
 its type, default, help and (when it is not ``--<name>``) its flag.
 ``COMMANDS`` declares each subcommand once: the settings it takes, its
-per-seed task and its CSV header or writer.  The parser is built from the
-two tables, and one runner serves all subcommands: merge the settings, list
-the seeds, map the task over them (in processes when ``--jobs`` > 1), write
-the primary outputs, then the manifest.  A task takes one seed: the runner
-alone loops over seeds and writes the seed column, by ``_long_rows`` (or,
-for the one multi-seed report, by the shape writer).
+study and its CSV header or writer.  The parser is built from the two
+tables, and one runner serves all subcommands: merge the settings, list the
+seeds, map ``_task`` over them (in processes when ``--jobs`` > 1), write the
+primary outputs, then the manifest.  ``_task`` builds the seed's weight
+environment and, for a field command (one that takes ``alpha``), solves its
+field toward level alpha in the box; the study reads that one subject, and
+never loops over seeds or solves.  The runner alone writes the seed column,
+in ``_task`` (or, for the one multi-seed report, by the shape writer).
 
 A setting takes its value from its flag, else from the ``--config`` JSON
 file, else from its default.  A flag that is not given leaves the file's
@@ -18,8 +20,9 @@ value that does not convert, a number or list entry below its minimum, a
 per-axis list whose length is not ``dim``, or a required setting that is
 missing, raises ``ParameterError`` named by its key.  The library raises it
 too, for a parameter that only a setting can cause (``analysis`` checks
-every analysis window and pad); the runner renames it once, by the command's
-``param_keys``.  One that names a setting of the command exits 2 with
+every analysis window and pad); the runner renames it once to its setting:
+``level`` to ``alpha`` for a field command, whose solve it makes, else by the
+command's ``param_keys``.  One that names a setting of the command exits 2 with
 ``config error: <key>: ...``.  Any other exception is the program's fault:
 it exits 3 with ``internal error:`` and the traceback.
 Identical configs produce byte-identical primary outputs; timing lives in
@@ -123,7 +126,7 @@ class Setting:
 
 SETTINGS = {
     "dim": Setting(_int, minimum=2),
-    "dist": Setting(_dist, help="e.g. uniform:0,1  exponential:1  uniform-shifted:0.5,1"),
+    "dist": Setting(_dist, help="e.g. uniform:0,1  exponential:1"),
     "seed": Setting(_int, 0),
     "seeds": Setting(_int, 1, "number of consecutive seeds", minimum=1),
     "box": Setting(_side, help="odd side of the box (cube around origin)", minimum=3),
@@ -213,82 +216,55 @@ def _pmap(task, arglist, jobs):
         return list(pool.map(task, arglist))
 
 
-# per-seed tasks (top level so they pickle for --jobs); ``cfg`` holds converted settings
-
-def _env(cfg, seed):
-    return WeightEnvironment(cfg["dim"], cfg["dist"], seed)
-
-
 def _cube(cfg, key):
     """The cube around the origin whose side is setting ``key``, or None without one."""
     return None if cfg[key] is None else Box.cube(cfg[key] // 2, cfg["dim"])
 
 
-def _solve(cfg, seed):
-    """The passage-time field toward level alpha in the solve box."""
-    return solve(_env(cfg, seed), _cube(cfg, "box"), HyperplaneTarget(cfg["theta"], cfg["alpha"]))
+def _task(arg):
+    """One seed (and item) of command ``name``, the one function that ``_pmap`` maps.
+
+    The study's subject is the seed's weight environment or, for a field
+    command (one that takes ``alpha``), its field toward level alpha in the
+    box.  A study whose rows go under ``LONG_HEADER`` returns a report, and
+    its (metric, param, value) rows get the seed here.
+    """
+    name, cfg, seed, *item = arg
+    command = COMMANDS[name]
+    subject = WeightEnvironment(cfg["dim"], cfg["dist"], seed)
+    if "alpha" in command.settings:
+        subject = solve(subject, _cube(cfg, "box"), HyperplaneTarget(cfg["theta"], cfg["alpha"]))
+    result = command.study(cfg, seed, subject, *item)
+    if command.header is LONG_HEADER and command.write is None:
+        return [(m, seed, p, v) for m, p, v in result.rows()]
+    return result
 
 
-def _long_rows(report, seed):
-    """The report's (metric, param, value) rows, each with its seed."""
-    return [(m, seed, p, v) for (m, p, v) in report.rows()]
+# studies: (cfg, seed, environment or field[, item]) -> a report, CSV rows or the writer's input
 
-
-def _shape_task(arg):
-    cfg, seed = arg
+def _shape(cfg, seed, env):
     dim = cfg["dim"]
     directions = np.eye(1, dim) if cfg["axis"] else analysis.direction_grid(dim, cfg["directions"])
-    return analysis.estimate_shape(_env(cfg, seed), cfg["radius"], directions)
+    return analysis.estimate_shape(env, cfg["radius"], directions)
 
 
-def _graph_task(arg):
-    return _solve(*arg)
-
-
-def _backward_task(arg):
-    cfg, seed = arg
-    return _long_rows(analysis.backward_tail(_solve(cfg, seed), _cube(cfg, "window")), seed)
-
-
-def _busemann_task(arg):
-    cfg, seed = arg
-    return _long_rows(analysis.estimate_busemann_vector(_solve(cfg, seed), _cube(cfg, "window")),
-                      seed)
-
-
-def _crossings_task(arg):
-    cfg, seed = arg
-    region = analysis.analysis_region(_cube(cfg, "box"))
-    g = _solve(cfg, seed)
+def _crossings(cfg, seed, g):
+    region = analysis.analysis_region(g.box)
     rng = np.random.default_rng(seed)
     n = region.n_vertices
     pick = rng.choice(n, size=min(cfg["samples"], n), replace=False)
     samples = [region.vertex_at(i) for i in sorted(pick)]
-    return _long_rows(analysis.crossing_counts(g, cfg["theta"], cfg["levels"], samples), seed)
+    return analysis.crossing_counts(g, cfg["theta"], cfg["levels"], samples)
 
 
-def _radii_task(arg):
-    cfg, seed = arg
-    return _long_rows(analysis.intersection_radii(_solve(cfg, seed), cfg["theta"], cfg["levels"],
-                                                  window=_cube(cfg, "window")), seed)
-
-
-def _masstransport_task(arg):
-    cfg, seed = arg
-    g = analysis.build_torus_graph(_env(cfg, seed), cfg["dims"], cfg["theta"], cfg["level"])
-    return _long_rows(analysis.mass_transport_balance(g, cfg["theta"]), seed)
-
-
-def _modify_task(arg):
-    cfg, seed, N = arg
+def _modify(cfg, seed, env, N):
     theta = cfg["theta"]
     kind, number = cfg["M_rule"]
     M = number * N if kind == "linear" else number
     spec = modification.StripSpec(theta, N, M, cfg["M_prime"], cfg["epsilon"], cfg["delta"])
     y = cfg["y"] or _default_y(theta, cfg["dim"])
     xi = cfg["xi"] or lattice_point_on_level(theta, N)
-    out = modification.run_modification(_env(cfg, seed), spec, y, xi, mode=cfg["mode"],
-                                        lam=cfg["lam"])
+    out = modification.run_modification(env, spec, y, xi, mode=cfg["mode"], lam=cfg["lam"])
     witness_level = ""
     if out.verdict.witness is not None:
         witness_level = sum(c * t for c, t in zip(out.verdict.witness, theta))
@@ -328,7 +304,7 @@ def _write_graph(out, cfg, seeds, results):
 @dataclass(frozen=True)
 class Command:
     help: str
-    task: Callable              # (cfg, seed[, item]) -> list of CSV rows, or the writer's input
+    study: Callable             # (cfg, seed, environment or field[, item]); see ``_task``
     settings: tuple             # keys of SETTINGS; every command also takes COMMON
     header: tuple = LONG_HEADER
     write: Callable | None = None
@@ -338,26 +314,31 @@ class Command:
 
 # settings of the commands that study one hyperplane-target field per seed
 _FIELD = ("dim", "dist", "seed", "seeds", "box", "theta", "alpha")
-_ALPHA = {"level": "alpha"}     # solve's name for the target level
 
 COMMANDS = {
-    "shape": Command("directional norm estimates", _shape_task, write=_write_shape,
+    "shape": Command("directional norm estimates", _shape, write=_write_shape,
                      settings=("dim", "dist", "seed", "seeds", "radius", "directions", "axis")),
-    "graph": Command("geodesic graph CSV dump", _graph_task, write=_write_graph,
-                     settings=("dim", "dist", "seed", "box", "theta", "alpha"),
-                     param_keys=_ALPHA),
-    "busemann": Command("fit the Busemann direction vector", _busemann_task,
-                        settings=_FIELD + ("window",), param_keys=_ALPHA),
-    "backward": Command("backward-cluster tail statistics", _backward_task,
-                        settings=_FIELD + ("window",), param_keys=_ALPHA),
-    "crossings": Command("halfspace crossing counts of forward paths", _crossings_task,
-                         settings=_FIELD + ("levels", "samples"), param_keys=_ALPHA),
-    "radii": Command("component intersection radii on hyperplanes", _radii_task,
-                     settings=_FIELD + ("levels", "window"), param_keys=_ALPHA),
+    "graph": Command("geodesic graph CSV dump", lambda cfg, seed, g: g, write=_write_graph,
+                     settings=("dim", "dist", "seed", "box", "theta", "alpha")),
+    "busemann": Command("fit the Busemann direction vector",
+                        lambda cfg, seed, g: analysis.estimate_busemann_vector(
+                            g, _cube(cfg, "window")),
+                        settings=_FIELD + ("window",)),
+    "backward": Command("backward-cluster tail statistics",
+                        lambda cfg, seed, g: analysis.backward_tail(g, _cube(cfg, "window")),
+                        settings=_FIELD + ("window",)),
+    "crossings": Command("halfspace crossing counts of forward paths", _crossings,
+                         settings=_FIELD + ("levels", "samples")),
+    "radii": Command("component intersection radii on hyperplanes",
+                     lambda cfg, seed, g: analysis.intersection_radii(
+                         g, cfg["theta"], cfg["levels"], window=_cube(cfg, "window")),
+                     settings=_FIELD + ("levels", "window")),
     "masstransport": Command("progenitor mass-transport balance on a torus",
-                             _masstransport_task,
+                             lambda cfg, seed, env: analysis.mass_transport_balance(
+                                 analysis.build_torus_graph(env, cfg["dims"], cfg["theta"],
+                                                            cfg["level"]), cfg["theta"]),
                              settings=("dim", "dist", "seed", "seeds", "dims", "theta", "level")),
-    "modify": Command("strip modification experiment sweep", _modify_task,
+    "modify": Command("strip modification experiment sweep", _modify,
                       header=("seed", "N", "M", "event_pass", "severed", "witness_level"),
                       fan_out="N_list",
                       settings=("dim", "dist", "seed", "seeds", "theta", "N_list", "M_rule",
@@ -380,11 +361,14 @@ def _run(args):
     t0 = time.perf_counter()
     items = [(x,) for x in cfg[command.fan_out]] if command.fan_out else [()]
     try:
-        results = _pmap(command.task, [(cfg, s, *i) for s in seeds for i in items], cfg["jobs"])
+        results = _pmap(_task, [(args.cmd, cfg, s, *i) for s in seeds for i in items],
+                        cfg["jobs"])
     except ParameterError as exc:
-        if exc.name not in command.param_keys:
+        # the solve that ``_task`` makes for a field command calls setting alpha ``level``
+        keys = {"level": "alpha"} if "alpha" in command.settings else command.param_keys
+        if exc.name not in keys:
             raise
-        raise ParameterError(command.param_keys[exc.name], exc.message) from None
+        raise ParameterError(keys[exc.name], exc.message) from None
     if command.write:
         outputs = command.write(out, cfg, seeds, results)
     else:

@@ -81,37 +81,26 @@ class DistributionSpec:
         if k == "uniform":
             if len(p) != 2 or not (0.0 <= p[0] < p[1]):
                 raise ValueError("uniform requires 0 <= a < b")
-        elif k == "uniform_shifted":
-            if len(p) != 2 or not (p[0] > 0.0 and p[1] > 0.0):
-                raise ValueError("uniform_shifted requires shift > 0 and width > 0")
         elif k == "exponential":
             if len(p) != 1 or not p[0] > 0.0:
                 raise ValueError("exponential requires rate > 0")
         else:
             raise ValueError(f"unknown distribution kind {k!r}")
 
-    def _bounds(self):
-        if self.kind == "uniform":
-            return self.params
-        if self.kind == "uniform_shifted":
-            return self.params[0], self.params[0] + self.params[1]
-        return None
-
     def inverse_cdf(self, u):
-        b = self._bounds()
-        if b is not None:
-            return b[0] + (b[1] - b[0]) * u
+        if self.kind == "uniform":
+            a, b = self.params
+            return a + (b - a) * u
         return -np.log1p(-u) / self.params[0]
 
     def mean(self):
-        b = self._bounds()
-        if b is not None:
-            return 0.5 * (b[0] + b[1])
+        if self.kind == "uniform":
+            a, b = self.params
+            return 0.5 * (a + b)
         return 1.0 / self.params[0]
 
     def sup_support(self):
-        b = self._bounds()
-        return b[1] if b is not None else math.inf
+        return self.params[1] if self.kind == "uniform" else math.inf
 
     def label(self):
         return f"{self.kind}:" + ",".join(format(p, "g") for p in self.params)
@@ -126,7 +115,7 @@ def parse_dist(text):
     try:
         kind, _, params = text.partition(":")
         values = tuple(float(p) for p in params.split(",")) if params else ()
-        return DistributionSpec(kind.replace("-", "_"), values)
+        return DistributionSpec(kind, values)
     except ValueError as exc:
         raise ValueError(f"bad dist {text!r}: {exc}") from exc
 
@@ -154,10 +143,7 @@ class WeightEnvironment:
             raise ValueError("d >= 2 required")
 
     def _seed_word(self):
-        z = (self.seed ^ int(_PHI)) & _U64      # ``_mix`` in Python ints, masked to 64 bits
-        for shift, factor in ((30, _M1), (27, _M2)):
-            z = (z ^ (z >> shift)) * int(factor) & _U64
-        return np.uint64(z ^ (z >> 31))
+        return _mix(np.array([(self.seed ^ int(_PHI)) & _U64], dtype=np.uint64))[0]
 
     def edge_weights(self, min_coords, axes):
         """Vectorized weights for edges given as (min endpoint, axis) arrays.

@@ -24,15 +24,17 @@ T_hull(source, p) <= L at every point; this holds in floating point as well,
 since rounding is monotone.  A Dijkstra that drops every relaxation past L
 gives each vertex with T <= L the value of the unbounded one, so the points'
 times are exact.  On a plain box the bounded search runs on a sub-box B, the
-hull widened face by face (``MARGIN_FACTOR``).  B is certified when no
-vertex on a face of B that is not a face of the box has a finite time: a
-box path of time <= L that leaves B first passes such a vertex, along a
-prefix inside B whose sum is at most the path's (adding a positive weight
-in floating point never lowers a sum), so the search would have settled
-it.  Then every point's time in B is its time in the box.  Otherwise each
-face that the search reached moves out to the box face and the search runs
-again, at most 2d more times.  A torus has no faces to certify, and a flat
-hull (one vertex thick along some axis) has the times of a lattice of fewer
+hull widened face by face (``MARGIN_FACTOR``).  B is certified when every
+vertex v on a face of B that is not a face of the box has T_B(v) > max_p
+T_B(p), counting an unsettled vertex as inf.  A box path to p that leaves B
+first steps out of B from such a vertex v, along a prefix inside B whose sum
+is at least T_B(v) and at most the path's (adding a positive weight in
+floating point never lowers a sum), so it costs more than T_B(p), and
+T_box(p) <= T_B(p) since B's paths are box paths.  Then every point's time
+in B is its time in the box.  Otherwise each face that holds a vertex at or
+below that bound moves out to the box face and the search runs again, at
+most 2d more times.  A torus has no faces to certify, and a flat hull (one
+vertex thick along some axis) has the times of a lattice of fewer
 dimensions, so far above the box's that its margins would fail: both search
 the whole box.
 
@@ -208,7 +210,7 @@ def fold_chains(succ, seed, op):
 # k_F = ceil(MARGIN_FACTOR (L - min_F T_hull) s / L) + 1, where s is the farthest
 # l-inf reach of a point from the source, so L / s is the hull's mean time per
 # step.  Past F a path has at most L - min_F T_hull to spend, but the lightest
-# edges out there run well below the mean, and a face that the search reaches
+# edges out there run well below the mean, and a face that fails the certificate
 # costs a whole search more; twice the mean's reach left no retry at r = 15 in
 # 3-d.  The factor sets only how much is hashed and searched, never a time: the
 # certificate decides every time.
@@ -385,10 +387,11 @@ def passage_times(env, box, source, points):
     while True:
         sub = Box(lower, upper)
         T = _shortest_paths(_neighbor_table(env, sub), sub.index_of(source), limit)
-        T = T.reshape(sub.shape)
+        times = T[sub.indices_of(points)]
+        T, reach = T.reshape(sub.shape), times.max()
         hit = [(side, bound, axis) for side, bound, end in faces for axis in range(box.dim)
-               if side[axis] != bound[axis] and np.isfinite(T.take(end, axis=axis)).any()]
+               if side[axis] != bound[axis] and (T.take(end, axis=axis) <= reach).any()]
         if not hit:
-            return T.ravel()[sub.indices_of(points)]
+            return times
         for side, bound, axis in hit:      # at most 2d rounds: each moves a face to the box's
             side[axis] = bound[axis]

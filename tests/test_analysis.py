@@ -409,6 +409,17 @@ def test_mass_transport_random_torus_exact():
     assert rep.mean_sent == 1.0
 
 
+def test_mass_transport_catches_a_sweep_that_drops_a_generation(monkeypatch):
+    # received mass comes from the generations sweep, sent mass from fold_chains:
+    # a sweep that misses the deepest generation leaves its vertices unreceived
+    g = build_torus_graph(WeightEnvironment(2, uniform(0, 1), 0), (16, 16), (1, 0), 0)
+    gens = g.generations()
+    monkeypatch.setattr(g, "generations", lambda: gens[:-1])
+    rep = mass_transport_balance(g, (1, 0))
+    assert rep.total_sent == g.n_vertices
+    assert rep.difference == len(gens[-1]) > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 3).flatmap(lambda d: st.tuples(*[st.tuples(
     st.integers(3, 7), st.integers(-3, 3), st.integers(-3, 3))] * d)))

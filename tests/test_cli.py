@@ -244,11 +244,37 @@ def test_jobs_parallel_identical_output(tmp_path):
     for args in (["masstransport", "--dim", "2", "--dist", "uniform:0,1", "--theta", "1,0",
                   "--dims", "8,8", "--level", "0", "--seed", "0", "--seeds", "4"],
                  ["shape", "--dim", "2", "--dist", "uniform:0,1", "--radius", "7",
-                  "--directions", "5", "--seed", "1", "--seeds", "4"]):
+                  "--directions", "5", "--seed", "1", "--seeds", "4"],
+                 # a field command: the workers solve, and each study is a lambda
+                 ["radii", "--dim", "2", "--dist", "uniform:0,1", "--box", "41", "--theta", "1,1",
+                  "--alpha", "10", "--levels", "0,2", "--seed", "2", "--seeds", "4"]):
         a, b = tmp_path / f"{args[0]}1.csv", tmp_path / f"{args[0]}2.csv"
         assert run_cli(args + ["--out", str(a), "--jobs", "1"]) == 0
         assert run_cli(args + ["--out", str(b), "--jobs", "2"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+FIELD_COMMANDS = ["graph", "busemann", "backward", "crossings", "radii"]
+
+
+def test_field_commands_are_those_that_take_alpha():
+    assert FIELD_COMMANDS == [name for name, c in cli.COMMANDS.items() if "alpha" in c.settings]
+
+
+@pytest.mark.parametrize("command", FIELD_COMMANDS)
+def test_field_command_solves_once_per_seed(tmp_path, monkeypatch, command):
+    solved = []
+
+    def counting_solve(env, box, target):
+        solved.append((env.seed, box, target))
+        return solve(env, box, target)
+
+    monkeypatch.setattr(cli, "solve", counting_solve)
+    seeds = ["--seeds", "3"] if "seeds" in cli.COMMANDS[command].settings else []
+    assert run_cli([command, *_D2, "--box", "41", "--theta", "1,0", "--alpha", "10", "--seed", "4",
+                    *seeds, "--out", str(tmp_path / "x.csv")]) == 0
+    assert solved == [(s, Box.cube(20, 2), HyperplaneTarget((1, 0), 10))
+                      for s in range(4, 4 + (3 if seeds else 1))]
 
 
 def test_jobs_start_at_most_one_worker_per_task(tmp_path, monkeypatch):
@@ -556,11 +582,15 @@ def test_target_errors_name_key(tmp_path, capsys, command, args, message):
      "dist: bad dist 'uniform:0,inf': parameters must be finite"),
     ("shape", ["--radius", "4", "--dist", "exponential:inf"],
      "dist: bad dist 'exponential:inf': parameters must be finite"),
+    # a kind that is gone: uniform-shifted:s,w gave exactly the weights of uniform:s,s+w
+    ("shape", ["--radius", "4", "--dist", "uniform-shifted:0.5,1"],
+     "dist: bad dist 'uniform-shifted:0.5,1': unknown distribution kind 'uniform-shifted'"),
     ("graph", ["--box", "15", "--theta", "1,0", "--alpha", "4", "--jobs", "0"],
      "jobs: must be at least 1, got 0"),
 ], ids=["samples", "directions", "dims", "dims-negative", "N_list", "y", "xi", "y-l1", "delta", "lam-missing",
         "mode", "lam-negative", "lam-nan", "dist", "M_prime", "epsilon", "M_rule", "M_rule-jobs",
-        "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf", "jobs"])
+        "lam-inf", "epsilon-inf", "dist-uniform-inf", "dist-exponential-inf",
+        "dist-uniform-shifted", "jobs"])
 def test_out_of_range_settings_name_key(tmp_path, capsys, command, args, message):
     assert run_cli([command, *_D2, *args, "--out", str(tmp_path / "x.csv")]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
@@ -616,10 +646,10 @@ def test_non_finite_setting_stops_before_any_output(tmp_path, capsys, key, value
 @pytest.mark.parametrize("error", [ValueError("a program fault"), KeyError("missing"),
                                    ParameterError("nonsense", "not a setting of graph")])
 def test_program_fault_is_internal_error(tmp_path, capsys, monkeypatch, error):
-    def task(arg):
+    def study(cfg, seed, g):
         raise error
 
-    monkeypatch.setitem(cli.COMMANDS, "graph", replace(cli.COMMANDS["graph"], task=task))
+    monkeypatch.setitem(cli.COMMANDS, "graph", replace(cli.COMMANDS["graph"], study=study))
     out = tmp_path / "g.csv"
     assert run_cli(["graph", *_D2, "--box", "15", "--theta", "1,0", "--alpha", "4",
                     "--out", str(out)]) == 3

@@ -58,14 +58,14 @@ def test_distribution_validation():
     with pytest.raises(ValueError):
         parse_dist("exponential:0")
     with pytest.raises(ValueError):
-        parse_dist("uniform-shifted:0,1")
+        parse_dist("uniform:0.5,0.5")
     with pytest.raises(ValueError):
         parse_dist("poisson:3")
 
 
 @pytest.mark.parametrize("kind, params", [("uniform", (0.0, float("inf"))),
                                           ("uniform", (float("-inf"), 1.0)),
-                                          ("uniform_shifted", (float("inf"), 1.0)),
+                                          ("uniform", (float("nan"), 1.0)),
                                           ("exponential", (float("inf"),)),
                                           ("exponential", (float("nan"),))])
 def test_distribution_parameters_must_be_finite(kind, params):
@@ -75,7 +75,7 @@ def test_distribution_parameters_must_be_finite(kind, params):
 
 def test_sup_support_and_mean():
     assert uniform(0, 1).sup_support() == 1.0
-    assert parse_dist("uniform-shifted:0.5,1").sup_support() == 1.5
+    assert parse_dist("uniform:0.5,1.5").sup_support() == 1.5
     assert parse_dist("exponential:2").sup_support() == np.inf
     assert uniform(0, 1).mean() == 0.5
     assert parse_dist("exponential:2").mean() == 0.5

@@ -338,6 +338,28 @@ def test_passage_times_grow_a_face_that_a_light_corridor_leaves_by(monkeypatch):
     assert np.isclose(T[0], 0.039)
 
 
+def test_passage_times_certify_a_face_reached_above_the_points_times(monkeypatch):
+    # Unit weights, and a corridor of weight 1e-3 around the hull, from the source
+    # out by -x, up to y = 2 and back in to the point: the point's time in the
+    # first sub-box (0.011) is far below its hull time L = 7.  The search settles
+    # the sub-box's +x face at about 3, below L but above the point's time, so no
+    # box path through that face is shorter: the sub-box is certified as it is,
+    # where a certificate against L alone would grow the face and search again.
+    box, source, point = Box.cube(20, 2), (0, 0), (6, 1)
+    corridor = [(0, 0), (-1, 0), (-1, 1), (-1, 2)] + [(x, 2) for x in range(7)] + [point]
+    env = override_edges(unit_environment(2, box), list(zip(corridor, corridor[1:])), 1e-3)
+    boxes, searches = _record_searches(monkeypatch)
+    T = passage_times(env, box, source, [point])
+    monkeypatch.undo()
+    # margins 13 on the faces through the source, 12 on +y (least hull time 1), 3 on +x (6)
+    first = Box((-13, -13), (9, 13))
+    assert boxes == [Box((0, 0), (6, 1)), first]
+    face = searches[1].reshape(first.shape)[-1, :]
+    assert 3.0 < face.min() <= 7.0
+    assert np.array_equal(T, point_field(env, box, source).T[[box.index_of(point)]])
+    assert np.isclose(T[0], 0.011)
+
+
 def _traced_peak(fn):
     """Bytes that ``fn()`` holds at its peak, above what was held before, by tracemalloc."""
     tracing = tracemalloc.is_tracing()

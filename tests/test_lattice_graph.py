@@ -87,7 +87,7 @@ def grid_boxes(draw):
 
 
 DISTS = [uniform(0.0, 1.0), DistributionSpec("exponential", (1.5,)),
-         DistributionSpec("uniform_shifted", (0.5, 2.0))]
+         uniform(0.5, 2.5)]
 
 
 def _sliced_table(env, box, slab):
