@@ -335,12 +335,12 @@ class MassTransportReport:
 def mass_transport_balance(g, theta):
     """Exact double-count check: unit mass from every vertex to its component progenitor.
 
-    Sent mass is counted over all vertices, by the roots that ``fold_chains``
-    finds.  Received mass is counted progenitor by progenitor, as the
-    backward-cluster size of its root, from the generations sweep of
-    ``backward_stats``, which shares no code with that fold.  On a torus the
-    two totals agree as integers in every realization, unless one of the two
-    traversals is wrong.  A component is the tree of one forest root.
+    Sent mass is counted over all vertices.  Received mass is counted
+    progenitor by progenitor, as the backward-cluster size of its tree's
+    root, from the generations sweep of ``backward_stats``, which shares no
+    code with the ``fold_chains`` pass that finds the roots.  On a torus the
+    two totals agree as integers in every realization, unless the sweep
+    misses or repeats a vertex.  A component is the tree of one forest root.
     """
     if not g.box.periodic:
         raise ValueError("mass transport balance requires a forest on a periodic box")
